@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 
@@ -25,6 +26,7 @@ import numpy as np
 from . import __version__, fredholm, kernels, mc, observables, validate
 
 _FMT = "%.17g"
+_NUMBER_FLAGS = ("--x", "--y", "--grid")
 
 
 def _fmt(value: float) -> str:
@@ -237,9 +239,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Glue a value starting with '-' to its number-list flag
+    (--grid -1:1:3 -> --grid=-1:1:3): argparse reads a separate token like
+    -1:1:3 as an unknown option."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _NUMBER_FLAGS and re.match(r"-[\d.]", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_join_negative_values(argv))
     if args.command == "gap":
         if args.a_min <= 0.0:
             parser.error("--a-min must be positive")

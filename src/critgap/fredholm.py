@@ -3,9 +3,12 @@ gap probability P(a).
 
 P(a) is the probability that the rightmost particle of the critical process
 sits left of a.  It equals the Fredholm determinant of the (conjugated)
-kernel on (a, inf), and also the determinant of either two-contour operator:
-the full line/loop coupling or its line reduction.  The three routes share no
-kernel code beyond the gamma functions, so their agreement is the primary
+kernel on (a, inf), and also the determinant of the two-contour operator
+Q = [[0, A], [B, 0]] on the line/loop union.  Both two-contour routes are
+posed on the line grid: contour-Q by the Schur complement
+det(I - Q) = det(I - A W_loop B W_line) on the pair's own loop, contour-H by
+the line-reduced kernel on a separately graded loop.  The three routes share
+no kernel code beyond the gamma functions, so their agreement is the primary
 internal consistency check of the package.
 """
 
@@ -104,18 +107,33 @@ class DiscreteOperator:
     weighting: str = "right"
     _lu: tuple | None = field(default=None, repr=False)
 
-    def matrix(self) -> np.ndarray:
+    def _weight_factors(self) -> tuple[np.ndarray | None, np.ndarray]:
+        """(left, right) weight factors of matrix(); left is None for the
+        right-weighted form."""
         if self.weighting == "right":
-            return self.kernel_values * self.weights[None, :]
+            return None, self.weights
         if self.weighting == "symmetric":
             r = np.sqrt(self.weights.astype(complex))
-            return r[:, None] * self.kernel_values * r[None, :]
+            return r, r
         raise ValueError(f"unknown weighting {self.weighting!r}")
+
+    def matrix(self) -> np.ndarray:
+        left, right = self._weight_factors()
+        m = self.kernel_values * right[None, :]
+        return m if left is None else left[:, None] * m
+
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """matrix() @ x without forming the weighted matrix."""
+        left, right = self._weight_factors()
+        col = (slice(None),) + (None,) * (x.ndim - 1)
+        y = self.kernel_values @ (right[col] * x)
+        return y if left is None else left[col] * y
 
     def _factor(self):
         if self._lu is None:
             n = self.weights.size
-            a = np.eye(n, dtype=complex) - self.matrix()
+            a = np.asarray(-self.matrix(), dtype=complex)
+            a.flat[::n + 1] += 1.0
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # LAPACK singularity warning
                 self._lu = lu_factor(a, check_finite=False)
@@ -151,7 +169,7 @@ def solve_resolvent(op: DiscreteOperator, rhs: np.ndarray) -> np.ndarray:
     if d.min() < _PIVOT_FLOOR:
         raise SingularError("operator I - K is numerically singular")
     x = lu_solve((lu, piv), np.asarray(rhs, dtype=complex), check_finite=False)
-    resid = rhs - (x - op.matrix() @ x)
+    resid = rhs - (x - op._apply(x))
     scale = 1.0 + float(np.linalg.norm(np.asarray(rhs)))
     if float(np.linalg.norm(resid)) > 1e-10 * scale:
         raise SingularError("resolvent residual above tolerance")
@@ -173,15 +191,31 @@ def halfline_operator(a: float, alpha: float, length: float = _DEFAULT_LENGTH,
     return DiscreteOperator(kv, grid.weights.astype(complex), weighting)
 
 
+def _line_operator(a: float, alpha: float, order: int, refine: float,
+                   deformed: bool, weighting: str,
+                   loop: QuadratureGrid | None = None) -> DiscreteOperator:
+    """Two-contour operator reduced to the line grid of the (a, alpha) pair.
+
+    Without a loop grid the coupling blocks are contracted over the pair's
+    own loop: the exact Schur complement of [[0, A], [B, 0]].  With one, the
+    loop variable is integrated on it by the line-reduced kernel."""
+    pair = kernels.qa_pair(alpha, a_max=a, refine=refine, order=order,
+                           deformed=deformed, a=a)
+    if loop is None:
+        block_a, block_b = kernels.cross_blocks(pair, a)
+        kv = (block_a * pair.loop.weights[None, :]) @ block_b
+    else:
+        kv = kernels.ha_matrix(pair, a, loop_override=loop)
+    return DiscreteOperator(kv, pair.line.weights, weighting)
+
+
 def qa_operator(a: float, alpha: float, order: int = _DEFAULT_ORDER,
                 refine: float = 1.0, deformed: bool = False,
                 weighting: str = "right") -> DiscreteOperator:
-    """Two-contour coupling operator on the (line, loop) union grid."""
-    pair = kernels.qa_pair(alpha, a_max=a, refine=refine, order=order,
-                           deformed=deformed, a=a)
-    union = pair.union()
-    kv = kernels.qa_matrix(union, a, alpha)
-    return DiscreteOperator(kv, union.weights, weighting)
+    """Two-contour coupling operator Q = [[0, A], [B, 0]] on the (line, loop)
+    union, as its line-grid Schur complement A W_loop B:
+    det(I - Q W) = det(I - A W_loop B W_line)."""
+    return _line_operator(a, alpha, order, refine, deformed, weighting)
 
 
 def ha_operator(a: float, alpha: float, order: int = _DEFAULT_ORDER,
@@ -189,19 +223,10 @@ def ha_operator(a: float, alpha: float, order: int = _DEFAULT_ORDER,
                 weighting: str = "right") -> DiscreteOperator:
     """Line-reduced operator; its loop integration grid is built separately
     from the coupling pair so this route stays an independent quadrature."""
-    pair = kernels.qa_pair(alpha, a_max=a, refine=refine, order=order,
-                           deformed=deformed, a=a)
     inner = kernels.qa_pair(alpha, a_max=a, refine=1.4 * refine,
                             order=max(8, order - 4), deformed=deformed, a=a)
-    kv = kernels.ha_matrix(pair, a, loop_override=inner.loop)
-    return DiscreteOperator(kv, pair.line.weights, weighting)
-
-
-_BUILDERS = {
-    "halfline": halfline_operator,
-    "contour-Q": qa_operator,
-    "contour-H": ha_operator,
-}
+    return _line_operator(a, alpha, order, refine, deformed, weighting,
+                          loop=inner.loop)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,10 @@ the gap probability:
     log P(a)  = integral_a^inf (x - a) (Y1)_{12}(Y1)_{21} dx.
 
 Y1 is computed from the resolvent formula: solve (I - Q_a)F = f on the
-contour union, then Y1 = sum of w_i F(s_i) h(s_i)^T.  Everything here reuses
-the Nystrom machinery; no boundary-value problem is solved.
+contour union, then Y1 = sum of w_i F(s_i) h(s_i)^T.  The solve runs on the
+line grid through the Schur complement of the off-diagonal block operator
+(see RhWorkspace).  Everything here reuses the Nystrom machinery; no
+boundary-value problem is solved.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, special
-from .contours import (GeometryError, LINE, build_hairpin, deformed_contours,
+from .contours import (GeometryError, build_hairpin, deformed_contours,
                        gamma_contour_integral, truncation_radius)
 from .fredholm import DiscreteOperator, HalfLineGrid, solve_resolvent
 
@@ -90,12 +92,25 @@ class UFunction:
 class RhWorkspace:
     """Precomputed contour data for Y1 sweeps at fixed alpha.
 
-    The a-dependence of the coupling kernel sits in scalar exponential
-    factors: e^{-az} on line rows and e^{+az} on loop columns.  The base
-    matrix and base vectors are assembled once at a = 0 and rescaled per
-    evaluation point, so a sweep costs one dense solve per point and no
-    contour rebuilds.  Valid for evaluation points 0 < a <= x_max (x_max
-    sets the oscillation budget of the line grid)."""
+    The two-contour operator is Q = [[0, A], [B, 0]] over (line, loop), with
+    A[z, t] = f(z).h(t) / (z - t) and B[t, s] = f(t).h(s) / (t - s).  Its
+    a-dependence sits in scalar exponential factors, e^{-az} on line rows of
+    f and e^{+at} on loop rows of h, so only A moves with a.  The blocks and
+    the (f, h) vectors are assembled once at a = 0 and rescaled per
+    evaluation point.  The block structure reduces each solve to the line
+    grid (W: quadrature weights):
+
+        (I - K W_line) F_line = f_line + A W_loop f_loop,   K = A W_loop B,
+        F_loop = f_loop + B W_line F_line.
+
+    K is integrable again, K[z, s] = (f(z).g(s) + e(z).h(s)) / (z - s) with
+    e = A W_loop f_loop and g = h_loop^T W_loop B, so it is formed from loop
+    sums (matrix-vector products with the blocks) instead of a
+    line x loop x line matrix product; only its diagonal needs the
+    contraction of A and B.  A sweep therefore costs one line-grid solve per
+    point and no contour rebuilds.
+    Valid for evaluation points 0 < a <= x_max (x_max sets the oscillation
+    budget of the line grid)."""
 
     def __init__(self, alpha: float, x_max: float, order: int = 16,
                  refine: float = 1.0):
@@ -104,28 +119,35 @@ class RhWorkspace:
         self.alpha = float(alpha)
         self.x_max = float(x_max)
         pair = kernels.qa_pair(alpha, a_max=x_max, order=order, refine=refine)
-        self.union = pair.union()
-        self.q_base = kernels.qa_matrix(self.union, 0.0, alpha)
-        self.f_base, self.h_base = kernels.rh_vector_arrays(
-            self.union.nodes, self.union.labels, 0.0, alpha)
-        self._on_line = self.union.labels == LINE
-
-    def _scales(self, a: float) -> tuple[np.ndarray, np.ndarray]:
-        z = self.union.nodes
-        row = np.where(self._on_line, np.exp(-a * z), 1.0)
-        col = np.where(self._on_line, 1.0, np.exp(a * z))
-        return row, col
+        self.line, self.loop = pair.line, pair.loop
+        self.block_a, self.block_b = kernels.cross_blocks(pair, 0.0)
+        self.f_line, self.h_line = kernels.rh_vector_arrays(
+            self.line.nodes, self.line.labels, 0.0, alpha)
+        self.f_loop, self.h_loop = kernels.rh_vector_arrays(
+            self.loop.nodes, self.loop.labels, 0.0, alpha)
+        # A[z, t] B[t, z], whose loop sum is the diagonal of K
+        self._diag_terms = self.block_a * self.block_b.T
+        diff = self.line.nodes[:, None] - self.line.nodes[None, :]
+        np.fill_diagonal(diff, 1.0)
+        self._inv_diff = 1.0 / diff
 
     def y1(self, a: float) -> Y1Matrix:
         if not 0.0 < a <= self.x_max + 1e-9:
             raise ValueError(f"a={a} outside workspace range (0, {self.x_max}]")
-        row, col = self._scales(a)
-        q_a = row[:, None] * self.q_base * col[None, :]
-        f_a = row[:, None] * self.f_base
-        h_a = col[:, None] * self.h_base
-        op = DiscreteOperator(q_a, self.union.weights)
-        big_f = solve_resolvent(op, f_a)
-        y1 = (self.union.weights[:, None] * big_f).T @ h_a
+        w_line = self.line.weights
+        line_scale = np.exp(-a * self.line.nodes)
+        loop_w = np.exp(a * self.loop.nodes) * self.loop.weights
+        f_line = line_scale[:, None] * self.f_line
+        h_loop_w = loop_w[:, None] * self.h_loop            # W_loop h_loop(a)
+        e = line_scale[:, None] * (self.block_a @ (loop_w[:, None] * self.f_loop))
+        g = h_loop_w.T @ self.block_b
+        kv = (f_line @ g + e @ self.h_line.T) * self._inv_diff
+        np.fill_diagonal(kv, line_scale * (self._diag_terms @ loop_w))
+        op = DiscreteOperator(kv, w_line)
+        big_f_line = solve_resolvent(op, f_line + e)
+        big_f_loop = self.f_loop + self.block_b @ (w_line[:, None] * big_f_line)
+        y1 = ((w_line[:, None] * big_f_line).T @ self.h_line
+              + big_f_loop.T @ h_loop_w)
         e11, e12, e21, e22 = y1[0, 0], y1[0, 1], y1[1, 0], y1[1, 1]
         if abs(e11.imag) > _IM_TOL * (1.0 + abs(e11)):
             raise ArithmeticError(f"(Y1)_11 has imaginary residue {e11.imag:.3e}")

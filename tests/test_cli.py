@@ -50,6 +50,21 @@ def test_kernel_grid_json(capsys):
     assert set(doc["rows"][0]) == {"x", "y", "re", "im", "err"}
 
 
+def test_kernel_negative_grid_and_points(capsys):
+    code, out, _ = run_cli(capsys, "kernel", "--grid", "-1:1:3")
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    assert [row[:2] for row in rows[:3]] == [[-1.0, -1.0], [-1.0, 0.0],
+                                             [-1.0, 1.0]]
+    assert len(rows) == 9
+    code, out, _ = run_cli(capsys, "kernel", "--x", "-0.5,1", "--y", "-.5")
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    assert [row[:2] for row in rows] == [[-0.5, -0.5], [1.0, -0.5]]
+    assert rows[0][2] == pytest.approx(
+        kernels.critical_kernel(-0.5, -0.5, 1.0), rel=1e-12)
+
+
 def test_kernel_finite_centered(capsys):
     code, out, _ = run_cli(capsys, "kernel", "--finite", "60", "60",
                            "--centered", "--x", "0", "--y", "0")
@@ -166,12 +181,13 @@ def test_validate_catches_injected_fault(capsys, monkeypatch):
     fast = tuple(c for c in validate.CHECKS
                  if c.__name__ == "check_route_equivalence")
     monkeypatch.setattr(validate, "CHECKS", fast)
-    true_qa = kernels.qa_matrix
+    true_blocks = kernels.cross_blocks
 
     def broken(*args, **kwargs):
-        return 1.01 * true_qa(*args, **kwargs)
+        block_a, block_b = true_blocks(*args, **kwargs)
+        return 1.01 * block_a, 1.01 * block_b
 
-    monkeypatch.setattr(kernels, "qa_matrix", broken)
+    monkeypatch.setattr(kernels, "cross_blocks", broken)
     code, out, _ = run_cli(capsys, "validate")
     assert code == 1
     doc = json.loads(out)

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from critgap import fredholm
+from critgap import fredholm, kernels
 from critgap.fredholm import (DiscreteOperator, HalfLineGrid, SingularError,
                               det_one_minus, gap_probability,
                               halfline_operator, ha_operator, operator_trace,
@@ -153,4 +153,17 @@ def test_qa_and_ha_operator_shapes():
     op_h = ha_operator(2.0, 1.0)
     assert op_q.kernel_values.shape[0] == op_q.weights.size
     assert op_h.kernel_values.shape[0] == op_h.weights.size
-    assert op_h.weights.size < op_q.weights.size  # line nodes only
+    # both live on the pair's line grid; contour-Q reaches it by a Schur
+    # complement, contour-H by integrating out its own loop
+    assert np.array_equal(op_q.weights, op_h.weights)
+
+
+def test_qa_operator_matches_union_determinant():
+    # det(I - Q W) of the full [[0, A], [B, 0]] union matrix, formed densely
+    for a, alpha in [(0.5, 1.0), (2.0, 0.5), (3.0, 2.0)]:
+        union = kernels.qa_pair(alpha, a_max=a).union()
+        q = kernels.qa_matrix(union, a, alpha)
+        full = np.linalg.det(np.eye(union.weights.size)
+                             - q * union.weights[None, :])
+        det, _ = det_one_minus(qa_operator(a, alpha))
+        assert abs(det - full) <= 1e-13 * abs(full)

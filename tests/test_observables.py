@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from critgap import fredholm, observables
+from critgap import fredholm, kernels, observables
 from critgap.contours import GeometryError
 from critgap.observables import (RhWorkspace, UnderflowWarning, asym_u1_12,
                                  asym_u1_12_closed, asym_u1_21,
@@ -112,6 +112,25 @@ def test_workspace_matches_fresh_build():
     assert y_wide.e11 == pytest.approx(y_narrow.e11, rel=1e-8, abs=1e-10)
     assert (y_wide.e12 * y_wide.e21) == pytest.approx(
         y_narrow.e12 * y_narrow.e21, rel=1e-8, abs=1e-12)
+
+
+def test_workspace_matches_dense_union_solve():
+    # reference: (I - Q W) F = f solved densely on the full line/loop union,
+    # then Y1 = sum_i w_i F_i h_i^T
+    x_max = 4.0
+    for alpha in (0.5, 1.0, 2.0):
+        ws = RhWorkspace(alpha, x_max)
+        union = kernels.qa_pair(alpha, a_max=x_max).union()
+        w = union.weights
+        for a in (0.5, 1.0):
+            q = kernels.qa_matrix(union, a, alpha)
+            f, h = kernels.rh_vector_arrays(union.nodes, union.labels, a, alpha)
+            big_f = np.linalg.solve(np.eye(w.size) - q * w[None, :], f)
+            ref = (w[:, None] * big_f).T @ h
+            y1 = ws.y1(a)
+            assert y1.e11 == pytest.approx(ref[0, 0], rel=1e-12)
+            assert y1.e12 * y1.e21 == pytest.approx(ref[0, 1] * ref[1, 0],
+                                                    rel=1e-12)
 
 
 def test_workspace_range_checks():
