@@ -196,7 +196,6 @@ def truncation_radius(coeff: float, growth: float = 0.0, target: float = 40.0,
             T -= step
             if abs(step) < 1e-9:
                 break
-        T = max(T, 5.0)
     return max(T, 5.0)
 
 
@@ -395,6 +394,5 @@ def gamma_contour_integral(grid: QuadratureGrid, alpha: float, a: float) -> comp
     For any loop around the non-positive reals this equals the alternating
     residue series sum_k (-1)^k/k! exp(-alpha k^2/2 - a k)."""
     z = grid.nodes
-    vals = np.array([gamma(zz) for zz in z])
-    integrand = vals * np.exp(-alpha * z * z / 2.0 + a * z)
+    integrand = gamma(z) * np.exp(-alpha * z * z / 2.0 + a * z)
     return grid.integrate(integrand) / (2.0j * math.pi)

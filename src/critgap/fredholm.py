@@ -95,39 +95,21 @@ class HalfLineGrid:
 class DiscreteOperator:
     """Kernel values sampled on a grid plus the quadrature weights.
 
-    weighting picks how the determinant matrix is formed: "right" multiplies
-    columns by the weights, "symmetric" splits principal square roots of the
-    weights on both sides.  The two are similar matrices, so determinants and
-    traces agree to rounding; solves use the right-weighted form, whose
-    solutions are the kernel's Nystrom samples.
+    The determinant matrix is the right-weighted form K W (columns scaled by
+    the weights); its solves are the kernel's Nystrom samples.
     """
 
     kernel_values: np.ndarray
     weights: np.ndarray
-    weighting: str = "right"
     _lu: tuple | None = field(default=None, repr=False)
 
-    def _weight_factors(self) -> tuple[np.ndarray | None, np.ndarray]:
-        """(left, right) weight factors of matrix(); left is None for the
-        right-weighted form."""
-        if self.weighting == "right":
-            return None, self.weights
-        if self.weighting == "symmetric":
-            r = np.sqrt(self.weights.astype(complex))
-            return r, r
-        raise ValueError(f"unknown weighting {self.weighting!r}")
-
     def matrix(self) -> np.ndarray:
-        left, right = self._weight_factors()
-        m = self.kernel_values * right[None, :]
-        return m if left is None else left[:, None] * m
+        return self.kernel_values * self.weights[None, :]
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """matrix() @ x without forming the weighted matrix."""
-        left, right = self._weight_factors()
         col = (slice(None),) + (None,) * (x.ndim - 1)
-        y = self.kernel_values @ (right[col] * x)
-        return y if left is None else left[col] * y
+        return self.kernel_values @ (self.weights[col] * x)
 
     def _factor(self):
         if self._lu is None:
@@ -182,17 +164,17 @@ def operator_trace(op: DiscreteOperator) -> complex:
 
 def halfline_operator(a: float, alpha: float, length: float = _DEFAULT_LENGTH,
                       panels: int = _DEFAULT_PANELS, order: int = _DEFAULT_ORDER,
-                      refine: float = 1.0, weighting: str = "right") -> DiscreteOperator:
+                      refine: float = 1.0) -> DiscreteOperator:
     """Conjugated kernel discretized on (a, a + length)."""
     grid = HalfLineGrid(a, length, max(1, round(panels * refine)), order)
     pair = kernels.kernel_pair(alpha, x_max=a + length, refine=refine)
     kv = kernels.kernel_matrix(grid.nodes, grid.nodes, pair, shift=0.5)
     kv = kv.real  # symmetric grids leave only rounding-level imaginary parts
-    return DiscreteOperator(kv, grid.weights.astype(complex), weighting)
+    return DiscreteOperator(kv, grid.weights.astype(complex))
 
 
 def _line_operator(a: float, alpha: float, order: int, refine: float,
-                   deformed: bool, weighting: str,
+                   deformed: bool,
                    loop: QuadratureGrid | None = None) -> DiscreteOperator:
     """Two-contour operator reduced to the line grid of the (a, alpha) pair.
 
@@ -206,27 +188,24 @@ def _line_operator(a: float, alpha: float, order: int, refine: float,
         kv = (block_a * pair.loop.weights[None, :]) @ block_b
     else:
         kv = kernels.ha_matrix(pair, a, loop_override=loop)
-    return DiscreteOperator(kv, pair.line.weights, weighting)
+    return DiscreteOperator(kv, pair.line.weights)
 
 
 def qa_operator(a: float, alpha: float, order: int = _DEFAULT_ORDER,
-                refine: float = 1.0, deformed: bool = False,
-                weighting: str = "right") -> DiscreteOperator:
+                refine: float = 1.0, deformed: bool = False) -> DiscreteOperator:
     """Two-contour coupling operator Q = [[0, A], [B, 0]] on the (line, loop)
     union, as its line-grid Schur complement A W_loop B:
     det(I - Q W) = det(I - A W_loop B W_line)."""
-    return _line_operator(a, alpha, order, refine, deformed, weighting)
+    return _line_operator(a, alpha, order, refine, deformed)
 
 
 def ha_operator(a: float, alpha: float, order: int = _DEFAULT_ORDER,
-                refine: float = 1.0, deformed: bool = False,
-                weighting: str = "right") -> DiscreteOperator:
+                refine: float = 1.0, deformed: bool = False) -> DiscreteOperator:
     """Line-reduced operator; its loop integration grid is built separately
     from the coupling pair so this route stays an independent quadrature."""
     inner = kernels.qa_pair(alpha, a_max=a, refine=1.4 * refine,
                             order=max(8, order - 4), deformed=deformed, a=a)
-    return _line_operator(a, alpha, order, refine, deformed, weighting,
-                          loop=inner.loop)
+    return _line_operator(a, alpha, order, refine, deformed, loop=inner.loop)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ and the two-contour integrable kernel with its line reduction.
 
 Everything is a double (or single) contour integral over a hairpin-loop /
 vertical-line pair.  Matrix-valued evaluators batch the node sums as three
-dense products so Nystrom assembly stays cheap; the scalar ops wrap them.
+dense products so Nystrom assembly stays cheap.
 """
 
 from __future__ import annotations
@@ -56,22 +56,17 @@ _IM_TOL = 1e-9
 _TAIL_LOG = 40.0
 
 
-def _gamma_arr(z: np.ndarray) -> np.ndarray:
-    return np.array([gamma(zz) for zz in z])
-
-
-def _recip_arr(z: np.ndarray) -> np.ndarray:
-    return np.array([recip_gamma(zz) for zz in z])
-
-
-def _log_gamma_left(z: complex) -> complex:
+def _log_gamma_left(z: np.ndarray) -> np.ndarray:
     """A logarithm of Gamma(z) valid on either half-plane, for use inside a
     single exp(); its branch may differ from the principal one by 2 pi i k."""
-    if z.real >= 0.5:
-        return log_gamma(z)
+    out = np.empty(z.shape, dtype=complex)
+    right = z.real >= 0.5
+    out[right] = log_gamma(z[right])
     # reflection in log form; sin stays away from 0 by the pole clearance
-    s = complex(np.sin(math.pi * z))
-    return math.log(math.pi) - np.log(s) - log_gamma(1.0 - z)
+    zl = z[~right]
+    out[~right] = (math.log(math.pi) - np.log(np.sin(math.pi * zl))
+                   - log_gamma(1.0 - zl))
+    return out
 
 
 @dataclass
@@ -140,8 +135,8 @@ def kernel_matrix(x: np.ndarray, y: np.ndarray, pair: ContourPair,
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
 
-    gt = _gamma_arr(t) * np.exp(-alpha * t * t / 2.0)
-    gs = _recip_arr(s) * np.exp(alpha * s * s / 2.0)
+    gt = gamma(t) * np.exp(-alpha * t * t / 2.0)
+    gs = recip_gamma(s) * np.exp(alpha * s * s / 2.0)
     V = np.exp(np.outer(x, t - shift)) * gt            # (nx, nt)
     W = np.exp(np.outer(-y, s - shift)) * gs           # (ny, ns)
     C = (wt[:, None] * ws[None, :]) / (s[None, :] - t[:, None])
@@ -208,10 +203,10 @@ def finite_kernel(x: float, y: float, n: int, m: int, order: int = 16,
 
     t, wt = loop.nodes, loop.weights
     s, ws = line.nodes, line.weights
-    lg_t = np.array([_log_gamma_left(tt) for tt in t])
-    lg_tn = np.array([log_gamma(tt + n) for tt in t])
-    lg_s = np.array([log_gamma(ss) for ss in s])
-    lg_sn = np.array([log_gamma(ss + n) for ss in s])
+    lg_t = _log_gamma_left(t)
+    lg_tn = log_gamma(t + n)
+    lg_s = log_gamma(s)
+    lg_sn = log_gamma(s + n)
 
     # total exponent, combined before exponentiation
     part_t = -(m + 1) * lg_tn + lg_t + x * t
@@ -243,7 +238,7 @@ def left_factor(x: float, q: float, alpha: float,
                               gamma_decay=True)
         loop = build_hairpin(T=T, max_frequency=max(1.0, abs(x + q)))
     t = loop.nodes
-    vals = _gamma_arr(t) * np.exp(-alpha * t * t / 2.0 + (x + q) * (t - 0.5))
+    vals = gamma(t) * np.exp(-alpha * t * t / 2.0 + (x + q) * (t - 0.5))
     return _as_real(loop.integrate(vals) / _TWO_PI_I)
 
 
@@ -254,7 +249,7 @@ def right_factor(q: float, y: float, alpha: float,
         T = truncation_radius(alpha / 2.0, growth=math.pi / 2.0)
         line = build_vertical(T=T, max_frequency=max(1.0, abs(y + q)))
     s = line.nodes
-    vals = _recip_arr(s) * np.exp(alpha * s * s / 2.0 - (y + q) * (s - 0.5))
+    vals = recip_gamma(s) * np.exp(alpha * s * s / 2.0 - (y + q) * (s - 0.5))
     return _as_real(line.integrate(vals) / _TWO_PI_I)
 
 
@@ -284,8 +279,8 @@ def factored_kernel(x: float, y: float, alpha: float, u_order: int = 32,
 
     t, wt = loop.nodes, loop.weights
     s, ws = line.nodes, line.weights
-    gt = _gamma_arr(t) * np.exp(-alpha * t * t / 2.0)
-    gs = _recip_arr(s) * np.exp(alpha * s * s / 2.0)
+    gt = gamma(t) * np.exp(-alpha * t * t / 2.0)
+    gs = recip_gamma(s) * np.exp(alpha * s * s / 2.0)
     G = np.exp(np.outer(x + q, t - 0.5)) @ (wt * gt) / _TWO_PI_I
     Gt = np.exp(np.outer(-(y + q), s - 0.5)) @ (ws * gs) / _TWO_PI_I
     return _as_real(complex(np.sum(w * jac * G * Gt)))
@@ -322,8 +317,8 @@ def rh_vector_arrays(nodes: np.ndarray, labels: np.ndarray, a: float,
     quarter = alpha * z * z / 4.0
     F[on_line, 0] = np.exp(quarter[on_line] - a * z[on_line]) / _TWO_PI_I
     F[on_loop, 1] = np.exp(-quarter[on_loop]) / _TWO_PI_I
-    H[on_loop, 0] = _gamma_arr(z[on_loop]) * np.exp(-quarter[on_loop] + a * z[on_loop])
-    H[on_line, 1] = -_recip_arr(z[on_line]) * np.exp(quarter[on_line])
+    H[on_loop, 0] = gamma(z[on_loop]) * np.exp(-quarter[on_loop] + a * z[on_loop])
+    H[on_line, 1] = -recip_gamma(z[on_line]) * np.exp(quarter[on_line])
     return F, H
 
 
@@ -360,9 +355,9 @@ def cross_blocks(pair: ContourPair, a: float) -> tuple[np.ndarray, np.ndarray]:
     z = pair.line.nodes
     t = pair.loop.nodes
     gz = np.exp(alpha * z * z / 4.0 - a * z)
-    gt = _gamma_arr(t) * np.exp(-alpha * t * t / 4.0 + a * t)
+    gt = gamma(t) * np.exp(-alpha * t * t / 4.0 + a * t)
     A = (gz[:, None] * gt[None, :]) / (z[:, None] - t[None, :]) / _TWO_PI_I
-    hz = _recip_arr(z) * np.exp(alpha * z * z / 4.0)
+    hz = recip_gamma(z) * np.exp(alpha * z * z / 4.0)
     ft = np.exp(-alpha * t * t / 4.0)
     B = (ft[:, None] * hz[None, :]) / (z[None, :] - t[:, None]) / _TWO_PI_I
     return A, B
@@ -374,7 +369,7 @@ def line_reduced_kernel(z: complex, s: complex, a: float, alpha: float,
     over the loop: -(1/4 pi^2) int_loop e^{a(t-z)} Gamma(t)/Gamma(s)
     e^{alpha(z^2+s^2-2t^2)/4} / ((s-t)(z-t)) dt."""
     t, wt = loop.nodes, loop.weights
-    g = _gamma_arr(t) * np.exp(a * t - alpha * t * t / 2.0)
+    g = gamma(t) * np.exp(a * t - alpha * t * t / 2.0)
     pref = np.exp(-a * z + alpha * (z * z + s * s) / 4.0) * recip_gamma(s)
     integ = np.sum(wt * g / ((s - t) * (z - t)))
     return pref * integ / _TWO_PI_I ** 2
@@ -388,7 +383,7 @@ def ha_matrix(pair: ContourPair, a: float,
     loop = loop_override if loop_override is not None else pair.loop
     z = pair.line.nodes
     t, wt = loop.nodes, loop.weights
-    g = wt * _gamma_arr(t) * np.exp(a * t - alpha * t * t / 2.0)
+    g = wt * gamma(t) * np.exp(a * t - alpha * t * t / 2.0)
     U = np.exp(-a * z + alpha * z * z / 4.0)[:, None] / (z[:, None] - t[None, :])
-    V = (_recip_arr(z) * np.exp(alpha * z * z / 4.0))[:, None] / (z[:, None] - t[None, :])
+    V = (recip_gamma(z) * np.exp(alpha * z * z / 4.0))[:, None] / (z[:, None] - t[None, :])
     return (U * g[None, :]) @ V.T / _TWO_PI_I ** 2

@@ -19,7 +19,6 @@ boundary-value problem is solved.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -292,7 +291,7 @@ def asym_u1_12(a: float, alpha: float, truncation: float | None = None,
                                        growth=math.pi * t / 2.0, target=40.0)
     x, w = _u1_12_grid(a, alpha, order, truncation)
     z = t * (1.0 - 1j * x)
-    loggam = np.array([special.log_gamma(zz) for zz in z])
+    loggam = special.log_gamma(z)
     log_integrand = -loggam - (a * a / (2.0 * alpha)) * (x * x + 0.5)
     peak = float(np.max(log_integrand.real))
     total = np.sum(w * np.exp(log_integrand - peak)) / (2.0j * math.pi)

@@ -2,13 +2,16 @@
 
 All downstream contour integrands are built from these three functions, so the
 accuracy targets here (about 1e-13 relative away from poles) set the noise
-floor for every kernel evaluation and determinant in the package.
+floor for every kernel evaluation and determinant in the package.  Each
+function is elementwise over an array of any shape, so a contour's node
+array is evaluated in one call; a scalar argument returns a Python complex.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+
+import numpy as np
 
 __all__ = [
     "DomainError",
@@ -62,70 +65,85 @@ _STIRLING = (
 _STIRLING_RADIUS = 20.0
 
 
-def _nearest_pole(z: complex) -> complex | None:
-    """Nearest non-positive integer, or None if z is safely away from all."""
-    k = round(z.real)
-    if k > 0:
-        k = 0
-    if abs(z - k) < _POLE_TOL:
-        return complex(k)
-    return None
+def _unwrap(out: np.ndarray):
+    """A 0-d result goes back to the caller as a Python complex."""
+    return complex(out) if out.ndim == 0 else out
 
 
-def _lanczos(z: complex) -> complex:
+def _lanczos(z: np.ndarray) -> np.ndarray:
     # valid for Re z >= 0.5
     zm = z - 1.0
-    acc = _LANCZOS_C[0]
+    acc = np.full(zm.shape, _LANCZOS_C[0], dtype=complex)
     for i in range(1, len(_LANCZOS_C)):
         acc += _LANCZOS_C[i] / (zm + i)
     t = zm + _LANCZOS_G + 0.5
-    return _SQRT_TWO_PI * t ** (zm + 0.5) * cmath.exp(-t) * acc
+    return _SQRT_TWO_PI * t ** (zm + 0.5) * np.exp(-t) * acc
 
 
-def gamma(z: complex) -> complex:
-    """Gamma function for complex argument.
+def _by_half_plane(z: np.ndarray, right, left):
+    """right(z) on Re z >= 1/2 and left(z) on Re z < 1/2, elementwise; each
+    branch only ever sees the elements of its own half-plane."""
+    out = np.empty(z.shape, dtype=complex)
+    on_left = z.real < 0.5
+    out[on_left] = left(z[on_left])
+    out[~on_left] = right(z[~on_left])
+    return _unwrap(out)
+
+
+def gamma(z: complex | np.ndarray) -> complex | np.ndarray:
+    """Gamma function for complex argument, elementwise over any array shape.
 
     Lanczos rational approximation on Re z >= 1/2, reflection formula on the
-    left half-plane.  Raises PoleError within 1e-12 of a non-positive integer.
+    left half-plane.  Raises PoleError if any element lies within 1e-12 of a
+    non-positive integer.
     """
-    z = complex(z)
-    if z.real < 0.5:
-        if _nearest_pole(z) is not None:
-            raise PoleError(f"gamma pole at or near {z}")
-        # Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        return math.pi / (cmath.sin(math.pi * z) * _lanczos(1.0 - z))
-    return _lanczos(z)
+    z = np.asarray(z, dtype=complex)
+    pole = np.minimum(np.round(z.real), 0.0)
+    near = (z.real < 0.5) & (np.abs(z - pole) < _POLE_TOL)
+    if np.any(near):
+        raise PoleError(f"gamma pole at or near {complex(z[near][0])}")
+    # Gamma(z) Gamma(1-z) = pi / sin(pi z)
+    return _by_half_plane(
+        z, _lanczos,
+        lambda w: math.pi / (np.sin(math.pi * w) * _lanczos(1.0 - w)))
 
 
-def log_gamma(z: complex) -> complex:
-    """Principal branch of log Gamma on the right half-plane Re z > 0.
+def log_gamma(z: complex | np.ndarray) -> complex | np.ndarray:
+    """Principal branch of log Gamma on the right half-plane Re z > 0,
+    elementwise over any array shape.
 
     Computed by shifting z up with the recurrence until Stirling's series
     applies; both the shift logs and the series are analytic on Re z > 0, so
     the result is the analytic continuation from the positive real axis (NOT
-    the principal log of gamma(z), whose imaginary part would wrap).
+    the principal log of gamma(z), whose imaginary part would wrap).  Raises
+    DomainError if any element has Re z <= 0.
     """
-    z = complex(z)
-    if z.real <= 0.0:
-        raise DomainError(f"log_gamma requires Re z > 0, got {z}")
-    shift = 0.0 + 0.0j
-    while abs(z) < _STIRLING_RADIUS:
-        shift += cmath.log(z)
-        z = z + 1.0
-    w = (z - 0.5) * cmath.log(z) - z + 0.5 * _LOG_TWO_PI
+    z = np.asarray(z, dtype=complex)
+    bad = z.real <= 0.0
+    if np.any(bad):
+        raise DomainError(f"log_gamma requires Re z > 0, got {complex(z[bad][0])}")
+    z = z.copy()
+    shift = np.zeros(z.shape, dtype=complex)
+    # |z + 1| > |z| on Re z > 0, so an element once shifted out stays out
+    low = np.abs(z) < _STIRLING_RADIUS
+    while np.any(low):
+        shift[low] += np.log(z[low])
+        z[low] += 1.0
+        low = np.abs(z) < _STIRLING_RADIUS
+    w = (z - 0.5) * np.log(z) - z + 0.5 * _LOG_TWO_PI
     zi = 1.0 / z
     zi2 = zi * zi
     term = zi
     for c in _STIRLING:
         w += c * term
-        term *= zi2
-    return w - shift
+        term = term * zi2
+    return _unwrap(w - shift)
 
 
-def recip_gamma(z: complex) -> complex:
-    """Entire reciprocal 1/Gamma(z); evaluates to ~0 at non-positive integers."""
-    z = complex(z)
-    if z.real < 0.5:
-        # 1/Gamma(z) = sin(pi z) Gamma(1-z) / pi, entire in z
-        return cmath.sin(math.pi * z) * _lanczos(1.0 - z) / math.pi
-    return 1.0 / _lanczos(z)
+def recip_gamma(z: complex | np.ndarray) -> complex | np.ndarray:
+    """Entire reciprocal 1/Gamma(z), elementwise over any array shape;
+    evaluates to ~0 at non-positive integers."""
+    # 1/Gamma(z) = sin(pi z) Gamma(1-z) / pi, entire in z
+    return _by_half_plane(
+        np.asarray(z, dtype=complex), lambda w: 1.0 / _lanczos(w),
+        lambda w: np.sin(math.pi * w) * _lanczos(1.0 - w) / math.pi)

@@ -8,15 +8,13 @@ where the contract states them.
 
 from __future__ import annotations
 
-import cmath
 import math
 import time
 
 import numpy as np
 import pytest
 
-from critgap import fredholm, kernels, mc, observables, special
-from critgap.contours import build_closed_loop
+from critgap import fredholm, kernels, mc, observables, special, validate
 
 GRID_A = (1.0, 2.0, 3.0, 4.0)
 GRID_ALPHA = (0.5, 1.0, 2.0)
@@ -60,17 +58,10 @@ def test_criterion_2_factorization_and_residue():
         worst_fact = max(worst_fact,
                          abs(kernels.conjugated_kernel(x, y, alpha)
                              - kernels.factored_kernel(x, y, alpha)))
-    loop = build_closed_loop(left_edge=-0.5)
-    worst_res = 0.0
-    for x, q, alpha in [(1.0, 1.0, 2.0), (0.5, 2.0, 1.0), (2.0, 0.3, 0.5)]:
-        vals = (np.array([special.gamma(t) for t in loop.nodes])
-                * np.exp(-alpha * loop.nodes ** 2 / 2.0
-                         + (x + q) * (loop.nodes - 0.5)))
-        integral = loop.integrate(vals) / (2.0j * math.pi)
-        worst_res = max(worst_res, abs(integral - math.exp(-(x + q) / 2.0)))
     _criterion(2, "kernel factorization + loop residue",
                [("max|K-K_factored|", worst_fact, 1e-8),
-                ("max residue error", worst_res, 1e-10)])
+                ("max residue error",
+                 validate.check_loop_residue().measured, 1e-10)])
 
 
 def test_criterion_3_rh_observable_identities():
@@ -134,19 +125,7 @@ def test_criterion_5_tail_bound():
 
 
 def test_criterion_6_special_functions():
-    pts = [0.3 + 0.7j, -1.4 + 0.2j, 2.5 - 3.0j, 0.5 + 0.0j, -0.5 + 2.0j]
-    worst = 0.0
-    for z in pts:
-        g, g1 = special.gamma(z), special.gamma(z + 1.0)
-        worst = max(worst, abs(g1 - z * g) / (1.0 + abs(g1)))
-        refl = g * special.gamma(1.0 - z)
-        worst = max(worst, abs(refl - math.pi / cmath.sin(math.pi * z))
-                    / (1.0 + abs(refl)))
-        worst = max(worst, abs(special.gamma(z.conjugate()) - g.conjugate())
-                    / (1.0 + abs(g)))
-        worst = max(worst, abs(special.recip_gamma(z) * g - 1.0))
-    for k in range(4):
-        worst = max(worst, abs(special.recip_gamma(complex(-k))))
+    worst = validate.check_gamma_identities().measured
     eps, worst_residue = 1e-7, 0.0
     for k in range(4):
         lim = special.gamma(-k + eps) * eps

@@ -60,23 +60,6 @@ def test_det_matches_numpy_on_dense_system():
     assert log_mag == pytest.approx(math.log(abs(ref)), rel=1e-11)
 
 
-def test_weighting_similarity_invariance():
-    op_r = halfline_operator(1.0, 1.0, weighting="right")
-    op_s = halfline_operator(1.0, 1.0, weighting="symmetric")
-    d_r, _ = det_one_minus(op_r)
-    d_s, _ = det_one_minus(op_s)
-    assert abs(d_r - d_s) <= 1e-12
-    assert complex(operator_trace(op_r)) == pytest.approx(
-        complex(operator_trace(op_s)), rel=1e-12)
-
-
-def test_unknown_weighting_rejected():
-    op = DiscreteOperator(np.zeros((3, 3)), np.ones(3, dtype=complex),
-                          weighting="left")
-    with pytest.raises(ValueError):
-        op.matrix()
-
-
 def test_solve_resolvent_residual():
     op = halfline_operator(1.5, 1.0)
     n = op.weights.size

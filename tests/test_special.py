@@ -9,8 +9,11 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
 import pytest
 
+from critgap.contours import build_closed_loop
+from critgap.kernels import _log_gamma_left
 from critgap.special import DomainError, PoleError, gamma, log_gamma, recip_gamma
 
 REL = 1e-11
@@ -120,3 +123,40 @@ def test_real_axis_positive_values():
         assert g.imag == pytest.approx(0.0, abs=1e-13 * abs(g))
         assert g.real > 0.0
     assert gamma(complex(5.0)) == pytest.approx(24.0, rel=1e-13)
+
+
+def test_array_anchors_keep_shape():
+    z = np.array([z for z, _ in GAMMA_ANCHORS]).reshape(2, 3)
+    ref = np.array([r for _, r in GAMMA_ANCHORS]).reshape(2, 3)
+    got = gamma(z)
+    assert got.shape == (2, 3)
+    assert np.all(np.abs(got - ref) <= REL * np.abs(ref))
+    z = np.array([z for z, _ in LOG_GAMMA_ANCHORS]).reshape(2, 1)
+    ref = np.array([r for _, r in LOG_GAMMA_ANCHORS]).reshape(2, 1)
+    got = log_gamma(z)
+    assert got.shape == (2, 1)
+    assert np.all(np.abs(got - ref) <= REL * np.abs(ref))
+
+
+def test_scalar_input_returns_complex():
+    for f in (gamma, log_gamma, recip_gamma):
+        for z in (2.5, 0.5 + 3.0j, np.complex128(1.5 - 0.5j), np.array(4.0)):
+            assert type(f(z)) is complex
+
+
+def test_array_errors_name_any_bad_element():
+    with pytest.raises(PoleError):
+        gamma(np.array([[0.5 + 1.0j, 2.0], [-3.0, 1.5 - 2.0j]]))
+    with pytest.raises(DomainError):
+        log_gamma(np.array([1.0 + 1.0j, 3.0, -0.2 + 4.0j]))
+    with pytest.raises(DomainError):
+        log_gamma(np.array([1.0 + 1.0j, 0.0 + 2.0j]))
+
+
+def test_log_gamma_left_exponentiates_to_gamma_on_a_loop():
+    # the nose past 1/2 puts nodes on both branches of the reflection switch
+    z = build_closed_loop(-5.5, nose=1.5).nodes
+    assert np.any(z.real < 0.5) and np.any(z.real >= 0.5)
+    got = np.exp(_log_gamma_left(z))
+    ref = gamma(z)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
