@@ -81,29 +81,33 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     if not xs:
         print("kernel: provide --x/--y or --grid", file=sys.stderr)
         return 2
-    shift = 0.0
+    refine = args.resolution
     if args.finite:
         n, m = args.finite
-        if args.centered:
-            shift = kernels.centering_shift(n, m)
+        shift = kernels.centering_shift(n, m) if args.centered else 0.0
 
-        def evaluate(x, y, refine):
-            return kernels.finite_kernel(x + shift, y + shift, n, m,
-                                         refine=refine)
+        # the finite loop's node count is set by its frequency cap, not by
+        # refine, so the error estimate raises the quadrature order instead
+        def evaluate(x, y):
+            val, ref = (kernels.finite_kernel(x + shift, y + shift, n, m,
+                                              order=order, refine=refine)
+                        for order in (16, 24))
+            return val, abs(val - ref)
     else:
         if args.centered:
             print("kernel: --centered needs --finite", file=sys.stderr)
             return 2
 
-        def evaluate(x, y, refine):
-            return kernels.critical_kernel(x, y, args.alpha, refine=refine)
+        def evaluate(x, y):
+            val, half = (kernels.critical_kernel(x, y, args.alpha, refine=r)
+                         for r in (refine, refine * 0.5))
+            return val, abs(val - half)
 
     rows = []
     for x in xs:
         for y in ys:
-            val = evaluate(x, y, args.resolution)
-            half = evaluate(x, y, args.resolution * 0.5)
-            rows.append([x, y, val, 0.0, abs(val - half)])
+            val, err = evaluate(x, y)
+            rows.append([x, y, val, 0.0, err])
     header = ["x", "y", "re", "im", "err"]
     manifest = _manifest("kernel", {
         "alpha": args.alpha, "x": xs, "y": ys, "finite": args.finite,

@@ -185,9 +185,13 @@ def finite_kernel(x: float, y: float, n: int, m: int, order: int = 16,
     """Finite-N product-process kernel at real (x, y), log-space evaluation.
 
     The loop encircles the n gamma poles {0, -1, ..., -n+1} and closes at
-    -n + 1/2; all gamma ratios are combined in log scale before a single exp,
-    so factor counts up to m = 512 stay finite.  Raises OverflowError only if
-    the combined exponent itself exceeds 700.
+    -n + 1/2.  The exponent e[i, j] = part_t[i] + part_s[j] - log(s_j - t_i)
+    is separable, each part being a log-gamma sum on its own contour, so the
+    double sum is one contraction u @ C @ v with the Cauchy matrix
+    C = 1/(s - t) and u, v the exponentiated parts.  The peak of Re e sets
+    the scale: u and v are rescaled so that together they carry e^{-peak},
+    which keeps factor counts up to m = 512 finite.  Raises OverflowError
+    only if that peak itself exceeds 700.
     """
     if n < 1 or m < 1:
         raise DomainError("need n >= 1 and m >= 1")
@@ -203,30 +207,24 @@ def finite_kernel(x: float, y: float, n: int, m: int, order: int = 16,
 
     t, wt = loop.nodes, loop.weights
     s, ws = line.nodes, line.weights
-    lg_t = _log_gamma_left(t)
-    lg_tn = log_gamma(t + n)
-    lg_s = log_gamma(s)
-    lg_sn = log_gamma(s + n)
+    part_t = -(m + 1) * log_gamma(t + n) + _log_gamma_left(t) + x * t
+    part_s = (m + 1) * log_gamma(s + n) - log_gamma(s) - y * s
 
-    # total exponent, combined before exponentiation
-    part_t = -(m + 1) * lg_tn + lg_t + x * t
-    part_s = (m + 1) * lg_sn - lg_s - y * s
-
-    block = 4096
-    peak = -np.inf
-    for lo in range(0, s.size, block):
-        e = part_t[:, None] + part_s[None, lo:lo + block] \
-            - np.log(s[None, lo:lo + block] - t[:, None])
-        peak = max(peak, float(np.max(e.real)))
+    C = np.subtract.outer(-t, -s)  # s_j - t_i, exactly
+    np.reciprocal(C, out=C)
+    re_e = np.abs(C)
+    np.log(re_e, out=re_e)
+    re_e += part_t.real[:, None]
+    re_e += part_s.real[None, :]
+    peak = float(re_e.max())
     if peak > 700.0:
         raise OverflowError(f"finite-kernel exponent {peak:.1f} exceeds 700")
 
-    acc = 0.0 + 0.0j
-    for lo in range(0, s.size, block):
-        sl = slice(lo, lo + block)
-        e = part_t[:, None] + part_s[None, sl] - np.log(s[None, sl] - t[:, None])
-        acc += wt @ np.exp(e - peak) @ ws[sl]
-    val = acc * math.exp(peak) / _TWO_PI_I ** 2 if peak > -np.inf else 0.0
+    # c_t + c_s = peak: |u| <= |wt| and |v| <= |ws| max|s - t|
+    c_t = float(part_t.real.max())
+    u = wt * np.exp(part_t - c_t)
+    v = ws * np.exp(part_s - (peak - c_t))
+    val = (u @ C @ v) * math.exp(peak) / _TWO_PI_I ** 2
     return _as_real(complex(val))
 
 

@@ -122,14 +122,17 @@ def log_gamma(z: complex | np.ndarray) -> complex | np.ndarray:
     bad = z.real <= 0.0
     if np.any(bad):
         raise DomainError(f"log_gamma requires Re z > 0, got {complex(z[bad][0])}")
-    z = z.copy()
+    # |z + k| grows with k on Re z > 0, so the fewest shifts reaching the
+    # Stirling radius is the least k >= 0 with Re z + k >= sqrt(R^2 - Im^2 z)
+    reach = np.sqrt(np.maximum(_STIRLING_RADIUS ** 2 - z.imag ** 2, 0.0))
+    count = np.maximum(np.ceil(reach - z.real), 0.0)
+    low = count > 0
+    steps = np.arange(count.max(initial=0.0))
+    terms = z[low][:, None] + steps
     shift = np.zeros(z.shape, dtype=complex)
-    # |z + 1| > |z| on Re z > 0, so an element once shifted out stays out
-    low = np.abs(z) < _STIRLING_RADIUS
-    while np.any(low):
-        shift[low] += np.log(z[low])
-        z[low] += 1.0
-        low = np.abs(z) < _STIRLING_RADIUS
+    shift[low] = np.log(terms, out=np.zeros(terms.shape, dtype=complex),
+                        where=steps < count[low][:, None]).sum(axis=1)
+    z = z + count
     w = (z - 0.5) * np.log(z) - z + 0.5 * _LOG_TWO_PI
     zi = 1.0 / z
     zi2 = zi * zi

@@ -75,6 +75,19 @@ def test_kernel_finite_centered(capsys):
         kernels.finite_kernel(shift, shift, 60, 60), rel=1e-12)
 
 
+def test_kernel_finite_err_is_order_difference(capsys):
+    code, out, _ = run_cli(capsys, "kernel", "--finite", "32", "32",
+                           "--centered", "--x", "0.3", "--y", "-0.7")
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    shift = kernels.centering_shift(32, 32)
+    x, y = 0.3 + shift, -0.7 + shift
+    diff = abs(kernels.finite_kernel(x, y, 32, 32)
+               - kernels.finite_kernel(x, y, 32, 32, order=24))
+    assert rows[0][4] == diff
+    assert diff > 0.0
+
+
 def test_kernel_centered_without_finite(capsys):
     code, _, err = run_cli(capsys, "kernel", "--centered", "--x", "0")
     assert code == 2

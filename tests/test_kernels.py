@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from critgap import kernels
-from critgap.special import DomainError
+from critgap.contours import build_closed_loop, build_vertical, truncation_radius
+from critgap.kernels import _log_gamma_left
+from critgap.special import DomainError, log_gamma
 
 REL = 1e-9
 
@@ -102,6 +104,53 @@ def test_finite_kernel_off_diagonal():
 def test_finite_kernel_rejects_huge_powers():
     with pytest.raises(DomainError):
         kernels.finite_kernel(0.0, 0.0, 4, 600)
+
+
+def _dense_finite_kernel(x, y, n, m):
+    """Reference: the exponent formed on the whole loop x line array with a
+    complex log, shifted by its real peak, then exponentiated and summed."""
+    freq = max(abs(x), abs(y), 1.0)
+    T_line = truncation_radius((m + 1) / n / 2.0, growth=math.pi / 2.0)
+    loop = build_closed_loop(-n + 0.5, max_frequency=freq)
+    line = build_vertical(0.5, T_line, max_frequency=freq)
+    t, s = loop.nodes, line.nodes
+    e = ((-(m + 1) * log_gamma(t + n) + _log_gamma_left(t) + x * t)[:, None]
+         + ((m + 1) * log_gamma(s + n) - log_gamma(s) - y * s)[None, :]
+         - np.log(s[None, :] - t[:, None]))
+    peak = e.real.max()
+    acc = loop.weights @ np.exp(e - peak) @ line.weights
+    return (acc * math.exp(peak) / (2j * math.pi) ** 2).real
+
+
+# (n, m, relative tolerance).  At (4, 512) the node sum cancels: the sum of
+# |terms| exceeds |K| by about 2e8, and the two summation orders measured
+# 6e-10 to 1.9e-9 apart at the points below.
+SEPARABLE_CASES = [(1, 1, 1e-12), (32, 32, 1e-12), (24, 48, 1e-12),
+                   (8, 200, 1e-12), (4, 512, 1e-8)]
+
+
+@pytest.mark.parametrize("n, m, rel", SEPARABLE_CASES)
+def test_finite_kernel_matches_dense_log_space_sum(n, m, rel):
+    shift = kernels.centering_shift(n, m)
+    for x, y in [(0.3, -0.7), (0.0, 0.0)]:
+        want = _dense_finite_kernel(x + shift, y + shift, n, m)
+        got = kernels.finite_kernel(x + shift, y + shift, n, m)
+        assert abs(got - want) <= rel * abs(want), (n, m, x, y)
+
+
+def test_finite_kernel_overflow_is_loud():
+    with pytest.raises(OverflowError, match="exceeds 700"):
+        kernels.finite_kernel(0.0, -1500.0, 1, 1)
+
+
+def test_finite_kernel_rescaling_near_double_range():
+    # the exponent peaks just under 700 here; this pins the arithmetic of the
+    # rescaling against the reference, not the kernel (the loop sum cancels
+    # catastrophically this far left, so the value itself is not K)
+    want = _dense_finite_kernel(-1400.0, 0.0, 1, 1)
+    got = kernels.finite_kernel(-1400.0, 0.0, 1, 1)
+    assert 1e299 < want < 1e302
+    assert abs(got - want) <= 1e-12 * want
 
 
 def test_integrable_kernel_same_label_vanishes():
