@@ -114,7 +114,7 @@ class DiscreteOperator:
     def _factor(self):
         if self._lu is None:
             n = self.weights.size
-            a = np.asarray(-self.matrix(), dtype=complex)
+            a = -self.matrix()  # real or complex, as the operator is
             a.flat[::n + 1] += 1.0
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # LAPACK singularity warning
@@ -165,12 +165,12 @@ def operator_trace(op: DiscreteOperator) -> complex:
 def halfline_operator(a: float, alpha: float, length: float = _DEFAULT_LENGTH,
                       panels: int = _DEFAULT_PANELS, order: int = _DEFAULT_ORDER,
                       refine: float = 1.0) -> DiscreteOperator:
-    """Conjugated kernel discretized on (a, a + length)."""
+    """Conjugated kernel discretized on (a, a + length): a real operator,
+    so its determinant is a real LU."""
     grid = HalfLineGrid(a, length, max(1, round(panels * refine)), order)
     pair = kernels.kernel_pair(alpha, x_max=a + length, refine=refine)
     kv = kernels.kernel_matrix(grid.nodes, grid.nodes, pair, shift=0.5)
-    kv = kv.real  # symmetric grids leave only rounding-level imaginary parts
-    return DiscreteOperator(kv, grid.weights.astype(complex))
+    return DiscreteOperator(kv, grid.weights)
 
 
 def _line_operator(a: float, alpha: float, order: int, refine: float,

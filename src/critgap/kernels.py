@@ -51,6 +51,8 @@ __all__ = [
 
 _TWO_PI_I = 2.0j * math.pi
 _IM_TOL = 1e-9
+# largest relative asymmetry a grid may have and still be folded by conjugation
+_MIRROR_TOL = 1e-12
 
 # decay budget: contour tails are cut where integrands drop by e^{-40}
 _TAIL_LOG = 40.0
@@ -121,14 +123,82 @@ def qa_pair(alpha: float, a_max: float, order: int = 16, refine: float = 1.0,
     return ContourPair(loop, line, alpha)
 
 
+def _upper_half(grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the second half of a grid that is its own mirror
+    image under conjugation: z[::-1] = conj(z) and w[::-1] = -conj(w).
+
+    Every hairpin and vertical line that `contours` builds is such a grid
+    (traversed upward, lower half first), so its second half holds the
+    Im > 0 nodes.  Raises GeometryError for an odd node count or an
+    asymmetry above _MIRROR_TOL relative: a fold over such a grid would
+    return a wrong number."""
+    z, w = grid.nodes, grid.weights
+    n = z.size
+    if n % 2:
+        raise GeometryError(f"{n} nodes: an odd grid has no mirror pairing")
+    if (np.abs(z[::-1] - z.conj()).max() > _MIRROR_TOL * np.abs(z).max()
+            or np.abs(w[::-1] + w.conj()).max() > _MIRROR_TOL * np.abs(w).max()):
+        raise GeometryError("grid is not symmetric under conjugation")
+    return z[n // 2:], w[n // 2:]
+
+
 def kernel_matrix(x: np.ndarray, y: np.ndarray, pair: ContourPair,
                   shift: float = 0.5) -> np.ndarray:
-    """Matrix K[i, j] of the double-contour kernel at (x_i, y_j).
+    """Real matrix K[i, j] of the double-contour kernel at (x_i, y_j).
 
     shift=0.5 gives the conjugated kernel exp(-(x-y)/2) K_crit(x, y); shift=0
-    gives K_crit itself.  Separates into three dense products: loop-side
-    vector, fixed Cauchy coupling, line-side vector.
+    gives K_crit itself.  Both grids of the pair are mirror images under
+    conjugation and the integrand is real on the real axis, so the lower-half
+    nodes contribute the complex conjugate of the upper-half ones and the
+    sum folds onto the upper halves t (loop) and s (line):
+
+        K = (2 / (2 pi i)^2) Re[Vu (C+ Wu^T - C- conj(Wu)^T)],
+
+    Vu[x, t] = w_t Gamma(t) e^{-alpha t^2/2 + x(t - shift)},
+    Wu[y, s] = e^{alpha s^2/2 - y(s - shift)} / Gamma(s),
+    C+[t, s] = w_s / (s - t),  C-[t, s] = conj(w_s) / (conj(s) - t).
+
+    The line side is contracted in real arithmetic.  With E[y, s] =
+    e^{-y(s - shift)}, h = conj(w_s e^{alpha s^2/2} / Gamma(s)),
+    p = 1/(conj(s) - conj(t)) and q = 1/(conj(s) - t), the rows
+
+        Z0 = h (p - q),  Z1 = i h (p + q)
+
+    satisfy: the interleaved (re, im) views of Z0 and E multiply to Re M,
+    and those of Z1 and E to Im M, where M = C+ Wu^T - C- conj(Wu)^T.  So M
+    is one real matrix product with half the multiply-adds of the complex
+    one.  Raises GeometryError if either grid is not mirror-symmetric.
     """
+    alpha = pair.alpha
+    t, wt = _upper_half(pair.loop)
+    s, ws = _upper_half(pair.line)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+
+    m, k = t.size, s.size
+    h = (ws * recip_gamma(s) * np.exp(alpha * s * s / 2.0)).conj()
+    sb = s.conj()
+    Z = np.empty((2, m, k), dtype=complex)
+    np.subtract.outer(-t.conj(), -sb, out=Z[0])  # conj(s) - conj(t), exactly
+    np.subtract.outer(-t, -sb, out=Z[1])         # conj(s) - t
+    np.reciprocal(Z, out=Z)                      # p, q
+    Z[0] -= Z[1]                                 # p - q
+    Z[1] *= 2.0
+    Z[1] += Z[0]                                 # p + q
+    Z[0] *= h
+    Z[1] *= 1j * h
+    E = np.exp(np.outer(-y, s - shift))
+    M = Z.reshape(2 * m, k).view(float) @ E.view(float).T  # [Re M; Im M]
+    V = np.exp(np.outer(x, t - shift)) * (wt * gamma(t) * np.exp(-alpha * t * t / 2.0))
+    return (V.real @ M[:m] - V.imag @ M[m:]) * (2.0 / _TWO_PI_I ** 2).real
+
+
+def _kernel_sum(x: np.ndarray, y: np.ndarray, pair: ContourPair,
+                shift: float) -> np.ndarray:
+    """The double-contour sum of kernel_matrix over the full grids, complex.
+
+    Its imaginary part is the quadrature's leftover, which the point
+    evaluators check; no symmetry of the grids is assumed."""
     alpha = pair.alpha
     t, wt = pair.loop.nodes, pair.loop.weights
     s, ws = pair.line.nodes, pair.line.weights
@@ -155,7 +225,7 @@ def critical_kernel(x: float, y: float, alpha: float, pair: ContourPair | None =
     if pair is None:
         m = max(abs(x), abs(y), 1.0)
         pair = kernel_pair(alpha, x_max=m, x_min=min(x, y, 0.0), refine=refine)
-    val = kernel_matrix(np.array([x]), np.array([y]), pair, shift=0.0)[0, 0]
+    val = _kernel_sum(np.array([x]), np.array([y]), pair, shift=0.0)[0, 0]
     return _as_real(val)
 
 
@@ -169,7 +239,7 @@ def conjugated_kernel(x: float, y: float, alpha: float,
         raise DomainError(f"conjugated kernel needs x, y > 0, got ({x}, {y})")
     if pair is None:
         pair = kernel_pair(alpha, x_max=max(x, y, 1.0), refine=refine)
-    val = kernel_matrix(np.array([x]), np.array([y]), pair, shift=0.5)[0, 0]
+    val = _kernel_sum(np.array([x]), np.array([y]), pair, shift=0.5)[0, 0]
     return _as_real(val)
 
 
@@ -348,16 +418,23 @@ def qa_matrix(union: QuadratureGrid, a: float, alpha: float) -> np.ndarray:
 
 
 def cross_blocks(pair: ContourPair, a: float) -> tuple[np.ndarray, np.ndarray]:
-    """The two coupling blocks: A[z, t] line<-loop and B[t, s] loop<-line."""
+    """The two coupling blocks: A[z, t] line<-loop and B[t, s] loop<-line.
+
+    B's Cauchy factor is the transpose of A's, so both come from one
+    R = 1/(z - t); both blocks are returned C-contiguous."""
     alpha = pair.alpha
     z = pair.line.nodes
     t = pair.loop.nodes
-    gz = np.exp(alpha * z * z / 4.0 - a * z)
+    R = np.subtract.outer(z, t)
+    np.reciprocal(R, out=R)
+    gz = np.exp(alpha * z * z / 4.0 - a * z) / _TWO_PI_I
     gt = gamma(t) * np.exp(-alpha * t * t / 4.0 + a * t)
-    A = (gz[:, None] * gt[None, :]) / (z[:, None] - t[None, :]) / _TWO_PI_I
-    hz = recip_gamma(z) * np.exp(alpha * z * z / 4.0)
+    A = np.multiply.outer(gz, gt)
+    A *= R
+    hz = recip_gamma(z) * np.exp(alpha * z * z / 4.0) / _TWO_PI_I
     ft = np.exp(-alpha * t * t / 4.0)
-    B = (ft[:, None] * hz[None, :]) / (z[None, :] - t[:, None]) / _TWO_PI_I
+    B = np.multiply.outer(ft, hz)
+    B *= R.T
     return A, B
 
 
@@ -376,12 +453,18 @@ def line_reduced_kernel(z: complex, s: complex, a: float, alpha: float,
 def ha_matrix(pair: ContourPair, a: float,
               loop_override: QuadratureGrid | None = None) -> np.ndarray:
     """Matrix of the line-reduced kernel on the pair's line grid; the loop
-    integration grid may be overridden to decouple it from the pair."""
+    integration grid may be overridden to decouple it from the pair.
+
+    K = diag(e^{-az + alpha z^2/4}) (R g) R^T diag(e^{alpha z^2/4} / Gamma(z))
+    / (2 pi i)^2 with the one Cauchy matrix R = 1/(z - t)."""
     alpha = pair.alpha
     loop = loop_override if loop_override is not None else pair.loop
     z = pair.line.nodes
     t, wt = loop.nodes, loop.weights
-    g = wt * gamma(t) * np.exp(a * t - alpha * t * t / 2.0)
-    U = np.exp(-a * z + alpha * z * z / 4.0)[:, None] / (z[:, None] - t[None, :])
-    V = (recip_gamma(z) * np.exp(alpha * z * z / 4.0))[:, None] / (z[:, None] - t[None, :])
-    return (U * g[None, :]) @ V.T / _TWO_PI_I ** 2
+    g = wt * gamma(t) * np.exp(a * t - alpha * t * t / 2.0) / _TWO_PI_I ** 2
+    R = np.subtract.outer(z, t)
+    np.reciprocal(R, out=R)
+    K = (R * g) @ R.T
+    K *= np.exp(-a * z + alpha * z * z / 4.0)[:, None]
+    K *= (recip_gamma(z) * np.exp(alpha * z * z / 4.0))[None, :]
+    return K

@@ -77,6 +77,18 @@ def test_vertical_structure():
     assert np.all(np.diff(grid.nodes.imag) > 0)
 
 
+def test_hairpin_and_line_are_exact_mirror_images():
+    # z[::-1] = conj(z) and w[::-1] = -conj(w) bit for bit, pinched or not,
+    # so a sum over the grid folds exactly onto its upper half
+    grids = [build_hairpin(T=12.0), build_hairpin(nose=0.1, T=9.0, order=12),
+             build_vertical(T=25.0, max_frequency=40.0), build_vertical(b=2.0)]
+    for grid in grids:
+        assert grid.nodes.size % 2 == 0
+        assert np.array_equal(grid.nodes[::-1], grid.nodes.conj())
+        assert np.array_equal(grid.weights[::-1], -grid.weights.conj())
+        assert np.all(grid.nodes[grid.nodes.size // 2:].imag > 0)
+
+
 def test_closed_loop_residue():
     loop = build_closed_loop(left_edge=-0.5)
     # closed: integral of dz vanishes; Gamma picks up only the pole at 0

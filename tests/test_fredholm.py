@@ -69,6 +69,18 @@ def test_solve_resolvent_residual():
     assert np.linalg.norm(resid) <= 1e-10 * (1.0 + np.linalg.norm(rhs))
 
 
+def test_halfline_operator_is_real():
+    op = halfline_operator(2.0, 1.0)
+    assert op.kernel_values.dtype == np.float64
+    assert op.weights.dtype == np.float64
+    lu, _ = op._factor()
+    assert lu.dtype == np.float64  # a real LU, not a complex one
+    det, _ = det_one_minus(op)
+    assert complex(det).imag == 0.0
+    # the two-contour operators stay complex
+    assert qa_operator(2.0, 1.0)._factor()[0].dtype == np.complex128
+
+
 def test_singular_operator_detected():
     k = np.eye(6, dtype=complex)  # I - K is exactly singular
     op = DiscreteOperator(k, np.ones(6, dtype=complex))

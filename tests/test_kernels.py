@@ -8,15 +8,18 @@ them.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from critgap import kernels
-from critgap.contours import build_closed_loop, build_vertical, truncation_radius
-from critgap.kernels import _log_gamma_left
-from critgap.special import DomainError, log_gamma
+from critgap.contours import (GeometryError, build_closed_loop, build_vertical,
+                              truncation_radius)
+from critgap.fredholm import HalfLineGrid
+from critgap.kernels import _kernel_sum, _log_gamma_left
+from critgap.special import DomainError, gamma, log_gamma, recip_gamma
 
 REL = 1e-9
 
@@ -58,6 +61,51 @@ def test_conjugated_domain():
         kernels.conjugated_kernel(0.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         kernels.conjugated_kernel(1.0, -0.5, 1.0)
+
+
+FOLD_ALPHAS = (0.25, 0.5, 1.0, 2.0, 8.0)
+FOLD_AS = (0.5, 2.0, 4.0)
+
+
+@pytest.mark.parametrize("alpha", FOLD_ALPHAS)
+def test_kernel_matrix_fold_matches_full_sum(alpha):
+    # the conjugation fold against the complex sum over both full grids:
+    # shift 0.5 on the halfline route's own grids, shift 0 at points in
+    # [0, a] (further right the critical kernel grows like e^{(x-y)/2})
+    for a in FOLD_AS:
+        for refine in (1.0, 0.5):
+            x = HalfLineGrid(a, panels=max(1, round(8 * refine))).nodes
+            pair = kernels.kernel_pair(alpha, x_max=a + 40.0, refine=refine)
+            got = kernels.kernel_matrix(x, x, pair, shift=0.5)
+            assert got.dtype == np.float64
+            want = _kernel_sum(x, x, pair, 0.5).real
+            assert np.abs(got - want).max() <= 1e-14, (alpha, a, refine)
+
+            x0 = np.linspace(0.0, a, 9)
+            pair0 = kernels.kernel_pair(alpha, x_max=a, refine=refine)
+            got0 = kernels.kernel_matrix(x0, x0[::-1], pair0, shift=0.0)
+            want0 = _kernel_sum(x0, x0[::-1], pair0, 0.0).real
+            assert np.abs(got0 - want0).max() <= 1e-14, (alpha, a, refine)
+
+
+def test_kernel_matrix_refuses_asymmetric_pairs():
+    pair = kernels.kernel_pair(1.0, x_max=10.0)
+    x = np.array([0.5, 1.0])
+    nodes = pair.line.nodes.copy()
+    nodes[7] += 1e-6j
+    bent = dataclasses.replace(pair.line, nodes=nodes)
+    with pytest.raises(GeometryError, match="not symmetric"):
+        kernels.kernel_matrix(x, x, dataclasses.replace(pair, line=bent))
+    line = pair.line
+    odd = dataclasses.replace(line, nodes=line.nodes[1:],
+                              weights=line.weights[1:], labels=line.labels[1:])
+    with pytest.raises(GeometryError, match="odd"):
+        kernels.kernel_matrix(x, x, dataclasses.replace(pair, line=odd))
+    loop = pair.loop
+    odd = dataclasses.replace(loop, nodes=loop.nodes[:-1],
+                              weights=loop.weights[:-1], labels=loop.labels[:-1])
+    with pytest.raises(GeometryError, match="odd"):
+        kernels.kernel_matrix(x, x, dataclasses.replace(pair, loop=odd))
 
 
 def test_factored_kernel_matches_conjugated():
@@ -198,6 +246,42 @@ def test_cross_blocks_match_qa_matrix():
     n_line = len(pair.line)
     np.testing.assert_allclose(q[:n_line, n_line:], block_a, rtol=1e-13)
     np.testing.assert_allclose(q[n_line:, :n_line], block_b, rtol=1e-13)
+
+
+def _inline_cross_blocks(pair, a):
+    """The coupling blocks with each Cauchy factor formed on its own."""
+    alpha, z, t = pair.alpha, pair.line.nodes, pair.loop.nodes
+    gz = np.exp(alpha * z * z / 4.0 - a * z)
+    gt = gamma(t) * np.exp(-alpha * t * t / 4.0 + a * t)
+    block_a = (gz[:, None] * gt[None, :]) / (z[:, None] - t[None, :]) / (2j * math.pi)
+    hz = recip_gamma(z) * np.exp(alpha * z * z / 4.0)
+    ft = np.exp(-alpha * t * t / 4.0)
+    block_b = (ft[:, None] * hz[None, :]) / (z[None, :] - t[:, None]) / (2j * math.pi)
+    return block_a, block_b
+
+
+def _inline_ha_matrix(pair, a, loop):
+    """The line-reduced kernel with 1/(z - t) formed once per side."""
+    alpha, z = pair.alpha, pair.line.nodes
+    t, wt = loop.nodes, loop.weights
+    g = wt * gamma(t) * np.exp(a * t - alpha * t * t / 2.0)
+    u = np.exp(-a * z + alpha * z * z / 4.0)[:, None] / (z[:, None] - t[None, :])
+    v = (recip_gamma(z) * np.exp(alpha * z * z / 4.0))[:, None] / (z[:, None] - t[None, :])
+    return (u * g[None, :]) @ v.T / (2j * math.pi) ** 2
+
+
+@pytest.mark.parametrize("alpha, a", [(0.5, 0.5), (1.0, 2.0), (2.0, 4.0)])
+def test_shared_cauchy_factor_matches_inline_formulas(alpha, a):
+    pair = kernels.qa_pair(alpha, a_max=a)
+    block_a, block_b = kernels.cross_blocks(pair, a)
+    want_a, want_b = _inline_cross_blocks(pair, a)
+    np.testing.assert_allclose(block_a, want_a, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(block_b, want_b, rtol=1e-14, atol=0.0)
+    assert block_a.flags.c_contiguous and block_b.flags.c_contiguous
+    inner = kernels.qa_pair(alpha, a_max=a, refine=1.4, order=12).loop
+    got = kernels.ha_matrix(pair, a, loop_override=inner)
+    want = _inline_ha_matrix(pair, a, inner)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_line_reduced_matches_block_product():
