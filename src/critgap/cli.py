@@ -168,7 +168,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_mc(args: argparse.Namespace) -> int:
     started = time.time()
     cfg = mc.McConfig(N=args.N, M=args.M, trials=args.trials, seed=args.seed)
-    result = mc.sample_rightmost(cfg, threads=args.threads)
+    threads = mc.resolve_threads(args.threads)
+    result = mc.sample_rightmost(cfg, threads=threads)
     if args.csv:
         mc.write_samples_csv(result, args.csv)
     gap_points = [1.0, 2.0, 3.0]
@@ -184,7 +185,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
         summary["compare_alpha"] = alpha
     summary["manifest"] = _manifest("mc", {
         "N": args.N, "M": args.M, "trials": args.trials, "seed": args.seed,
-        "compare": bool(args.compare), "csv": args.csv,
+        "threads": threads, "compare": bool(args.compare), "csv": args.csv,
     }, started)
     json.dump(summary, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")

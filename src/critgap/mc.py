@@ -8,6 +8,15 @@ Only the rightmost particle is sampled: the gap on (a, inf) depends on
 nothing else, and the top of the spectrum stays well-conditioned despite the
 product's enormous dynamic range.
 
+The factors are not drawn dense.  By unitary invariance G_M ... G_1 has the
+singular values of R_M ... R_1, where the R are independent upper-triangular
+QR factors of Ginibre matrices: chi-distributed diagonal, complex Gaussians
+above it (Forrester, arXiv:1206.2001; Akemann-Burda-Kieburg,
+arXiv:1406.0803).  That needs half the variates and none of the polar
+transform, and the variates of many factors come from one generator call.
+Samples for a given seed therefore differ from those of versions that drew
+dense factors; the law is the same.
+
 Entries of the product grow like exp(Theta(M log N)), far beyond double
 range at N = M >= 32, so every factor is Frobenius-normalized and the scale
 is accumulated exactly in log space.
@@ -15,9 +24,11 @@ is accumulated exactly in log space.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -30,9 +41,10 @@ __all__ = [
     "McConfig",
     "McResult",
     "center_aN",
-    "ginibre_matrix",
+    "triangular_factors",
     "product_log_norms",
     "top_log_eigenvalue",
+    "resolve_threads",
     "sample_rightmost",
     "empirical_gap",
     "write_samples_csv",
@@ -43,6 +55,9 @@ __all__ = [
 _SIZE_CAP = 256
 _POWER_TOL = 1e-10
 _POWER_MAX_ITER = 10_000
+# complex normals drawn per generator call: every factor of an N = M = 48
+# trial at once, yet O(N^2) memory at the size cap (two factors a call)
+_BLOCK_ENTRIES = 1 << 16
 THREADS_ENV = "CRITGAP_THREADS"
 
 
@@ -89,28 +104,55 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def ginibre_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Standard complex Ginibre draw: |entry|^2 ~ Exp(1), uniform phase.
+@functools.lru_cache(maxsize=None)
+def _triangle_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions of the strict upper triangle of an n x n matrix, and
+    the chi-square degrees of freedom 2(n - j) of the diagonal entries."""
+    rows, cols = np.triu_indices(n, 1)
+    upper = rows * n + cols
+    dof = 2.0 * np.arange(n, 0, -1)
+    upper.flags.writeable = dof.flags.writeable = False
+    return upper, dof
 
-    Built from uniforms by an explicit polar transform (no rejection step),
-    so the draw consumes a fixed, generator-independent number of variates."""
-    u = rng.random((2, n, n))
-    radius = np.sqrt(-np.log1p(-u[0]))
-    return radius * np.exp(2j * math.pi * u[1])
+
+def triangular_factors(rng: np.random.Generator, n: int,
+                       m: int) -> Iterator[np.ndarray]:
+    """Yield m independent n x n upper-triangular factors R, each distributed
+    as sqrt(2) times the R of the QR decomposition of a standard complex
+    Ginibre matrix: r_jj = sqrt(chisquare(2(n - j))) on the diagonal,
+    complex entries with standard-normal real and imaginary parts above it,
+    zeros below.
+
+    The variates of as many factors as fit in 2^16 complex normals (at
+    least one) come from one generator call each for the normals and the
+    chi-squares, in factor order; every factor is a fresh array."""
+    upper, dof = _triangle_layout(n)
+    per_call = max(1, _BLOCK_ENTRIES // max(upper.size, 1))
+    for start in range(0, m, per_call):
+        count = min(per_call, m - start)
+        above = rng.standard_normal((count, 2 * upper.size)).view(complex)
+        diag = np.sqrt(rng.chisquare(dof, (count, n)))
+        for k in range(count):
+            factor = np.zeros((n, n), dtype=complex)
+            flat = factor.reshape(-1)
+            flat[upper] = above[k]
+            flat[::n + 1] = diag[k]
+            yield factor
 
 
 def product_log_norms(rng: np.random.Generator, n: int,
                       m: int) -> tuple[np.ndarray, float]:
-    """Left-multiply m Ginibre factors, rescaling each partial product to
-    unit Frobenius norm.  Returns (scaled product, accumulated log scale)."""
+    """Left-multiply m triangular factors, rescaling each partial product to
+    unit Frobenius norm.  Returns (scaled product, accumulated log scale),
+    the scale already divided by the factors' sqrt(2)^m."""
     prod = np.eye(n, dtype=complex)
     log_scale = 0.0
-    for _ in range(m):
-        prod = ginibre_matrix(rng, n) @ prod
+    for factor in triangular_factors(rng, n, m):
+        prod = factor @ prod
         norm = float(np.linalg.norm(prod))
         prod /= norm
         log_scale += math.log(norm)
-    return prod, log_scale
+    return prod, log_scale - 0.5 * m * math.log(2.0)
 
 
 def top_log_eigenvalue(scaled: np.ndarray, log_scale: float,
@@ -142,18 +184,36 @@ def _run_trial(cfg: McConfig, trial: int) -> float:
     return top_log_eigenvalue(scaled, log_scale, rng)
 
 
+def resolve_threads(threads: int | None = None) -> int:
+    """Worker-thread count: `threads` if given, else the CRITGAP_THREADS
+    environment variable, else 1.  Anything but a positive integer raises
+    ValueError naming the argument or the variable it came from."""
+    source = "threads"
+    if threads is None:
+        source = THREADS_ENV
+        raw = os.environ.get(THREADS_ENV, "1")
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise ValueError(f"{THREADS_ENV} must be a positive integer, "
+                             f"got {raw!r}") from None
+    if (isinstance(threads, bool) or not isinstance(threads, int)
+            or threads < 1):
+        raise ValueError(f"{source} must be a positive integer, "
+                         f"got {threads!r}")
+    return threads
+
+
 def sample_rightmost(cfg: McConfig, threads: int | None = None) -> McResult:
     """Draw cfg.trials independent rightmost centered log-eigenvalues.
 
-    Trials are sharded over a thread pool (size from the CRITGAP_THREADS
-    environment variable unless given); every trial owns a derived RNG
-    stream keyed by its index, so the sample list is identical for any
-    thread count."""
-    if threads is None:
-        threads = int(os.environ.get(THREADS_ENV, "1"))
+    Trials are sharded over a thread pool of `resolve_threads(threads)`
+    workers; every trial owns a derived RNG stream keyed by its index, so
+    the sample list is identical for any thread count."""
+    threads = resolve_threads(threads)
     a_n = center_aN(cfg.N, cfg.M)
     out = np.empty(cfg.trials)
-    if threads <= 1:
+    if threads == 1:
         for t in range(cfg.trials):
             out[t] = _run_trial(cfg, t) - a_n
     else:

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from critgap import cli, fredholm, kernels, validate
+from critgap import cli, fredholm, kernels, mc, validate
 
 
 def run_cli(capsys, *argv):
@@ -221,6 +221,25 @@ def test_mc_csv_deterministic(capsys, tmp_path):
     assert doc["trials"] == 32
     assert "manifest" in doc and doc["manifest"]["command"] == "mc"
     assert [row["a"] for row in doc["gap_table"]] == [1.0, 2.0, 3.0]
+
+
+def test_mc_thread_count_resolution(capsys, monkeypatch):
+    argv = ("mc", "--N", "2", "--M", "2", "--trials", "4")
+    monkeypatch.delenv(mc.THREADS_ENV, raising=False)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["manifest"]["params"]["threads"] == 1
+    monkeypatch.setenv(mc.THREADS_ENV, "2")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["manifest"]["params"]["threads"] == 2
+    code, out, _ = run_cli(capsys, *argv, "--threads", "3")
+    assert code == 0 and json.loads(out)["manifest"]["params"]["threads"] == 3
+    code, out, err = run_cli(capsys, *argv, "--threads", "0")
+    assert code == 1 and not out
+    assert "threads must be a positive integer" in err
+    monkeypatch.setenv(mc.THREADS_ENV, "two")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and not out
+    assert mc.THREADS_ENV in err
 
 
 def test_mc_compare_table(capsys):

@@ -3,7 +3,9 @@
 The eigenvalue path is checked against a hand-rolled cyclic Jacobi solver
 (run on the real symmetric embedding of the Hermitian Gram matrix), so the
 power iteration never validates itself.  The scalar N = M = 1 case has a
-closed-form law and is checked by Kolmogorov-Smirnov distance.
+closed-form law and is checked by Kolmogorov-Smirnov distance.  The
+triangular-factor sampler is checked against a dense Ginibre-product
+reference by a two-sample Kolmogorov-Smirnov test.
 """
 
 from __future__ import annotations
@@ -14,10 +16,36 @@ import numpy as np
 import pytest
 
 from critgap import mc
-from critgap.mc import (ConvergenceError, McConfig, McResult, center_aN,
-                        empirical_gap, ginibre_matrix, read_samples_csv,
-                        sample_rightmost, summary_dict, top_log_eigenvalue,
+from critgap.mc import (THREADS_ENV, ConvergenceError, McConfig, McResult,
+                        center_aN, empirical_gap, read_samples_csv,
+                        resolve_threads, sample_rightmost, summary_dict,
+                        top_log_eigenvalue, triangular_factors,
                         write_samples_csv)
+
+
+def _ginibre_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Dense standard complex Ginibre draw: |entry|^2 ~ Exp(1), uniform
+    phase, by the polar transform of uniforms (the sampler's former draw)."""
+    u = rng.random((2, n, n))
+    radius = np.sqrt(-np.log1p(-u[0]))
+    return radius * np.exp(2j * math.pi * u[1])
+
+
+def _dense_rightmost(n: int, m: int, trials: int, seed: int) -> np.ndarray:
+    """Reference sampler: centered rightmost log-eigenvalues of products of
+    dense Ginibre matrices, top singular value by numpy's SVD."""
+    rng = np.random.default_rng(seed)
+    out = np.empty(trials)
+    for t in range(trials):
+        prod, log_scale = np.eye(n, dtype=complex), 0.0
+        for _ in range(m):
+            prod = _ginibre_matrix(rng, n) @ prod
+            norm = float(np.linalg.norm(prod))
+            prod /= norm
+            log_scale += math.log(norm)
+        sigma = float(np.linalg.norm(prod, 2))
+        out[t] = 2.0 * (log_scale + math.log(sigma)) - center_aN(n, m)
+    return out
 
 
 def jacobi_eigenvalues(herm: np.ndarray, sweeps: int = 60) -> np.ndarray:
@@ -82,22 +110,46 @@ def test_alpha_label_default():
                     ).alpha_label == 2.0
 
 
-def test_ginibre_moments():
-    rng = np.random.default_rng(12345)
-    x = ginibre_matrix(rng, 200)
-    sq = np.abs(x) ** 2
-    assert abs(sq.mean() - 1.0) <= 0.02           # E|entry|^2 = 1
-    assert abs(complex(x.mean())) <= 0.02          # E entry = 0
-    assert abs((x ** 2).mean()) <= 0.02            # uniform phase kills x^2
+def test_triangular_factor_structure_and_moments():
+    n, m = 8, 4000   # two generator calls: 2340 factors, then 1660
+    factors = np.array(list(triangular_factors(np.random.default_rng(12345),
+                                               n, m)))
+    assert factors.shape == (m, n, n)
+    lower = np.tril_indices(n, -1)
+    assert not np.any(factors[:, lower[0], lower[1]])
+    diag = factors[:, np.arange(n), np.arange(n)]
+    assert np.all(diag.imag == 0.0) and np.all(diag.real > 0.0)
+    dof = 2.0 * (n - np.arange(n))              # E r_jj^2 = 2(N - j)
+    sd = np.sqrt(2.0 * dof / m)                 # of the mean of chi2(dof)
+    assert np.all(np.abs((diag.real ** 2).mean(axis=0) - dof) <= 5.0 * sd)
+    upper = np.triu_indices(n, 1)
+    z = factors[:, upper[0], upper[1]]          # 112000 entries
+    assert abs((np.abs(z) ** 2).mean() - 2.0) <= 0.03   # sd 0.006
+    assert abs(complex(z.mean())) <= 0.02
+    assert abs(complex((z ** 2).mean())) <= 0.04        # sd 0.0085
+
+
+@pytest.mark.parametrize("n, m, seed", [(2, 3, 101), (4, 3, 102),
+                                        (6, 8, 103)])
+def test_triangular_sampler_matches_dense_products(n, m, seed):
+    trials = 3000
+    dense = np.sort(_dense_rightmost(n, m, trials, seed))
+    tri = np.sort(sample_rightmost(McConfig(N=n, M=m, trials=trials,
+                                            seed=seed), threads=1).samples)
+    both = np.concatenate([dense, tri])
+    gap = (np.searchsorted(dense, both, side="right")
+           - np.searchsorted(tri, both, side="right")) / trials
+    bound = 1.63 * math.sqrt((trials + trials) / (trials * trials))
+    assert float(np.max(np.abs(gap))) < bound
 
 
 def test_scaling_invariance():
-    # rescaled product path vs the raw product, same draw stream
+    # rescaled product path vs the raw product of the unscaled (sqrt 2
+    # removed) triangular factors of the same draw stream
     scaled, log_scale = mc.product_log_norms(mc._trial_rng(9, 0), 4, 3)
-    rng2 = mc._trial_rng(9, 0)
     raw = np.eye(4, dtype=complex)
-    for _ in range(3):
-        raw = ginibre_matrix(rng2, 4) @ raw
+    for factor in triangular_factors(mc._trial_rng(9, 0), 4, 3):
+        raw = (factor / math.sqrt(2.0)) @ raw
     direct = math.log(jacobi_eigenvalues(raw.conj().T @ raw)[-1])
     via_scale = 2.0 * log_scale + math.log(
         jacobi_eigenvalues(scaled.conj().T @ scaled)[-1])
@@ -127,13 +179,45 @@ def test_seed_determinism_and_thread_invariance():
 
 
 def test_scalar_case_reconstruction():
+    # at N = M = 1 the factor is sqrt(chisquare(2)) and sqrt(2) is divided
+    # out, so the sample is log(chisquare(2)) - log 2 - a_N
     cfg = McConfig(N=1, M=1, trials=50, seed=4)
     res = sample_rightmost(cfg, threads=1)
     assert res.a_N == -1.0
     for t in range(cfg.trials):
-        u = mc._trial_rng(cfg.seed, t).random((2, 1, 1))
-        expected = math.log(-math.log1p(-float(u[0, 0, 0]))) + 1.0
+        chi2 = float(mc._trial_rng(cfg.seed, t).chisquare(2))
+        expected = math.log(chi2) - math.log(2.0) + 1.0
         assert res.samples[t] == pytest.approx(expected, abs=1e-12)
+
+
+def test_thread_invariance_across_generator_calls():
+    # M = 60 > 58 factors per generator call at N = 48: two calls a trial
+    cfg = McConfig(N=48, M=60, trials=8, seed=2718)
+    one = sample_rightmost(cfg, threads=1).samples
+    for threads in (2, 4):
+        assert np.array_equal(sample_rightmost(cfg, threads=threads).samples,
+                              one)
+
+
+def test_resolve_threads(monkeypatch):
+    monkeypatch.delenv(THREADS_ENV, raising=False)
+    assert resolve_threads() == 1
+    assert resolve_threads(3) == 3
+    monkeypatch.setenv(THREADS_ENV, "2")
+    assert resolve_threads() == 2
+    assert resolve_threads(1) == 1               # the argument wins
+    for bad in (0, -2, 2.5, True, "2"):
+        with pytest.raises(ValueError, match="threads must be"):
+            resolve_threads(bad)
+    for bad in ("0", "-1", "two", "2.0", ""):
+        monkeypatch.setenv(THREADS_ENV, bad)
+        with pytest.raises(ValueError, match=THREADS_ENV):
+            resolve_threads()
+    cfg = McConfig(N=2, M=2, trials=4, seed=0)
+    with pytest.raises(ValueError, match="threads must be"):
+        sample_rightmost(cfg, threads=0)
+    with pytest.raises(ValueError, match=THREADS_ENV):
+        sample_rightmost(cfg)
 
 
 def test_scalar_case_ks():
