@@ -7,7 +7,9 @@ kernel on (a, inf), and also the determinant of the two-contour operator
 Q = [[0, A], [B, 0]] on the line/loop union.  Both two-contour routes are
 posed on the line grid: contour-Q by the Schur complement
 det(I - Q) = det(I - A W_loop B W_line) on the pair's own loop, contour-H by
-the line-reduced kernel on a separately graded loop.  The three routes share
+the line-reduced kernel on a separately graded loop.  Their grids are mirror
+images under conjugation, so both line operators are factored in their real
+form (kernels.real_form), a real LU of the same size.  The three routes share
 no kernel code beyond the gamma functions, so their agreement is the primary
 internal consistency check of the package.
 """
@@ -43,6 +45,7 @@ __all__ = [
 ROUTES = ("halfline", "contour-Q", "contour-H")
 
 _PIVOT_FLOOR = 1e-300
+_P_TOL = 1e-8  # slack of the range check on a computed probability
 _DEFAULT_LENGTH = 40.0
 _DEFAULT_PANELS = 8
 _DEFAULT_ORDER = 16
@@ -96,24 +99,31 @@ class DiscreteOperator:
     """Kernel values sampled on a grid plus the quadrature weights.
 
     The determinant matrix is the right-weighted form K W (columns scaled by
-    the weights); its solves are the kernel's Nystrom samples.
+    the weights); its solves are the kernel's Nystrom samples.  Without
+    weights, kernel_values is that matrix already: the two-contour
+    operators pass the real form of K W (kernels.real_form), in which the
+    weights no longer scale columns.
     """
 
     kernel_values: np.ndarray
-    weights: np.ndarray
+    weights: np.ndarray | None = None
     _lu: tuple | None = field(default=None, repr=False)
 
     def matrix(self) -> np.ndarray:
+        if self.weights is None:
+            return self.kernel_values
         return self.kernel_values * self.weights[None, :]
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """matrix() @ x without forming the weighted matrix."""
-        col = (slice(None),) + (None,) * (x.ndim - 1)
-        return self.kernel_values @ (self.weights[col] * x)
+        if self.weights is not None:
+            col = (slice(None),) + (None,) * (x.ndim - 1)
+            x = self.weights[col] * x
+        return self.kernel_values @ x
 
     def _factor(self):
         if self._lu is None:
-            n = self.weights.size
+            n = self.kernel_values.shape[0]
             a = -self.matrix()  # real or complex, as the operator is
             a.flat[::n + 1] += 1.0
             with warnings.catch_warnings():
@@ -145,12 +155,13 @@ def det_one_minus(op: DiscreteOperator) -> tuple[complex, float]:
 
 
 def solve_resolvent(op: DiscreteOperator, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - op) x = rhs through the cached LU factorization."""
+    """Solve (I - op) x = rhs through the cached LU factorization; a real
+    operator and a real rhs make a real solve."""
     lu, piv = op._factor()
     d = np.abs(np.diag(lu))
     if d.min() < _PIVOT_FLOOR:
         raise SingularError("operator I - K is numerically singular")
-    x = lu_solve((lu, piv), np.asarray(rhs, dtype=complex), check_finite=False)
+    x = lu_solve((lu, piv), rhs, check_finite=False)
     resid = rhs - (x - op._apply(x))
     scale = 1.0 + float(np.linalg.norm(np.asarray(rhs)))
     if float(np.linalg.norm(resid)) > 1e-10 * scale:
@@ -159,7 +170,8 @@ def solve_resolvent(op: DiscreteOperator, rhs: np.ndarray) -> np.ndarray:
 
 
 def operator_trace(op: DiscreteOperator) -> complex:
-    return complex(np.sum(np.diag(op.kernel_values) * op.weights))
+    w = 1.0 if op.weights is None else op.weights
+    return complex(np.sum(np.diag(op.kernel_values) * w))
 
 
 def halfline_operator(a: float, alpha: float, length: float = _DEFAULT_LENGTH,
@@ -176,7 +188,8 @@ def halfline_operator(a: float, alpha: float, length: float = _DEFAULT_LENGTH,
 def _line_operator(a: float, alpha: float, order: int, refine: float,
                    deformed: bool,
                    loop: QuadratureGrid | None = None) -> DiscreteOperator:
-    """Two-contour operator reduced to the line grid of the (a, alpha) pair.
+    """Two-contour operator reduced to the line grid of the (a, alpha) pair,
+    in its real form.
 
     Without a loop grid the coupling blocks are contracted over the pair's
     own loop: the exact Schur complement of [[0, A], [B, 0]].  With one, the
@@ -185,10 +198,10 @@ def _line_operator(a: float, alpha: float, order: int, refine: float,
                            deformed=deformed, a=a)
     if loop is None:
         block_a, block_b = kernels.cross_blocks(pair, a)
-        kv = (block_a * pair.loop.weights[None, :]) @ block_b
+        kv = kernels.real_form(block_a) @ kernels.real_form(block_b)
     else:
         kv = kernels.ha_matrix(pair, a, loop_override=loop)
-    return DiscreteOperator(kv, pair.line.weights)
+    return DiscreteOperator(kv)
 
 
 def qa_operator(a: float, alpha: float, order: int = _DEFAULT_ORDER,
@@ -228,10 +241,14 @@ def _route_det(a: float, alpha: float, route: str, refine: float) -> tuple[float
     else:
         raise ValueError(f"unknown route {route!r}; pick one of {ROUTES}")
     det, log_mag = det_one_minus(op)
-    det = complex(det)
-    if abs(det.imag) > 1e-8 * (1.0 + abs(det)):
-        raise ArithmeticError(f"gap determinant has imaginary residue: {det}")
-    return det.real, log_mag
+    # every route factors a real matrix, so the determinant has no imaginary
+    # residue to check; a probability outside [0, 1] is the loud symptom of
+    # a discretization that has lost it (alpha 0.05, or alpha 128 at
+    # refine 0.5, where the assembled entries reach 1e19 and 1e5)
+    p = complex(det).real
+    if not -_P_TOL <= p <= 1.0 + _P_TOL:
+        raise ArithmeticError(f"gap determinant {p} outside [0, 1]")
+    return p, log_mag
 
 
 def gap_probability(a: float, alpha: float, route: str = "halfline",

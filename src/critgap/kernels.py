@@ -32,6 +32,7 @@ __all__ = [
     "ContourPair",
     "kernel_pair",
     "qa_pair",
+    "real_form",
     "critical_kernel",
     "conjugated_kernel",
     "kernel_matrix",
@@ -140,6 +141,37 @@ def _upper_half(grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
             or np.abs(w[::-1] + w.conj()).max() > _MIRROR_TOL * np.abs(w).max()):
         raise GeometryError("grid is not symmetric under conjugation")
     return z[n // 2:], w[n // 2:]
+
+
+def real_form(upper: np.ndarray) -> np.ndarray:
+    """Real matrix similar to an operator X between two mirror-symmetric
+    grids that commutes with their conjugation J conj (J reverses a grid):
+    J conj(X) J = X.  Takes X's rows at the upper-half nodes, over all
+    columns; its lower-half rows are their mirror and are not needed.
+
+    Such an X maps the real subspace {v : J conj v = v} of each grid to the
+    other's.  In the coordinates (Re v_up, Im v_up) of that subspace it acts
+    as the real matrix
+
+        [[Re S, -Im D], [Im S, Re D]],  S, D = X_up,up +- X_up,mirror,
+
+    where column j of X_up,mirror is the column at the mirror of upper-half
+    node j.  The same coordinates span the whole space over C, so for a
+    square X this is a similarity, det(I - X) = det(I - real_form(X_up)),
+    and the real form of a product is the product of the real forms.
+    """
+    m, p = upper.shape
+    if p % 2:
+        raise GeometryError(f"{p} columns: an odd grid has no mirror pairing")
+    k = p // 2
+    hi = upper[:, k:]
+    lo = upper[:, k - 1::-1]  # at the mirror of each upper-half node
+    out = np.empty((2 * m, p))
+    np.add(hi.real, lo.real, out=out[:m, :k])
+    np.add(hi.imag, lo.imag, out=out[m:, :k])
+    np.subtract(lo.imag, hi.imag, out=out[:m, k:])
+    np.subtract(hi.real, lo.real, out=out[m:, k:])
+    return out
 
 
 def kernel_matrix(x: np.ndarray, y: np.ndarray, pair: ContourPair,
@@ -418,23 +450,34 @@ def qa_matrix(union: QuadratureGrid, a: float, alpha: float) -> np.ndarray:
 
 
 def cross_blocks(pair: ContourPair, a: float) -> tuple[np.ndarray, np.ndarray]:
-    """The two coupling blocks: A[z, t] line<-loop and B[t, s] loop<-line.
+    """The two coupling blocks, each with its source grid's weights and
+    each as its upper-half rows (see real_form): (A W_loop)[z, t] line<-loop
+    on the Im z > 0 line nodes, and (B W_line)[t, s] loop<-line on the
+    Im t > 0 loop nodes.  Both commute with conjugation, so
+    real_form(A) @ real_form(B) is the real form of the Schur complement
+    A W_loop B W_line.
 
-    B's Cauchy factor is the transpose of A's, so both come from one
-    R = 1/(z - t); both blocks are returned C-contiguous."""
+    One Cauchy matrix R = 1/(z - t) over the upper line rows serves both:
+    B needs 1/(s - t) on the upper loop rows, which is R on the upper line
+    nodes and the conjugate of R at (s, conj t) on their mirrors.  Raises
+    GeometryError if either grid is not mirror-symmetric."""
     alpha = pair.alpha
-    z = pair.line.nodes
-    t = pair.loop.nodes
+    z, _ = _upper_half(pair.line)
+    t_up, _ = _upper_half(pair.loop)
+    s, ws = pair.line.nodes, pair.line.weights
+    t, wt = pair.loop.nodes, pair.loop.weights
+    m, k = z.size, t_up.size
     R = np.subtract.outer(z, t)
     np.reciprocal(R, out=R)
-    gz = np.exp(alpha * z * z / 4.0 - a * z) / _TWO_PI_I
-    gt = gamma(t) * np.exp(-alpha * t * t / 4.0 + a * t)
-    A = np.multiply.outer(gz, gt)
-    A *= R
-    hz = recip_gamma(z) * np.exp(alpha * z * z / 4.0) / _TWO_PI_I
-    ft = np.exp(-alpha * t * t / 4.0)
-    B = np.multiply.outer(ft, hz)
-    B *= R.T
+    B = np.empty((k, s.size), dtype=complex)
+    B[:, m:] = R[:, k:].T
+    B[:, :m] = R[::-1, k - 1::-1].T
+    np.conjugate(B[:, :m], out=B[:, :m])
+    B *= np.exp(-alpha * t_up * t_up / 4.0)[:, None]
+    B *= (ws * recip_gamma(s) * np.exp(alpha * s * s / 4.0) / _TWO_PI_I)[None, :]
+    A = R  # scaled in place: R is not needed again
+    A *= (np.exp(alpha * z * z / 4.0 - a * z) / _TWO_PI_I)[:, None]
+    A *= (wt * gamma(t) * np.exp(-alpha * t * t / 4.0 + a * t))[None, :]
     return A, B
 
 
@@ -452,19 +495,30 @@ def line_reduced_kernel(z: complex, s: complex, a: float, alpha: float,
 
 def ha_matrix(pair: ContourPair, a: float,
               loop_override: QuadratureGrid | None = None) -> np.ndarray:
-    """Matrix of the line-reduced kernel on the pair's line grid; the loop
-    integration grid may be overridden to decouple it from the pair.
+    """Real form (see real_form) of the line-reduced kernel times the line
+    weights, K W, on the pair's line grid; the loop integration grid may be
+    overridden to decouple it from the pair.
 
-    K = diag(e^{-az + alpha z^2/4}) (R g) R^T diag(e^{alpha z^2/4} / Gamma(z))
-    / (2 pi i)^2 with the one Cauchy matrix R = 1/(z - t)."""
+    K W = L Rt with L = diag(e^{-az + alpha z^2/4}) R diag(g) and
+    Rt = R^T diag(w e^{alpha z^2/4} / Gamma(z) / (2 pi i)), where
+    R = 1/(z - t) and g = w_t Gamma(t) e^{at - alpha t^2/2} / (2 pi i);
+    both factors commute with conjugation.  L's upper-half rows are R's,
+    scaled.  For the transpose Rt, the real form is real_form of the
+    conjugated upper rows of Rt^T = diag(.) R, transposed: R's rows again.
+    So one Cauchy matrix on the upper line rows gives both factors.
+    Raises GeometryError if either grid is not mirror-symmetric."""
     alpha = pair.alpha
     loop = loop_override if loop_override is not None else pair.loop
-    z = pair.line.nodes
+    z, wz = _upper_half(pair.line)
+    _upper_half(loop)  # the symmetry check; the sum runs over the whole loop
     t, wt = loop.nodes, loop.weights
-    g = wt * gamma(t) * np.exp(a * t - alpha * t * t / 2.0) / _TWO_PI_I ** 2
+    g = wt * gamma(t) * np.exp(a * t - alpha * t * t / 2.0) / _TWO_PI_I
     R = np.subtract.outer(z, t)
     np.reciprocal(R, out=R)
-    K = (R * g) @ R.T
-    K *= np.exp(-a * z + alpha * z * z / 4.0)[:, None]
-    K *= (recip_gamma(z) * np.exp(alpha * z * z / 4.0))[None, :]
-    return K
+    left = R * g
+    left *= np.exp(-a * z + alpha * z * z / 4.0)[:, None]
+    right = R  # scaled in place: R is not needed again
+    right *= (wz * recip_gamma(z) * np.exp(alpha * z * z / 4.0)
+              / _TWO_PI_I)[:, None]
+    np.conjugate(right, out=right)
+    return real_form(left) @ real_form(right).T

@@ -25,12 +25,11 @@ is accumulated exactly in log space.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

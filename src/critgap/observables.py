@@ -106,8 +106,17 @@ class RhWorkspace:
     e = A W_loop f_loop and g = h_loop^T W_loop B, so it is formed from loop
     sums (matrix-vector products with the blocks) instead of a
     line x loop x line matrix product; only its diagonal needs the
-    contraction of A and B.  A sweep therefore costs one line-grid solve per
-    point and no contour rebuilds.
+    contraction of A and B.  The loop enters Y1 only through g and a
+    constant: sum_loop F_loop h_loop^T W = f_loop^T W h_loop + sum_line
+    W F_line g.
+
+    The grids are mirror images under conjugation and K W_line commutes
+    with it, so only the upper-half line rows of K W_line are formed and
+    its real form (kernels.real_form) is factored by a real LU.  The right
+    side and F_line are odd under the mirror (v[::-1] = -conj v), so
+    i F_line lies in the real subspace: both columns are real solves, and
+    the lower half of F_line is the mirror of the upper.  A sweep therefore
+    costs one real line-grid solve per point and no contour rebuilds.
     Valid for evaluation points 0 < a <= x_max (x_max sets the oscillation
     budget of the line grid)."""
 
@@ -119,34 +128,54 @@ class RhWorkspace:
         self.x_max = float(x_max)
         pair = kernels.qa_pair(alpha, a_max=x_max, order=order, refine=refine)
         self.line, self.loop = pair.line, pair.loop
+        # upper-half rows of A W_loop (m x loop) and B W_line (loop/2 x line)
         self.block_a, self.block_b = kernels.cross_blocks(pair, 0.0)
-        self.f_line, self.h_line = kernels.rh_vector_arrays(
+        m, k = self.block_a.shape[0], self.block_b.shape[0]
+        f_line, h_line = kernels.rh_vector_arrays(
             self.line.nodes, self.line.labels, 0.0, alpha)
-        self.f_loop, self.h_loop = kernels.rh_vector_arrays(
+        self.f_line = f_line[m:, 0]                     # f(z).(1, 0), upper
+        self.hw_line = self.line.weights * h_line[:, 1]  # W h(s).(0, 1)
+        f_loop, h_loop = kernels.rh_vector_arrays(
             self.loop.nodes, self.loop.labels, 0.0, alpha)
-        # A[z, t] B[t, z], whose loop sum is the diagonal of K
-        self._diag_terms = self.block_a * self.block_b.T
-        diff = self.line.nodes[:, None] - self.line.nodes[None, :]
-        np.fill_diagonal(diff, 1.0)
+        self.f_loop = f_loop[:, 1]
+        self.hw_loop = self.loop.weights * h_loop[:, 0]
+        # (B W_line)[t, z] on the upper line nodes z, over every loop node t:
+        # rows on the mirrors conj t are conj (B W_line)[t, conj z]
+        b_cols = np.empty_like(self.block_a)
+        b_cols[:, k:] = self.block_b[:, m:].T
+        b_cols[:, :k] = self.block_b[::-1, m - 1::-1].T.conj()
+        # A W_loop [z, t] B W_line [t, z], whose loop sum is the diagonal
+        self._diag_terms = self.block_a * b_cols
+        diff = np.subtract.outer(self.line.nodes[m:], self.line.nodes)
+        np.fill_diagonal(diff[:, m:], 1.0)  # the diagonal is set separately
         self._inv_diff = 1.0 / diff
 
     def y1(self, a: float) -> Y1Matrix:
         if not 0.0 < a <= self.x_max + 1e-9:
             raise ValueError(f"a={a} outside workspace range (0, {self.x_max}]")
-        w_line = self.line.weights
-        line_scale = np.exp(-a * self.line.nodes)
-        loop_w = np.exp(a * self.loop.nodes) * self.loop.weights
-        f_line = line_scale[:, None] * self.f_line
-        h_loop_w = loop_w[:, None] * self.h_loop            # W_loop h_loop(a)
-        e = line_scale[:, None] * (self.block_a @ (loop_w[:, None] * self.f_loop))
-        g = h_loop_w.T @ self.block_b
-        kv = (f_line @ g + e @ self.h_line.T) * self._inv_diff
-        np.fill_diagonal(kv, line_scale * (self._diag_terms @ loop_w))
-        op = DiscreteOperator(kv, w_line)
-        big_f_line = solve_resolvent(op, f_line + e)
-        big_f_loop = self.f_loop + self.block_b @ (w_line[:, None] * big_f_line)
-        y1 = ((w_line[:, None] * big_f_line).T @ self.h_line
-              + big_f_loop.T @ h_loop_w)
+        m, k = self.block_a.shape[0], self.block_b.shape[0]
+        line_scale = np.exp(-a * self.line.nodes[m:])
+        loop_scale = np.exp(a * self.loop.nodes)
+        # right side (f_line, e) on the upper half: f_line(a) and A W f_loop
+        rhs = np.empty((m, 2), dtype=complex)
+        rhs[:, 0] = self.f_line
+        rhs[:, 1] = self.block_a @ (loop_scale * self.f_loop)
+        rhs *= line_scale[:, None]
+        # W g over the whole line.  block_b has the upper-half loop rows; the
+        # mirror rows add -conj of the upper-half sum at the mirror line node
+        half = (loop_scale * self.hw_loop)[k:] @ self.block_b
+        gw = half - half[::-1].conj()
+        gh = np.stack([gw, self.hw_line])                 # W (g, h) rows
+        kw = (rhs @ gh) * self._inv_diff                  # upper rows of K W
+        np.fill_diagonal(kw[:, m:], line_scale * (self._diag_terms @ loop_scale))
+        op = DiscreteOperator(kernels.real_form(kw))
+        # i rhs is in the real subspace; its coordinates are (Re, Im) of its
+        # upper half, and so are those of the solution i F_line
+        x = solve_resolvent(op, np.concatenate([-rhs.imag, rhs.real]))
+        upper = x[m:] - 1j * x[:m]                        # F_line, upper half
+        big_f_line = np.concatenate([-upper[::-1].conj(), upper])
+        y1 = big_f_line.T @ gh.T
+        y1[1, 0] += np.sum(self.f_loop * loop_scale * self.hw_loop)
         e11, e12, e21, e22 = y1[0, 0], y1[0, 1], y1[1, 0], y1[1, 1]
         if abs(e11.imag) > _IM_TOL * (1.0 + abs(e11)):
             raise ArithmeticError(f"(Y1)_11 has imaginary residue {e11.imag:.3e}")

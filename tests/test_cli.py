@@ -174,14 +174,15 @@ def test_validate_json_and_exit_code(capsys, monkeypatch):
     fast = tuple(c for c in validate.CHECKS
                  if c.__name__ in ("check_gamma_identities",
                                    "check_kernel_factorization",
-                                   "check_loop_residue"))
+                                   "check_loop_residue",
+                                   "check_line_reduction"))
     monkeypatch.setattr(validate, "CHECKS", fast)
     code, out, _ = run_cli(capsys, "validate")
     assert code == 0
     doc = json.loads(out)
     assert doc["suite"] == "critgap-validate"
     assert doc["all_passed"] is True
-    assert len(doc["checks"]) == 3
+    assert len(doc["checks"]) == 4
     for chk in doc["checks"]:
         assert chk["passed"] is True
         assert chk["measured"] <= chk["tolerance"]

@@ -13,11 +13,14 @@ import math
 import numpy as np
 import pytest
 
+import complex_reference
 from critgap import fredholm, kernels
+from critgap.contours import GeometryError
 from critgap.fredholm import (DiscreteOperator, HalfLineGrid, SingularError,
                               det_one_minus, gap_probability,
                               halfline_operator, ha_operator, operator_trace,
                               qa_operator, solve_resolvent)
+from critgap.observables import RhWorkspace
 
 TRACE_0_INF_ALPHA1 = 0.5131565138586352785453
 TRACE_5_INF_ALPHA2 = 3.688412361201974893414e-5
@@ -77,8 +80,8 @@ def test_halfline_operator_is_real():
     assert lu.dtype == np.float64  # a real LU, not a complex one
     det, _ = det_one_minus(op)
     assert complex(det).imag == 0.0
-    # the two-contour operators stay complex
-    assert qa_operator(2.0, 1.0)._factor()[0].dtype == np.complex128
+    # the two-contour operators are factored in their real form
+    assert qa_operator(2.0, 1.0)._factor()[0].dtype == np.float64
 
 
 def test_singular_operator_detected():
@@ -146,11 +149,14 @@ def test_operator_reuses_lu_factorization():
 def test_qa_and_ha_operator_shapes():
     op_q = qa_operator(2.0, 1.0)
     op_h = ha_operator(2.0, 1.0)
-    assert op_q.kernel_values.shape[0] == op_q.weights.size
-    assert op_h.kernel_values.shape[0] == op_h.weights.size
     # both live on the pair's line grid; contour-Q reaches it by a Schur
-    # complement, contour-H by integrating out its own loop
-    assert np.array_equal(op_q.weights, op_h.weights)
+    # complement, contour-H by integrating out its own loop.  Each is the
+    # real form of K W, so the weights are already in the matrix
+    n = len(kernels.qa_pair(1.0, a_max=2.0, a=2.0).line)
+    for op in (op_q, op_h):
+        assert op.kernel_values.shape == (n, n)
+        assert op.kernel_values.dtype == np.float64
+        assert op.weights is None
 
 
 def test_qa_operator_matches_union_determinant():
@@ -162,3 +168,68 @@ def test_qa_operator_matches_union_determinant():
                              - q * union.weights[None, :])
         det, _ = det_one_minus(qa_operator(a, alpha))
         assert abs(det - full) <= 1e-13 * abs(full)
+
+
+ROUTE_ALPHAS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+ROUTE_AS = (0.5, 1.0, 2.0, 4.0)
+
+
+@pytest.mark.parametrize("alpha", ROUTE_ALPHAS)
+@pytest.mark.parametrize("a", ROUTE_AS)
+def test_route_agreement_grid(a, alpha):
+    ps = [gap_probability(a, alpha, r, estimate_error=False).p
+          for r in fredholm.ROUTES]
+    assert max(ps) - min(ps) <= 1e-9
+
+
+def test_two_contour_similarity_is_real():
+    # J conj(K W) J = K W on the mirror-symmetric line grid, so U* (K W) U
+    # is real: the premise of the real LUs of contour-Q, contour-H and the
+    # workspace solve
+    for alpha in (0.5, 1.0, 2.0):
+        ws = RhWorkspace(alpha, 4.0)
+        for kw in (complex_reference.line_matrix(1.7, alpha, "contour-Q"),
+                   complex_reference.line_matrix(1.7, alpha, "contour-H"),
+                   complex_reference.workspace_matrix(ws, 1.7)):
+            u = complex_reference.mirror_similarity(kw.shape[0])
+            similar = u.conj().T @ kw @ u
+            assert np.abs(similar.imag).max() <= 1e-14 * np.abs(similar).max()
+
+
+@pytest.mark.parametrize("alpha", ROUTE_ALPHAS)
+def test_folded_determinants_match_complex_reference(alpha):
+    for a in ROUTE_AS:
+        for refine in (1.0, 0.5):
+            for route, build in (("contour-Q", qa_operator),
+                                 ("contour-H", ha_operator)):
+                kw = complex_reference.line_matrix(a, alpha, route, refine)
+                want = np.linalg.det(np.eye(kw.shape[0]) - kw)
+                op = build(a, alpha, refine=refine)
+                assert op.kernel_values.dtype == np.float64
+                det, _ = det_one_minus(op)
+                assert abs(det - want) <= 1e-13 * abs(want), (route, a, refine)
+
+
+def test_asymmetric_line_grid_is_refused(monkeypatch):
+    build_vertical = kernels.build_vertical
+
+    def bent(*args, **kwargs):
+        grid = build_vertical(*args, **kwargs)
+        grid.nodes[5] += 1e-6
+        return grid
+
+    monkeypatch.setattr(kernels, "build_vertical", bent)
+    with pytest.raises(GeometryError, match="not symmetric"):
+        qa_operator(2.0, 1.0)
+    with pytest.raises(GeometryError, match="not symmetric"):
+        ha_operator(2.0, 1.0)
+
+
+def test_determinant_outside_unit_interval_is_loud():
+    # alpha = 0.05 is outside the domain the default contours resolve: the
+    # two-contour entries reach 1e19 and their determinants come out near
+    # 4e5 and 2e7 (the sums cancel catastrophically)
+    for a in (0.5, 1.0):
+        for route in ("contour-Q", "contour-H"):
+            with pytest.raises(ArithmeticError, match="outside"):
+                gap_probability(a, 0.05, route, estimate_error=False)

@@ -14,12 +14,13 @@ import math
 import numpy as np
 import pytest
 
+import complex_reference
 from critgap import kernels
 from critgap.contours import (GeometryError, build_closed_loop, build_vertical,
                               truncation_radius)
 from critgap.fredholm import HalfLineGrid
 from critgap.kernels import _kernel_sum, _log_gamma_left
-from critgap.special import DomainError, gamma, log_gamma, recip_gamma
+from critgap.special import DomainError, log_gamma
 
 REL = 1e-9
 
@@ -238,49 +239,34 @@ def test_qa_matrix_block_structure():
 
 
 def test_cross_blocks_match_qa_matrix():
+    # the upper-half rows of the union matrix's blocks, weighted by columns
     a, alpha = 1.5, 2.0
     pair = kernels.qa_pair(alpha, a_max=a)
     union = pair.union()
     q = kernels.qa_matrix(union, a, alpha)
     block_a, block_b = kernels.cross_blocks(pair, a)
-    n_line = len(pair.line)
-    np.testing.assert_allclose(q[:n_line, n_line:], block_a, rtol=1e-13)
-    np.testing.assert_allclose(q[n_line:, :n_line], block_b, rtol=1e-13)
-
-
-def _inline_cross_blocks(pair, a):
-    """The coupling blocks with each Cauchy factor formed on its own."""
-    alpha, z, t = pair.alpha, pair.line.nodes, pair.loop.nodes
-    gz = np.exp(alpha * z * z / 4.0 - a * z)
-    gt = gamma(t) * np.exp(-alpha * t * t / 4.0 + a * t)
-    block_a = (gz[:, None] * gt[None, :]) / (z[:, None] - t[None, :]) / (2j * math.pi)
-    hz = recip_gamma(z) * np.exp(alpha * z * z / 4.0)
-    ft = np.exp(-alpha * t * t / 4.0)
-    block_b = (ft[:, None] * hz[None, :]) / (z[None, :] - t[:, None]) / (2j * math.pi)
-    return block_a, block_b
-
-
-def _inline_ha_matrix(pair, a, loop):
-    """The line-reduced kernel with 1/(z - t) formed once per side."""
-    alpha, z = pair.alpha, pair.line.nodes
-    t, wt = loop.nodes, loop.weights
-    g = wt * gamma(t) * np.exp(a * t - alpha * t * t / 2.0)
-    u = np.exp(-a * z + alpha * z * z / 4.0)[:, None] / (z[:, None] - t[None, :])
-    v = (recip_gamma(z) * np.exp(alpha * z * z / 4.0))[:, None] / (z[:, None] - t[None, :])
-    return (u * g[None, :]) @ v.T / (2j * math.pi) ** 2
+    n_line, m, k = len(pair.line), len(pair.line) // 2, len(pair.loop) // 2
+    np.testing.assert_allclose(block_a, q[m:n_line, n_line:]
+                               * pair.loop.weights[None, :], rtol=1e-13)
+    np.testing.assert_allclose(block_b, q[n_line + k:, :n_line]
+                               * pair.line.weights[None, :], rtol=1e-13)
 
 
 @pytest.mark.parametrize("alpha, a", [(0.5, 0.5), (1.0, 2.0), (2.0, 4.0)])
 def test_shared_cauchy_factor_matches_inline_formulas(alpha, a):
     pair = kernels.qa_pair(alpha, a_max=a)
+    m, k = len(pair.line) // 2, len(pair.loop) // 2
     block_a, block_b = kernels.cross_blocks(pair, a)
-    want_a, want_b = _inline_cross_blocks(pair, a)
-    np.testing.assert_allclose(block_a, want_a, rtol=1e-14, atol=0.0)
-    np.testing.assert_allclose(block_b, want_b, rtol=1e-14, atol=0.0)
+    want_a, want_b = complex_reference.cross_blocks(pair, a)
+    np.testing.assert_allclose(block_a, want_a[m:] * pair.loop.weights,
+                               rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(block_b, want_b[k:] * pair.line.weights,
+                               rtol=1e-14, atol=0.0)
     assert block_a.flags.c_contiguous and block_b.flags.c_contiguous
     inner = kernels.qa_pair(alpha, a_max=a, refine=1.4, order=12).loop
     got = kernels.ha_matrix(pair, a, loop_override=inner)
-    want = _inline_ha_matrix(pair, a, inner)
+    want = kernels.real_form(
+        (complex_reference.ha_matrix(pair, a, inner) * pair.line.weights)[m:])
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
@@ -288,18 +274,68 @@ def test_line_reduced_matches_block_product():
     a, alpha = 2.0, 1.0
     pair = kernels.qa_pair(alpha, a_max=a)
     block_a, block_b = kernels.cross_blocks(pair, a)
-    direct = block_a @ (pair.loop.weights[:, None] * block_b)
+    direct = kernels.real_form(block_a) @ kernels.real_form(block_b)
     reduced = kernels.ha_matrix(pair, a, loop_override=pair.loop)
     np.testing.assert_allclose(reduced, direct, atol=1e-13 * np.abs(direct).max())
 
 
 def test_line_reduced_scalar_consistency():
+    # entry (i, j) of the real form and the one below it hold the real and
+    # imaginary parts of (K W)[z_i, s_j] + (K W)[z_i, conj s_j]
     a, alpha = 2.0, 1.0
     pair = kernels.qa_pair(alpha, a_max=a)
-    z, s = pair.line.nodes[10], pair.line.nodes[40]
-    val = kernels.line_reduced_kernel(z, s, a, alpha, pair.loop)
+    z, w = pair.line.nodes, pair.line.weights
+    m, i, j = z.size // 2, 10, 40
+    want = sum(kernels.line_reduced_kernel(z[m + i], z[col], a, alpha,
+                                           pair.loop) * w[col]
+               for col in (m + j, m - 1 - j))
     mat = kernels.ha_matrix(pair, a, loop_override=pair.loop)
-    assert mat[10, 40] == pytest.approx(val, rel=1e-12)
+    assert abs(complex(mat[i, j], mat[m + i, j]) - want) <= 1e-12 * abs(want)
+
+
+def _commuting(rng, rows, cols):
+    """A random complex matrix X with J conj(X) J = X."""
+    x = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+    return x + x[::-1, ::-1].conj()
+
+
+def _real_basis(n):
+    """Columns e_up + e_mirror and i (e_up - e_mirror): the coordinates
+    (Re v_up, Im v_up) of the subspace J conj v = v."""
+    m = n // 2
+    up = np.eye(n)[:, m:]
+    mirror = np.eye(n)[:, m - 1::-1]
+    return np.hstack([up + mirror, 1j * (up - mirror)])
+
+
+def test_real_form_is_a_similarity():
+    rng = np.random.default_rng(11)
+    x, y = _commuting(rng, 8, 6), _commuting(rng, 6, 8)
+    got = kernels.real_form(x[4:])
+    assert got.dtype == np.float64
+    # X V_cols = V_rows real_form(X)
+    np.testing.assert_allclose(_real_basis(8) @ got, x @ _real_basis(6),
+                               atol=1e-13)
+    np.testing.assert_allclose(got @ kernels.real_form(y[3:]),
+                               kernels.real_form((x @ y)[4:]), atol=1e-12)
+    xy = x @ y
+    assert np.linalg.det(np.eye(8) - kernels.real_form(xy[4:])) == pytest.approx(
+        np.linalg.det(np.eye(8) - xy), rel=1e-12)
+    with pytest.raises(GeometryError, match="odd"):
+        kernels.real_form(x[4:, 1:])
+
+
+def test_cross_blocks_and_ha_matrix_refuse_odd_grids():
+    # an asymmetric line is refused through both operators (test_fredholm)
+    pair = kernels.qa_pair(1.0, a_max=2.0)
+    loop = pair.loop
+    odd = dataclasses.replace(pair, loop=dataclasses.replace(
+        loop, nodes=loop.nodes[1:], weights=loop.weights[1:],
+        labels=loop.labels[1:]))
+    with pytest.raises(GeometryError, match="odd"):
+        kernels.cross_blocks(odd, 2.0)
+    with pytest.raises(GeometryError, match="odd"):
+        kernels.ha_matrix(odd, 2.0)
 
 
 def test_rh_vectors_orthogonality():

@@ -133,6 +133,21 @@ def test_workspace_matches_dense_union_solve():
                                                     rel=1e-12)
 
 
+def test_workspace_solves_are_real(monkeypatch):
+    # i F_line lies in the real subspace of the mirror-symmetric line grid,
+    # so both right-hand columns are solved through one real LU
+    seen = []
+
+    def spy(op, rhs):
+        seen.append((op.kernel_values.dtype, rhs.dtype, rhs.shape))
+        return fredholm.solve_resolvent(op, rhs)
+
+    monkeypatch.setattr(observables, "solve_resolvent", spy)
+    ws = RhWorkspace(1.0, 3.0)
+    ws.y1(2.0)
+    assert seen == [(np.float64, np.float64, (len(ws.line), 2))]
+
+
 def test_workspace_range_checks():
     ws = RhWorkspace(1.0, 3.0)
     with pytest.raises(ValueError):
