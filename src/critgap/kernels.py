@@ -450,35 +450,27 @@ def qa_matrix(union: QuadratureGrid, a: float, alpha: float) -> np.ndarray:
 
 
 def cross_blocks(pair: ContourPair, a: float) -> tuple[np.ndarray, np.ndarray]:
-    """The two coupling blocks, each with its source grid's weights and
-    each as its upper-half rows (see real_form): (A W_loop)[z, t] line<-loop
-    on the Im z > 0 line nodes, and (B W_line)[t, s] loop<-line on the
-    Im t > 0 loop nodes.  Both commute with conjugation, so
-    real_form(A) @ real_form(B) is the real form of the Schur complement
-    A W_loop B W_line.
+    """The two coupling blocks with their source grids' weights, each as
+    upper-half line rows over the whole loop (m x loop): (A W_loop)[z, t]
+    line<-loop, and the transpose (B W_line)^T[z, t] of loop<-line.  Both
+    commute with conjugation, so the real form (see real_form) of the Schur
+    complement A W_loop B W_line is
+    real_form(A) @ real_form(conj(Bt)).T, the rule ha_matrix uses.
 
-    One Cauchy matrix R = 1/(z - t) over the upper line rows serves both:
-    B needs 1/(s - t) on the upper loop rows, which is R on the upper line
-    nodes and the conjugate of R at (s, conj t) on their mirrors.  Raises
-    GeometryError if either grid is not mirror-symmetric."""
+    Both are the Cauchy matrix R = 1/(z - t) scaled by rows and columns.
+    Raises GeometryError if either grid is not mirror-symmetric."""
     alpha = pair.alpha
-    z, _ = _upper_half(pair.line)
-    t_up, _ = _upper_half(pair.loop)
-    s, ws = pair.line.nodes, pair.line.weights
+    z, wz = _upper_half(pair.line)
+    _upper_half(pair.loop)  # the symmetry check; the blocks span the loop
     t, wt = pair.loop.nodes, pair.loop.weights
-    m, k = z.size, t_up.size
     R = np.subtract.outer(z, t)
     np.reciprocal(R, out=R)
-    B = np.empty((k, s.size), dtype=complex)
-    B[:, m:] = R[:, k:].T
-    B[:, :m] = R[::-1, k - 1::-1].T
-    np.conjugate(B[:, :m], out=B[:, :m])
-    B *= np.exp(-alpha * t_up * t_up / 4.0)[:, None]
-    B *= (ws * recip_gamma(s) * np.exp(alpha * s * s / 4.0) / _TWO_PI_I)[None, :]
-    A = R  # scaled in place: R is not needed again
+    A = R * (wt * gamma(t) * np.exp(-alpha * t * t / 4.0 + a * t))[None, :]
     A *= (np.exp(alpha * z * z / 4.0 - a * z) / _TWO_PI_I)[:, None]
-    A *= (wt * gamma(t) * np.exp(-alpha * t * t / 4.0 + a * t))[None, :]
-    return A, B
+    Bt = R  # scaled in place: R is not needed again
+    Bt *= np.exp(-alpha * t * t / 4.0)[None, :]
+    Bt *= (wz * recip_gamma(z) * np.exp(alpha * z * z / 4.0) / _TWO_PI_I)[:, None]
+    return A, Bt
 
 
 def line_reduced_kernel(z: complex, s: complex, a: float, alpha: float,

@@ -28,7 +28,8 @@ import numpy as np
 from . import kernels, special
 from .contours import (GeometryError, build_hairpin, deformed_contours,
                        gamma_contour_integral, truncation_radius)
-from .fredholm import DiscreteOperator, HalfLineGrid, solve_resolvent
+from .fredholm import (DiscreteOperator, HalfLineGrid, check_rounding_scale,
+                       solve_resolvent)
 
 __all__ = [
     "UnderflowWarning",
@@ -115,9 +116,12 @@ class RhWorkspace:
     its real form (kernels.real_form) is factored by a real LU.  The right
     side and F_line are odd under the mirror (v[::-1] = -conj v), so
     i F_line lies in the real subspace: both columns are real solves, and
-    the lower half of F_line is the mirror of the upper.  A sweep therefore
-    costs one real line-grid solve per point and no contour rebuilds.
-    Valid for evaluation points 0 < a <= x_max (x_max sets the oscillation
+    the lower half of F_line is the mirror of the upper.  The Y1 sums then
+    have exactly mirrored terms, so their imaginary-residue checks see only
+    rounding; the rounding scale of the real form
+    (fredholm.check_rounding_scale) shows an unresolved discretization
+    instead (alpha 128, alpha <= 0.15).  A sweep costs one real line-grid
+    solve per point and no contour rebuilds.  Valid for evaluation points 0 < a <= x_max (x_max sets the oscillation
     budget of the line grid)."""
 
     def __init__(self, alpha: float, x_max: float, order: int = 16,
@@ -128,9 +132,9 @@ class RhWorkspace:
         self.x_max = float(x_max)
         pair = kernels.qa_pair(alpha, a_max=x_max, order=order, refine=refine)
         self.line, self.loop = pair.line, pair.loop
-        # upper-half rows of A W_loop (m x loop) and B W_line (loop/2 x line)
-        self.block_a, self.block_b = kernels.cross_blocks(pair, 0.0)
-        m, k = self.block_a.shape[0], self.block_b.shape[0]
+        # upper-half line rows of A W_loop and (B W_line)^T, m x loop each
+        self.block_a, self.block_bt = kernels.cross_blocks(pair, 0.0)
+        m = self.block_a.shape[0]
         f_line, h_line = kernels.rh_vector_arrays(
             self.line.nodes, self.line.labels, 0.0, alpha)
         self.f_line = f_line[m:, 0]                     # f(z).(1, 0), upper
@@ -139,13 +143,8 @@ class RhWorkspace:
             self.loop.nodes, self.loop.labels, 0.0, alpha)
         self.f_loop = f_loop[:, 1]
         self.hw_loop = self.loop.weights * h_loop[:, 0]
-        # (B W_line)[t, z] on the upper line nodes z, over every loop node t:
-        # rows on the mirrors conj t are conj (B W_line)[t, conj z]
-        b_cols = np.empty_like(self.block_a)
-        b_cols[:, k:] = self.block_b[:, m:].T
-        b_cols[:, :k] = self.block_b[::-1, m - 1::-1].T.conj()
         # A W_loop [z, t] B W_line [t, z], whose loop sum is the diagonal
-        self._diag_terms = self.block_a * b_cols
+        self._diag_terms = self.block_a * self.block_bt
         diff = np.subtract.outer(self.line.nodes[m:], self.line.nodes)
         np.fill_diagonal(diff[:, m:], 1.0)  # the diagonal is set separately
         self._inv_diff = 1.0 / diff
@@ -153,7 +152,7 @@ class RhWorkspace:
     def y1(self, a: float) -> Y1Matrix:
         if not 0.0 < a <= self.x_max + 1e-9:
             raise ValueError(f"a={a} outside workspace range (0, {self.x_max}]")
-        m, k = self.block_a.shape[0], self.block_b.shape[0]
+        m = self.block_a.shape[0]
         line_scale = np.exp(-a * self.line.nodes[m:])
         loop_scale = np.exp(a * self.loop.nodes)
         # right side (f_line, e) on the upper half: f_line(a) and A W f_loop
@@ -161,14 +160,15 @@ class RhWorkspace:
         rhs[:, 0] = self.f_line
         rhs[:, 1] = self.block_a @ (loop_scale * self.f_loop)
         rhs *= line_scale[:, None]
-        # W g over the whole line.  block_b has the upper-half loop rows; the
-        # mirror rows add -conj of the upper-half sum at the mirror line node
-        half = (loop_scale * self.hw_loop)[k:] @ self.block_b
-        gw = half - half[::-1].conj()
+        # W g over the whole line; it is odd under the mirror, like the
+        # right side, so its lower half is -conj of the upper half reversed
+        gw_up = self.block_bt @ (loop_scale * self.hw_loop)
+        gw = np.concatenate([-gw_up[::-1].conj(), gw_up])
         gh = np.stack([gw, self.hw_line])                 # W (g, h) rows
         kw = (rhs @ gh) * self._inv_diff                  # upper rows of K W
         np.fill_diagonal(kw[:, m:], line_scale * (self._diag_terms @ loop_scale))
-        op = DiscreteOperator(kernels.real_form(kw))
+        op = DiscreteOperator(kernels.real_form(kw), np.ones(2 * m))
+        check_rounding_scale(op, f"RhWorkspace.y1 at alpha={self.alpha}, a={a}")
         # i rhs is in the real subspace; its coordinates are (Re, Im) of its
         # upper half, and so are those of the solution i F_line
         x = solve_resolvent(op, np.concatenate([-rhs.imag, rhs.real]))

@@ -117,8 +117,8 @@ def check_line_reduction() -> CheckResult:
     form, weights included)."""
     a, alpha = 2.0, 1.0
     pair = kernels.qa_pair(alpha, a_max=a)
-    block_a, block_b = kernels.cross_blocks(pair, a)
-    direct = kernels.real_form(block_a) @ kernels.real_form(block_b)
+    block_a, block_bt = kernels.cross_blocks(pair, a)
+    direct = kernels.real_form(block_a) @ kernels.real_form(block_bt.conj()).T
     reduced = kernels.ha_matrix(pair, a, loop_override=pair.loop)
     worst = float(np.max(np.abs(direct - reduced))
                   / (1.0 + np.max(np.abs(direct))))

@@ -149,14 +149,17 @@ def test_operator_reuses_lu_factorization():
 def test_qa_and_ha_operator_shapes():
     op_q = qa_operator(2.0, 1.0)
     op_h = ha_operator(2.0, 1.0)
+    assert op_q.kernel_values.shape[0] == op_q.weights.size
+    assert op_h.kernel_values.shape[0] == op_h.weights.size
     # both live on the pair's line grid; contour-Q reaches it by a Schur
     # complement, contour-H by integrating out its own loop.  Each is the
-    # real form of K W, so the weights are already in the matrix
+    # real form of K W, which holds the weights, so its own are units
+    assert np.array_equal(op_q.weights, op_h.weights)
     n = len(kernels.qa_pair(1.0, a_max=2.0, a=2.0).line)
     for op in (op_q, op_h):
         assert op.kernel_values.shape == (n, n)
         assert op.kernel_values.dtype == np.float64
-        assert op.weights is None
+        assert np.all(op.weights == 1.0)
 
 
 def test_qa_operator_matches_union_determinant():
@@ -225,11 +228,33 @@ def test_asymmetric_line_grid_is_refused(monkeypatch):
         ha_operator(2.0, 1.0)
 
 
-def test_determinant_outside_unit_interval_is_loud():
-    # alpha = 0.05 is outside the domain the default contours resolve: the
-    # two-contour entries reach 1e19 and their determinants come out near
-    # 4e5 and 2e7 (the sums cancel catastrophically)
+@pytest.mark.parametrize("alpha", [0.05, 128.0])
+def test_rounding_dominated_two_contour_routes_are_loud(alpha):
+    # outside the alpha range the default contours resolve, the two-contour
+    # entries grow until the determinant is lost to cancellation: at alpha
+    # 128, a = 1 the real forms give P = 0.51488 and 0.51490 against
+    # halfline's 0.51507, at alpha 0.05 near 4e5 and 2e7
     for a in (0.5, 1.0):
         for route in ("contour-Q", "contour-H"):
-            with pytest.raises(ArithmeticError, match="outside"):
-                gap_probability(a, 0.05, route, estimate_error=False)
+            with pytest.raises(ArithmeticError, match="rounding scale"):
+                gap_probability(a, alpha, route, estimate_error=False)
+
+
+def test_rounding_guard_passes_resolved_alphas():
+    # alpha 64 and 0.2 lie inside the resolved range; their rounding scales
+    # are 1.5e-12 and 7.8e-11
+    for alpha in (0.2, 64.0):
+        ps = [gap_probability(1.0, alpha, r, estimate_error=False).p
+              for r in ("contour-Q", "contour-H")]
+        assert abs(ps[0] - ps[1]) <= 1e-9
+
+
+def test_halfline_has_no_rounding_guard():
+    # halfline returns where the two-contour routes raise, and its err is
+    # the signal: at alpha 0.05 it covers the distance of P from 1; at
+    # alpha 128 (rounding scale 5e-10, truncation error about 1e-4) the
+    # refine-0.5 run comes out negative
+    res = gap_probability(4.0, 0.05)
+    assert abs(res.p - 1.0) <= res.err <= 1e-6
+    res = gap_probability(1.0, 128.0)
+    assert 0.0 < res.p < 1.0 and res.err > 0.1

@@ -239,30 +239,31 @@ def test_qa_matrix_block_structure():
 
 
 def test_cross_blocks_match_qa_matrix():
-    # the upper-half rows of the union matrix's blocks, weighted by columns
+    # the union matrix's blocks A W_loop and (B W_line)^T on the upper-half
+    # line rows
     a, alpha = 1.5, 2.0
     pair = kernels.qa_pair(alpha, a_max=a)
     union = pair.union()
     q = kernels.qa_matrix(union, a, alpha)
-    block_a, block_b = kernels.cross_blocks(pair, a)
-    n_line, m, k = len(pair.line), len(pair.line) // 2, len(pair.loop) // 2
+    block_a, block_bt = kernels.cross_blocks(pair, a)
+    n_line, m = len(pair.line), len(pair.line) // 2
     np.testing.assert_allclose(block_a, q[m:n_line, n_line:]
                                * pair.loop.weights[None, :], rtol=1e-13)
-    np.testing.assert_allclose(block_b, q[n_line + k:, :n_line]
-                               * pair.line.weights[None, :], rtol=1e-13)
+    np.testing.assert_allclose(block_bt, q[n_line:, m:n_line].T
+                               * pair.line.weights[m:, None], rtol=1e-13)
 
 
 @pytest.mark.parametrize("alpha, a", [(0.5, 0.5), (1.0, 2.0), (2.0, 4.0)])
 def test_shared_cauchy_factor_matches_inline_formulas(alpha, a):
     pair = kernels.qa_pair(alpha, a_max=a)
-    m, k = len(pair.line) // 2, len(pair.loop) // 2
-    block_a, block_b = kernels.cross_blocks(pair, a)
+    m = len(pair.line) // 2
+    block_a, block_bt = kernels.cross_blocks(pair, a)
     want_a, want_b = complex_reference.cross_blocks(pair, a)
     np.testing.assert_allclose(block_a, want_a[m:] * pair.loop.weights,
                                rtol=1e-14, atol=0.0)
-    np.testing.assert_allclose(block_b, want_b[k:] * pair.line.weights,
+    np.testing.assert_allclose(block_bt, (want_b * pair.line.weights)[:, m:].T,
                                rtol=1e-14, atol=0.0)
-    assert block_a.flags.c_contiguous and block_b.flags.c_contiguous
+    assert block_a.flags.c_contiguous and block_bt.flags.c_contiguous
     inner = kernels.qa_pair(alpha, a_max=a, refine=1.4, order=12).loop
     got = kernels.ha_matrix(pair, a, loop_override=inner)
     want = kernels.real_form(
@@ -273,8 +274,8 @@ def test_shared_cauchy_factor_matches_inline_formulas(alpha, a):
 def test_line_reduced_matches_block_product():
     a, alpha = 2.0, 1.0
     pair = kernels.qa_pair(alpha, a_max=a)
-    block_a, block_b = kernels.cross_blocks(pair, a)
-    direct = kernels.real_form(block_a) @ kernels.real_form(block_b)
+    block_a, block_bt = kernels.cross_blocks(pair, a)
+    direct = kernels.real_form(block_a) @ kernels.real_form(block_bt.conj()).T
     reduced = kernels.ha_matrix(pair, a, loop_override=pair.loop)
     np.testing.assert_allclose(reduced, direct, atol=1e-13 * np.abs(direct).max())
 

@@ -148,6 +148,17 @@ def test_workspace_solves_are_real(monkeypatch):
     assert seen == [(np.float64, np.float64, (len(ws.line), 2))]
 
 
+def test_workspace_refuses_rounding_dominated_entries():
+    # with real solves the Y1 imaginary-residue checks see only rounding in
+    # the final sums (a complex solve at alpha 128 left an imaginary residue
+    # of 4.7e-4 in (Y1)_11); the rounding scale of the real form, 3.6e-9
+    # here, is what shows the loss.  At alpha 64 it is 2.2e-12 and the
+    # solve goes through
+    with pytest.raises(ArithmeticError, match="rounding scale"):
+        RhWorkspace(128.0, 2.0).y1(1.0)
+    assert np.isfinite(RhWorkspace(64.0, 2.0).y1(1.0).u)
+
+
 def test_workspace_range_checks():
     ws = RhWorkspace(1.0, 3.0)
     with pytest.raises(ValueError):
