@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from . import kernels
-from .contours import QuadratureGrid, truncation_radius
+from .contours import QuadratureGrid, _gl_rule
 
 __all__ = [
     "SingularError",
@@ -82,7 +82,7 @@ class HalfLineGrid:
         widths = _GRID_GROWTH ** np.arange(self.panels)
         widths = self.length * widths / widths.sum()
         edges = self.a + np.concatenate([[0.0], np.cumsum(widths)])
-        xg, wg = np.polynomial.legendre.leggauss(self.order)
+        xg, wg = _gl_rule(self.order)
         ns, ws = [], []
         for lo, hi in zip(edges[:-1], edges[1:]):
             mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
@@ -103,6 +103,13 @@ class DiscreteOperator:
     the weights); its solves are the kernel's Nystrom samples.  The
     two-contour operators pass the real form of K W (kernels.real_form),
     in which the weights no longer scale columns, with unit weights.
+
+    I - K W is formed once, in a fresh array, and its transpose is
+    LU-factored in place (the transposed view is Fortran-ordered, so LAPACK
+    takes it without a copy); solves use the transposed system.  A
+    transpose has the same determinant, and its pivots the same parity.
+    kernel_values is never written, so the residual check of a solve reads
+    the operator as given.
     """
 
     kernel_values: np.ndarray
@@ -118,13 +125,15 @@ class DiscreteOperator:
         return self.kernel_values @ (self.weights[col] * x)
 
     def _factor(self):
+        """LU of (I - K W)^T, held as (lu, piv)."""
         if self._lu is None:
             n = self.weights.size
-            a = -self.matrix()  # real or complex, as the operator is
+            # real or complex, as the operator is
+            a = np.multiply(self.kernel_values, -self.weights)
             a.flat[::n + 1] += 1.0
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # LAPACK singularity warning
-                self._lu = lu_factor(a, check_finite=False)
+                self._lu = lu_factor(a.T, overwrite_a=True, check_finite=False)
         return self._lu
 
 
@@ -157,7 +166,7 @@ def solve_resolvent(op: DiscreteOperator, rhs: np.ndarray) -> np.ndarray:
     d = np.abs(np.diag(lu))
     if d.min() < _PIVOT_FLOOR:
         raise SingularError("operator I - K is numerically singular")
-    x = lu_solve((lu, piv), rhs, check_finite=False)
+    x = lu_solve((lu, piv), rhs, trans=1, check_finite=False)
     resid = rhs - (x - op._apply(x))
     scale = 1.0 + float(np.linalg.norm(np.asarray(rhs)))
     if float(np.linalg.norm(resid)) > 1e-10 * scale:
@@ -180,7 +189,10 @@ def check_rounding_scale(op: DiscreteOperator, context: str) -> None:
     1.1e-10 on alpha [0.2, 96] x a [0.1, 16], and at least 8e-10 at alpha
     128 and at alpha <= 0.15 for a <= 4, where contour-Q and contour-H come
     out up to 3e-4 (alpha 128) and 8e-7 (alpha 0.12) away from halfline."""
-    scale = (op.weights.size * _EPS * float(np.abs(op.kernel_values).max())
+    kv = op.kernel_values
+    peak = (max(kv.max(), -kv.min()) if np.isrealobj(kv)
+            else np.abs(kv).max())  # a real max|K| needs no |K| temporary
+    scale = (op.weights.size * _EPS * float(peak)
              * float(np.abs(op.weights).max()))
     if scale > _ROUNDING_TOL:
         raise ArithmeticError(

@@ -17,7 +17,6 @@ from .special import DomainError, gamma, log_gamma, recip_gamma
 from .contours import (
     LINE,
     LOOP,
-    PAIR_MARGIN,
     GeometryError,
     QuadratureGrid,
     build_closed_loop,
@@ -143,7 +142,7 @@ def _upper_half(grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
     return z[n // 2:], w[n // 2:]
 
 
-def real_form(upper: np.ndarray) -> np.ndarray:
+def real_form(upper: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Real matrix similar to an operator X between two mirror-symmetric
     grids that commutes with their conjugation J conj (J reverses a grid):
     J conj(X) J = X.  Takes X's rows at the upper-half nodes, over all
@@ -159,6 +158,9 @@ def real_form(upper: np.ndarray) -> np.ndarray:
     node j.  The same coordinates span the whole space over C, so for a
     square X this is a similarity, det(I - X) = det(I - real_form(X_up)),
     and the real form of a product is the product of the real forms.
+
+    The result is written into `out` when one is given: a real (2m, p)
+    array that does not overlap `upper`.
     """
     m, p = upper.shape
     if p % 2:
@@ -166,7 +168,8 @@ def real_form(upper: np.ndarray) -> np.ndarray:
     k = p // 2
     hi = upper[:, k:]
     lo = upper[:, k - 1::-1]  # at the mirror of each upper-half node
-    out = np.empty((2 * m, p))
+    if out is None:
+        out = np.empty((2 * m, p))
     np.add(hi.real, lo.real, out=out[:m, :k])
     np.add(hi.imag, lo.imag, out=out[m:, :k])
     np.subtract(lo.imag, hi.imag, out=out[:m, k:])

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, special
-from .contours import (GeometryError, build_hairpin, deformed_contours,
+from .contours import (GeometryError, _gl_rule, deformed_contours,
                        gamma_contour_integral, truncation_radius)
 from .fredholm import (DiscreteOperator, HalfLineGrid, check_rounding_scale,
                        solve_resolvent)
@@ -121,8 +121,15 @@ class RhWorkspace:
     rounding; the rounding scale of the real form
     (fredholm.check_rounding_scale) shows an unresolved discretization
     instead (alpha 128, alpha <= 0.15).  A sweep costs one real line-grid
-    solve per point and no contour rebuilds.  Valid for evaluation points 0 < a <= x_max (x_max sets the oscillation
-    budget of the line grid)."""
+    solve per point and no contour rebuilds.  Valid for evaluation points
+    0 < a <= x_max (x_max sets the oscillation budget of the line grid).
+
+    The line is vertical, so z - s = i (Im z - Im s): the Cauchy factor is
+    kept as the real matrix 1/(Im z - Im s) and its -i goes into the (g, h)
+    rows.  Each solve assembles K W and its real form in two buffers the
+    workspace owns and overwrites on every call; the LU then factors one
+    fresh copy of I - K W in place.  A workspace is therefore not safe to
+    share between threads."""
 
     def __init__(self, alpha: float, x_max: float, order: int = 16,
                  refine: float = 1.0):
@@ -132,9 +139,13 @@ class RhWorkspace:
         self.x_max = float(x_max)
         pair = kernels.qa_pair(alpha, a_max=x_max, order=order, refine=refine)
         self.line, self.loop = pair.line, pair.loop
+        abscissa = self.line.nodes.real
+        if np.any(abscissa != abscissa[0]):
+            raise GeometryError("workspace line nodes must share one abscissa")
         # upper-half line rows of A W_loop and (B W_line)^T, m x loop each
         self.block_a, self.block_bt = kernels.cross_blocks(pair, 0.0)
         m = self.block_a.shape[0]
+        n = 2 * m
         f_line, h_line = kernels.rh_vector_arrays(
             self.line.nodes, self.line.labels, 0.0, alpha)
         self.f_line = f_line[m:, 0]                     # f(z).(1, 0), upper
@@ -143,11 +154,13 @@ class RhWorkspace:
             self.loop.nodes, self.loop.labels, 0.0, alpha)
         self.f_loop = f_loop[:, 1]
         self.hw_loop = self.loop.weights * h_loop[:, 0]
-        # A W_loop [z, t] B W_line [t, z], whose loop sum is the diagonal
-        self._diag_terms = self.block_a * self.block_bt
-        diff = np.subtract.outer(self.line.nodes[m:], self.line.nodes)
-        np.fill_diagonal(diff[:, m:], 1.0)  # the diagonal is set separately
-        self._inv_diff = 1.0 / diff
+        # 1 / (Im z - Im s) = i / (z - s); the diagonal is set separately
+        diff = np.subtract.outer(self.line.nodes[m:].imag, self.line.nodes.imag)
+        np.fill_diagonal(diff[:, m:], 1.0)
+        self._inv_diff = np.reciprocal(diff, out=diff)
+        self._kw = np.empty((m, n), dtype=complex)  # upper rows of K W
+        self._real = np.empty((n, n))               # its real form
+        self._unit = np.ones(n)
 
     def y1(self, a: float) -> Y1Matrix:
         if not 0.0 < a <= self.x_max + 1e-9:
@@ -165,9 +178,13 @@ class RhWorkspace:
         gw_up = self.block_bt @ (loop_scale * self.hw_loop)
         gw = np.concatenate([-gw_up[::-1].conj(), gw_up])
         gh = np.stack([gw, self.hw_line])                 # W (g, h) rows
-        kw = (rhs @ gh) * self._inv_diff                  # upper rows of K W
-        np.fill_diagonal(kw[:, m:], line_scale * (self._diag_terms @ loop_scale))
-        op = DiscreteOperator(kernels.real_form(kw), np.ones(2 * m))
+        kw = np.matmul(rhs, -1j * gh, out=self._kw)
+        kw *= self._inv_diff
+        # A W_loop [z, t] B W_line [t, z], summed over the loop
+        diag = np.einsum("ij,ij,j->i", self.block_a, self.block_bt, loop_scale)
+        diag *= line_scale
+        np.fill_diagonal(kw[:, m:], diag)
+        op = DiscreteOperator(kernels.real_form(kw, out=self._real), self._unit)
         check_rounding_scale(op, f"RhWorkspace.y1 at alpha={self.alpha}, a={a}")
         # i rhs is in the real subspace; its coordinates are (Re, Im) of its
         # upper half, and so are those of the solution i F_line
@@ -295,7 +312,7 @@ def _u1_12_grid(a: float, alpha: float, order: int,
         cuts.append(cuts[-1] + max(w, 1e-3))
     edges = np.array(cuts)
     edges[-1] = truncation
-    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg, wg = _gl_rule(order)
     ns, ws = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0

@@ -63,6 +63,32 @@ def test_det_matches_numpy_on_dense_system():
     assert log_mag == pytest.approx(math.log(abs(ref)), rel=1e-11)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_transposed_in_place_lu_matches_numpy(dtype):
+    # the LU factors (I - K W)^T in place in a fresh array: the determinant,
+    # its pivot parity and the transposed solve must match numpy's, with
+    # non-unit weights, and the kernel values must be left as they were
+    rng = np.random.default_rng(11)
+    n = 30
+    k = rng.normal(size=(n, n)) * 0.2
+    w = rng.uniform(0.5, 1.5, n)
+    if dtype is complex:
+        k = k + 1j * rng.normal(size=(n, n)) * 0.2
+        w = w * np.exp(1j * rng.uniform(-1.0, 1.0, n))
+    kept = k.copy()
+    op = DiscreteOperator(k, w)
+    a = np.eye(n) - k * w[None, :]
+    det, log_mag = det_one_minus(op)
+    ref = np.linalg.det(a)
+    assert det == pytest.approx(ref, rel=1e-12)
+    assert log_mag == pytest.approx(math.log(abs(ref)), rel=1e-12)
+    rhs = rng.normal(size=(n, 2)).astype(dtype)
+    np.testing.assert_allclose(solve_resolvent(op, rhs),
+                               np.linalg.solve(a, rhs), rtol=1e-12, atol=1e-13)
+    assert np.array_equal(op.kernel_values, kept)
+    assert op.kernel_values is k
+
+
 def test_solve_resolvent_residual():
     op = halfline_operator(1.5, 1.0)
     n = op.weights.size

@@ -8,6 +8,7 @@ mpmath at 25 digits and frozen.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,66 @@ def test_workspace_solves_are_real(monkeypatch):
     ws = RhWorkspace(1.0, 3.0)
     ws.y1(2.0)
     assert seen == [(np.float64, np.float64, (len(ws.line), 2))]
+
+
+def _entries(y1):
+    return (y1.e11, y1.e12, y1.e21, y1.e22)
+
+
+def test_workspace_buffers_carry_no_state_between_solves(monkeypatch):
+    # every solve overwrites the workspace's K W and real-form buffers, so
+    # interleaved points, and a point after a solve that raised once those
+    # buffers were written, match solves on fresh workspaces bit for bit
+    alpha, x_max, a1, a2 = 1.0, 4.0, 1.3, 3.1
+    fresh = {a: _entries(RhWorkspace(alpha, x_max).y1(a)) for a in (a1, a2)}
+    ws = RhWorkspace(alpha, x_max)
+    assert _entries(ws.y1(a1)) == fresh[a1]
+    assert _entries(ws.y1(a2)) == fresh[a2]
+    assert _entries(ws.y1(a1)) == fresh[a1]
+
+    def refuse(op, rhs):
+        raise fredholm.SingularError("refused")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(observables, "solve_resolvent", refuse)
+        with pytest.raises(fredholm.SingularError):
+            ws.y1(2.2)
+    with pytest.raises(ValueError):
+        ws.y1(x_max + 1.0)
+    assert _entries(ws.y1(a2)) == fresh[a2]
+    assert _entries(ws.y1(a1)) == fresh[a1]
+
+
+def test_workspace_solve_allocation_budget():
+    # K W and its real form live in buffers the workspace owns; a warmed
+    # solve allocates about one n x n real array, the copy of I - K W that
+    # the LU factors in place (four of them before the buffers)
+    ws = RhWorkspace(1.0, 4.0)
+    n = len(ws.line)
+    ws.y1(2.0)
+    tracemalloc.start()
+    try:
+        ws.y1(2.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * n * n * 8
+
+
+def test_workspace_refuses_a_line_off_one_abscissa(monkeypatch):
+    # the workspace keeps 1/(Im z - Im s) as its Cauchy factor, which holds
+    # only on a vertical line; a tilted line that is still mirror-symmetric
+    # (so the fold itself would accept it) is refused
+    qa_pair = kernels.qa_pair
+
+    def tilted(*args, **kwargs):
+        pair = qa_pair(*args, **kwargs)
+        pair.line.nodes += 1e-3 * np.abs(pair.line.nodes.imag)
+        return pair
+
+    monkeypatch.setattr(kernels, "qa_pair", tilted)
+    with pytest.raises(GeometryError, match="abscissa"):
+        RhWorkspace(1.0, 3.0)
 
 
 def test_workspace_refuses_rounding_dominated_entries():
