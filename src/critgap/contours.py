@@ -58,7 +58,8 @@ class ContourSpec:
 
     kind: str           # "hairpin" | "line" | "closed-loop"
     half_width: float   # smallest |Im| of the horizontal pieces / nose radius
-    crossing: float     # abscissa where the contour crosses the real axis
+    crossing: float     # abscissa where the contour crosses the real axis;
+                        # every node of a "line" has exactly this real part
     truncation: float   # arm extent (hairpins/loops) or |Im| cutoff (lines)
     left_edge: float | None = None  # closing abscissa of a closed loop
 
@@ -297,6 +298,9 @@ def build_vertical(b: float = _DEFAULT_LINE_ABSCISSA, T: float = 10.0,
                    max_frequency: float = 0.0, refine: float = 1.0) -> QuadratureGrid:
     """Upward vertical line Re s = b, |Im s| <= T, graded toward the axis.
 
+    Every node has real part exactly b (spec.crossing), so differences of
+    line nodes are purely imaginary: z - s = i (Im z - Im s).
+
     max_frequency caps panel widths at ~1.3*order/frequency so integrands
     carrying a factor exp(-i y Im s) stay resolved up to |y| = max_frequency.
     """
@@ -318,6 +322,7 @@ def build_vertical(b: float = _DEFAULT_LINE_ABSCISSA, T: float = 10.0,
     cuts = np.concatenate([-half[::-1], half[1:]])  # -T ... 0 ... T
     norm = (cuts + T) / (2.0 * T)
     piece = _segment(complex(b, -T), complex(b, T), norm, order)
+    piece[0].real = b
     spec = ContourSpec("line", 0.0, b, T)
     return _mirror_lower_half(_finish([piece], LINE, order, spec))
 

@@ -180,7 +180,7 @@ def operator_trace(op: DiscreteOperator) -> complex:
 
 def check_rounding_scale(op: DiscreteOperator, context: str) -> None:
     """Raise ArithmeticError when n eps max|K| max|w|, the scale of the LU's
-    backward error in det(I - K W), exceeds 3e-10.
+    backward error in det(I - K W), exceeds 3e-10.  K must be real.
 
     The two-contour matrices (contour-Q, contour-H and the RH workspace) are
     sums of large terms that cancel, and their entries grow where the
@@ -190,8 +190,7 @@ def check_rounding_scale(op: DiscreteOperator, context: str) -> None:
     128 and at alpha <= 0.15 for a <= 4, where contour-Q and contour-H come
     out up to 3e-4 (alpha 128) and 8e-7 (alpha 0.12) away from halfline."""
     kv = op.kernel_values
-    peak = (max(kv.max(), -kv.min()) if np.isrealobj(kv)
-            else np.abs(kv).max())  # a real max|K| needs no |K| temporary
+    peak = max(kv.max(), -kv.min())  # max|K| of a real K, no |K| temporary
     scale = (op.weights.size * _EPS * float(peak)
              * float(np.abs(op.weights).max()))
     if scale > _ROUNDING_TOL:

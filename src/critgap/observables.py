@@ -20,6 +20,7 @@ boundary-value problem is solved.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -124,12 +125,13 @@ class RhWorkspace:
     solve per point and no contour rebuilds.  Valid for evaluation points
     0 < a <= x_max (x_max sets the oscillation budget of the line grid).
 
-    The line is vertical, so z - s = i (Im z - Im s): the Cauchy factor is
-    kept as the real matrix 1/(Im z - Im s) and its -i goes into the (g, h)
-    rows.  Each solve assembles K W and its real form in two buffers the
-    workspace owns and overwrites on every call; the LU then factors one
-    fresh copy of I - K W in place.  A workspace is therefore not safe to
-    share between threads."""
+    The line is a contours.build_vertical line, so z - s = i (Im z - Im s):
+    the Cauchy factor is kept as the real matrix 1/(Im z - Im s) and its -i
+    goes into the (g, h) rows.  Each solve assembles K W and its real form
+    in two buffers the workspace owns and overwrites on every call; the LU
+    then factors one fresh copy of I - K W in place.  A lock serialises the
+    solves of one workspace, so threads that share it wait for each other;
+    parallel solves need a workspace each."""
 
     def __init__(self, alpha: float, x_max: float, order: int = 16,
                  refine: float = 1.0):
@@ -139,9 +141,9 @@ class RhWorkspace:
         self.x_max = float(x_max)
         pair = kernels.qa_pair(alpha, a_max=x_max, order=order, refine=refine)
         self.line, self.loop = pair.line, pair.loop
-        abscissa = self.line.nodes.real
-        if np.any(abscissa != abscissa[0]):
-            raise GeometryError("workspace line nodes must share one abscissa")
+        if self.line.spec.kind != "line":
+            raise GeometryError(
+                f"workspace needs a vertical line, got a {self.line.spec.kind}")
         # upper-half line rows of A W_loop and (B W_line)^T, m x loop each
         self.block_a, self.block_bt = kernels.cross_blocks(pair, 0.0)
         m = self.block_a.shape[0]
@@ -161,10 +163,15 @@ class RhWorkspace:
         self._kw = np.empty((m, n), dtype=complex)  # upper rows of K W
         self._real = np.empty((n, n))               # its real form
         self._unit = np.ones(n)
+        self._lock = threading.Lock()  # guards the buffers above
 
     def y1(self, a: float) -> Y1Matrix:
         if not 0.0 < a <= self.x_max + 1e-9:
             raise ValueError(f"a={a} outside workspace range (0, {self.x_max}]")
+        with self._lock:
+            return self._y1(a)
+
+    def _y1(self, a: float) -> Y1Matrix:
         m = self.block_a.shape[0]
         line_scale = np.exp(-a * self.line.nodes[m:])
         loop_scale = np.exp(a * self.loop.nodes)

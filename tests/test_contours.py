@@ -77,6 +77,17 @@ def test_vertical_structure():
     assert np.all(np.diff(grid.nodes.imag) > 0)
 
 
+def test_vertical_line_nodes_sit_exactly_on_the_crossing():
+    # consumers of a "line" grid (the RH workspace's real Cauchy factor
+    # 1/(Im z - Im s)) rely on every node having real part spec.crossing
+    grids = [build_vertical(), build_vertical(b=2.0, T=25.0, max_frequency=40.0),
+             build_vertical(b=0.3, refine=0.5),
+             deformed_contours(1.5, 2.5, refine=0.5)[1]]
+    for grid in grids:
+        assert grid.spec.kind == "line"
+        assert np.all(grid.nodes.real == grid.spec.crossing)
+
+
 def test_hairpin_and_line_are_exact_mirror_images():
     # z[::-1] = conj(z) and w[::-1] = -conj(w) bit for bit, pinched or not,
     # so a sum over the grid folds exactly onto its upper half

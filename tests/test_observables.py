@@ -7,7 +7,9 @@ mpmath at 25 digits and frozen.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -195,18 +197,40 @@ def test_workspace_solve_allocation_budget():
 
 def test_workspace_refuses_a_line_off_one_abscissa(monkeypatch):
     # the workspace keeps 1/(Im z - Im s) as its Cauchy factor, which holds
-    # only on a vertical line; a tilted line that is still mirror-symmetric
-    # (so the fold itself would accept it) is refused
+    # only on a vertical line (contours.build_vertical); a pair whose line
+    # grid is anything else, here the mirror-symmetric hairpin, is refused
     qa_pair = kernels.qa_pair
 
-    def tilted(*args, **kwargs):
+    def hairpin_line(*args, **kwargs):
         pair = qa_pair(*args, **kwargs)
-        pair.line.nodes += 1e-3 * np.abs(pair.line.nodes.imag)
-        return pair
+        return dataclasses.replace(pair, line=pair.loop)
 
-    monkeypatch.setattr(kernels, "qa_pair", tilted)
-    with pytest.raises(GeometryError, match="abscissa"):
+    monkeypatch.setattr(kernels, "qa_pair", hairpin_line)
+    with pytest.raises(GeometryError, match="vertical line"):
         RhWorkspace(1.0, 3.0)
+
+
+def test_workspace_shared_between_threads_serialises_solves():
+    # the solves of one workspace write into its buffers, so two threads
+    # sharing it must wait for each other and still get bit-identical Y1
+    alpha, x_max, points = 1.0, 4.0, (1.3, 3.1)
+    fresh = {a: _entries(RhWorkspace(alpha, x_max).y1(a)) for a in points}
+    ws = RhWorkspace(alpha, x_max)
+    start = threading.Barrier(len(points))
+    seen = {a: [] for a in points}
+
+    def sweep(a):
+        start.wait()
+        for _ in range(20):
+            seen[a].append(_entries(ws.y1(a)))
+
+    threads = [threading.Thread(target=sweep, args=(a,)) for a in points]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for a in points:
+        assert seen[a] == [fresh[a]] * 20
 
 
 def test_workspace_refuses_rounding_dominated_entries():
