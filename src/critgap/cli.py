@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
@@ -127,8 +128,14 @@ def cmd_gap(args: argparse.Namespace) -> int:
                   f"{', '.join(fredholm.ROUTES)}", file=sys.stderr)
             return 2
     grid = np.linspace(args.a_min, args.a_max, args.steps)
-    workspace = observables.RhWorkspace(args.alpha, args.a_max,
-                                        refine=args.resolution)
+    # u is an extra column: a failing workspace costs its u values (nan),
+    # not the routes' P
+    workspace, u_error, u_failures = None, None, 0
+    try:
+        workspace = observables.RhWorkspace(args.alpha, args.a_max,
+                                            refine=args.resolution)
+    except (ArithmeticError, ValueError) as exc:
+        u_error = exc
     header = ["a"] + [f"P_{r.replace('-', '')}" for r in routes]
     header += ["logP", "u", "u_asym", "err"]
     rows = []
@@ -143,7 +150,14 @@ def cmd_gap(args: argparse.Namespace) -> int:
             if log_p is None:
                 log_p = res.log_p
         row.append(log_p)
-        row.append(observables.u_of_x(float(a), args.alpha, workspace))
+        u = math.nan
+        if workspace is not None:
+            try:
+                u = observables.u_of_x(float(a), args.alpha, workspace)
+            except (ArithmeticError, ValueError) as exc:
+                u_error = u_error or exc
+        u_failures += math.isnan(u)
+        row.append(u)
         row.append(observables.u_asymptotic(float(a), args.alpha))
         row.append(err)
         rows.append(row)
@@ -151,6 +165,11 @@ def cmd_gap(args: argparse.Namespace) -> int:
         "alpha": args.alpha, "a_min": args.a_min, "a_max": args.a_max,
         "steps": args.steps, "routes": routes, "resolution": args.resolution,
     }, started)
+    manifest["u_error"] = None
+    if u_error is not None:
+        manifest["u_error"] = f"{type(u_error).__name__}: {u_error}"
+        print(f"gap: u is nan in {u_failures} of {len(rows)} rows: "
+              f"{manifest['u_error']}", file=sys.stderr)
     emit = _emit_json if args.format == "json" else _emit_csv
     emit(header, rows, manifest, sys.stdout)
     return 0

@@ -145,28 +145,26 @@ def _geometric_count(length: float, first: float, growth: float) -> int:
 
 def _segment(z0: complex, z1: complex, cuts: np.ndarray,
              order: int) -> tuple[np.ndarray, np.ndarray, int]:
+    # every panel at once: one row of `order` nodes per panel
     x, w = _gl_rule(order)
-    nodes, weights = [], []
+    a, b = cuts[:-1, None], cuts[1:, None]
+    mid, half = (a + b) / 2.0, (b - a) / 2.0
     dz = z1 - z0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        nodes.append(z0 + dz * (mid + half * x))
-        weights.append(w * half * dz)
-    return np.concatenate(nodes), np.concatenate(weights), len(cuts) - 1
+    nodes = z0 + dz * (mid + half * x)
+    weights = w * half * dz
+    return nodes.ravel(), weights.ravel(), len(cuts) - 1
 
 
 def _arc(center: float, radius: float, th0: float, th1: float,
          n_panels: int, order: int) -> tuple[np.ndarray, np.ndarray, int]:
     x, w = _gl_rule(order)
     cuts = np.linspace(th0, th1, n_panels + 1)
-    nodes, weights = [], []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        th = mid + half * x
-        z = center + radius * np.exp(1j * th)
-        nodes.append(z)
-        weights.append(w * half * 1j * radius * np.exp(1j * th))
-    return np.concatenate(nodes), np.concatenate(weights), n_panels
+    a, b = cuts[:-1, None], cuts[1:, None]
+    mid, half = (a + b) / 2.0, (b - a) / 2.0
+    th = mid + half * x
+    z = center + radius * np.exp(1j * th)
+    weights = w * half * 1j * radius * np.exp(1j * th)
+    return z.ravel(), weights.ravel(), n_panels
 
 
 def _min_pole_distance(nodes: np.ndarray) -> float:

@@ -3,7 +3,10 @@ and the two-contour integrable kernel with its line reduction.
 
 Everything is a double (or single) contour integral over a hairpin-loop /
 vertical-line pair.  Matrix-valued evaluators batch the node sums as three
-dense products so Nystrom assembly stays cheap.
+dense products so Nystrom assembly stays cheap.  The finite-N kernel is one
+contraction u @ C @ v with the Cauchy matrix C = 1/(s - t) between its
+closed loop and its line; as every line node has the same real part, C is
+carried by two real arrays and contracted as one real matrix product.
 """
 
 from __future__ import annotations
@@ -293,10 +296,23 @@ def finite_kernel(x: float, y: float, n: int, m: int, order: int = 16,
     -n + 1/2.  The exponent e[i, j] = part_t[i] + part_s[j] - log(s_j - t_i)
     is separable, each part being a log-gamma sum on its own contour, so the
     double sum is one contraction u @ C @ v with the Cauchy matrix
-    C = 1/(s - t) and u, v the exponentiated parts.  The peak of Re e sets
-    the scale: u and v are rescaled so that together they carry e^{-peak},
-    which keeps factor counts up to m = 512 finite.  Raises OverflowError
-    only if that peak itself exceeds 700.
+    C = 1/(s - t) and u, v the exponentiated parts.
+
+    C is never formed in complex arithmetic.  Every line node has real part
+    exactly c = line.spec.crossing, so s_j - t_i = d_i + i b_ij with
+    d_i = c - Re t_i and b_ij = Im s_j - Im t_i, and C = (d - i b) r with
+    r = 1/(d^2 + b^2).  The real arrays r and b r multiply the (re, im)
+    view of v as one real matrix product, and C v = d (r v) - i (b r) v.
+    The full complex sum is kept, so its imaginary part, the quadrature's
+    leftover, is still checked.
+
+    u and v are scaled by e^{-c_t} and e^{-c_s}, the maxima of Re part_t and
+    Re part_s, so |u| <= |w_t| and |v| <= |w_s|, and |C| <= 1/(c - nose) = 4
+    bounds the contraction; this keeps factor counts up to m = 512 finite
+    without a pass over the loop x line exponent.  c_t + c_s bounds
+    Re e to within log 4, and OverflowError is raised when it exceeds 700.
+    The line is its own mirror image (s[::-1] == conj(s)), so part_s is
+    evaluated on its upper half and mirrored.
     """
     if n < 1 or m < 1:
         raise DomainError("need n >= 1 and m >= 1")
@@ -313,23 +329,31 @@ def finite_kernel(x: float, y: float, n: int, m: int, order: int = 16,
     t, wt = loop.nodes, loop.weights
     s, ws = line.nodes, line.weights
     part_t = -(m + 1) * log_gamma(t + n) + _log_gamma_left(t) + x * t
-    part_s = (m + 1) * log_gamma(s + n) - log_gamma(s) - y * s
+    s_up, _ = _upper_half(line)
+    half_s = (m + 1) * log_gamma(s_up + n) - log_gamma(s_up) - y * s_up
+    part_s = np.concatenate([half_s[::-1].conj(), half_s])
 
-    C = np.subtract.outer(-t, -s)  # s_j - t_i, exactly
-    np.reciprocal(C, out=C)
-    re_e = np.abs(C)
-    np.log(re_e, out=re_e)
-    re_e += part_t.real[:, None]
-    re_e += part_s.real[None, :]
-    peak = float(re_e.max())
-    if peak > 700.0:
-        raise OverflowError(f"finite-kernel exponent {peak:.1f} exceeds 700")
-
-    # c_t + c_s = peak: |u| <= |wt| and |v| <= |ws| max|s - t|
     c_t = float(part_t.real.max())
+    c_s = float(part_s.real.max())
+    scale = c_t + c_s
+    if scale > 700.0:
+        raise OverflowError(f"finite-kernel scale c_t + c_s = {scale:.1f} "
+                            "exceeds 700")
     u = wt * np.exp(part_t - c_t)
-    v = ws * np.exp(part_s - (peak - c_t))
-    val = (u @ C @ v) * math.exp(peak) / _TWO_PI_I ** 2
+    v = ws * np.exp(part_s - c_s)
+
+    d = line.spec.crossing - t.real
+    rb = np.empty((2, t.size, s.size))
+    np.subtract.outer(-t.imag, -s.imag, out=rb[1])  # b = Im s - Im t, exactly
+    np.square(rb[1], out=rb[0])
+    rb[0] += (d * d)[:, None]
+    np.reciprocal(rb[0], out=rb[0])                 # r
+    rb[1] *= rb[0]                                  # b r
+    # [r v; (b r) v] as (re, im) rows, read back as complex
+    rv = (rb.reshape(2 * t.size, s.size) @ v.view(float).reshape(-1, 2))
+    rv = rv.view(complex).ravel()
+    cv = d * rv[:t.size] - 1j * rv[t.size:]  # C v
+    val = (u @ cv) * math.exp(scale) / _TWO_PI_I ** 2
     return _as_real(complex(val))
 
 

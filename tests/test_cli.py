@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -120,6 +121,7 @@ def test_gap_sweep_csv(capsys):
     assert header == ["a", "P_halfline", "P_contourQ", "P_contourH",
                       "logP", "u", "u_asym", "err"]
     assert manifest["params"]["steps"] == 3
+    assert manifest["u_error"] is None
     a_col = [r[0] for r in rows]
     assert a_col == [1.0, 2.0, 3.0]
     p_col = [r[1] for r in rows]
@@ -168,6 +170,29 @@ def test_gap_csv_values_round_trip(capsys):
     _, _, rows = parse_csv(out)
     direct = fredholm.gap_probability(1.5, 1.0, "halfline")
     assert rows[0][1] == direct.p
+
+
+def test_gap_keeps_p_when_the_workspace_fails(capsys):
+    # at alpha 0.05 the RH workspace's y1 trips its rounding-scale guard,
+    # while the halfline determinant is fine: u is nan, P is kept
+    code, out, err = run_cli(capsys, "gap", "--alpha", "0.05", "--a-min", "4",
+                             "--a-max", "4", "--steps", "1", "--routes",
+                             "halfline")
+    assert code == 0
+    manifest, header, rows = parse_csv(out)
+    row = dict(zip(header, rows[0]))
+    assert math.isnan(row["u"])
+    assert row["P_halfline"] == fredholm.gap_probability(4.0, 0.05,
+                                                         "halfline").p
+    assert manifest["u_error"].startswith("ArithmeticError: ")
+    assert "rounding scale" in manifest["u_error"]
+    assert err.count("rounding scale") == 1
+    # a failing route still fails the command
+    code, _, err = run_cli(capsys, "gap", "--alpha", "-1", "--a-min", "1",
+                           "--a-max", "1", "--steps", "1", "--routes",
+                           "halfline")
+    assert code == 1
+    assert "alpha must be positive" in err
 
 
 def test_validate_json_and_exit_code(capsys, monkeypatch):

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from critgap import contours
 from critgap.contours import (GeometryError, LINE, LOOP, build_closed_loop,
                               build_hairpin, build_vertical,
                               deformed_contours, gamma_contour_integral,
@@ -98,6 +99,52 @@ def test_hairpin_and_line_are_exact_mirror_images():
         assert np.array_equal(grid.nodes[::-1], grid.nodes.conj())
         assert np.array_equal(grid.weights[::-1], -grid.weights.conj())
         assert np.all(grid.nodes[grid.nodes.size // 2:].imag > 0)
+
+
+def _segment_per_panel(z0, z1, cuts, order):
+    """The panel-by-panel form of contours._segment, in its operation order."""
+    x, w = contours._gl_rule(order)
+    nodes, weights = [], []
+    dz = z1 - z0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        mid, half = (a + b) / 2.0, (b - a) / 2.0
+        nodes.append(z0 + dz * (mid + half * x))
+        weights.append(w * half * dz)
+    return np.concatenate(nodes), np.concatenate(weights), len(cuts) - 1
+
+
+def _arc_per_panel(center, radius, th0, th1, n_panels, order):
+    """The panel-by-panel form of contours._arc, in its operation order."""
+    x, w = contours._gl_rule(order)
+    cuts = np.linspace(th0, th1, n_panels + 1)
+    nodes, weights = [], []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        mid, half = (a + b) / 2.0, (b - a) / 2.0
+        th = mid + half * x
+        nodes.append(center + radius * np.exp(1j * th))
+        weights.append(w * half * 1j * radius * np.exp(1j * th))
+    return np.concatenate(nodes), np.concatenate(weights), n_panels
+
+
+def test_panel_builders_match_the_per_panel_form_bit_for_bit(monkeypatch):
+    # the builders fill every panel of a piece in one broadcast; each grid
+    # must equal the panel-by-panel build exactly, so the kernels' values
+    # do not move
+    builds = [lambda: build_hairpin(T=12.0),
+              lambda: build_hairpin(nose=0.1, T=9.0, order=12),
+              lambda: build_hairpin(T=20.0, max_frequency=30.0, refine=2.0),
+              lambda: build_vertical(T=25.0, max_frequency=114.0),
+              lambda: build_vertical(b=2.0, refine=0.5),
+              lambda: build_closed_loop(-31.5, max_frequency=114.0),
+              lambda: build_closed_loop(-0.5, order=24)]
+    got = [build() for build in builds]
+    monkeypatch.setattr(contours, "_segment", _segment_per_panel)
+    monkeypatch.setattr(contours, "_arc", _arc_per_panel)
+    for grid, build in zip(got, builds):
+        want = build()
+        assert np.array_equal(grid.nodes, want.nodes)
+        assert np.array_equal(grid.weights, want.weights)
+        assert grid.panel_count == want.panel_count
 
 
 def test_closed_loop_residue():

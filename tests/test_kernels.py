@@ -202,6 +202,19 @@ def test_finite_kernel_rescaling_near_double_range():
     assert abs(got - want) <= 1e-12 * want
 
 
+def test_finite_kernel_far_left_of_the_edge():
+    # n = m = 1: one pole inside the loop, so K(x, 0) = 0.367909... for every
+    # x.  Far left the loop sum cancels; at x = -80 the leftover imaginary
+    # part of the full complex contraction must still make it raise
+    for x in (-20.0, -40.0):
+        for order in (16, 24):
+            got = kernels.finite_kernel(x, 0.0, 1, 1, order=order)
+            assert got == pytest.approx(0.367909, abs=1e-6), (x, order)
+    for order in (16, 24):
+        with pytest.raises(ArithmeticError, match="imaginary"):
+            kernels.finite_kernel(-80.0, 0.0, 1, 1, order=order)
+
+
 def test_integrable_kernel_same_label_vanishes():
     pair = kernels.qa_pair(1.0, a_max=2.0)
     union = pair.union()
