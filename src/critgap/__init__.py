@@ -21,7 +21,7 @@ from .kernels import (centering_shift, conjugated_kernel, critical_kernel,
                       kernel_pair, line_reduced_kernel, qa_pair)
 from .mc import (ConvergenceError, McConfig, McResult, center_aN,
                  empirical_gap, sample_rightmost)
-from .observables import (RhWorkspace, UFunction, UnderflowWarning, Y1Matrix,
+from .observables import (RhWorkspace, UnderflowWarning, Y1Matrix,
                           asym_u1_12, asym_u1_21, log_gap_from_u, residue_sum,
                           u_asym_composed, u_asymptotic, u_of_x, y1_matrix)
 from .special import DomainError, PoleError, gamma, log_gamma, recip_gamma
@@ -46,7 +46,7 @@ __all__ = [
     "halfline_operator", "qa_operator", "ha_operator", "SingularError",
     "SingularWarning",
     # observables
-    "Y1Matrix", "UFunction", "RhWorkspace", "y1_matrix", "u_of_x",
+    "Y1Matrix", "RhWorkspace", "y1_matrix", "u_of_x",
     "u_asymptotic", "log_gap_from_u", "residue_sum", "asym_u1_21",
     "asym_u1_12", "u_asym_composed", "UnderflowWarning",
     # Monte-Carlo

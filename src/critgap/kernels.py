@@ -6,7 +6,7 @@ vertical-line pair.  Matrix-valued evaluators batch the node sums as three
 dense products so Nystrom assembly stays cheap.  The finite-N kernel is one
 contraction u @ C @ v with the Cauchy matrix C = 1/(s - t) between its
 closed loop and its line; as every line node has the same real part, C is
-carried by two real arrays and contracted as one real matrix product.
+carried by two real arrays, built and contracted block by block of loop rows.
 """
 
 from __future__ import annotations
@@ -59,6 +59,10 @@ _MIRROR_TOL = 1e-12
 
 # decay budget: contour tails are cut where integrands drop by e^{-40}
 _TAIL_LOG = 40.0
+
+# byte budget of each (rows, line) array of finite_kernel's blocked Cauchy
+# contraction: small enough for the elementwise passes to stay in cache
+_BLOCK_BYTES = 1 << 19
 
 
 def _log_gamma_left(z: np.ndarray) -> np.ndarray:
@@ -302,9 +306,15 @@ def finite_kernel(x: float, y: float, n: int, m: int, order: int = 16,
     exactly c = line.spec.crossing, so s_j - t_i = d_i + i b_ij with
     d_i = c - Re t_i and b_ij = Im s_j - Im t_i, and C = (d - i b) r with
     r = 1/(d^2 + b^2).  The real arrays r and b r multiply the (re, im)
-    view of v as one real matrix product, and C v = d (r v) - i (b r) v.
+    view of v as a real matrix product, and C v = d (r v) - i (b r) v.
     The full complex sum is kept, so its imaginary part, the quadrature's
     leftover, is still checked.
+
+    The pair (r, b r) is built and contracted in blocks of loop rows, in
+    one (2, rows, line) buffer reused for every block, with rows sized so
+    that each array holds about _BLOCK_BYTES (0.5 MB).  The elementwise
+    passes and the product run in cache, and no loop x line array exists:
+    beyond the grids, a call's memory grows with loop + line only.
 
     u and v are scaled by e^{-c_t} and e^{-c_s}, the maxima of Re part_t and
     Re part_s, so |u| <= |w_t| and |v| <= |w_s|, and |C| <= 1/(c - nose) = 4
@@ -343,16 +353,29 @@ def finite_kernel(x: float, y: float, n: int, m: int, order: int = 16,
     v = ws * np.exp(part_s - c_s)
 
     d = line.spec.crossing - t.real
-    rb = np.empty((2, t.size, s.size))
-    np.subtract.outer(-t.imag, -s.imag, out=rb[1])  # b = Im s - Im t, exactly
-    np.square(rb[1], out=rb[0])
-    rb[0] += (d * d)[:, None]
-    np.reciprocal(rb[0], out=rb[0])                 # r
-    rb[1] *= rb[0]                                  # b r
-    # [r v; (b r) v] as (re, im) rows, read back as complex
-    rv = (rb.reshape(2 * t.size, s.size) @ v.view(float).reshape(-1, 2))
-    rv = rv.view(complex).ravel()
-    cv = d * rv[:t.size] - 1j * rv[t.size:]  # C v
+    dd = d * d
+    # b = Im s - Im t as the product [-Im t, 1] @ [1; Im s]: each entry is
+    # the one rounding of a sum of two exact products, so it equals the
+    # subtraction bit for bit, and a matrix product fills it faster than a
+    # broadcast subtract
+    tb = np.stack([-t.imag, np.ones(t.size)], axis=1)
+    sb = np.stack([np.ones(s.size), s.imag])
+    vr = v.view(float).reshape(-1, 2)
+    rows = min(t.size, max(1, _BLOCK_BYTES // (8 * s.size)))
+    rb = np.empty((2, rows, s.size))
+    rv = np.empty((2, t.size, 2))
+    for i in range(0, t.size, rows):
+        j = min(i + rows, t.size)
+        blk = rb[:, :j - i]
+        np.matmul(tb[i:j], sb, out=blk[1])          # b
+        np.square(blk[1], out=blk[0])
+        blk[0] += dd[i:j, None]
+        np.reciprocal(blk[0], out=blk[0])           # r
+        blk[1] *= blk[0]                            # b r
+        # [r v; (b r) v] as (re, im) rows
+        np.matmul(blk, vr, out=rv[:, i:j])
+    rv = rv.view(complex)[..., 0]
+    cv = d * rv[0] - 1j * rv[1]  # C v
     val = (u @ cv) * math.exp(scale) / _TWO_PI_I ** 2
     return _as_real(complex(val))
 

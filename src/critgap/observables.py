@@ -35,7 +35,6 @@ from .fredholm import (DiscreteOperator, HalfLineGrid, check_rounding_scale,
 __all__ = [
     "UnderflowWarning",
     "Y1Matrix",
-    "UFunction",
     "RhWorkspace",
     "y1_matrix",
     "u_of_x",
@@ -81,13 +80,6 @@ class Y1Matrix:
     def u(self) -> float:
         """u(a) = -(Y1)_12 (Y1)_21."""
         return -(self.e12 * self.e21).real
-
-
-@dataclass(frozen=True)
-class UFunction:
-    x: float
-    u: float
-    u_asym: float
 
 
 class RhWorkspace:

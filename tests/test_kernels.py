@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,13 +156,17 @@ def test_finite_kernel_rejects_huge_powers():
         kernels.finite_kernel(0.0, 0.0, 4, 600)
 
 
+def _finite_grids(x, y, n, m):
+    freq = max(abs(x), abs(y), 1.0)
+    T_line = truncation_radius((m + 1) / n / 2.0, growth=math.pi / 2.0)
+    return (build_closed_loop(-n + 0.5, max_frequency=freq),
+            build_vertical(0.5, T_line, max_frequency=freq))
+
+
 def _dense_finite_kernel(x, y, n, m):
     """Reference: the exponent formed on the whole loop x line array with a
     complex log, shifted by its real peak, then exponentiated and summed."""
-    freq = max(abs(x), abs(y), 1.0)
-    T_line = truncation_radius((m + 1) / n / 2.0, growth=math.pi / 2.0)
-    loop = build_closed_loop(-n + 0.5, max_frequency=freq)
-    line = build_vertical(0.5, T_line, max_frequency=freq)
+    loop, line = _finite_grids(x, y, n, m)
     t, s = loop.nodes, line.nodes
     e = ((-(m + 1) * log_gamma(t + n) + _log_gamma_left(t) + x * t)[:, None]
          + ((m + 1) * log_gamma(s + n) - log_gamma(s) - y * s)[None, :]
@@ -173,9 +178,28 @@ def _dense_finite_kernel(x, y, n, m):
 
 # (n, m, relative tolerance).  At (4, 512) the node sum cancels: the sum of
 # |terms| exceeds |K| by about 2e8, and the two summation orders measured
-# 6e-10 to 1.9e-9 apart at the points below.
+# 6e-10 to 1.9e-9 apart at the points below.  finite_kernel contracts the
+# loop in blocks of rows; (1, 1) fits in one block, and (24, 48) and
+# (60, 60) end on a partial block (test_separable_cases_cover_block_edges).
 SEPARABLE_CASES = [(1, 1, 1e-12), (32, 32, 1e-12), (24, 48, 1e-12),
-                   (8, 200, 1e-12), (4, 512, 1e-8)]
+                   (60, 60, 1e-12), (8, 200, 1e-12), (4, 512, 1e-8)]
+
+
+def _block_rows(n, m):
+    """Loop size and rows per block of finite_kernel's contraction at the
+    centered point of (n, m)."""
+    shift = kernels.centering_shift(n, m)
+    loop, line = _finite_grids(shift, shift, n, m)
+    rows = max(1, kernels._BLOCK_BYTES // (8 * line.nodes.size))
+    return loop.nodes.size, rows
+
+
+def test_separable_cases_cover_block_edges():
+    loop, rows = _block_rows(1, 1)
+    assert loop < rows
+    for n, m in [(24, 48), (60, 60)]:
+        loop, rows = _block_rows(n, m)
+        assert loop > rows and loop % rows, (n, m, loop, rows)
 
 
 @pytest.mark.parametrize("n, m, rel", SEPARABLE_CASES)
@@ -185,6 +209,20 @@ def test_finite_kernel_matches_dense_log_space_sum(n, m, rel):
         want = _dense_finite_kernel(x + shift, y + shift, n, m)
         got = kernels.finite_kernel(x + shift, y + shift, n, m)
         assert abs(got - want) <= rel * abs(want), (n, m, x, y)
+
+
+def test_finite_kernel_allocation_budget():
+    # the Cauchy pair is built and contracted in blocks of loop rows in one
+    # reused buffer; the whole (2, loop, line) array at (32, 32) is 19.6 MB
+    shift = kernels.centering_shift(32, 32)
+    kernels.finite_kernel(shift, shift, 32, 32)
+    tracemalloc.start()
+    try:
+        kernels.finite_kernel(shift + 0.3, shift - 0.7, 32, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6, peak
 
 
 def test_finite_kernel_overflow_is_loud():

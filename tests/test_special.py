@@ -160,3 +160,16 @@ def test_log_gamma_left_exponentiates_to_gamma_on_a_loop():
     got = np.exp(_log_gamma_left(z))
     ref = gamma(z)
     assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+
+
+def test_log_gamma_matches_mpmath_across_the_shift_region():
+    # every point with |z| < 10 is shifted and its logs taken in pairs; the
+    # points near the imaginary axis at |z| >= 10 are Stirling's worst angle
+    mpmath = pytest.importorskip("mpmath")
+    re = np.array([1e-3, 0.25, 0.5, 1.5, 4.0, 9.0])
+    z = (re[:, None] + 1j * np.linspace(0.0, 14.0, 57)[None, :]).ravel()
+    z = np.concatenate([z, z.conj()])
+    with mpmath.workdps(30):
+        ref = np.array([complex(mpmath.loggamma(mpmath.mpc(c.real, c.imag)))
+                        for c in z])
+    assert np.abs(log_gamma(z) - ref).max() <= 1.6e-14
