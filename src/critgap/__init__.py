@@ -15,7 +15,7 @@ from .contours import (ContourSpec, GeometryError, QuadratureGrid,
 from .fredholm import (DiscreteOperator, GapResult, HalfLineGrid, ROUTES,
                        SingularError, SingularWarning, det_one_minus,
                        gap_probability, halfline_operator, ha_operator,
-                       operator_trace, qa_operator, solve_resolvent)
+                       qa_operator, solve_resolvent)
 from .kernels import (centering_shift, conjugated_kernel, critical_kernel,
                       factored_kernel, finite_kernel, integrable_kernel,
                       kernel_pair, line_reduced_kernel, qa_pair)
@@ -42,7 +42,7 @@ __all__ = [
     "kernel_pair", "qa_pair", "centering_shift",
     # determinants
     "ROUTES", "HalfLineGrid", "DiscreteOperator", "GapResult",
-    "gap_probability", "det_one_minus", "solve_resolvent", "operator_trace",
+    "gap_probability", "det_one_minus", "solve_resolvent",
     "halfline_operator", "qa_operator", "ha_operator", "SingularError",
     "SingularWarning",
     # observables

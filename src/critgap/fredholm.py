@@ -16,12 +16,13 @@ internal consistency check of the package.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve, qr
 
 from . import kernels
 from .contours import QuadratureGrid, _gl_rule
@@ -36,7 +37,6 @@ __all__ = [
     "ha_operator",
     "det_one_minus",
     "solve_resolvent",
-    "operator_trace",
     "GapResult",
     "gap_probability",
     "ROUTES",
@@ -51,6 +51,9 @@ _DEFAULT_LENGTH = 40.0
 _DEFAULT_PANELS = 8
 _DEFAULT_ORDER = 16
 _GRID_GROWTH = 1.6
+_SKETCH_RANK = 16    # first rank of a resolvent sketch
+_TAIL_PROBES = 4     # fresh probe columns that measure a sketch's tail
+_TAIL_TOL = 1e-13    # largest ||K W T - Q Q^H K W T|| / ||K W T|| accepted
 
 
 class SingularError(np.linalg.LinAlgError):
@@ -95,6 +98,17 @@ class HalfLineGrid:
         return self.nodes.size
 
 
+@functools.lru_cache(maxsize=16)
+def _probes(n: int, k: int) -> np.ndarray:
+    """Fixed-seed Gaussian probes [Omega | T] of a rank-k sketch on n nodes:
+    k range columns, then _TAIL_PROBES fresh columns for the tail.  They are
+    cached read-only, so every sketch of one size draws the same probes."""
+    probes = np.random.default_rng([n, k]).standard_normal(
+        (n, k + _TAIL_PROBES))
+    probes.setflags(write=False)
+    return probes
+
+
 @dataclass
 class DiscreteOperator:
     """Kernel values sampled on a grid plus the quadrature weights.
@@ -104,10 +118,28 @@ class DiscreteOperator:
     two-contour operators pass the real form of K W (kernels.real_form),
     in which the weights no longer scale columns, with unit weights.
 
-    I - K W is formed once, in a fresh array, and its transpose is
-    LU-factored in place (the transposed view is Fortran-ordered, so LAPACK
-    takes it without a copy); solves use the transposed system.  A
-    transpose has the same determinant, and its pivots the same parity.
+    Resolvent solves go through a range sketch of K W.  Its eigenvalues are
+    those of the limiting kernel on (a, inf), which decay
+    super-exponentially, so a few directions carry all of it.  K W applied
+    to fixed-seed Gaussian probes Omega (k columns, 16 at first) gives an
+    orthonormal Q, and with B = Q^H K W the solve is Woodbury's on
+    K W ~ Q B through the k x k matrix S = I_k - B Q.  Fresh probes T
+    measure the tail ||K W T - Q B T||; while it exceeds 1e-13 of
+    ||K W T|| the rank doubles, and past n/4 the solve falls back to the
+    dense LU.  After a solve, solve_path is "sketch" or "dense",
+    sketch_rank the last rank tried (0 if n < 64 left no room for one) and
+    sketch_tail its relative tail (nan if none was tried).
+
+    Determinants stay on the dense LU, for two reasons.  The benchmark's
+    tracing test (perfbench/test_perfbench.py) pins one n x n LU of
+    (8/3) n^3 flops for a contour-H evaluation.  And that test may be
+    re-pinned only by a change to the benchmark itself, which claims no
+    gain of its own.
+
+    For the LU, I - K W is formed once, in a fresh array, and its transpose
+    is LU-factored in place (the transposed view is Fortran-ordered, so
+    LAPACK takes it without a copy); dense solves use the transposed system.
+    A transpose has the same determinant, and its pivots the same parity.
     kernel_values is never written, so the residual check of a solve reads
     the operator as given.
     """
@@ -115,6 +147,10 @@ class DiscreteOperator:
     kernel_values: np.ndarray
     weights: np.ndarray
     _lu: tuple | None = field(default=None, repr=False)
+    solve_path: str | None = field(default=None, init=False)
+    sketch_rank: int = field(default=0, init=False)
+    sketch_tail: float = field(default=math.nan, init=False)
+    _sketch: tuple | None = field(default=None, init=False, repr=False)
 
     def matrix(self) -> np.ndarray:
         return self.kernel_values * self.weights[None, :]
@@ -136,13 +172,44 @@ class DiscreteOperator:
                 self._lu = lu_factor(a.T, overwrite_a=True, check_finite=False)
         return self._lu
 
+    def _sketch_factor(self):
+        """(Q, B, LU of S) of the range sketch, or None for the dense LU;
+        the path is chosen on the first solve and kept."""
+        if self.solve_path is None:
+            self._sketch = self._range_sketch()
+            self.solve_path = "dense" if self._sketch is None else "sketch"
+        return self._sketch
+
+    def _range_sketch(self):
+        n = self.weights.size
+        k = _SKETCH_RANK
+        while 4 * k <= n:
+            y = self._apply(_probes(n, k))              # K W [Omega | T]
+            q = qr(y[:, :k], mode="economic", check_finite=False)[0]
+            qh = q.conj().T
+            kt = y[:, k:]
+            scale = float(np.linalg.norm(kt))
+            tail = float(np.linalg.norm(kt - q @ (qh @ kt)))
+            self.sketch_rank = k
+            self.sketch_tail = tail / scale if scale else 0.0
+            if tail <= _TAIL_TOL * scale:
+                b = (qh @ self.kernel_values) * self.weights
+                s = np.eye(k) - b @ q
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # singular S is checked
+                    return q, b, lu_factor(s, overwrite_a=True,
+                                           check_finite=False)
+            k *= 2
+        return None
+
 
 def det_one_minus(op: DiscreteOperator) -> tuple[complex, float]:
     """det(I - op) by pivoted LU, with its log-magnitude as a companion.
 
     The value is the pivot product with the permutation sign; the companion
     sum of log|pivots| stays meaningful when the value itself under- or
-    overflows.  Emits SingularWarning when a pivot falls below 1e-300."""
+    overflows.  Emits SingularWarning when a pivot falls below 1e-300.
+    Always the dense LU: see DiscreteOperator for why not the sketch."""
     lu, piv = op._factor()
     d = np.diag(lu)
     mag = np.abs(d)
@@ -160,22 +227,28 @@ def det_one_minus(op: DiscreteOperator) -> tuple[complex, float]:
 
 
 def solve_resolvent(op: DiscreteOperator, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - op) x = rhs through the cached LU factorization; a real
-    operator and a real rhs make a real solve."""
-    lu, piv = op._factor()
-    d = np.abs(np.diag(lu))
-    if d.min() < _PIVOT_FLOOR:
+    """Solve (I - op) x = rhs; a real operator and a real rhs make a real
+    solve.
+
+    On the sketch path x = rhs + Q S^{-1} B rhs, on the dense path the
+    transposed system of the cached LU (see DiscreteOperator).  Raises
+    SingularError when a pivot of the factored matrix, S or I - K W, falls
+    below 1e-300, or when the residual against the full operator exceeds
+    1e-10 (1 + |rhs|)."""
+    sketch = op._sketch_factor()
+    lu, piv = op._factor() if sketch is None else sketch[2]
+    if np.abs(np.diag(lu)).min() < _PIVOT_FLOOR:
         raise SingularError("operator I - K is numerically singular")
-    x = lu_solve((lu, piv), rhs, trans=1, check_finite=False)
+    if sketch is None:
+        x = lu_solve((lu, piv), rhs, trans=1, check_finite=False)
+    else:
+        q, b, _ = sketch
+        x = rhs + q @ lu_solve((lu, piv), b @ rhs, check_finite=False)
     resid = rhs - (x - op._apply(x))
     scale = 1.0 + float(np.linalg.norm(np.asarray(rhs)))
     if float(np.linalg.norm(resid)) > 1e-10 * scale:
         raise SingularError("resolvent residual above tolerance")
     return x
-
-
-def operator_trace(op: DiscreteOperator) -> complex:
-    return complex(np.sum(np.diag(op.kernel_values) * op.weights))
 
 
 def check_rounding_scale(op: DiscreteOperator, context: str) -> None:

@@ -106,24 +106,34 @@ class RhWorkspace:
 
     The grids are mirror images under conjugation and K W_line commutes
     with it, so only the upper-half line rows of K W_line are formed and
-    its real form (kernels.real_form) is factored by a real LU.  The right
-    side and F_line are odd under the mirror (v[::-1] = -conj v), so
+    its real form (kernels.real_form) is solved in real arithmetic.  The
+    right side and F_line are odd under the mirror (v[::-1] = -conj v), so
     i F_line lies in the real subspace: both columns are real solves, and
     the lower half of F_line is the mirror of the upper.  The Y1 sums then
     have exactly mirrored terms, so their imaginary-residue checks see only
     rounding; the rounding scale of the real form
     (fredholm.check_rounding_scale) shows an unresolved discretization
-    instead (alpha 128, alpha <= 0.15).  A sweep costs one real line-grid
+    instead (alpha 128, alpha <= 0.15); the guard needs K itself, so the
+    real form is still formed in full.  A sweep costs one real line-grid
     solve per point and no contour rebuilds.  Valid for evaluation points
     0 < a <= x_max (x_max sets the oscillation budget of the line grid).
+
+    The solve is fredholm.solve_resolvent's sketch: the real form has only
+    a few singular values above rounding (its eigenvalues are those of the
+    limiting kernel on (a, inf)), so a rank-16 range sketch Q of it and a
+    16 x 16 Woodbury system replace an n x n LU, with the full operator
+    still checking the residual.  If the sketch's tail were ever above
+    tolerance up to rank n/4, the solve would fall back to the dense LU;
+    determinants (fredholm.det_one_minus) stay dense in any case.
 
     The line is a contours.build_vertical line, so z - s = i (Im z - Im s):
     the Cauchy factor is kept as the real matrix 1/(Im z - Im s) and its -i
     goes into the (g, h) rows.  Each solve assembles K W and its real form
-    in two buffers the workspace owns and overwrites on every call; the LU
-    then factors one fresh copy of I - K W in place.  A lock serialises the
-    solves of one workspace, so threads that share it wait for each other;
-    parallel solves need a workspace each."""
+    in two buffers the workspace owns and overwrites on every call; the
+    sketch then allocates only line-length blocks of 20 columns or fewer,
+    never an n x n copy.  A lock serialises the solves of one workspace, so
+    threads that share it wait for each other; parallel solves need a
+    workspace each."""
 
     def __init__(self, alpha: float, x_max: float, order: int = 16,
                  refine: float = 1.0):

@@ -18,8 +18,8 @@ from critgap import fredholm, kernels
 from critgap.contours import GeometryError
 from critgap.fredholm import (DiscreteOperator, HalfLineGrid, SingularError,
                               det_one_minus, gap_probability,
-                              halfline_operator, ha_operator, operator_trace,
-                              qa_operator, solve_resolvent)
+                              halfline_operator, ha_operator, qa_operator,
+                              solve_resolvent)
 from critgap.observables import RhWorkspace
 
 TRACE_0_INF_ALPHA1 = 0.5131565138586352785453
@@ -44,12 +44,16 @@ def test_halfline_grid_validation():
         HalfLineGrid(1.0, order=1)
 
 
+def _operator_trace(op: DiscreteOperator) -> complex:
+    return complex(np.sum(np.diag(op.kernel_values) * op.weights))
+
+
 def test_trace_anchors():
     op = halfline_operator(1e-12, 1.0)
-    assert complex(operator_trace(op)).real == pytest.approx(
+    assert complex(_operator_trace(op)).real == pytest.approx(
         TRACE_0_INF_ALPHA1, rel=1e-10)
     op5 = halfline_operator(5.0, 2.0)
-    assert complex(operator_trace(op5)).real == pytest.approx(
+    assert complex(_operator_trace(op5)).real == pytest.approx(
         TRACE_5_INF_ALPHA2, rel=1e-10)
 
 
@@ -85,6 +89,7 @@ def test_transposed_in_place_lu_matches_numpy(dtype):
     rhs = rng.normal(size=(n, 2)).astype(dtype)
     np.testing.assert_allclose(solve_resolvent(op, rhs),
                                np.linalg.solve(a, rhs), rtol=1e-12, atol=1e-13)
+    assert op.solve_path == "dense" and op.sketch_rank == 0  # n < 64
     assert np.array_equal(op.kernel_values, kept)
     assert op.kernel_values is k
 
@@ -119,6 +124,72 @@ def test_singular_operator_detected():
     assert log_mag == -math.inf
     with pytest.raises(SingularError):
         solve_resolvent(op, np.ones(6, dtype=complex))
+    assert op.solve_path == "dense"
+
+
+def _low_rank_operator(n, rank, seed):
+    # K = U V^T from random factors, with non-unit weights: rank-`rank` K W
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=(n, rank)) / np.sqrt(n)
+    v = rng.normal(size=(n, rank)) / np.sqrt(n)
+    w = rng.uniform(0.5, 1.5, n)
+    return DiscreteOperator(u @ v.T, w), rng
+
+
+def test_low_rank_operator_solves_through_the_sketch():
+    op, rng = _low_rank_operator(200, 4, 21)
+    a = np.eye(200) - op.matrix()
+    rhs = rng.normal(size=(200, 2))
+    x = solve_resolvent(op, rhs)
+    assert op.solve_path == "sketch"
+    assert op.sketch_rank == 16 and op.sketch_tail <= 1e-13
+    want = np.linalg.solve(a, rhs)
+    assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+    assert op._lu is None  # no n x n LU was formed
+
+
+def test_sketched_solves_are_bit_identical():
+    # the probes are drawn from a fixed seed per (n, k), so two operators
+    # with the same values, and two solves of one, give the same bits, also
+    # when the probes are drawn afresh in between
+    op, rng = _low_rank_operator(200, 4, 22)
+    rhs = rng.normal(size=200)
+    first = solve_resolvent(op, rhs)
+    again = solve_resolvent(op, rhs)
+    fredholm._probes.cache_clear()
+    twin = DiscreteOperator(op.kernel_values.copy(), op.weights.copy())
+    other = solve_resolvent(twin, rhs)
+    assert twin.solve_path == op.solve_path == "sketch"
+    assert np.array_equal(first, again) and np.array_equal(first, other)
+    assert twin.sketch_tail == op.sketch_tail
+
+
+def test_singular_low_rank_operator_raises_through_the_sketch():
+    # K = e_0 e_0^T has rank 1 and I - K is exactly singular; the sketch
+    # captures K exactly, so the zero pivot appears in the k x k system
+    n = 200
+    k = np.zeros((n, n))
+    k[0, 0] = 1.0
+    op = DiscreteOperator(k, np.ones(n))
+    with pytest.raises(SingularError, match="numerically singular"):
+        solve_resolvent(op, np.ones(n))
+    assert op.solve_path == "sketch" and op.sketch_tail == 0.0
+    assert op._lu is None
+
+
+def test_full_rank_operator_falls_back_to_the_dense_lu():
+    # a random K has no small tail at any rank: 16 and 32 are tried, and
+    # 64 > n/4 sends the solve to the dense LU
+    rng = np.random.default_rng(23)
+    n = 128
+    k = rng.normal(size=(n, n)) * 0.05
+    op = DiscreteOperator(k, np.ones(n))
+    rhs = rng.normal(size=n)
+    x = solve_resolvent(op, rhs)
+    assert op.solve_path == "dense" and op.sketch_rank == 32
+    assert op.sketch_tail > 0.1
+    np.testing.assert_allclose(x, np.linalg.solve(np.eye(n) - k, rhs),
+                               rtol=1e-12, atol=1e-13)
 
 
 def test_route_agreement_spot():

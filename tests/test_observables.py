@@ -180,9 +180,11 @@ def test_workspace_buffers_carry_no_state_between_solves(monkeypatch):
 
 
 def test_workspace_solve_allocation_budget():
-    # K W and its real form live in buffers the workspace owns; a warmed
-    # solve allocates about one n x n real array, the copy of I - K W that
-    # the LU factors in place (four of them before the buffers)
+    # K W and its real form live in buffers the workspace owns, and the
+    # solve goes through a rank-16 sketch, so no n x n array is allocated.
+    # A warmed solve peaks at 0.35 n^2 * 8 bytes here (n = 288), about a
+    # hundred line-length vectors: probes, sketch and right sides.  The
+    # bound leaves 40% margin, and one n x n real copy would exceed it
     ws = RhWorkspace(1.0, 4.0)
     n = len(ws.line)
     ws.y1(2.0)
@@ -192,7 +194,34 @@ def test_workspace_solve_allocation_budget():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * n * n * 8
+    assert peak <= 0.5 * n * n * 8
+
+
+def test_workspace_solves_through_the_sketch(monkeypatch):
+    # the real form of K W has only a few singular values above rounding,
+    # so the first rank-16 sketch meets its tail tolerance and the only LU
+    # is the 16 x 16 one of the Woodbury system
+    seen, factored = [], []
+
+    def spy(op, rhs):
+        seen.append(op)
+        return fredholm.solve_resolvent(op, rhs)
+
+    def lu_spy(a, **kwargs):
+        factored.append(a.shape)
+        return lu_factor(a, **kwargs)
+
+    lu_factor = fredholm.lu_factor
+    monkeypatch.setattr(observables, "solve_resolvent", spy)
+    monkeypatch.setattr(fredholm, "lu_factor", lu_spy)
+    for alpha in (0.5, 1.0, 2.0):
+        ws = RhWorkspace(alpha, 4.0)
+        for a in (1.0, 3.0):
+            ws.y1(a)
+            op = seen[-1]
+            assert op.solve_path == "sketch", (alpha, a)
+            assert op.sketch_rank == 16 and op.sketch_tail <= 1e-14
+    assert factored == [(16, 16)] * 6
 
 
 def test_workspace_refuses_a_line_off_one_abscissa(monkeypatch):
