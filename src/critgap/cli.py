@@ -205,6 +205,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
     summary["manifest"] = _manifest("mc", {
         "N": args.N, "M": args.M, "trials": args.trials, "seed": args.seed,
         "threads": threads, "compare": bool(args.compare), "csv": args.csv,
+        "sampler": mc.SAMPLER,
     }, started)
     json.dump(summary, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")

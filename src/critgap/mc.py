@@ -14,18 +14,22 @@ QR factors of Ginibre matrices: chi-distributed diagonal, complex Gaussians
 above it (Forrester, arXiv:1206.2001; Akemann-Burda-Kieburg,
 arXiv:1406.0803).  That needs half the variates and none of the polar
 transform, and the variates of many factors come from one generator call.
-Samples for a given seed therefore differ from those of versions that drew
-dense factors; the law is the same.
+Each trial draws from its own SFC64 stream.  Samples for a given seed
+therefore differ from those of versions that drew dense factors or used
+Philox streams; the law is the same.
 
 Entries of the product grow like exp(Theta(M log N)), far beyond double
-range at N = M >= 32, so every factor is Frobenius-normalized and the scale
-is accumulated exactly in log space.
+range at N = M >= 32.  The chain keeps a running upper bound on the
+product's Frobenius norm, the product of the factors' own norms, and
+rescales the partial product to unit norm only when that bound passes
+1e150, and once at the end; the scale is accumulated exactly in log space.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -37,6 +41,7 @@ from .kernels import centering_shift
 
 __all__ = [
     "ConvergenceError",
+    "SAMPLER",
     "McConfig",
     "McResult",
     "center_aN",
@@ -57,7 +62,13 @@ _POWER_MAX_ITER = 10_000
 # complex normals drawn per generator call: every factor of an N = M = 48
 # trial at once, yet O(N^2) memory at the size cap (two factors a call)
 _BLOCK_ENTRIES = 1 << 16
+# rescale the partial product once its norm bound passes 1e150: after one
+# more factor (Frobenius norm about 360 at the size cap) the sum of squares
+# that np.linalg.norm forms stays below the double range of about 1.8e308
+_LOG_NORM_LIMIT = math.log(1e150)
 THREADS_ENV = "CRITGAP_THREADS"
+# names the law and the stream layout; recorded with every sample file
+SAMPLER = "triangular-sfc64"
 
 
 class ConvergenceError(RuntimeError):
@@ -80,6 +91,12 @@ class McConfig:
     alpha_label: float | None = None  # reporting only, M/N
 
     def __post_init__(self):
+        for name in ("N", "M", "trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value,
+                                                          numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not (1 <= self.N <= _SIZE_CAP and 1 <= self.M <= _SIZE_CAP):
             raise ValueError(f"N, M must be in [1, {_SIZE_CAP}]")
         if self.trials < 1:
@@ -98,9 +115,10 @@ class McResult:
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    # one Philox stream per trial; sharded runs derive identical streams
+    # one SFC64 stream per trial, keyed by the trial index in the seed's
+    # SeedSequence; sharded runs derive identical streams
     seq = np.random.SeedSequence(seed, spawn_key=(trial,))
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 @functools.lru_cache(maxsize=None)
@@ -115,12 +133,12 @@ def _triangle_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def triangular_factors(rng: np.random.Generator, n: int,
-                       m: int) -> Iterator[np.ndarray]:
+                       m: int) -> Iterator[tuple[np.ndarray, float]]:
     """Yield m independent n x n upper-triangular factors R, each distributed
     as sqrt(2) times the R of the QR decomposition of a standard complex
     Ginibre matrix: r_jj = sqrt(chisquare(2(n - j))) on the diagonal,
     complex entries with standard-normal real and imaginary parts above it,
-    zeros below.
+    zeros below.  Each comes with log ||R||_F, taken from its variates.
 
     The variates of as many factors as fit in 2^16 complex normals (at
     least one) come from one generator call each for the normals and the
@@ -129,29 +147,50 @@ def triangular_factors(rng: np.random.Generator, n: int,
     per_call = max(1, _BLOCK_ENTRIES // max(upper.size, 1))
     for start in range(0, m, per_call):
         count = min(per_call, m - start)
-        above = rng.standard_normal((count, 2 * upper.size)).view(complex)
-        diag = np.sqrt(rng.chisquare(dof, (count, n)))
+        normals = rng.standard_normal((count, 2 * upper.size))
+        chi2 = rng.chisquare(dof, (count, n))
+        # ||R||_F^2: the squared normals above the diagonal plus r_jj^2
+        log_norms = 0.5 * np.log(np.einsum("ij,ij->i", normals, normals)
+                                 + chi2.sum(axis=1))
+        above = normals.view(complex)
+        diag = np.sqrt(chi2)
         for k in range(count):
             factor = np.zeros((n, n), dtype=complex)
             flat = factor.reshape(-1)
             flat[upper] = above[k]
             flat[::n + 1] = diag[k]
-            yield factor
+            yield factor, float(log_norms[k])
 
 
 def product_log_norms(rng: np.random.Generator, n: int,
                       m: int) -> tuple[np.ndarray, float]:
-    """Left-multiply m triangular factors, rescaling each partial product to
-    unit Frobenius norm.  Returns (scaled product, accumulated log scale),
-    the scale already divided by the factors' sqrt(2)^m."""
+    """Left-multiply m triangular factors.  Returns (product scaled to unit
+    Frobenius norm, accumulated log scale), the scale already divided by
+    the factors' sqrt(2)^m.
+
+    The partial product is rescaled only when the sum of the factors' log
+    Frobenius norms since the last rescale, an upper bound on its log norm
+    (||R_k ... R_1||_F <= prod ||R_i||_F), passes log 1e150, and once at
+    the end.  It cannot underflow in between: its norm is at least its
+    (0, 0) entry, exactly the product of the factors' r_00, which grows at
+    the product's top Lyapunov rate."""
     prod = np.eye(n, dtype=complex)
-    log_scale = 0.0
-    for factor in triangular_factors(rng, n, m):
+    log_scale = log_bound = 0.0
+    for factor, log_norm in triangular_factors(rng, n, m):
         prod = factor @ prod
-        norm = float(np.linalg.norm(prod))
-        prod /= norm
-        log_scale += math.log(norm)
+        log_bound += log_norm
+        if log_bound > _LOG_NORM_LIMIT:
+            log_scale += _normalize(prod)
+            log_bound = 0.0
+    log_scale += _normalize(prod)
     return prod, log_scale - 0.5 * m * math.log(2.0)
+
+
+def _normalize(prod: np.ndarray) -> float:
+    """Scale prod to unit Frobenius norm in place; return the log norm."""
+    norm = float(np.linalg.norm(prod))
+    prod /= norm
+    return math.log(norm)
 
 
 def top_log_eigenvalue(scaled: np.ndarray, log_scale: float,
@@ -238,7 +277,8 @@ def write_samples_csv(result: McResult, path: str) -> None:
     cfg = result.config
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# N={cfg.N} M={cfg.M} trials={cfg.trials} seed={cfg.seed}"
-                 f" alpha_label={cfg.alpha_label:.17g} a_N={result.a_N:.17g}\n")
+                 f" alpha_label={cfg.alpha_label:.17g} a_N={result.a_N:.17g}"
+                 f" sampler={SAMPLER}\n")
         fh.write("sample\n")
         for v in result.samples:
             fh.write(f"{v:.17g}\n")

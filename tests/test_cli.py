@@ -246,6 +246,9 @@ def test_mc_csv_deterministic(capsys, tmp_path):
     doc = json.loads(out1)
     assert doc["trials"] == 32
     assert "manifest" in doc and doc["manifest"]["command"] == "mc"
+    assert doc["manifest"]["params"]["sampler"] == mc.SAMPLER
+    with open(p1, encoding="utf-8") as fh:
+        assert f"sampler={mc.SAMPLER}" in fh.readline()
     assert [row["a"] for row in doc["gap_table"]] == [1.0, 2.0, 3.0]
 
 

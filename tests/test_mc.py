@@ -5,7 +5,8 @@ The eigenvalue path is checked against a hand-rolled cyclic Jacobi solver
 power iteration never validates itself.  The scalar N = M = 1 case has a
 closed-form law and is checked by Kolmogorov-Smirnov distance.  The
 triangular-factor sampler is checked against a dense Ginibre-product
-reference by a two-sample Kolmogorov-Smirnov test.
+reference by a two-sample Kolmogorov-Smirnov test, and its lazily
+normalized product chain against one normalized after every factor.
 """
 
 from __future__ import annotations
@@ -46,6 +47,19 @@ def _dense_rightmost(n: int, m: int, trials: int, seed: int) -> np.ndarray:
         sigma = float(np.linalg.norm(prod, 2))
         out[t] = 2.0 * (log_scale + math.log(sigma)) - center_aN(n, m)
     return out
+
+
+def _eager_product(rng: np.random.Generator, n: int,
+                   m: int) -> tuple[np.ndarray, float]:
+    """Reference product chain: rescale to unit Frobenius norm after every
+    factor, and sum the log scales exactly."""
+    prod, logs = np.eye(n, dtype=complex), [-0.5 * m * math.log(2.0)]
+    for factor, _ in triangular_factors(rng, n, m):
+        prod = factor @ prod
+        norm = float(np.linalg.norm(prod))
+        prod /= norm
+        logs.append(math.log(norm))
+    return prod, math.fsum(logs)
 
 
 def jacobi_eigenvalues(herm: np.ndarray, sweeps: int = 60) -> np.ndarray:
@@ -100,6 +114,15 @@ def test_config_validation():
         McConfig(N=1, M=1, trials=10, seed=-1)
     with pytest.raises(ValueError):
         McConfig(N=1, M=1, trials=10, seed=2 ** 64)
+    for field in ("N", "M", "trials", "seed"):
+        for bad in (True, 2.5, 3.0, "3", None):
+            kwargs = dict(N=2, M=2, trials=3, seed=1)
+            kwargs[field] = bad
+            with pytest.raises(ValueError, match=f"{field} must be"):
+                McConfig(**kwargs)
+    cfg = McConfig(N=np.int64(2), M=np.uint8(2), trials=np.int32(3),
+                   seed=np.uint64(2 ** 64 - 1))
+    assert all(type(v) is int for v in (cfg.N, cfg.M, cfg.trials, cfg.seed))
     with pytest.raises(ValueError):
         center_aN(2.5, 1)
 
@@ -112,8 +135,8 @@ def test_alpha_label_default():
 
 def test_triangular_factor_structure_and_moments():
     n, m = 8, 4000   # two generator calls: 2340 factors, then 1660
-    factors = np.array(list(triangular_factors(np.random.default_rng(12345),
-                                               n, m)))
+    drawn = list(triangular_factors(np.random.default_rng(12345), n, m))
+    factors = np.array([factor for factor, _ in drawn])
     assert factors.shape == (m, n, n)
     lower = np.tril_indices(n, -1)
     assert not np.any(factors[:, lower[0], lower[1]])
@@ -148,12 +171,41 @@ def test_scaling_invariance():
     # removed) triangular factors of the same draw stream
     scaled, log_scale = mc.product_log_norms(mc._trial_rng(9, 0), 4, 3)
     raw = np.eye(4, dtype=complex)
-    for factor in triangular_factors(mc._trial_rng(9, 0), 4, 3):
+    for factor, _ in triangular_factors(mc._trial_rng(9, 0), 4, 3):
         raw = (factor / math.sqrt(2.0)) @ raw
     direct = math.log(jacobi_eigenvalues(raw.conj().T @ raw)[-1])
     via_scale = 2.0 * log_scale + math.log(
         jacobi_eigenvalues(scaled.conj().T @ scaled)[-1])
     assert via_scale == pytest.approx(direct, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 8, 48, 256])
+def test_factor_log_norms_match_the_factors(n):
+    # n = 256: two factors per generator call, at the size cap
+    for factor, log_norm in triangular_factors(mc._trial_rng(5, n), n, 5):
+        assert log_norm == pytest.approx(math.log(np.linalg.norm(factor)),
+                                         abs=1e-13)
+
+
+@pytest.mark.parametrize("n, m", [(48, 256), (8, 256), (1, 256), (48, 48)])
+def test_lazy_normalization_matches_eager(n, m):
+    # (48, 256) and (8, 256): the norm bound passes 1e150 mid-chain;
+    # (48, 48): only the final rescale runs
+    for trial in range(3):
+        rng, ref_rng = mc._trial_rng(21, trial), mc._trial_rng(21, trial)
+        scaled, log_scale = mc.product_log_norms(rng, n, m)
+        ref, ref_scale = _eager_product(ref_rng, n, m)
+        assert np.linalg.norm(scaled) == pytest.approx(1.0, abs=1e-14)
+        assert np.max(np.abs(scaled - ref)) <= 1e-12
+        assert log_scale == pytest.approx(ref_scale, abs=1e-12)
+        assert top_log_eigenvalue(scaled, log_scale, rng) == pytest.approx(
+            top_log_eigenvalue(ref, ref_scale, ref_rng), abs=1e-12)
+
+
+def test_trial_at_the_size_cap_is_finite():
+    value = mc._run_trial(McConfig(N=256, M=256, trials=1, seed=8), 0)
+    assert math.isfinite(value)
+    assert abs(value - center_aN(256, 256)) < 10.0   # about 2000 uncentered
 
 
 def test_power_iteration_vs_jacobi():
@@ -191,12 +243,14 @@ def test_scalar_case_reconstruction():
 
 
 def test_thread_invariance_across_generator_calls():
-    # M = 60 > 58 factors per generator call at N = 48: two calls a trial
-    cfg = McConfig(N=48, M=60, trials=8, seed=2718)
-    one = sample_rightmost(cfg, threads=1).samples
-    for threads in (2, 4):
-        assert np.array_equal(sample_rightmost(cfg, threads=threads).samples,
-                              one)
+    # (48, 60): 60 > 58 factors per generator call at N = 48, two calls a
+    # trial; (8, 256): the norm bound also passes 1e150 mid-chain
+    for n, m in [(48, 60), (8, 256)]:
+        cfg = McConfig(N=n, M=m, trials=8, seed=2718)
+        one = sample_rightmost(cfg, threads=1).samples
+        for threads in (2, 4):
+            assert np.array_equal(
+                sample_rightmost(cfg, threads=threads).samples, one)
 
 
 def test_resolve_threads(monkeypatch):
@@ -253,6 +307,11 @@ def test_csv_round_trip(tmp_path):
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
     assert header.startswith("# N=3 M=2 trials=17 seed=99")
+    assert header.rstrip().endswith(f" sampler={mc.SAMPLER}")
+    old = tmp_path / "old.csv"   # written before the header named a sampler
+    old.write_text("# N=3 M=2 trials=2 seed=99 alpha_label=0.66666666666666663"
+                   " a_N=1.0\nsample\n0.5\n-1.25\n", encoding="utf-8")
+    assert np.array_equal(read_samples_csv(str(old)), [0.5, -1.25])
 
 
 def test_summary_dict_shape():
