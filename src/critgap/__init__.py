@@ -11,14 +11,13 @@ simulation of the matrix products.
 
 from .contours import (ContourSpec, GeometryError, QuadratureGrid,
                        build_closed_loop, build_hairpin, build_vertical,
-                       deformed_contours, truncation_radius, union_grid)
+                       deformed_contours, truncation_radius)
 from .fredholm import (DiscreteOperator, GapResult, HalfLineGrid, ROUTES,
                        SingularError, SingularWarning, det_one_minus,
                        gap_probability, halfline_operator, ha_operator,
                        qa_operator, solve_resolvent)
 from .kernels import (centering_shift, conjugated_kernel, critical_kernel,
-                      factored_kernel, finite_kernel, integrable_kernel,
-                      kernel_pair, line_reduced_kernel, qa_pair)
+                      factored_kernel, finite_kernel, kernel_pair, qa_pair)
 from .mc import (ConvergenceError, McConfig, McResult, center_aN,
                  empirical_gap, sample_rightmost)
 from .observables import (RhWorkspace, UnderflowWarning, Y1Matrix,
@@ -34,12 +33,11 @@ __all__ = [
     "gamma", "log_gamma", "recip_gamma", "PoleError", "DomainError",
     # contours
     "ContourSpec", "QuadratureGrid", "GeometryError", "build_hairpin",
-    "build_vertical", "build_closed_loop", "deformed_contours", "union_grid",
+    "build_vertical", "build_closed_loop", "deformed_contours",
     "truncation_radius",
     # kernels
     "critical_kernel", "conjugated_kernel", "factored_kernel",
-    "finite_kernel", "integrable_kernel", "line_reduced_kernel",
-    "kernel_pair", "qa_pair", "centering_shift",
+    "finite_kernel", "kernel_pair", "qa_pair", "centering_shift",
     # determinants
     "ROUTES", "HalfLineGrid", "DiscreteOperator", "GapResult",
     "gap_probability", "det_one_minus", "solve_resolvent",

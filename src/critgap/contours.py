@@ -9,17 +9,14 @@ approximates the contour integral of f directly.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .special import gamma
 
 __all__ = [
-    "LOOP",
-    "LINE",
     "GeometryError",
     "ContourSpec",
     "QuadratureGrid",
@@ -27,13 +24,9 @@ __all__ = [
     "build_vertical",
     "build_closed_loop",
     "deformed_contours",
-    "union_grid",
     "truncation_radius",
     "gamma_contour_integral",
 ]
-
-LOOP = "loop"
-LINE = "line"
 
 # minimum horizontal separation between a loop's crossing and a line's abscissa
 PAIR_MARGIN = 0.05
@@ -69,13 +62,11 @@ class QuadratureGrid:
     """Composite Gauss-Legendre grid along a contour.
 
     weights are complex and include dz, so weighted sums of node values are
-    contour integrals.  labels marks every node as belonging to the loop or
-    the line family, which is what the two-contour operator kernels key on.
+    contour integrals.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    labels: np.ndarray
     panel_count: int
     order: int
     spec: ContourSpec
@@ -86,17 +77,6 @@ class QuadratureGrid:
     def integrate(self, values: np.ndarray) -> complex:
         return complex(np.sum(self.weights * np.asarray(values)))
 
-    def to_json(self) -> str:
-        payload = {
-            "spec": asdict(self.spec),
-            "panel_count": int(self.panel_count),
-            "order": int(self.order),
-            "labels": self.labels.tolist(),
-            "nodes": [[z.real, z.imag] for z in self.nodes],
-            "weights": [[w.real, w.imag] for w in self.weights],
-        }
-        return json.dumps(payload, indent=1)
-
 
 def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     if order not in _gl_rule.cache:
@@ -105,6 +85,15 @@ def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _gl_rule.cache = {}
+
+
+def _gl_panels(cuts: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on every panel [cuts[i], cuts[i+1]]
+    at once, one row of `order` per panel."""
+    x, w = _gl_rule(order)
+    a, b = cuts[:-1, None], cuts[1:, None]
+    mid, half = (a + b) / 2.0, (b - a) / 2.0
+    return mid + half * x, w * half
 
 
 def _check_basic(delta: float, T: float, panels: int, order: int) -> None:
@@ -145,25 +134,18 @@ def _geometric_count(length: float, first: float, growth: float) -> int:
 
 def _segment(z0: complex, z1: complex, cuts: np.ndarray,
              order: int) -> tuple[np.ndarray, np.ndarray, int]:
-    # every panel at once: one row of `order` nodes per panel
-    x, w = _gl_rule(order)
-    a, b = cuts[:-1, None], cuts[1:, None]
-    mid, half = (a + b) / 2.0, (b - a) / 2.0
+    u, wu = _gl_panels(cuts, order)
     dz = z1 - z0
-    nodes = z0 + dz * (mid + half * x)
-    weights = w * half * dz
+    nodes = z0 + dz * u
+    weights = wu * dz
     return nodes.ravel(), weights.ravel(), len(cuts) - 1
 
 
 def _arc(center: float, radius: float, th0: float, th1: float,
          n_panels: int, order: int) -> tuple[np.ndarray, np.ndarray, int]:
-    x, w = _gl_rule(order)
-    cuts = np.linspace(th0, th1, n_panels + 1)
-    a, b = cuts[:-1, None], cuts[1:, None]
-    mid, half = (a + b) / 2.0, (b - a) / 2.0
-    th = mid + half * x
+    th, wth = _gl_panels(np.linspace(th0, th1, n_panels + 1), order)
     z = center + radius * np.exp(1j * th)
-    weights = w * half * 1j * radius * np.exp(1j * th)
+    weights = wth * 1j * radius * np.exp(1j * th)
     return z.ravel(), weights.ravel(), n_panels
 
 
@@ -172,12 +154,11 @@ def _min_pole_distance(nodes: np.ndarray) -> float:
     return float(np.min(np.abs(nodes - k)))
 
 
-def _finish(pieces, label: str, order: int, spec: ContourSpec) -> QuadratureGrid:
+def _finish(pieces, order: int, spec: ContourSpec) -> QuadratureGrid:
     nodes = np.concatenate([p[0] for p in pieces])
     weights = np.concatenate([p[1] for p in pieces])
     count = sum(p[2] for p in pieces)
-    labels = np.full(nodes.size, label, dtype="U4")
-    return QuadratureGrid(nodes, weights, labels, count, order, spec)
+    return QuadratureGrid(nodes, weights, count, order, spec)
 
 
 def _mirror_lower_half(grid: QuadratureGrid) -> QuadratureGrid:
@@ -285,7 +266,7 @@ def build_hairpin(delta: float = _DEFAULT_HALF_WIDTH, nose: float = _DEFAULT_NOS
     pieces.append(upper)
 
     spec = ContourSpec("hairpin", d_nose, nose, T)
-    grid = _mirror_lower_half(_finish(pieces, LOOP, order, spec))
+    grid = _mirror_lower_half(_finish(pieces, order, spec))
     if _min_pole_distance(grid.nodes) < 0.5 * d_nose - 1e-12:
         raise GeometryError("hairpin nodes too close to a gamma pole")
     return grid
@@ -322,7 +303,7 @@ def build_vertical(b: float = _DEFAULT_LINE_ABSCISSA, T: float = 10.0,
     piece = _segment(complex(b, -T), complex(b, T), norm, order)
     piece[0].real = b
     spec = ContourSpec("line", 0.0, b, T)
-    return _mirror_lower_half(_finish([piece], LINE, order, spec))
+    return _mirror_lower_half(_finish([piece], order, spec))
 
 
 def build_closed_loop(left_edge: float, delta: float = _DEFAULT_HALF_WIDTH,
@@ -360,7 +341,7 @@ def build_closed_loop(left_edge: float, delta: float = _DEFAULT_HALF_WIDTH,
 
     pieces = [lower, arc, upper, edge]
     spec = ContourSpec("closed-loop", delta, nose, abs(left_edge), left_edge)
-    grid = _finish(pieces, LOOP, order, spec)
+    grid = _finish(pieces, order, spec)
     if _min_pole_distance(grid.nodes) < 0.5 * delta - 1e-12:
         raise GeometryError("loop nodes too close to a gamma pole")
     return grid
@@ -387,23 +368,6 @@ def deformed_contours(alpha: float, a: float, order: int = 16, *,
     line = build_vertical(b, T_line, order=order, refine=refine,
                           max_frequency=max(max_frequency, a))
     return loop, line
-
-
-def union_grid(line: QuadratureGrid, loop: QuadratureGrid) -> QuadratureGrid:
-    """Concatenated two-contour grid, line nodes first, loop nodes second."""
-    if line.spec.crossing - loop.spec.crossing < PAIR_MARGIN:
-        raise GeometryError("line must pass right of the loop nose")
-    spec = ContourSpec("union", loop.spec.half_width,
-                       loop.spec.crossing, max(loop.spec.truncation,
-                                               line.spec.truncation))
-    return QuadratureGrid(
-        np.concatenate([line.nodes, loop.nodes]),
-        np.concatenate([line.weights, loop.weights]),
-        np.concatenate([line.labels, loop.labels]),
-        line.panel_count + loop.panel_count,
-        max(line.order, loop.order),
-        spec,
-    )
 
 
 def gamma_contour_integral(grid: QuadratureGrid, alpha: float, a: float) -> complex:

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve, qr
 
 from . import kernels
-from .contours import QuadratureGrid, _gl_rule
+from .contours import QuadratureGrid, _gl_panels
 
 __all__ = [
     "SingularError",
@@ -70,6 +70,7 @@ class HalfLineGrid:
 
     The kernel decays like exp(-(x+y)/2), so panels grow geometrically away
     from the left endpoint; length 40 puts the truncation error near 1e-17.
+    Raises ValueError unless length is finite and positive.
     """
 
     a: float
@@ -82,17 +83,14 @@ class HalfLineGrid:
     def __post_init__(self) -> None:
         if self.panels < 1 or self.order < 2:
             raise ValueError("need at least one panel and order >= 2")
+        if not (math.isfinite(self.length) and self.length > 0.0):
+            raise ValueError(
+                f"length must be finite and positive, got {self.length}")
         widths = _GRID_GROWTH ** np.arange(self.panels)
         widths = self.length * widths / widths.sum()
         edges = self.a + np.concatenate([[0.0], np.cumsum(widths)])
-        xg, wg = _gl_rule(self.order)
-        ns, ws = [], []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-            ns.append(mid + half * xg)
-            ws.append(half * wg)
-        self.nodes = np.concatenate(ns)
-        self.weights = np.concatenate(ws)
+        nodes, weights = _gl_panels(edges, self.order)
+        self.nodes, self.weights = nodes.ravel(), weights.ravel()
 
     def __len__(self) -> int:
         return self.nodes.size
@@ -284,7 +282,6 @@ def halfline_operator(a: float, alpha: float, length: float = _DEFAULT_LENGTH,
 
 
 def _line_operator(a: float, alpha: float, order: int, refine: float,
-                   deformed: bool,
                    loop: QuadratureGrid | None = None) -> DiscreteOperator:
     """Two-contour operator reduced to the line grid of the (a, alpha) pair,
     in its real form.
@@ -292,32 +289,31 @@ def _line_operator(a: float, alpha: float, order: int, refine: float,
     Without a loop grid the coupling blocks are contracted over the pair's
     own loop: the exact Schur complement of [[0, A], [B, 0]].  With one, the
     loop variable is integrated on it by the line-reduced kernel."""
-    pair = kernels.qa_pair(alpha, a_max=a, refine=refine, order=order,
-                           deformed=deformed, a=a)
+    pair = kernels.qa_pair(alpha, a_max=a, refine=refine, order=order)
     if loop is None:
         block_a, block_bt = kernels.cross_blocks(pair, a)
         np.conjugate(block_bt, out=block_bt)
         kv = kernels.real_form(block_a) @ kernels.real_form(block_bt).T
     else:
-        kv = kernels.ha_matrix(pair, a, loop_override=loop)
+        kv = kernels.ha_matrix(pair, a, loop)
     return DiscreteOperator(kv, np.ones(kv.shape[0]))
 
 
 def qa_operator(a: float, alpha: float, order: int = _DEFAULT_ORDER,
-                refine: float = 1.0, deformed: bool = False) -> DiscreteOperator:
+                refine: float = 1.0) -> DiscreteOperator:
     """Two-contour coupling operator Q = [[0, A], [B, 0]] on the (line, loop)
     union, as its line-grid Schur complement A W_loop B:
     det(I - Q W) = det(I - A W_loop B W_line)."""
-    return _line_operator(a, alpha, order, refine, deformed)
+    return _line_operator(a, alpha, order, refine)
 
 
 def ha_operator(a: float, alpha: float, order: int = _DEFAULT_ORDER,
-                refine: float = 1.0, deformed: bool = False) -> DiscreteOperator:
+                refine: float = 1.0) -> DiscreteOperator:
     """Line-reduced operator; its loop integration grid is built separately
     from the coupling pair so this route stays an independent quadrature."""
     inner = kernels.qa_pair(alpha, a_max=a, refine=1.4 * refine,
-                            order=max(8, order - 4), deformed=deformed, a=a)
-    return _line_operator(a, alpha, order, refine, deformed, loop=inner.loop)
+                            order=max(8, order - 4))
+    return _line_operator(a, alpha, order, refine, loop=inner.loop)
 
 
 @dataclass(frozen=True)
@@ -352,7 +348,11 @@ def gap_probability(a: float, alpha: float, route: str = "halfline",
     """Gap probability P(a) for scale parameter alpha along one route.
 
     The reported err is the self-convergence estimate |P(refine) - P(refine/2)|;
-    the halved run reuses the same route with every panel budget halved."""
+    the halved run reuses the same route with every panel budget halved.
+    Raises ValueError for an a or alpha that is not finite."""
+    for name, value in (("a", a), ("alpha", alpha)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if a <= 0.0:
         raise ValueError(f"gap probability evaluated for a > 0 only, got {a}")
     p, log_mag = _route_det(a, alpha, route, refine)

@@ -1,5 +1,5 @@
 """Correlation kernels: critical, conjugated, finite-product, factored forms,
-and the two-contour integrable kernel with its line reduction.
+and the coupling blocks of the two-contour operator with its line reduction.
 
 Everything is a double (or single) contour integral over a hairpin-loop /
 vertical-line pair.  Matrix-valued evaluators batch the node sums as three
@@ -18,8 +18,6 @@ import numpy as np
 
 from .special import DomainError, gamma, log_gamma, recip_gamma
 from .contours import (
-    LINE,
-    LOOP,
     GeometryError,
     QuadratureGrid,
     build_closed_loop,
@@ -27,7 +25,6 @@ from .contours import (
     build_vertical,
     deformed_contours,
     truncation_radius,
-    union_grid,
 )
 
 __all__ = [
@@ -40,14 +37,8 @@ __all__ = [
     "kernel_matrix",
     "finite_kernel",
     "centering_shift",
-    "left_factor",
-    "right_factor",
     "factored_kernel",
     "rh_vectors",
-    "rh_vector_arrays",
-    "integrable_kernel",
-    "qa_matrix",
-    "line_reduced_kernel",
     "ha_matrix",
     "cross_blocks",
 ]
@@ -86,21 +77,18 @@ class ContourPair:
     line: QuadratureGrid
     alpha: float
 
-    def union(self) -> QuadratureGrid:
-        return union_grid(self.line, self.loop)
-
 
 def kernel_pair(alpha: float, x_max: float = 30.0, x_min: float = 0.0,
-                order: int = 16, refine: float = 1.0,
-                target: float = _TAIL_LOG) -> ContourPair:
+                order: int = 16, refine: float = 1.0) -> ContourPair:
     """Contour pair sized for the critical/conjugated kernel at |x|,|y| within
     [x_min, x_max]: Gaussian coefficient alpha/2 on both contours."""
     if alpha <= 0.0:
         raise GeometryError("alpha must be positive")
     growth_loop = max(0.0, -x_min)  # exp(x t) grows along the arms iff x < 0
-    T_loop = truncation_radius(alpha / 2.0, growth=growth_loop, target=target,
-                               gamma_decay=True)
-    T_line = truncation_radius(alpha / 2.0, growth=math.pi / 2.0, target=target)
+    T_loop = truncation_radius(alpha / 2.0, growth=growth_loop,
+                               target=_TAIL_LOG, gamma_decay=True)
+    T_line = truncation_radius(alpha / 2.0, growth=math.pi / 2.0,
+                               target=_TAIL_LOG)
     loop = build_hairpin(T=T_loop, order=order, refine=refine,
                          max_frequency=abs(x_max))
     line = build_vertical(T=T_line, order=order, refine=refine,
@@ -109,8 +97,7 @@ def kernel_pair(alpha: float, x_max: float = 30.0, x_min: float = 0.0,
 
 
 def qa_pair(alpha: float, a_max: float, order: int = 16, refine: float = 1.0,
-            target: float = _TAIL_LOG, deformed: bool = False,
-            a: float | None = None) -> ContourPair:
+            deformed: bool = False, a: float | None = None) -> ContourPair:
     """Contour pair sized for the two-contour operator kernels (Gaussian
     coefficient alpha/4).  With deformed=True the steepest-descent pair for
     the given a is used instead of the defaults."""
@@ -118,11 +105,12 @@ def qa_pair(alpha: float, a_max: float, order: int = 16, refine: float = 1.0,
         raise GeometryError("alpha must be positive")
     if deformed:
         loop, line = deformed_contours(alpha, a if a is not None else a_max,
-                                       order=order, refine=refine, target=target)
+                                       order=order, refine=refine)
         return ContourPair(loop, line, alpha)
-    T_loop = truncation_radius(alpha / 4.0, growth=0.0, target=target,
+    T_loop = truncation_radius(alpha / 4.0, growth=0.0, target=_TAIL_LOG,
                                gamma_decay=True)
-    T_line = truncation_radius(alpha / 4.0, growth=math.pi / 2.0, target=target)
+    T_line = truncation_radius(alpha / 4.0, growth=math.pi / 2.0,
+                               target=_TAIL_LOG)
     loop = build_hairpin(T=T_loop, order=order, refine=refine,
                          max_frequency=a_max)
     line = build_vertical(T=T_line, order=order, refine=refine,
@@ -380,29 +368,6 @@ def finite_kernel(x: float, y: float, n: int, m: int, order: int = 16,
     return _as_real(complex(val))
 
 
-def left_factor(x: float, q: float, alpha: float,
-                loop: QuadratureGrid | None = None) -> float:
-    """(1/2pi i) * loop integral of Gamma(t) exp(-alpha t^2/2 + (x+q)(t-1/2))."""
-    if loop is None:
-        T = truncation_radius(alpha / 2.0, growth=max(0.0, -(x + q)),
-                              gamma_decay=True)
-        loop = build_hairpin(T=T, max_frequency=max(1.0, abs(x + q)))
-    t = loop.nodes
-    vals = gamma(t) * np.exp(-alpha * t * t / 2.0 + (x + q) * (t - 0.5))
-    return _as_real(loop.integrate(vals) / _TWO_PI_I)
-
-
-def right_factor(q: float, y: float, alpha: float,
-                 line: QuadratureGrid | None = None) -> float:
-    """(1/2pi i) * line integral of exp(alpha s^2/2 - (y+q)(s-1/2)) / Gamma(s)."""
-    if line is None:
-        T = truncation_radius(alpha / 2.0, growth=math.pi / 2.0)
-        line = build_vertical(T=T, max_frequency=max(1.0, abs(y + q)))
-    s = line.nodes
-    vals = recip_gamma(s) * np.exp(alpha * s * s / 2.0 - (y + q) * (s - 0.5))
-    return _as_real(line.integrate(vals) / _TWO_PI_I)
-
-
 def factored_kernel(x: float, y: float, alpha: float, u_order: int = 32,
                     refine: float = 1.0) -> float:
     """Conjugated kernel rebuilt from its rank-factorization: the product of
@@ -436,67 +401,23 @@ def factored_kernel(x: float, y: float, alpha: float, u_order: int = 32,
     return _as_real(complex(np.sum(w * jac * G * Gt)))
 
 
-# -- two-contour integrable kernel -------------------------------------------
+# -- two-contour operator ---------------------------------------------------
 
-def rh_vectors(z: complex, label: str, a: float, alpha: float):
-    """The two-vectors (f, h) whose outer product builds the integrable kernel
-    and the jump matrix; f carries the 1/(2 pi i) normalization."""
-    f = np.zeros(2, dtype=complex)
-    h = np.zeros(2, dtype=complex)
-    quarter = alpha * z * z / 4.0
-    if label == LINE:
-        f[0] = np.exp(quarter - a * z) / _TWO_PI_I
-        h[1] = -recip_gamma(z) * np.exp(quarter)
-    elif label == LOOP:
-        f[1] = np.exp(-quarter) / _TWO_PI_I
-        h[0] = gamma(z) * np.exp(-quarter + a * z)
-    else:
-        raise ValueError(f"unknown contour label {label!r}")
-    return f, h
-
-
-def rh_vector_arrays(nodes: np.ndarray, labels: np.ndarray, a: float,
-                     alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (f, h) rows for every node of a union grid."""
-    n = nodes.size
-    F = np.zeros((n, 2), dtype=complex)
-    H = np.zeros((n, 2), dtype=complex)
-    on_line = labels == LINE
-    on_loop = labels == LOOP
-    z = nodes
-    quarter = alpha * z * z / 4.0
-    F[on_line, 0] = np.exp(quarter[on_line] - a * z[on_line]) / _TWO_PI_I
-    F[on_loop, 1] = np.exp(-quarter[on_loop]) / _TWO_PI_I
-    H[on_loop, 0] = gamma(z[on_loop]) * np.exp(-quarter[on_loop] + a * z[on_loop])
-    H[on_line, 1] = -recip_gamma(z[on_line]) * np.exp(quarter[on_line])
-    return F, H
-
-
-def integrable_kernel(x: complex, y: complex, label_x: str, label_y: str,
-                      a: float, alpha: float) -> complex:
-    """Two-contour operator kernel (f(x) . h(y)) / (x - y).
-
-    Identically zero when both points sit on the same contour (the f and h
-    supports are complementary), which is what makes the operator a pure
-    off-diagonal coupling between the line and the loop."""
-    if label_x == label_y:
-        return 0.0 + 0.0j
-    f, _ = rh_vectors(x, label_x, a, alpha)
-    _, h = rh_vectors(y, label_y, a, alpha)
-    num = f[0] * h[0] + f[1] * h[1]
-    return num / (x - y)
-
-
-def qa_matrix(union: QuadratureGrid, a: float, alpha: float) -> np.ndarray:
-    """Unweighted kernel matrix of the two-contour operator on a union grid.
-
-    Block structure over (line nodes, loop nodes): [[0, A], [B, 0]], where A
-    couples line<-loop and B loop<-line."""
-    F, H = rh_vector_arrays(union.nodes, union.labels, a, alpha)
-    num = F @ H.T
-    diff = union.nodes[:, None] - union.nodes[None, :]
-    np.fill_diagonal(diff, 1.0)  # numerator already vanishes on the diagonal
-    return num / diff
+def rh_vectors(pair: ContourPair, a: float) -> tuple[np.ndarray, ...]:
+    """The two-vectors (f, h) whose products build the two-contour operator
+    and its jump I - 2 pi i f h^T, by their nonzero components on each grid:
+    f = (f_line, 0), h = (0, h_line) on the line and f = (0, f_loop),
+    h = (h_loop, 0) on the loop, so f.h = 0 on both.  f carries the
+    1/(2 pi i) normalization.  Returns (f_line, h_line, f_loop, h_loop)."""
+    alpha = pair.alpha
+    z, t = pair.line.nodes, pair.loop.nodes
+    quarter_z = alpha * z * z / 4.0
+    quarter_t = alpha * t * t / 4.0
+    f_line = np.exp(quarter_z - a * z) / _TWO_PI_I
+    h_line = -recip_gamma(z) * np.exp(quarter_z)
+    f_loop = np.exp(-quarter_t) / _TWO_PI_I
+    h_loop = gamma(t) * np.exp(-quarter_t + a * t)
+    return f_line, h_line, f_loop, h_loop
 
 
 def cross_blocks(pair: ContourPair, a: float) -> tuple[np.ndarray, np.ndarray]:
@@ -523,23 +444,10 @@ def cross_blocks(pair: ContourPair, a: float) -> tuple[np.ndarray, np.ndarray]:
     return A, Bt
 
 
-def line_reduced_kernel(z: complex, s: complex, a: float, alpha: float,
-                        loop: QuadratureGrid) -> complex:
-    """Line-to-line kernel obtained by integrating the two coupling blocks
-    over the loop: -(1/4 pi^2) int_loop e^{a(t-z)} Gamma(t)/Gamma(s)
-    e^{alpha(z^2+s^2-2t^2)/4} / ((s-t)(z-t)) dt."""
-    t, wt = loop.nodes, loop.weights
-    g = gamma(t) * np.exp(a * t - alpha * t * t / 2.0)
-    pref = np.exp(-a * z + alpha * (z * z + s * s) / 4.0) * recip_gamma(s)
-    integ = np.sum(wt * g / ((s - t) * (z - t)))
-    return pref * integ / _TWO_PI_I ** 2
-
-
-def ha_matrix(pair: ContourPair, a: float,
-              loop_override: QuadratureGrid | None = None) -> np.ndarray:
+def ha_matrix(pair: ContourPair, a: float, loop: QuadratureGrid) -> np.ndarray:
     """Real form (see real_form) of the line-reduced kernel times the line
-    weights, K W, on the pair's line grid; the loop integration grid may be
-    overridden to decouple it from the pair.
+    weights, K W, on the pair's line grid, with the loop variable integrated
+    on `loop`, a grid of its own or the pair's.
 
     K W = L Rt with L = diag(e^{-az + alpha z^2/4}) R diag(g) and
     Rt = R^T diag(w e^{alpha z^2/4} / Gamma(z) / (2 pi i)), where
@@ -550,7 +458,6 @@ def ha_matrix(pair: ContourPair, a: float,
     So one Cauchy matrix on the upper line rows gives both factors.
     Raises GeometryError if either grid is not mirror-symmetric."""
     alpha = pair.alpha
-    loop = loop_override if loop_override is not None else pair.loop
     z, wz = _upper_half(pair.line)
     _upper_half(loop)  # the symmetry check; the sum runs over the whole loop
     t, wt = loop.nodes, loop.weights

@@ -88,7 +88,6 @@ class McConfig:
     M: int
     trials: int
     seed: int
-    alpha_label: float | None = None  # reporting only, M/N
 
     def __post_init__(self):
         for name in ("N", "M", "trials", "seed"):
@@ -103,8 +102,11 @@ class McConfig:
             raise ValueError("trials must be >= 1")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if self.alpha_label is None:
-            object.__setattr__(self, "alpha_label", self.M / self.N)
+
+    @property
+    def alpha_label(self) -> float:
+        """M / N, the alpha the limit is compared at; reporting only."""
+        return self.M / self.N
 
 
 @dataclass(frozen=True)

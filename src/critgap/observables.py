@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, special
-from .contours import (GeometryError, _gl_rule, deformed_contours,
+from .contours import (GeometryError, _gl_panels, deformed_contours,
                        gamma_contour_integral, truncation_radius)
 from .fredholm import (DiscreteOperator, HalfLineGrid, check_rounding_scale,
                        solve_resolvent)
@@ -150,14 +150,11 @@ class RhWorkspace:
         self.block_a, self.block_bt = kernels.cross_blocks(pair, 0.0)
         m = self.block_a.shape[0]
         n = 2 * m
-        f_line, h_line = kernels.rh_vector_arrays(
-            self.line.nodes, self.line.labels, 0.0, alpha)
-        self.f_line = f_line[m:, 0]                     # f(z).(1, 0), upper
-        self.hw_line = self.line.weights * h_line[:, 1]  # W h(s).(0, 1)
-        f_loop, h_loop = kernels.rh_vector_arrays(
-            self.loop.nodes, self.loop.labels, 0.0, alpha)
-        self.f_loop = f_loop[:, 1]
-        self.hw_loop = self.loop.weights * h_loop[:, 0]
+        f_line, h_line, f_loop, h_loop = kernels.rh_vectors(pair, 0.0)
+        self.f_line = f_line[m:]                    # f(z).(1, 0), upper
+        self.hw_line = self.line.weights * h_line   # W h(s).(0, 1)
+        self.f_loop = f_loop                        # f(t).(0, 1)
+        self.hw_loop = self.loop.weights * h_loop   # W h(t).(1, 0)
         # 1 / (Im z - Im s) = i / (z - s); the diagonal is set separately
         diff = np.subtract.outer(self.line.nodes[m:].imag, self.line.nodes.imag)
         np.fill_diagonal(diff[:, m:], 1.0)
@@ -321,14 +318,8 @@ def _u1_12_grid(a: float, alpha: float, order: int,
         cuts.append(cuts[-1] + max(w, 1e-3))
     edges = np.array(cuts)
     edges[-1] = truncation
-    xg, wg = _gl_rule(order)
-    ns, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-        ns.append(mid + half * xg)
-        ws.append(half * wg)
-    x = np.concatenate(ns)
-    w = np.concatenate(ws)
+    x, w = _gl_panels(edges, order)
+    x, w = x.ravel(), w.ravel()
     return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
 
 

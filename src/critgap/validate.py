@@ -99,10 +99,15 @@ def check_route_equivalence() -> CheckResult:
 
 
 def check_jump_unipotent() -> CheckResult:
-    """f.h = 0 on the contour union, so det(I - 2 pi i f h^T) = 1."""
+    """f.h = 0 on the line and on the loop, so det(I - 2 pi i f h^T) = 1."""
     pair = kernels.qa_pair(1.0, a_max=2.0)
-    union = pair.union()
-    f, h = kernels.rh_vector_arrays(union.nodes, union.labels, 2.0, 1.0)
+    f_line, h_line, f_loop, h_loop = kernels.rh_vectors(pair, 2.0)
+    # (f, h) rows: ((f_line, 0), (0, h_line)) and ((0, f_loop), (h_loop, 0))
+    zero_line, zero_loop = np.zeros_like(f_line), np.zeros_like(f_loop)
+    f = np.concatenate([np.stack([f_line, zero_line], axis=1),
+                        np.stack([zero_loop, f_loop], axis=1)])
+    h = np.concatenate([np.stack([zero_line, h_line], axis=1),
+                        np.stack([h_loop, zero_loop], axis=1)])
     dot = np.einsum("ij,ij->i", f, h)
     jdet = 1.0 - 2.0j * math.pi * dot  # det of I - 2 pi i f h^T
     worst = max(float(np.max(np.abs(dot))), float(np.max(np.abs(jdet - 1.0))))
@@ -119,7 +124,7 @@ def check_line_reduction() -> CheckResult:
     pair = kernels.qa_pair(alpha, a_max=a)
     block_a, block_bt = kernels.cross_blocks(pair, a)
     direct = kernels.real_form(block_a) @ kernels.real_form(block_bt.conj()).T
-    reduced = kernels.ha_matrix(pair, a, loop_override=pair.loop)
+    reduced = kernels.ha_matrix(pair, a, pair.loop)
     worst = float(np.max(np.abs(direct - reduced))
                   / (1.0 + np.max(np.abs(direct))))
     return _result("line-reduction",

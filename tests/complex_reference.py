@@ -1,10 +1,13 @@
 """Unfolded complex assembly of the two-contour operators, kept as the
-reference the conjugation fold is tested against.
+reference the conjugation fold and the Schur-complement reduction are
+tested against.
 
 Each function sums over every node of both grids in complex arithmetic and
 assumes no symmetry of the grids: the line operators are full n x n complex
 matrices K W, whose determinants the package now takes from their real
-forms.
+forms, and union_matrix is the dense Nystrom matrix of
+Q = [[0, A], [B, 0]] on the line-plus-loop union that the line-grid routes
+reduce.
 """
 
 from __future__ import annotations
@@ -17,6 +20,30 @@ from critgap import kernels
 from critgap.special import gamma, recip_gamma
 
 TWO_PI_I = 2j * math.pi
+
+
+def union_rows(pair, a):
+    """The two-vectors (f, h) as rows over the union grid, line nodes first:
+    f = (f_line, 0), h = (0, h_line) on the line and f = (0, f_loop),
+    h = (h_loop, 0) on the loop."""
+    f_line, h_line, f_loop, h_loop = kernels.rh_vectors(pair, a)
+    m = f_line.size
+    f = np.zeros((m + f_loop.size, 2), dtype=complex)
+    h = np.zeros_like(f)
+    f[:m, 0], h[:m, 1] = f_line, h_line
+    f[m:, 1], h[m:, 0] = f_loop, h_loop
+    return f, h
+
+
+def union_matrix(pair, a):
+    """Unweighted kernel Q[x, y] = f(x).h(y) / (x - y) on the union grid,
+    line nodes first: [[0, A], [B, 0]], A line<-loop and B loop<-line.
+    The union's weights are the line's followed by the loop's."""
+    f, h = union_rows(pair, a)
+    nodes = np.concatenate([pair.line.nodes, pair.loop.nodes])
+    diff = nodes[:, None] - nodes[None, :]
+    np.fill_diagonal(diff, 1.0)  # numerator already vanishes on the diagonal
+    return (f @ h.T) / diff
 
 
 def cross_blocks(pair, a):
@@ -60,10 +87,12 @@ def line_matrix(a, alpha, route, refine=1.0, order=16):
 def workspace_matrix(workspace, a):
     """The complex K W a RhWorkspace solves with at `a`, assembled in its
     integrable form (f(z).g(s) + e(z).h(s)) / (z - s) over the whole line."""
-    line, loop, alpha = workspace.line, workspace.loop, workspace.alpha
-    block_a, block_b = cross_blocks(kernels.ContourPair(loop, line, alpha), 0.0)
-    f_line, h_line = kernels.rh_vector_arrays(line.nodes, line.labels, 0.0, alpha)
-    f_loop, h_loop = kernels.rh_vector_arrays(loop.nodes, loop.labels, 0.0, alpha)
+    line, loop = workspace.line, workspace.loop
+    pair = kernels.ContourPair(loop, line, workspace.alpha)
+    block_a, block_b = cross_blocks(pair, 0.0)
+    f, h = union_rows(pair, 0.0)
+    n = line.nodes.size
+    f_line, h_line, f_loop, h_loop = f[:n], h[:n], f[n:], h[n:]
     line_scale = np.exp(-a * line.nodes)
     loop_w = np.exp(a * loop.nodes) * loop.weights
     e = line_scale[:, None] * (block_a @ (loop_w[:, None] * f_loop))

@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 
 from critgap import contours
-from critgap.contours import (GeometryError, LINE, LOOP, build_closed_loop,
-                              build_hairpin, build_vertical,
-                              deformed_contours, gamma_contour_integral,
-                              truncation_radius, union_grid)
+from critgap.contours import (GeometryError, build_closed_loop, build_hairpin,
+                              build_vertical, deformed_contours,
+                              gamma_contour_integral, truncation_radius)
 from critgap.special import gamma
 
 
@@ -31,7 +30,6 @@ def alternating_pole_sum(alpha: float, a: float, terms: int = 20) -> float:
 def test_hairpin_structure():
     grid = build_hairpin()
     assert len(grid) == grid.panel_count * grid.order
-    assert np.all(grid.labels == LOOP)
     assert grid.weights.shape == grid.nodes.shape
     # endpoints approach -T -i delta and -T +i delta (open hairpin)
     assert grid.nodes[0].real < -5.0 and grid.nodes[0].imag < 0.0
@@ -73,7 +71,6 @@ def test_vertical_line_gaussian():
 
 def test_vertical_structure():
     grid = build_vertical()
-    assert np.all(grid.labels == LINE)
     assert np.all(np.isclose(grid.nodes.real, 0.5))
     assert np.all(np.diff(grid.nodes.imag) > 0)
 
@@ -205,24 +202,6 @@ def test_deformed_loop_still_sums_residues():
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
-def test_union_grid_orders_line_first():
-    loop = build_hairpin(T=6.0)
-    line = build_vertical(T=6.0)
-    union = union_grid(line, loop)
-    n_line = len(line)
-    assert np.all(union.labels[:n_line] == LINE)
-    assert np.all(union.labels[n_line:] == LOOP)
-    assert len(union) == len(line) + len(loop)
-    np.testing.assert_allclose(union.weights[:n_line], line.weights)
-
-
-def test_union_grid_rejects_overlap():
-    loop = build_hairpin(nose=0.48, T=6.0)
-    line = build_vertical(b=0.5, T=6.0)  # separation 0.02 < margin
-    with pytest.raises(GeometryError):
-        union_grid(line, loop)
-
-
 def test_geometry_validation():
     with pytest.raises(GeometryError):
         build_hairpin(delta=0.5)
@@ -248,12 +227,3 @@ def test_line_integral_self_convergence():
         vals.append(grid.integrate(f * np.exp(grid.nodes ** 2 - 3.0 * grid.nodes)))
     assert abs(vals[0] - vals[1]) <= 1e-10 * (1.0 + abs(vals[1]))
 
-
-def test_grid_json_round_trip():
-    import json
-
-    grid = build_vertical(T=6.0)
-    blob = json.loads(grid.to_json())
-    nodes = np.array([complex(re, im) for re, im in blob["nodes"]])
-    np.testing.assert_allclose(nodes, grid.nodes)
-    assert blob["order"] == grid.order

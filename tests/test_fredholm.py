@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import complex_reference
-from critgap import fredholm, kernels
+from critgap import fredholm, kernels, observables
 from critgap.contours import GeometryError
 from critgap.fredholm import (DiscreteOperator, HalfLineGrid, SingularError,
                               det_one_minus, gap_probability,
@@ -42,6 +42,58 @@ def test_halfline_grid_validation():
         HalfLineGrid(1.0, panels=0)
     with pytest.raises(ValueError):
         HalfLineGrid(1.0, order=1)
+
+
+@pytest.mark.parametrize("length", [0.0, -5.0, math.nan, math.inf])
+def test_halfline_grid_rejects_degenerate_lengths(length):
+    # length 0 gave weights summing to 0, so P = 1 silently; -5 gave
+    # negative weights
+    with pytest.raises(ValueError, match="length must be finite and positive"):
+        HalfLineGrid(1.0, length=length)
+    with pytest.raises(ValueError, match="length"):
+        halfline_operator(1.0, 1.0, length=length)
+
+
+def _gl_panels_per_panel(cuts, order):
+    """The panel-by-panel form of contours._gl_panels, in its operation
+    order."""
+    xg, wg = np.polynomial.legendre.leggauss(order)
+    nodes, weights = [], []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+        nodes.append(mid + half * xg)
+        weights.append(half * wg)
+    return np.array(nodes), np.array(weights)
+
+
+def test_real_grids_match_the_per_panel_form_bit_for_bit(monkeypatch):
+    # HalfLineGrid and the real-line grid of asym_u1_12 fill every panel in
+    # one broadcast; each must equal the panel-by-panel build exactly
+    builds = [lambda: HalfLineGrid(2.0, 40.0, 8, 16),
+              lambda: HalfLineGrid(0.1, 17.3, 3, 8),
+              lambda: HalfLineGrid(4.0, 5.0, 1, 24),
+              lambda: HalfLineGrid(1.7, 30.0, 16, 16),
+              lambda: observables._u1_12_grid(4.0, 2.0, 16, 7.0),
+              lambda: observables._u1_12_grid(12.0, 3.0, 24, 5.5)]
+    got = [build() for build in builds]
+    monkeypatch.setattr(fredholm, "_gl_panels", _gl_panels_per_panel)
+    monkeypatch.setattr(observables, "_gl_panels", _gl_panels_per_panel)
+    for grid, build in zip(got, builds):
+        want = build()
+        if isinstance(grid, HalfLineGrid):
+            grid, want = (grid.nodes, grid.weights), (want.nodes, want.weights)
+        assert all(np.array_equal(g, w) for g, w in zip(grid, want))
+
+
+@pytest.mark.parametrize("a, alpha, name", [
+    (math.inf, 1.0, "a"), (math.nan, 1.0, "a"), (-math.inf, 1.0, "a"),
+    (1.0, math.nan, "alpha"), (1.0, math.inf, "alpha")])
+def test_gap_probability_rejects_non_finite_inputs(a, alpha, name):
+    # a = inf raised ZeroDivisionError, a NaN or infinite alpha a ValueError
+    # about converting NaN to an integer from inside a grid builder
+    for route in fredholm.ROUTES:
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            gap_probability(a, alpha, route)
 
 
 def _operator_trace(op: DiscreteOperator) -> complex:
@@ -262,10 +314,10 @@ def test_qa_and_ha_operator_shapes():
 def test_qa_operator_matches_union_determinant():
     # det(I - Q W) of the full [[0, A], [B, 0]] union matrix, formed densely
     for a, alpha in [(0.5, 1.0), (2.0, 0.5), (3.0, 2.0)]:
-        union = kernels.qa_pair(alpha, a_max=a).union()
-        q = kernels.qa_matrix(union, a, alpha)
-        full = np.linalg.det(np.eye(union.weights.size)
-                             - q * union.weights[None, :])
+        pair = kernels.qa_pair(alpha, a_max=a)
+        q = complex_reference.union_matrix(pair, a)
+        w = np.concatenate([pair.line.weights, pair.loop.weights])
+        full = np.linalg.det(np.eye(w.size) - q * w[None, :])
         det, _ = det_one_minus(qa_operator(a, alpha))
         assert abs(det - full) <= 1e-13 * abs(full)
 

@@ -17,11 +17,11 @@ import pytest
 
 import complex_reference
 from critgap import kernels
-from critgap.contours import (GeometryError, build_closed_loop, build_vertical,
-                              truncation_radius)
+from critgap.contours import (GeometryError, build_closed_loop, build_hairpin,
+                              build_vertical, truncation_radius)
 from critgap.fredholm import HalfLineGrid
 from critgap.kernels import _kernel_sum, _log_gamma_left
-from critgap.special import DomainError, log_gamma
+from critgap.special import DomainError, gamma, log_gamma, recip_gamma
 
 REL = 1e-9
 
@@ -100,12 +100,12 @@ def test_kernel_matrix_refuses_asymmetric_pairs():
         kernels.kernel_matrix(x, x, dataclasses.replace(pair, line=bent))
     line = pair.line
     odd = dataclasses.replace(line, nodes=line.nodes[1:],
-                              weights=line.weights[1:], labels=line.labels[1:])
+                              weights=line.weights[1:])
     with pytest.raises(GeometryError, match="odd"):
         kernels.kernel_matrix(x, x, dataclasses.replace(pair, line=odd))
     loop = pair.loop
     odd = dataclasses.replace(loop, nodes=loop.nodes[:-1],
-                              weights=loop.weights[:-1], labels=loop.labels[:-1])
+                              weights=loop.weights[:-1])
     with pytest.raises(GeometryError, match="odd"):
         kernels.kernel_matrix(x, x, dataclasses.replace(pair, loop=odd))
 
@@ -120,12 +120,26 @@ def test_factored_kernel_matches_conjugated():
 
 
 def test_factor_anchors():
-    assert kernels.left_factor(1.0, 1.0, 2.0) == pytest.approx(
-        0.349625488429467690261474, rel=REL)
-    assert kernels.right_factor(1.0, 2.0, 2.0) == pytest.approx(
-        0.1878757254952171779975, rel=REL)
-    assert kernels.right_factor(0.5, 1.0, 1.0) == pytest.approx(
-        0.4382840921810653423492, rel=REL)
+    # the one-contour factors whose product factored_kernel integrates over
+    # the coupling variable q, at shift x + q (loop) and y + q (line)
+    def left(shift, alpha):
+        loop = build_hairpin(T=truncation_radius(alpha / 2.0, gamma_decay=True),
+                             max_frequency=max(1.0, shift))
+        t = loop.nodes
+        vals = gamma(t) * np.exp(-alpha * t * t / 2.0 + shift * (t - 0.5))
+        return loop.integrate(vals) / (2j * math.pi)
+
+    def right(shift, alpha):
+        line = build_vertical(T=truncation_radius(alpha / 2.0,
+                                                  growth=math.pi / 2.0),
+                              max_frequency=max(1.0, shift))
+        s = line.nodes
+        vals = recip_gamma(s) * np.exp(alpha * s * s / 2.0 - shift * (s - 0.5))
+        return line.integrate(vals) / (2j * math.pi)
+
+    assert left(2.0, 2.0) == pytest.approx(0.349625488429467690261474, rel=REL)
+    assert right(3.0, 2.0) == pytest.approx(0.1878757254952171779975, rel=REL)
+    assert right(1.5, 1.0) == pytest.approx(0.4382840921810653423492, rel=REL)
 
 
 def test_centering_shift():
@@ -253,40 +267,19 @@ def test_finite_kernel_far_left_of_the_edge():
             kernels.finite_kernel(-80.0, 0.0, 1, 1, order=order)
 
 
-def test_integrable_kernel_same_label_vanishes():
-    pair = kernels.qa_pair(1.0, a_max=2.0)
-    union = pair.union()
-    z = union.nodes
-    line_pts = z[union.labels == "line"][:3]
-    loop_pts = z[union.labels == "loop"][:3]
-    for x in line_pts:
-        for y in line_pts:
-            if x != y:
-                assert kernels.integrable_kernel(x, y, "line", "line",
-                                                 2.0, 1.0) == 0.0
-    for x in loop_pts:
-        for y in loop_pts:
-            if x != y:
-                assert kernels.integrable_kernel(x, y, "loop", "loop",
-                                                 2.0, 1.0) == 0.0
-
-
 def test_qa_matrix_block_structure():
+    # the dense union matrix couples the contours only: its same-contour
+    # blocks vanish exactly (f and h live in complementary components), and
+    # its off-diagonal blocks are the inline A and B formulas
     a, alpha = 2.0, 1.0
     pair = kernels.qa_pair(alpha, a_max=a)
-    union = pair.union()
-    q = kernels.qa_matrix(union, a, alpha)
-    on_line = union.labels == "line"
-    line_idx = np.where(on_line)[0]
-    loop_idx = np.where(~on_line)[0]
-    assert np.all(q[np.ix_(line_idx, line_idx)] == 0.0)
-    assert np.all(q[np.ix_(loop_idx, loop_idx)] == 0.0)
-    # off-diagonal blocks agree with the scalar kernel at sampled entries
-    for i in line_idx[::97]:
-        for j in loop_idx[::83]:
-            want = kernels.integrable_kernel(union.nodes[i], union.nodes[j],
-                                             "line", "loop", a, alpha)
-            assert q[i, j] == pytest.approx(want, rel=1e-12)
+    q = complex_reference.union_matrix(pair, a)
+    n_line = len(pair.line)
+    assert np.all(q[:n_line, :n_line] == 0.0)
+    assert np.all(q[n_line:, n_line:] == 0.0)
+    want_a, want_b = complex_reference.cross_blocks(pair, a)
+    np.testing.assert_allclose(q[:n_line, n_line:], want_a, rtol=1e-12)
+    np.testing.assert_allclose(q[n_line:, :n_line], want_b, rtol=1e-12)
 
 
 def test_cross_blocks_match_qa_matrix():
@@ -294,8 +287,7 @@ def test_cross_blocks_match_qa_matrix():
     # line rows
     a, alpha = 1.5, 2.0
     pair = kernels.qa_pair(alpha, a_max=a)
-    union = pair.union()
-    q = kernels.qa_matrix(union, a, alpha)
+    q = complex_reference.union_matrix(pair, a)
     block_a, block_bt = kernels.cross_blocks(pair, a)
     n_line, m = len(pair.line), len(pair.line) // 2
     np.testing.assert_allclose(block_a, q[m:n_line, n_line:]
@@ -316,7 +308,7 @@ def test_shared_cauchy_factor_matches_inline_formulas(alpha, a):
                                rtol=1e-14, atol=0.0)
     assert block_a.flags.c_contiguous and block_bt.flags.c_contiguous
     inner = kernels.qa_pair(alpha, a_max=a, refine=1.4, order=12).loop
-    got = kernels.ha_matrix(pair, a, loop_override=inner)
+    got = kernels.ha_matrix(pair, a, inner)
     want = kernels.real_form(
         (complex_reference.ha_matrix(pair, a, inner) * pair.line.weights)[m:])
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
@@ -327,22 +319,8 @@ def test_line_reduced_matches_block_product():
     pair = kernels.qa_pair(alpha, a_max=a)
     block_a, block_bt = kernels.cross_blocks(pair, a)
     direct = kernels.real_form(block_a) @ kernels.real_form(block_bt.conj()).T
-    reduced = kernels.ha_matrix(pair, a, loop_override=pair.loop)
+    reduced = kernels.ha_matrix(pair, a, pair.loop)
     np.testing.assert_allclose(reduced, direct, atol=1e-13 * np.abs(direct).max())
-
-
-def test_line_reduced_scalar_consistency():
-    # entry (i, j) of the real form and the one below it hold the real and
-    # imaginary parts of (K W)[z_i, s_j] + (K W)[z_i, conj s_j]
-    a, alpha = 2.0, 1.0
-    pair = kernels.qa_pair(alpha, a_max=a)
-    z, w = pair.line.nodes, pair.line.weights
-    m, i, j = z.size // 2, 10, 40
-    want = sum(kernels.line_reduced_kernel(z[m + i], z[col], a, alpha,
-                                           pair.loop) * w[col]
-               for col in (m + j, m - 1 - j))
-    mat = kernels.ha_matrix(pair, a, loop_override=pair.loop)
-    assert abs(complex(mat[i, j], mat[m + i, j]) - want) <= 1e-12 * abs(want)
 
 
 def _commuting(rng, rows, cols):
@@ -382,18 +360,20 @@ def test_cross_blocks_and_ha_matrix_refuse_odd_grids():
     pair = kernels.qa_pair(1.0, a_max=2.0)
     loop = pair.loop
     odd = dataclasses.replace(pair, loop=dataclasses.replace(
-        loop, nodes=loop.nodes[1:], weights=loop.weights[1:],
-        labels=loop.labels[1:]))
+        loop, nodes=loop.nodes[1:], weights=loop.weights[1:]))
     with pytest.raises(GeometryError, match="odd"):
         kernels.cross_blocks(odd, 2.0)
     with pytest.raises(GeometryError, match="odd"):
-        kernels.ha_matrix(odd, 2.0)
+        kernels.ha_matrix(odd, 2.0, odd.loop)
 
 
 def test_rh_vectors_orthogonality():
     a, alpha = 2.0, 1.0
     pair = kernels.qa_pair(alpha, a_max=a)
-    union = pair.union()
-    f, h = kernels.rh_vector_arrays(union.nodes, union.labels, a, alpha)
+    parts = kernels.rh_vectors(pair, a)
+    for part, grid in zip(parts, (pair.line, pair.line, pair.loop, pair.loop)):
+        assert part.shape == grid.nodes.shape
+        assert np.all(np.isfinite(part)) and np.all(part != 0.0)
+    f, h = complex_reference.union_rows(pair, a)
     dots = np.einsum("ij,ij->i", f, h)
     assert np.max(np.abs(dots)) == 0.0  # disjoint supports: exactly zero

@@ -128,9 +128,14 @@ def test_config_validation():
 
 
 def test_alpha_label_default():
+    # M / N, read-only: reports cannot carry an alpha the run did not use
     assert McConfig(N=48, M=24, trials=1, seed=0).alpha_label == 0.5
-    assert McConfig(N=10, M=10, trials=1, seed=0, alpha_label=2.0
-                    ).alpha_label == 2.0
+    cfg = McConfig(N=10, M=30, trials=1, seed=0)
+    assert cfg.alpha_label == 3.0
+    with pytest.raises(TypeError):
+        McConfig(N=10, M=10, trials=1, seed=0, alpha_label=2.0)
+    with pytest.raises(AttributeError):
+        cfg.alpha_label = 2.0
 
 
 def test_triangular_factor_structure_and_moments():

@@ -15,6 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import complex_reference
 from critgap import fredholm, kernels, observables
 from critgap.contours import GeometryError
 from critgap.observables import (RhWorkspace, UnderflowWarning, asym_u1_12,
@@ -123,11 +124,11 @@ def test_workspace_matches_dense_union_solve():
     x_max = 4.0
     for alpha in (0.5, 1.0, 2.0):
         ws = RhWorkspace(alpha, x_max)
-        union = kernels.qa_pair(alpha, a_max=x_max).union()
-        w = union.weights
+        pair = kernels.qa_pair(alpha, a_max=x_max)
+        w = np.concatenate([pair.line.weights, pair.loop.weights])
         for a in (0.5, 1.0):
-            q = kernels.qa_matrix(union, a, alpha)
-            f, h = kernels.rh_vector_arrays(union.nodes, union.labels, a, alpha)
+            q = complex_reference.union_matrix(pair, a)
+            f, h = complex_reference.union_rows(pair, a)
             big_f = np.linalg.solve(np.eye(w.size) - q * w[None, :], f)
             ref = (w[:, None] * big_f).T @ h
             y1 = ws.y1(a)
