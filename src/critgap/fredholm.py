@@ -12,6 +12,13 @@ images under conjugation, so both line operators are factored in their real
 form (kernels.real_form), a real LU of the same size.  The three routes share
 no kernel code beyond the gamma functions, so their agreement is the primary
 internal consistency check of the package.
+
+The halfline grid is sized from the kernel's decay: on (a, inf) it falls
+like u(x) ~ exp(-x^2 / 2 alpha), so the grid ends where that drops below
+e^{-46} (Bornemann, arXiv:0804.2543, truncates the infinite intervals of
+Fredholm determinants by the kernel's decay in the same way).  The
+two-contour routes form their line operator as one product of two real
+factors that kernels._real_factors writes into per-thread buffers.
 """
 
 from __future__ import annotations
@@ -25,7 +32,9 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve, qr
 
 from . import kernels
-from .contours import QuadratureGrid, _gl_panels
+from .contours import (GeometryError, QuadratureGrid, _gl_panels,
+                       truncation_radius)
+from .special import _require_finite
 
 __all__ = [
     "SingularError",
@@ -48,6 +57,7 @@ _PIVOT_FLOOR = 1e-300
 _EPS = float(np.finfo(float).eps)
 _ROUNDING_TOL = 3e-10  # largest n eps max|K W| a two-contour matrix may reach
 _DEFAULT_LENGTH = 40.0
+_DECAY_LOG = 46.0   # the halfline grid ends where exp(-x^2 / 2 alpha) < e^-46
 _DEFAULT_PANELS = 8
 _DEFAULT_ORDER = 16
 _GRID_GROWTH = 1.6
@@ -68,9 +78,11 @@ class SingularWarning(RuntimeWarning):
 class HalfLineGrid:
     """Composite Gauss-Legendre grid on (a, a + length), graded toward a.
 
-    The kernel decays like exp(-(x+y)/2), so panels grow geometrically away
-    from the left endpoint; length 40 puts the truncation error near 1e-17.
-    Raises ValueError unless length is finite and positive.
+    The conjugated kernel decays like exp(-(x+y)/2) near a, so panels grow
+    geometrically away from the left endpoint.  The default length 40 is a
+    fixed budget; halfline_operator sizes the length from the kernel's
+    Gaussian decay instead.  Raises ValueError unless length is finite and
+    positive.
     """
 
     a: float
@@ -270,13 +282,40 @@ def check_rounding_scale(op: DiscreteOperator, context: str) -> None:
             f"(limit {_ROUNDING_TOL:.0e})")
 
 
-def halfline_operator(a: float, alpha: float, length: float = _DEFAULT_LENGTH,
+def _decay_end(alpha: float) -> float:
+    """Abscissa past which exp(-x^2 / 2 alpha), the decay of the kernel on
+    (a, inf) and of u(x), has dropped below e^-46 (about 1e-20); at least 5."""
+    return truncation_radius(0.5 / alpha, growth=0.0, target=_DECAY_LOG)
+
+
+def halfline_operator(a: float, alpha: float, length: float | None = None,
                       panels: int = _DEFAULT_PANELS, order: int = _DEFAULT_ORDER,
                       refine: float = 1.0) -> DiscreteOperator:
     """Conjugated kernel discretized on (a, a + length): a real operator,
-    so its determinant is a real LU."""
+    so its determinant is a real LU.
+
+    Without a length the grid follows the kernel's decay: it ends at
+    max(5, x_end - a, 2 / alpha) past a, with x_end = _decay_end(alpha)
+    where exp(-x^2 / 2 alpha) < e^-46, and its contour pair resolves
+    frequencies up to max(11, a + length).  The floor 2 / alpha holds the
+    grid at alpha < 0.4, where the Gaussian decay alone cuts it too short
+    (at alpha 0.05 err would reach 2e-5); there it gives the fixed length
+    40 of HalfLineGrid's default.  The frequency floor 11 leaves slack past
+    the last node where that floor binds: with 10, P(2; 0.25) moved by
+    2.6e-13, and with 11 P stays within 4e-14 of the length-40 grid on
+    alpha [0.2, 8] x a [0.25, 6].  An explicit length keeps its pair sized
+    to a + length.  Raises ValueError for an a or alpha that is not finite,
+    GeometryError for alpha <= 0."""
+    _require_finite(a=a, alpha=alpha)
+    if alpha <= 0.0:
+        raise GeometryError("alpha must be positive")
+    if length is None:
+        length = max(5.0, _decay_end(alpha) - a, 2.0 / alpha)
+        x_max = max(11.0, a + length)
+    else:
+        x_max = a + length
     grid = HalfLineGrid(a, length, max(1, round(panels * refine)), order)
-    pair = kernels.kernel_pair(alpha, x_max=a + length, refine=refine)
+    pair = kernels.kernel_pair(alpha, x_max=x_max, refine=refine)
     kv = kernels.kernel_matrix(grid.nodes, grid.nodes, pair, shift=0.5)
     return DiscreteOperator(kv, grid.weights)
 
@@ -291,9 +330,8 @@ def _line_operator(a: float, alpha: float, order: int, refine: float,
     loop variable is integrated on it by the line-reduced kernel."""
     pair = kernels.qa_pair(alpha, a_max=a, refine=refine, order=order)
     if loop is None:
-        block_a, block_bt = kernels.cross_blocks(pair, a)
-        np.conjugate(block_bt, out=block_bt)
-        kv = kernels.real_form(block_a) @ kernels.real_form(block_bt).T
+        left, right = kernels._real_factors(pair, a)
+        kv = left @ right.T
     else:
         kv = kernels.ha_matrix(pair, a, loop)
     return DiscreteOperator(kv, np.ones(kv.shape[0]))
@@ -303,14 +341,18 @@ def qa_operator(a: float, alpha: float, order: int = _DEFAULT_ORDER,
                 refine: float = 1.0) -> DiscreteOperator:
     """Two-contour coupling operator Q = [[0, A], [B, 0]] on the (line, loop)
     union, as its line-grid Schur complement A W_loop B:
-    det(I - Q W) = det(I - A W_loop B W_line)."""
+    det(I - Q W) = det(I - A W_loop B W_line).  Raises ValueError for an a
+    or alpha that is not finite."""
+    _require_finite(a=a, alpha=alpha)
     return _line_operator(a, alpha, order, refine)
 
 
 def ha_operator(a: float, alpha: float, order: int = _DEFAULT_ORDER,
                 refine: float = 1.0) -> DiscreteOperator:
     """Line-reduced operator; its loop integration grid is built separately
-    from the coupling pair so this route stays an independent quadrature."""
+    from the coupling pair so this route stays an independent quadrature.
+    Raises ValueError for an a or alpha that is not finite."""
+    _require_finite(a=a, alpha=alpha)
     inner = kernels.qa_pair(alpha, a_max=a, refine=1.4 * refine,
                             order=max(8, order - 4))
     return _line_operator(a, alpha, order, refine, loop=inner.loop)
@@ -350,9 +392,7 @@ def gap_probability(a: float, alpha: float, route: str = "halfline",
     The reported err is the self-convergence estimate |P(refine) - P(refine/2)|;
     the halved run reuses the same route with every panel budget halved.
     Raises ValueError for an a or alpha that is not finite."""
-    for name, value in (("a", a), ("alpha", alpha)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    _require_finite(a=a, alpha=alpha)
     if a <= 0.0:
         raise ValueError(f"gap probability evaluated for a > 0 only, got {a}")
     p, log_mag = _route_det(a, alpha, route, refine)

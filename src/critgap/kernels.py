@@ -7,16 +7,20 @@ dense products so Nystrom assembly stays cheap.  The finite-N kernel is one
 contraction u @ C @ v with the Cauchy matrix C = 1/(s - t) between its
 closed loop and its line; as every line node has the same real part, C is
 carried by two real arrays, built and contracted block by block of loop rows.
+The two-contour line operators are one product of two real factors, which
+_real_factors writes block by block of Cauchy rows into per-thread buffers.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .special import DomainError, gamma, log_gamma, recip_gamma
+from .special import (DomainError, _require_finite, gamma, log_gamma,
+                      recip_gamma)
 from .contours import (
     GeometryError,
     QuadratureGrid,
@@ -54,6 +58,10 @@ _TAIL_LOG = 40.0
 # byte budget of each (rows, line) array of finite_kernel's blocked Cauchy
 # contraction: small enough for the elementwise passes to stay in cache
 _BLOCK_BYTES = 1 << 19
+
+# per-thread, grow-only buffers of _real_factors: the two factors and the
+# block of Cauchy rows they are written from
+_FACTORS = threading.local()
 
 
 def _log_gamma_left(z: np.ndarray) -> np.ndarray:
@@ -160,16 +168,31 @@ def real_form(upper: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     m, p = upper.shape
     if p % 2:
         raise GeometryError(f"{p} columns: an odd grid has no mirror pairing")
-    k = p // 2
-    hi = upper[:, k:]
-    lo = upper[:, k - 1::-1]  # at the mirror of each upper-half node
     if out is None:
         out = np.empty((2 * m, p))
-    np.add(hi.real, lo.real, out=out[:m, :k])
-    np.add(hi.imag, lo.imag, out=out[m:, :k])
-    np.subtract(lo.imag, hi.imag, out=out[:m, k:])
-    np.subtract(hi.real, lo.real, out=out[m:, k:])
+    _write_real_form(upper, out[:m], out[m:])
     return out
+
+
+def _write_real_form(upper: np.ndarray, top: np.ndarray, bottom: np.ndarray,
+                     conj: bool = False) -> None:
+    """Write real_form(upper), or with conj=True real_form(conj(upper)),
+    as its top and bottom (m, p) halves.  The conjugate's entries are
+    formed as the sums and differences of the negated imaginary parts
+    would be: (-h) - l = (-h) + (-l) and h - l = (-l) - (-h) exactly, so
+    they equal real_form(np.conjugate(upper)) bit for bit."""
+    k = upper.shape[1] // 2
+    hi = upper[:, k:]
+    lo = upper[:, k - 1::-1]  # at the mirror of each upper-half node
+    np.add(hi.real, lo.real, out=top[:, :k])
+    np.subtract(hi.real, lo.real, out=bottom[:, k:])
+    if conj:
+        np.negative(hi.imag, out=bottom[:, :k])
+        bottom[:, :k] -= lo.imag
+        np.subtract(hi.imag, lo.imag, out=top[:, k:])
+    else:
+        np.add(hi.imag, lo.imag, out=bottom[:, :k])
+        np.subtract(lo.imag, hi.imag, out=top[:, k:])
 
 
 def kernel_matrix(x: np.ndarray, y: np.ndarray, pair: ContourPair,
@@ -251,7 +274,9 @@ def _as_real(value: complex, scale: float = 1.0) -> float:
 
 def critical_kernel(x: float, y: float, alpha: float, pair: ContourPair | None = None,
                     refine: float = 1.0) -> float:
-    """Limiting kernel of the critically-scaled product process at real (x, y)."""
+    """Limiting kernel of the critically-scaled product process at real (x, y).
+    Raises ValueError for an x, y or alpha that is not finite."""
+    _require_finite(x=x, y=y, alpha=alpha)
     if pair is None:
         m = max(abs(x), abs(y), 1.0)
         pair = kernel_pair(alpha, x_max=m, x_min=min(x, y, 0.0), refine=refine)
@@ -264,7 +289,9 @@ def conjugated_kernel(x: float, y: float, alpha: float,
                       refine: float = 1.0) -> float:
     """exp(-(x-y)/2) K_crit(x, y): the symmetric-decay form used on (a, inf).
 
-    Requires x, y > 0; the decay bound exp(-(x+y)/2) only holds there."""
+    Requires x, y > 0; the decay bound exp(-(x+y)/2) only holds there.
+    Raises ValueError for an x, y or alpha that is not finite."""
+    _require_finite(x=x, y=y, alpha=alpha)
     if x <= 0.0 or y <= 0.0:
         raise DomainError(f"conjugated kernel needs x, y > 0, got ({x}, {y})")
     if pair is None:
@@ -420,27 +447,40 @@ def rh_vectors(pair: ContourPair, a: float) -> tuple[np.ndarray, ...]:
     return f_line, h_line, f_loop, h_loop
 
 
+def _cross_scales(pair: ContourPair, a: float) -> tuple[np.ndarray, ...]:
+    """Upper-half line nodes z, loop nodes t and the scalings of R = 1/(z - t)
+    that make the two coupling blocks (see cross_blocks):
+    A W_loop = diag(row_a) R diag(col_a), (B W_line)^T = diag(row_b) R
+    diag(col_b).  Returns (z, t, col_a, row_a, col_b, row_b)."""
+    alpha = pair.alpha
+    z, wz = _upper_half(pair.line)
+    _upper_half(pair.loop)  # the symmetry check; the blocks span the loop
+    t, wt = pair.loop.nodes, pair.loop.weights
+    col_a = wt * gamma(t) * np.exp(-alpha * t * t / 4.0 + a * t)
+    row_a = np.exp(alpha * z * z / 4.0 - a * z) / _TWO_PI_I
+    col_b = np.exp(-alpha * t * t / 4.0)
+    row_b = wz * recip_gamma(z) * np.exp(alpha * z * z / 4.0) / _TWO_PI_I
+    return z, t, col_a, row_a, col_b, row_b
+
+
 def cross_blocks(pair: ContourPair, a: float) -> tuple[np.ndarray, np.ndarray]:
     """The two coupling blocks with their source grids' weights, each as
     upper-half line rows over the whole loop (m x loop): (A W_loop)[z, t]
     line<-loop, and the transpose (B W_line)^T[z, t] of loop<-line.  Both
     commute with conjugation, so the real form (see real_form) of the Schur
-    complement A W_loop B W_line is
-    real_form(A) @ real_form(conj(Bt)).T, the rule ha_matrix uses.
+    complement A W_loop B W_line is real_form(A) @ real_form(conj(Bt)).T;
+    contour-Q writes those two real forms directly (_real_factors).
 
     Both are the Cauchy matrix R = 1/(z - t) scaled by rows and columns.
     Raises GeometryError if either grid is not mirror-symmetric."""
-    alpha = pair.alpha
-    z, wz = _upper_half(pair.line)
-    _upper_half(pair.loop)  # the symmetry check; the blocks span the loop
-    t, wt = pair.loop.nodes, pair.loop.weights
+    z, t, col_a, row_a, col_b, row_b = _cross_scales(pair, a)
     R = np.subtract.outer(z, t)
     np.reciprocal(R, out=R)
-    A = R * (wt * gamma(t) * np.exp(-alpha * t * t / 4.0 + a * t))[None, :]
-    A *= (np.exp(alpha * z * z / 4.0 - a * z) / _TWO_PI_I)[:, None]
+    A = R * col_a[None, :]
+    A *= row_a[:, None]
     Bt = R  # scaled in place: R is not needed again
-    Bt *= np.exp(-alpha * t * t / 4.0)[None, :]
-    Bt *= (wz * recip_gamma(z) * np.exp(alpha * z * z / 4.0) / _TWO_PI_I)[:, None]
+    Bt *= col_b[None, :]
+    Bt *= row_b[:, None]
     return A, Bt
 
 
@@ -455,19 +495,77 @@ def ha_matrix(pair: ContourPair, a: float, loop: QuadratureGrid) -> np.ndarray:
     both factors commute with conjugation.  L's upper-half rows are R's,
     scaled.  For the transpose Rt, the real form is real_form of the
     conjugated upper rows of Rt^T = diag(.) R, transposed: R's rows again.
-    So one Cauchy matrix on the upper line rows gives both factors.
-    Raises GeometryError if either grid is not mirror-symmetric."""
-    alpha = pair.alpha
-    z, wz = _upper_half(pair.line)
-    _upper_half(loop)  # the symmetry check; the sum runs over the whole loop
-    t, wt = loop.nodes, loop.weights
-    g = wt * gamma(t) * np.exp(a * t - alpha * t * t / 2.0) / _TWO_PI_I
-    R = np.subtract.outer(z, t)
-    np.reciprocal(R, out=R)
-    left = R * g
-    left *= np.exp(-a * z + alpha * z * z / 4.0)[:, None]
-    right = R  # scaled in place: R is not needed again
-    right *= (wz * recip_gamma(z) * np.exp(alpha * z * z / 4.0)
-              / _TWO_PI_I)[:, None]
-    np.conjugate(right, out=right)
-    return real_form(left) @ real_form(right).T
+    So one Cauchy matrix on the upper line rows gives both factors, which
+    _real_factors writes as real forms; the result is their one product,
+    a fresh array.  Raises GeometryError if either grid is not
+    mirror-symmetric."""
+    left, right = _real_factors(pair, a, loop)
+    return left @ right.T
+
+
+def _buffer(name: str, size: int, dtype: type) -> np.ndarray:
+    """The first `size` entries of this thread's flat buffer `name`, which
+    is kept between calls and replaced only by a larger one."""
+    buf = getattr(_FACTORS, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size, dtype=dtype)
+        setattr(_FACTORS, name, buf)
+    return buf[:size]
+
+
+def _real_factors(pair: ContourPair, a: float,
+                  loop: QuadratureGrid | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Real forms (left, right) of the two factors of a two-contour line
+    operator, K W = L X^T, so that left @ right.T is the real form of K W.
+
+    Without `loop` these are contour-Q's coupling blocks on the pair's own
+    loop, L = A W_loop and X = (B W_line)^T of cross_blocks; with one,
+    ha_matrix's factors L and Rt^T with the loop variable on `loop`.  Both
+    are row and column scalings of the Cauchy matrix R = 1/(z - t) on the
+    upper-half line rows, and left = real_form(L), right =
+    real_form(conj(X)).  Every entry is rounded as in the complex blocks,
+    (R * cols) * rows, so left @ right.T equals the product of real_form's
+    over those blocks bit for bit.
+
+    R is built a block of rows at a time, and both real forms are written
+    from the block straight into the factors: no line x loop complex array
+    exists.  The block and its scaled copy hold _BLOCK_BYTES (0.5 MB)
+    together.  The factors and the block are views of this thread's
+    grow-only buffers, so repeated calls reuse their memory instead of
+    asking the allocator for megabytes that it may trim and fault in again
+    each time.  They stay valid until the thread's next call; callers keep
+    only fresh arrays computed from them.  Raises GeometryError if either
+    grid is not mirror-symmetric."""
+    if loop is None:
+        z, t, left_cols, left_rows, right_cols, right_rows = \
+            _cross_scales(pair, a)
+    else:
+        alpha = pair.alpha
+        z, wz = _upper_half(pair.line)
+        _upper_half(loop)  # the symmetry check; the sum runs over the loop
+        t, wt = loop.nodes, loop.weights
+        left_cols = (wt * gamma(t) * np.exp(a * t - alpha * t * t / 2.0)
+                     / _TWO_PI_I)
+        left_rows = np.exp(-a * z + alpha * z * z / 4.0)
+        right_cols = None
+        right_rows = (wz * recip_gamma(z) * np.exp(alpha * z * z / 4.0)
+                      / _TWO_PI_I)
+    m, p = z.size, t.size
+    left = _buffer("left", 2 * m * p, float).reshape(2 * m, p)
+    right = _buffer("right", 2 * m * p, float).reshape(2 * m, p)
+    rows = min(m, max(1, _BLOCK_BYTES // (32 * p)))
+    block = _buffer("cauchy", 2 * rows * p, complex).reshape(2, rows, p)
+    for i in range(0, m, rows):
+        j = min(i + rows, m)
+        r, scaled = block[0, :j - i], block[1, :j - i]
+        np.subtract.outer(z[i:j], t, out=r)
+        np.reciprocal(r, out=r)
+        np.multiply(r, left_cols, out=scaled)
+        scaled *= left_rows[i:j, None]
+        _write_real_form(scaled, left[i:j], left[m + i:m + j])
+        if right_cols is not None:
+            r *= right_cols  # in place: R is not needed again
+        r *= right_rows[i:j, None]
+        _write_real_form(r, right[i:j], right[m + i:m + j], conj=True)
+    return left, right

@@ -29,8 +29,8 @@ import numpy as np
 from . import kernels, special
 from .contours import (GeometryError, _gl_panels, deformed_contours,
                        gamma_contour_integral, truncation_radius)
-from .fredholm import (DiscreteOperator, HalfLineGrid, check_rounding_scale,
-                       solve_resolvent)
+from .fredholm import (DiscreteOperator, HalfLineGrid, _decay_end,
+                       check_rounding_scale, solve_resolvent)
 
 __all__ = [
     "UnderflowWarning",
@@ -137,6 +137,7 @@ class RhWorkspace:
 
     def __init__(self, alpha: float, x_max: float, order: int = 16,
                  refine: float = 1.0):
+        special._require_finite(alpha=alpha, x_max=x_max)
         if x_max <= 0.0:
             raise ValueError("x_max must be positive")
         self.alpha = float(alpha)
@@ -211,7 +212,9 @@ class RhWorkspace:
 
 def y1_matrix(a: float, alpha: float, workspace: RhWorkspace | None = None,
               order: int = 16, refine: float = 1.0) -> Y1Matrix:
-    """Residue matrix Y1(a) from the resolvent formula."""
+    """Residue matrix Y1(a) from the resolvent formula.  Raises ValueError
+    for an a or alpha that is not finite."""
+    special._require_finite(a=a, alpha=alpha)
     if a <= 0.0:
         raise ValueError(f"need a > 0, got {a}")
     ws = workspace or RhWorkspace(alpha, a, order=order, refine=refine)
@@ -221,7 +224,9 @@ def y1_matrix(a: float, alpha: float, workspace: RhWorkspace | None = None,
 def u_of_x(x: float, alpha: float, workspace: RhWorkspace | None = None,
            order: int = 16, refine: float = 1.0) -> float:
     """u(x) = -(Y1)_12 (Y1)_21, the integrand of the gap-probability
-    double-integral representation."""
+    double-integral representation.  Raises ValueError for an x or alpha
+    that is not finite."""
+    special._require_finite(x=x, alpha=alpha)
     return y1_matrix(x, alpha, workspace, order=order, refine=refine).u
 
 
@@ -250,11 +255,13 @@ def log_gap_from_u(a: float, alpha: float, length: float = 30.0,
 
     The grid is graded toward a like the half-line determinant grid; u decays
     like exp(-x^2 / 2 alpha), so the tail past (x-a) u < 1e-20 is dropped
-    rather than spent on resolvent solves."""
+    rather than spent on resolvent solves; the halfline determinant grid
+    ends at the same x_end.  Raises ValueError for an a, alpha or length
+    that is not finite."""
+    special._require_finite(a=a, alpha=alpha, length=length)
     if a <= 0.0:
         raise ValueError(f"need a > 0, got {a}")
-    x_end = truncation_radius(0.5 / alpha, growth=0.0, target=46.0)
-    length = min(length, max(5.0, x_end - a))
+    length = min(length, max(5.0, _decay_end(alpha) - a))
     ws = workspace or RhWorkspace(alpha, a + length, refine=refine)
     grid = HalfLineGrid(a, length, panels, order)
     total = 0.0

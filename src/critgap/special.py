@@ -30,6 +30,14 @@ class DomainError(ValueError):
     """Argument outside the documented domain of the function."""
 
 
+def _require_finite(**values: float) -> None:
+    """Raise ValueError naming the first argument that is not finite; the
+    public entry points call it before any grid is sized from a value."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 # Lanczos approximation, g = 7, 9 coefficients.  Relative error is a few
 # units of 1e-14 over the right half-plane, uniform enough for |z| <= 50.
 _LANCZOS_G = 7.0

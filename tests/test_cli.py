@@ -214,19 +214,20 @@ def test_validate_json_and_exit_code(capsys, monkeypatch):
 
 
 def test_validate_catches_injected_fault(capsys, monkeypatch):
-    # a 1% miscalibration of the block kernel must fail route equivalence
-    # (a global sign flip would not: the determinant sees only the product
-    # of the two cross blocks, and the flips cancel)
+    # a 1% miscalibration of the two-contour factors must fail route
+    # equivalence (a global sign flip would not: the determinant sees only
+    # the product of the two factors, and the flips cancel).  contour-Q and
+    # contour-H both write their factors through kernels._real_factors
     fast = tuple(c for c in validate.CHECKS
                  if c.__name__ == "check_route_equivalence")
     monkeypatch.setattr(validate, "CHECKS", fast)
-    true_blocks = kernels.cross_blocks
+    true_factors = kernels._real_factors
 
     def broken(*args, **kwargs):
-        block_a, block_b = true_blocks(*args, **kwargs)
-        return 1.01 * block_a, 1.01 * block_b
+        left, right = true_factors(*args, **kwargs)
+        return 1.01 * left, 1.01 * right
 
-    monkeypatch.setattr(kernels, "cross_blocks", broken)
+    monkeypatch.setattr(kernels, "_real_factors", broken)
     code, out, _ = run_cli(capsys, "validate")
     assert code == 1
     doc = json.loads(out)

@@ -398,12 +398,74 @@ def test_rounding_guard_passes_resolved_alphas():
         assert abs(ps[0] - ps[1]) <= 1e-9
 
 
+# mpmath (25 digits) of the one-pole formula, which gives P as alpha -> inf:
+# 1 - (1/2 pi i) int_{Re s = 1/2} e^{alpha s^2/2 - a s} / (s Gamma(s + 1)) ds
+P_ONE_POLE_A1_ALPHA128 = 0.51511153151002166
+
+
 def test_halfline_has_no_rounding_guard():
-    # halfline returns where the two-contour routes raise, and its err is
-    # the signal: at alpha 0.05 it covers the distance of P from 1; at
-    # alpha 128 (rounding scale 5e-10, truncation error about 1e-4) the
-    # refine-0.5 run comes out negative
+    # halfline returns where the two-contour routes raise.  At alpha 0.05
+    # its err is the signal: it covers the distance of P from 1.  At alpha
+    # 128 (rounding scale 5e-10) its decay-sized grid reaches x = 108 and
+    # P matches the one-pole anchor; the fixed length 40 it replaced was
+    # about 4e-5 away, and its refine-0.5 run came out negative
     res = gap_probability(4.0, 0.05)
     assert abs(res.p - 1.0) <= res.err <= 1e-6
     res = gap_probability(1.0, 128.0)
-    assert 0.0 < res.p < 1.0 and res.err > 0.1
+    assert abs(res.p - P_ONE_POLE_A1_ALPHA128) <= 1e-8
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 4.0])
+def test_routes_agree_at_alpha_64(a):
+    # the decay-sized halfline grid reaches x = 77 here; the fixed length
+    # 40 it replaced cut off the Gaussian tail and sat 2e-7 from the
+    # two-contour routes
+    ps = [gap_probability(a, 64.0, route, estimate_error=False).p
+          for route in fredholm.ROUTES]
+    assert max(ps) - min(ps) <= 1e-9
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.25, 0.5, 1.0, 8.0, 64.0])
+def test_halfline_grid_follows_the_decay(alpha):
+    # length max(5, x_end - a, 2 / alpha), x_end where exp(-x^2 / 2 alpha)
+    # reaches e^-46; at alpha 0.05 the floor gives the fixed length 40
+    a = 1.0
+    op = halfline_operator(a, alpha)
+    x_end = math.sqrt(92.0 * alpha)
+    length = max(5.0, x_end - a, 2.0 / alpha)
+    assert op.weights.sum() == pytest.approx(length, rel=1e-13)
+    assert op.kernel_values.shape == (128, 128)
+    if alpha == 0.05:
+        assert np.array_equal(op.weights, HalfLineGrid(a, 40.0, 8, 16).weights)
+
+
+@pytest.mark.parametrize("call, args, name", [
+    (observables.y1_matrix, (math.nan, 1.0), "a"),
+    (observables.y1_matrix, (2.0, math.nan), "alpha"),
+    (observables.y1_matrix, (math.inf, 1.0), "a"),
+    (observables.u_of_x, (math.nan, 1.0), "x"),
+    (observables.log_gap_from_u, (2.0, math.inf), "alpha"),
+    (observables.log_gap_from_u, (math.nan, 1.0), "a"),
+    (RhWorkspace, (math.nan, 2.0), "alpha"),
+    (RhWorkspace, (1.0, math.inf), "x_max"),
+    (kernels.critical_kernel, (math.nan, 1.0, 1.0), "x"),
+    (kernels.critical_kernel, (1.0, 1.0, math.inf), "alpha"),
+    (kernels.conjugated_kernel, (1.0, math.nan, 1.0), "y"),
+    (halfline_operator, (math.nan, 1.0), "a"),
+    (halfline_operator, (1.0, math.inf), "alpha"),
+    (qa_operator, (1.0, math.nan), "alpha"),
+    (qa_operator, (-math.inf, 1.0), "a"),
+    (ha_operator, (math.inf, 1.0), "a"),
+    (ha_operator, (1.0, math.nan), "alpha"),
+])
+def test_entry_points_reject_non_finite_inputs(call, args, name):
+    # each raised from inside a grid builder before: "cannot convert float
+    # NaN to integer", ZeroDivisionError for an infinite a, or "Gaussian
+    # coefficient must be positive" for an infinite alpha
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call(*args)
+
+
+def test_halfline_still_refuses_negative_alpha():
+    with pytest.raises(GeometryError, match="alpha must be positive"):
+        halfline_operator(1.0, -1.0)

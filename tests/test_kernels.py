@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import complex_reference
-from critgap import kernels
+from critgap import fredholm, kernels
 from critgap.contours import (GeometryError, build_closed_loop, build_hairpin,
                               build_vertical, truncation_radius)
 from critgap.fredholm import HalfLineGrid
@@ -72,7 +73,7 @@ FOLD_AS = (0.5, 2.0, 4.0)
 @pytest.mark.parametrize("alpha", FOLD_ALPHAS)
 def test_kernel_matrix_fold_matches_full_sum(alpha):
     # the conjugation fold against the complex sum over both full grids:
-    # shift 0.5 on the halfline route's own grids, shift 0 at points in
+    # shift 0.5 on length-40 halfline grids, shift 0 at points in
     # [0, a] (further right the critical kernel grows like e^{(x-y)/2})
     for a in FOLD_AS:
         for refine in (1.0, 0.5):
@@ -321,6 +322,69 @@ def test_line_reduced_matches_block_product():
     direct = kernels.real_form(block_a) @ kernels.real_form(block_bt.conj()).T
     reduced = kernels.ha_matrix(pair, a, pair.loop)
     np.testing.assert_allclose(reduced, direct, atol=1e-13 * np.abs(direct).max())
+
+
+def _parent_ha_factors(pair, a, loop):
+    """ha_matrix's two complex factors L and conj(Rt^T) on the upper-half
+    line rows, formed whole in the order of the entries' roundings."""
+    alpha = pair.alpha
+    m = len(pair.line) // 2
+    z, wz = pair.line.nodes[m:], pair.line.weights[m:]
+    t, wt = loop.nodes, loop.weights
+    g = wt * gamma(t) * np.exp(a * t - alpha * t * t / 2.0) / (2j * math.pi)
+    r = np.reciprocal(np.subtract.outer(z, t))
+    left = r * g
+    left *= np.exp(-a * z + alpha * z * z / 4.0)[:, None]
+    right = r * (wz * recip_gamma(z) * np.exp(alpha * z * z / 4.0)
+                 / (2j * math.pi))[:, None]
+    return left, right.conj()
+
+
+@pytest.mark.parametrize("refine", [1.0, 0.5])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_direct_real_factors_match_real_forms_of_the_blocks(alpha, refine):
+    # contour-Q and ha_matrix write their real factors straight from row
+    # blocks of R = 1/(z - t) into reused buffers; the product must be the
+    # one of real_form's over the complex blocks, bit for bit.  The sizes
+    # vary across the parameters, so the buffers are also reused at other
+    # shapes than the ones they were grown for
+    for a in (0.5, 1.7, 4.0):
+        op = fredholm.qa_operator(a, alpha, refine=refine)
+        pair = kernels.qa_pair(alpha, a_max=a, refine=refine)
+        block_a, block_bt = kernels.cross_blocks(pair, a)
+        want = kernels.real_form(block_a) @ kernels.real_form(block_bt.conj()).T
+        np.testing.assert_array_equal(op.kernel_values, want)
+
+        inner = kernels.qa_pair(alpha, a_max=a, refine=1.4 * refine,
+                                order=12).loop
+        left, right = _parent_ha_factors(pair, a, inner)
+        want = kernels.real_form(left) @ kernels.real_form(right).T
+        np.testing.assert_array_equal(kernels.ha_matrix(pair, a, inner), want)
+        op = fredholm.ha_operator(a, alpha, refine=refine)
+        np.testing.assert_array_equal(op.kernel_values, want)
+
+
+def test_real_factors_are_per_thread():
+    # each thread writes its factors into buffers of its own, so concurrent
+    # assemblies return what serial ones do
+    cases = [(0.5, 1.7), (2.0, 4.0), (1.0, 0.5), (0.5, 4.0)]
+    serial = [fredholm.qa_operator(a, alpha).kernel_values
+              for alpha, a in cases]
+    got = [None] * len(cases)
+
+    def work(i):
+        for _ in range(3):
+            alpha, a = cases[i]
+            got[i] = fredholm.qa_operator(a, alpha).kernel_values
+
+    threads = [threading.Thread(target=work, args=(i,))
+               for i in range(len(cases))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    for want, value in zip(serial, got):
+        np.testing.assert_array_equal(value, want)
 
 
 def _commuting(rng, rows, cols):
