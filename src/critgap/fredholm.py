@@ -15,8 +15,9 @@ internal consistency check of the package.
 
 The halfline grid is sized from the kernel's decay: on (a, inf) it falls
 like u(x) ~ exp(-x^2 / 2 alpha), so the grid ends where that drops below
-e^{-46} (Bornemann, arXiv:0804.2543, truncates the infinite intervals of
-Fredholm determinants by the kernel's decay in the same way).  The
+e^{-46}, or at a floor for small alpha (Bornemann, arXiv:0804.2543,
+truncates the infinite intervals of Fredholm determinants by the kernel's
+decay in the same way).  The
 two-contour routes form their line operator as one product of two real
 factors that kernels._real_factors writes into per-thread buffers.
 """
@@ -56,7 +57,7 @@ ROUTES = ("halfline", "contour-Q", "contour-H")
 _PIVOT_FLOOR = 1e-300
 _EPS = float(np.finfo(float).eps)
 _ROUNDING_TOL = 3e-10  # largest n eps max|K W| a two-contour matrix may reach
-_DEFAULT_LENGTH = 40.0
+_FIXED_LENGTH = 40.0  # cap of the halfline length floor 2 / alpha
 _DECAY_LOG = 46.0   # the halfline grid ends where exp(-x^2 / 2 alpha) < e^-46
 _DEFAULT_PANELS = 8
 _DEFAULT_ORDER = 16
@@ -79,14 +80,13 @@ class HalfLineGrid:
     """Composite Gauss-Legendre grid on (a, a + length), graded toward a.
 
     The conjugated kernel decays like exp(-(x+y)/2) near a, so panels grow
-    geometrically away from the left endpoint.  The default length 40 is a
-    fixed budget; halfline_operator sizes the length from the kernel's
-    Gaussian decay instead.  Raises ValueError unless length is finite and
-    positive.
+    geometrically away from the left endpoint.  halfline_operator sizes
+    the length from the kernel's Gaussian decay.  Raises ValueError unless
+    length is finite and positive.
     """
 
     a: float
-    length: float = _DEFAULT_LENGTH
+    length: float
     panels: int = _DEFAULT_PANELS
     order: int = _DEFAULT_ORDER
     nodes: np.ndarray = field(init=False)
@@ -288,34 +288,31 @@ def _decay_end(alpha: float) -> float:
     return truncation_radius(0.5 / alpha, growth=0.0, target=_DECAY_LOG)
 
 
-def halfline_operator(a: float, alpha: float, length: float | None = None,
+def halfline_operator(a: float, alpha: float,
                       panels: int = _DEFAULT_PANELS, order: int = _DEFAULT_ORDER,
                       refine: float = 1.0) -> DiscreteOperator:
     """Conjugated kernel discretized on (a, a + length): a real operator,
     so its determinant is a real LU.
 
-    Without a length the grid follows the kernel's decay: it ends at
-    max(5, x_end - a, 2 / alpha) past a, with x_end = _decay_end(alpha)
+    The grid follows the kernel's decay: its length is
+    max(5, x_end - a, min(40, 2 / alpha)), with x_end = _decay_end(alpha)
     where exp(-x^2 / 2 alpha) < e^-46, and its contour pair resolves
-    frequencies up to max(11, a + length).  The floor 2 / alpha holds the
-    grid at alpha < 0.4, where the Gaussian decay alone cuts it too short
-    (at alpha 0.05 err would reach 2e-5); there it gives the fixed length
-    40 of HalfLineGrid's default.  The frequency floor 11 leaves slack past
-    the last node where that floor binds: with 10, P(2; 0.25) moved by
-    2.6e-13, and with 11 P stays within 4e-14 of the length-40 grid on
-    alpha [0.2, 8] x a [0.25, 6].  An explicit length keeps its pair sized
-    to a + length.  Raises ValueError for an a or alpha that is not finite,
-    GeometryError for alpha <= 0."""
+    frequencies up to max(11, a + length).  Below alpha 0.4 the Gaussian
+    cut alone is too short (at alpha 0.05 P would move 3e-5 from a refined
+    reference), and the floor 2 / alpha takes over.  It is capped at the
+    fixed length 40 that every alpha used before, so from alpha 0.05 down
+    grid and pair are that fixed budget's.  With the frequency floor 11, P
+    at refine 1 stays within 1.1e-14 of the length-40 grid on alpha
+    [0.2, 8] x a [0.1, 6]; 10 leaves 2.6e-13 at a = 2, alpha 0.25.  Raises
+    ValueError for an a or alpha that is not finite, GeometryError for
+    alpha <= 0."""
     _require_finite(a=a, alpha=alpha)
     if alpha <= 0.0:
         raise GeometryError("alpha must be positive")
-    if length is None:
-        length = max(5.0, _decay_end(alpha) - a, 2.0 / alpha)
-        x_max = max(11.0, a + length)
-    else:
-        x_max = a + length
+    length = max(5.0, _decay_end(alpha) - a, min(_FIXED_LENGTH, 2.0 / alpha))
     grid = HalfLineGrid(a, length, max(1, round(panels * refine)), order)
-    pair = kernels.kernel_pair(alpha, x_max=x_max, refine=refine)
+    pair = kernels.kernel_pair(alpha, x_max=max(11.0, a + length),
+                               refine=refine)
     kv = kernels.kernel_matrix(grid.nodes, grid.nodes, pair, shift=0.5)
     return DiscreteOperator(kv, grid.weights)
 

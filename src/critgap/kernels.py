@@ -60,7 +60,7 @@ _TAIL_LOG = 40.0
 _BLOCK_BYTES = 1 << 19
 
 # per-thread, grow-only buffers of _real_factors: the two factors and the
-# block of Cauchy rows they are written from
+# block of Cauchy rows they are written from; held until the thread ends
 _FACTORS = threading.local()
 
 
@@ -535,8 +535,11 @@ def _real_factors(pair: ContourPair, a: float,
     grow-only buffers, so repeated calls reuse their memory instead of
     asking the allocator for megabytes that it may trim and fault in again
     each time.  They stay valid until the thread's next call; callers keep
-    only fresh arrays computed from them.  Raises GeometryError if either
-    grid is not mirror-symmetric."""
+    only fresh arrays computed from them.  The buffers are never shrunk or
+    released: a thread holds its largest factors and block so far until
+    it ends, 1.3 to 5.6 MB after one contour-Q and one contour-H call on
+    alpha [0.2, 64] x a [1, 16] x refine [1, 2].  Raises GeometryError if
+    either grid is not mirror-symmetric."""
     if loop is None:
         z, t, left_cols, left_rows, right_cols, right_rows = \
             _cross_scales(pair, a)

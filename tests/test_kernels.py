@@ -77,7 +77,7 @@ def test_kernel_matrix_fold_matches_full_sum(alpha):
     # [0, a] (further right the critical kernel grows like e^{(x-y)/2})
     for a in FOLD_AS:
         for refine in (1.0, 0.5):
-            x = HalfLineGrid(a, panels=max(1, round(8 * refine))).nodes
+            x = HalfLineGrid(a, 40.0, max(1, round(8 * refine))).nodes
             pair = kernels.kernel_pair(alpha, x_max=a + 40.0, refine=refine)
             got = kernels.kernel_matrix(x, x, pair, shift=0.5)
             assert got.dtype == np.float64
