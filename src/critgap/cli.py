@@ -27,6 +27,8 @@ import numpy as np
 from . import __version__, fredholm, kernels, mc, observables, validate
 
 _FMT = "%.17g"
+_ALLOWANCE = 0.03          # |phat - P| may exceed the MC ci95 by this much
+_ERR_LIMIT = _ALLOWANCE / 3  # largest err of a P that mc --compare uses
 _NUMBER_FLAGS = ("--x", "--y", "--grid")
 
 
@@ -193,15 +195,29 @@ def cmd_mc(args: argparse.Namespace) -> int:
         mc.write_samples_csv(result, args.csv)
     gap_points = [1.0, 2.0, 3.0]
     summary = mc.summary_dict(result, gap_points)
+    refused = []
     if args.compare:
         alpha = cfg.M / cfg.N
         for entry in summary["gap_table"]:
-            p = fredholm.gap_probability(entry["a"], alpha, "halfline",
-                                         estimate_error=False).p
-            entry["p_theory"] = p
-            entry["abs_diff"] = abs(entry["phat"] - p)
-            entry["within_allowance"] = entry["abs_diff"] <= entry["ci95"] + 0.03
+            res = fredholm.gap_probability(entry["a"], alpha, "halfline")
+            entry["p_theory_err"] = res.err
+            if _is_probability(res.p, res.err):
+                entry["p_theory"] = res.p
+                entry["abs_diff"] = abs(entry["phat"] - res.p)
+                entry["within_allowance"] = (entry["abs_diff"]
+                                             <= entry["ci95"] + _ALLOWANCE)
+            else:
+                entry["p_theory"] = entry["abs_diff"] = None
+                entry["within_allowance"] = None
+                refused.append(f"a={entry['a']:g}: P={res.p:.3g}, "
+                               f"err={res.err:.3g}")
         summary["compare_alpha"] = alpha
+        summary["compare_error"] = None
+        if refused:
+            summary["compare_error"] = (
+                f"halfline P at alpha={alpha:.4g} is not a resolved "
+                f"probability ({'; '.join(refused)})")
+            print(f"mc: {summary['compare_error']}", file=sys.stderr)
     summary["manifest"] = _manifest("mc", {
         "N": args.N, "M": args.M, "trials": args.trials, "seed": args.seed,
         "threads": threads, "compare": bool(args.compare), "csv": args.csv,
@@ -209,7 +225,14 @@ def cmd_mc(args: argparse.Namespace) -> int:
     }, started)
     json.dump(summary, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
-    return 0
+    return 1 if refused else 0
+
+
+def _is_probability(p: float, err: float) -> bool:
+    """Whether a theory value can stand beside a Monte-Carlo frequency:
+    finite, resolved to a third of the allowance, and in [-err, 1 + err]."""
+    return (math.isfinite(p) and math.isfinite(err) and err <= _ERR_LIMIT
+            and -err <= p <= 1.0 + err)
 
 
 def _build_parser() -> argparse.ArgumentParser:

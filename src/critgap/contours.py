@@ -13,6 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads numpy.polynomial lazily, on first use; importing it here puts
+# that one-time cost (about 4 ms) into `import critgap`, not into the first
+# quadrature grid a computation builds
+from numpy.polynomial.legendre import leggauss
 
 from .special import gamma
 
@@ -80,7 +84,7 @@ class QuadratureGrid:
 
 def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     if order not in _gl_rule.cache:
-        _gl_rule.cache[order] = np.polynomial.legendre.leggauss(order)
+        _gl_rule.cache[order] = leggauss(order)
     return _gl_rule.cache[order]
 
 

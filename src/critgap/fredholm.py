@@ -9,9 +9,11 @@ posed on the line grid: contour-Q by the Schur complement
 det(I - Q) = det(I - A W_loop B W_line) on the pair's own loop, contour-H by
 the line-reduced kernel on a separately graded loop.  Their grids are mirror
 images under conjugation, so both line operators are factored in their real
-form (kernels.real_form), a real LU of the same size.  The three routes share
-no kernel code beyond the gamma functions, so their agreement is the primary
-internal consistency check of the package.
+form (kernels.real_form), a real LU of the same size.  Every determinant and
+dense solve goes through numpy.linalg, by the two functions lu_factor and
+lu_solve below.  The three routes share no kernel code beyond the gamma
+functions, so their agreement is the primary internal consistency check of
+the package.
 
 The halfline grid is sized from the kernel's decay: on (a, inf) it falls
 like u(x) ~ exp(-x^2 / 2 alpha), so the grid ends where that drops below
@@ -30,7 +32,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, qr
 
 from . import kernels
 from .contours import (GeometryError, QuadratureGrid, _gl_panels,
@@ -54,7 +55,6 @@ __all__ = [
 
 ROUTES = ("halfline", "contour-Q", "contour-H")
 
-_PIVOT_FLOOR = 1e-300
 _EPS = float(np.finfo(float).eps)
 _ROUNDING_TOL = 3e-10  # largest n eps max|K W| a two-contour matrix may reach
 _FIXED_LENGTH = 40.0  # cap of the halfline length floor 2 / alpha
@@ -72,7 +72,20 @@ class SingularError(np.linalg.LinAlgError):
 
 
 class SingularWarning(RuntimeWarning):
-    """A determinant pivot fell below the representable floor."""
+    """The LU of a determinant met an exactly zero pivot."""
+
+
+def lu_factor(a: np.ndarray) -> tuple:
+    """(sign, log|det a|) from numpy's pivoted LU of a (numpy.linalg.slogdet,
+    which factors a copy).  With lu_solve, the one seam through which the
+    package factors matrices; the benchmark's tracer hooks both by name."""
+    return np.linalg.slogdet(a)
+
+
+def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^{-1} b by numpy's pivoted LU of a copy of a (numpy.linalg.solve);
+    raises numpy.linalg.LinAlgError on an exactly zero pivot."""
+    return np.linalg.solve(a, b)
 
 
 @dataclass
@@ -135,10 +148,10 @@ class DiscreteOperator:
     orthonormal Q, and with B = Q^H K W the solve is Woodbury's on
     K W ~ Q B through the k x k matrix S = I_k - B Q.  Fresh probes T
     measure the tail ||K W T - Q B T||; while it exceeds 1e-13 of
-    ||K W T|| the rank doubles, and past n/4 the solve falls back to the
-    dense LU.  After a solve, solve_path is "sketch" or "dense",
-    sketch_rank the last rank tried (0 if n < 64 left no room for one) and
-    sketch_tail its relative tail (nan if none was tried).
+    ||K W T|| the rank doubles, and past n/4 the solve falls back to an
+    LU solve of I - K W itself.  After a solve, solve_path is "sketch" or
+    "dense", sketch_rank the last rank tried (0 if n < 64 left no room for
+    one) and sketch_tail its relative tail (nan if none was tried).
 
     Determinants stay on the dense LU, for two reasons.  The benchmark's
     tracing test (perfbench/test_perfbench.py) pins one n x n LU of
@@ -146,17 +159,17 @@ class DiscreteOperator:
     re-pinned only by a change to the benchmark itself, which claims no
     gain of its own.
 
-    For the LU, I - K W is formed once, in a fresh array, and its transpose
-    is LU-factored in place (the transposed view is Fortran-ordered, so
-    LAPACK takes it without a copy); dense solves use the transposed system.
-    A transpose has the same determinant, and its pivots the same parity.
-    kernel_values is never written, so the residual check of a solve reads
-    the operator as given.
+    numpy's slogdet and solve factor a copy of their input, so I - K W is
+    written into this thread's grow-only buffer (kernels._buffer) rather
+    than into a fresh array, which the allocator would fault in anew on
+    every operator; only (sign, log|det|) is kept on the operator.  The
+    dense solve writes the same buffer again.  kernel_values is never
+    written, so the residual check of a solve reads the operator as given.
     """
 
     kernel_values: np.ndarray
     weights: np.ndarray
-    _lu: tuple | None = field(default=None, repr=False)
+    _slogdet: tuple | None = field(default=None, init=False, repr=False)
     solve_path: str | None = field(default=None, init=False)
     sketch_rank: int = field(default=0, init=False)
     sketch_tail: float = field(default=math.nan, init=False)
@@ -170,21 +183,26 @@ class DiscreteOperator:
         col = (slice(None),) + (None,) * (x.ndim - 1)
         return self.kernel_values @ (self.weights[col] * x)
 
-    def _factor(self):
-        """LU of (I - K W)^T, held as (lu, piv)."""
-        if self._lu is None:
-            n = self.weights.size
-            # real or complex, as the operator is
-            a = np.multiply(self.kernel_values, -self.weights)
-            a.flat[::n + 1] += 1.0
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # LAPACK singularity warning
-                self._lu = lu_factor(a.T, overwrite_a=True, check_finite=False)
-        return self._lu
+    def _one_minus(self) -> np.ndarray:
+        """I - K W, real or complex as the operator is, in this thread's
+        buffer: valid until the thread's next call."""
+        n = self.weights.size
+        dtype = np.result_type(self.kernel_values, self.weights)
+        a = kernels._buffer(f"one_minus_{dtype.char}", n * n, dtype)
+        a = np.multiply(self.kernel_values, -self.weights,
+                        out=a.reshape(n, n))
+        a.flat[::n + 1] += 1.0
+        return a
+
+    def _factor(self) -> tuple:
+        """(sign, log|det|) of I - K W."""
+        if self._slogdet is None:
+            self._slogdet = lu_factor(self._one_minus())
+        return self._slogdet
 
     def _sketch_factor(self):
-        """(Q, B, LU of S) of the range sketch, or None for the dense LU;
-        the path is chosen on the first solve and kept."""
+        """(Q, B, S, sign of det S) of the range sketch, or None for the
+        dense solve; the path is chosen on the first solve and kept."""
         if self.solve_path is None:
             self._sketch = self._range_sketch()
             self.solve_path = "dense" if self._sketch is None else "sketch"
@@ -195,7 +213,7 @@ class DiscreteOperator:
         k = _SKETCH_RANK
         while 4 * k <= n:
             y = self._apply(_probes(n, k))              # K W [Omega | T]
-            q = qr(y[:, :k], mode="economic", check_finite=False)[0]
+            q = np.linalg.qr(y[:, :k])[0]
             qh = q.conj().T
             kt = y[:, k:]
             scale = float(np.linalg.norm(kt))
@@ -205,10 +223,7 @@ class DiscreteOperator:
             if tail <= _TAIL_TOL * scale:
                 b = (qh @ self.kernel_values) * self.weights
                 s = np.eye(k) - b @ q
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")  # singular S is checked
-                    return q, b, lu_factor(s, overwrite_a=True,
-                                           check_finite=False)
+                return q, b, s, lu_factor(s)[0]
             k *= 2
         return None
 
@@ -216,44 +231,41 @@ class DiscreteOperator:
 def det_one_minus(op: DiscreteOperator) -> tuple[complex, float]:
     """det(I - op) by pivoted LU, with its log-magnitude as a companion.
 
-    The value is the pivot product with the permutation sign; the companion
-    sum of log|pivots| stays meaningful when the value itself under- or
-    overflows.  Emits SingularWarning when a pivot falls below 1e-300.
-    Always the dense LU: see DiscreteOperator for why not the sketch."""
-    lu, piv = op._factor()
-    d = np.diag(lu)
-    mag = np.abs(d)
-    if mag.min() < _PIVOT_FLOOR:
-        warnings.warn("determinant pivot below 1e-300", SingularWarning)
-        log_mag = -math.inf
-        value = 0.0 + 0.0j
-        return value, log_mag
-    log_mag = float(np.sum(np.log(mag)))
-    phase = np.prod(d / mag)
-    swaps = int(np.sum(piv != np.arange(piv.size)))
-    sign = -1.0 if swaps % 2 else 1.0
-    value = sign * phase * math.exp(log_mag) if log_mag < 700.0 else math.inf
-    return value, log_mag
+    The value is the sign (a phase if the operator is complex) times
+    exp(log|det|); the companion stays meaningful when the value itself
+    under- or overflows.  Emits SingularWarning, and returns (0, -inf),
+    when the LU meets an exactly zero pivot; a tiny nonzero pivot gives
+    its finite log-magnitude.  Always the dense LU: see DiscreteOperator
+    for why not the sketch."""
+    sign, log_mag = op._factor()
+    if sign == 0.0 or log_mag == -math.inf:
+        warnings.warn("determinant of I - K W is zero", SingularWarning)
+        return 0.0 + 0.0j, -math.inf
+    log_mag = float(log_mag)
+    if log_mag >= 700.0:
+        return math.inf, log_mag
+    return sign * math.exp(log_mag), log_mag  # NaN entries stay NaN
 
 
 def solve_resolvent(op: DiscreteOperator, rhs: np.ndarray) -> np.ndarray:
     """Solve (I - op) x = rhs; a real operator and a real rhs make a real
     solve.
 
-    On the sketch path x = rhs + Q S^{-1} B rhs, on the dense path the
-    transposed system of the cached LU (see DiscreteOperator).  Raises
-    SingularError when a pivot of the factored matrix, S or I - K W, falls
-    below 1e-300, or when the residual against the full operator exceeds
-    1e-10 (1 + |rhs|)."""
+    On the sketch path x = rhs + Q S^{-1} B rhs, on the dense path an LU
+    solve of I - K W (see DiscreteOperator).  Raises SingularError when the
+    LU of S or of I - K W meets an exactly zero pivot, or when the residual
+    against the full operator exceeds 1e-10 (1 + |rhs|)."""
     sketch = op._sketch_factor()
-    lu, piv = op._factor() if sketch is None else sketch[2]
-    if np.abs(np.diag(lu)).min() < _PIVOT_FLOOR:
-        raise SingularError("operator I - K is numerically singular")
-    if sketch is None:
-        x = lu_solve((lu, piv), rhs, trans=1, check_finite=False)
-    else:
-        q, b, _ = sketch
-        x = rhs + q @ lu_solve((lu, piv), b @ rhs, check_finite=False)
+    try:
+        if sketch is None:
+            x = lu_solve(op._one_minus(), rhs)
+        else:
+            q, b, s, sign = sketch
+            if sign == 0.0:
+                raise np.linalg.LinAlgError("S is singular")
+            x = rhs + q @ lu_solve(s, b @ rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularError("operator I - K is numerically singular") from exc
     resid = rhs - (x - op._apply(x))
     scale = 1.0 + float(np.linalg.norm(np.asarray(rhs)))
     if float(np.linalg.norm(resid)) > 1e-10 * scale:

@@ -59,8 +59,9 @@ _TAIL_LOG = 40.0
 # contraction: small enough for the elementwise passes to stay in cache
 _BLOCK_BYTES = 1 << 19
 
-# per-thread, grow-only buffers of _real_factors: the two factors and the
-# block of Cauchy rows they are written from; held until the thread ends
+# per-thread, grow-only buffers (_buffer): _real_factors' two factors and
+# the block of Cauchy rows they are written from, and fredholm's I - K W,
+# one per dtype; held until the thread ends
 _FACTORS = threading.local()
 
 

@@ -100,7 +100,9 @@ class RhWorkspace:
     e = A W_loop f_loop and g = h_loop^T W_loop B, so it is formed from loop
     sums (matrix-vector products with the blocks) instead of a
     line x loop x line matrix product; only its diagonal needs the
-    contraction of A and B.  The loop enters Y1 only through g and a
+    contraction of A and B, whose elementwise product is kept from
+    assembly, so each point's diagonal is one matrix-vector product with
+    the loop's e^{at}.  The loop enters Y1 only through g and a
     constant: sum_loop F_loop h_loop^T W = f_loop^T W h_loop + sum_line
     W F_line g.
 
@@ -123,8 +125,8 @@ class RhWorkspace:
     limiting kernel on (a, inf)), so a rank-16 range sketch Q of it and a
     16 x 16 Woodbury system replace an n x n LU, with the full operator
     still checking the residual.  If the sketch's tail were ever above
-    tolerance up to rank n/4, the solve would fall back to the dense LU;
-    determinants (fredholm.det_one_minus) stay dense in any case.
+    tolerance up to rank n/4, the solve would fall back to a dense LU
+    solve; determinants (fredholm.det_one_minus) stay dense in any case.
 
     The line is a contours.build_vertical line, so z - s = i (Im z - Im s):
     the Cauchy factor is kept as the real matrix 1/(Im z - Im s) and its -i
@@ -149,6 +151,7 @@ class RhWorkspace:
                 f"workspace needs a vertical line, got a {self.line.spec.kind}")
         # upper-half line rows of A W_loop and (B W_line)^T, m x loop each
         self.block_a, self.block_bt = kernels.cross_blocks(pair, 0.0)
+        self._diag_terms = self.block_a * self.block_bt  # A[z, t] B[t, z]
         m = self.block_a.shape[0]
         n = 2 * m
         f_line, h_line, f_loop, h_loop = kernels.rh_vectors(pair, 0.0)
@@ -188,7 +191,7 @@ class RhWorkspace:
         kw = np.matmul(rhs, -1j * gh, out=self._kw)
         kw *= self._inv_diff
         # A W_loop [z, t] B W_line [t, z], summed over the loop
-        diag = np.einsum("ij,ij,j->i", self.block_a, self.block_bt, loop_scale)
+        diag = self._diag_terms @ loop_scale
         diag *= line_scale
         np.fill_diagonal(kw[:, m:], diag)
         op = DiscreteOperator(kernels.real_form(kw, out=self._real), self._unit)

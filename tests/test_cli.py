@@ -278,11 +278,27 @@ def test_mc_compare_table(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["compare_alpha"] == 1.0
+    assert doc["compare_error"] is None
     for row in doc["gap_table"]:
         assert 0.0 < row["p_theory"] < 1.0
+        assert 0.0 <= row["p_theory_err"] <= 0.01
         assert row["abs_diff"] == pytest.approx(
             abs(row["phat"] - row["p_theory"]), abs=1e-15)
         assert isinstance(row["within_allowance"], bool)
+
+
+def test_mc_compare_refuses_an_unresolved_theory(capsys):
+    # at alpha = M/N = 1/32 halfline gives P = 2.52 (err 2.1) at a = 1 and
+    # err 7.5 at a = 2: no row may be compared, and the command fails
+    code, out, err = run_cli(capsys, "mc", "--N", "64", "--M", "2",
+                             "--trials", "16", "--seed", "1", "--compare")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["compare_error"] and doc["compare_error"] in err
+    for row in doc["gap_table"]:
+        assert row["p_theory"] is None and row["within_allowance"] is None
+        assert not row["p_theory_err"] <= 0.01
+        assert f"a={row['a']:g}:" in doc["compare_error"]
 
 
 def test_runtime_errors_exit_1(capsys):

@@ -9,6 +9,8 @@ independent operator constructions.
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -117,10 +119,22 @@ def test_det_matches_numpy_on_dense_system():
     assert log_mag == pytest.approx(math.log(abs(ref)), rel=1e-11)
 
 
+@pytest.fixture
+def factored(monkeypatch):
+    """(seam, shape, dtype) of every matrix that fredholm factors or solves."""
+    seen = []
+    for name in ("lu_factor", "lu_solve"):
+        def spy(a, *args, _name=name, _seam=getattr(fredholm, name)):
+            seen.append((_name, a.shape, a.dtype))
+            return _seam(a, *args)
+        monkeypatch.setattr(fredholm, name, spy)
+    return seen
+
+
 @pytest.mark.parametrize("dtype", [float, complex])
-def test_transposed_in_place_lu_matches_numpy(dtype):
-    # the LU factors (I - K W)^T in place in a fresh array: the determinant,
-    # its pivot parity and the transposed solve must match numpy's, with
+def test_determinant_and_dense_solve_match_numpy(dtype):
+    # I - K W is formed in a per-thread buffer: the determinant, its sign
+    # and the dense solve must match numpy's on a fresh matrix, with
     # non-unit weights, and the kernel values must be left as they were
     rng = np.random.default_rng(11)
     n = 30
@@ -144,6 +158,65 @@ def test_transposed_in_place_lu_matches_numpy(dtype):
     assert op.kernel_values is k
 
 
+def _random_operator(n, seed, dtype=float):
+    rng = np.random.default_rng(seed)
+    k = rng.normal(size=(n, n)) * (0.5 / math.sqrt(n))
+    w = rng.uniform(0.5, 1.5, n)
+    if dtype is complex:
+        k = k + 1j * rng.normal(size=(n, n)) * (0.5 / math.sqrt(n))
+    return k, w
+
+
+def test_determinant_buffer_carries_no_state():
+    # every determinant writes I - K W into one grow-only buffer per thread
+    # and dtype; interleaved real and complex operators of growing and
+    # shrinking sizes, with a dense solve writing the buffer in between,
+    # must factor exactly the matrix numpy factors from a fresh array
+    cases = [(40, 1, float), (90, 2, complex), (20, 3, float),
+             (150, 4, float), (35, 5, complex), (40, 1, float)]
+    for case in cases + [(60, 6, float)] + cases[::-1]:
+        k, w = _random_operator(*case)
+        op = DiscreteOperator(k, w)
+        if case[0] == 60:
+            solve_resolvent(op, np.ones(60))
+        else:
+            want = np.linalg.slogdet(np.eye(case[0]) - k * w[None, :])
+            assert op._factor() == tuple(want)
+
+
+def test_determinants_across_threads_are_bit_identical():
+    # the buffer is per thread, so threads factoring operators of different
+    # sizes at once never see each other's I - K W
+    cases = [(120, 7, float), (60, 8, complex), (200, 9, float)]
+    want = [det_one_minus(DiscreteOperator(*_random_operator(*c)))
+            for c in cases]
+    start = threading.Barrier(4)
+    seen = [[] for _ in range(4)]
+
+    def sweep(i):
+        start.wait()
+        for j in range(15):
+            case = cases[(i + j) % len(cases)]
+            op = DiscreteOperator(*_random_operator(*case))
+            seen[i].append((case, det_one_minus(op)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=sweep, args=(i,))
+                   for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for runs in seen:
+        assert len(runs) == 15
+        assert all(det == want[cases.index(case)] for case, det in runs)
+
+
 def test_solve_resolvent_residual():
     op = halfline_operator(1.5, 1.0)
     n = op.weights.size
@@ -153,16 +226,19 @@ def test_solve_resolvent_residual():
     assert np.linalg.norm(resid) <= 1e-10 * (1.0 + np.linalg.norm(rhs))
 
 
-def test_halfline_operator_is_real():
+def test_halfline_operator_is_real(factored):
     op = halfline_operator(2.0, 1.0)
+    n = op.weights.size
     assert op.kernel_values.dtype == np.float64
     assert op.weights.dtype == np.float64
-    lu, _ = op._factor()
-    assert lu.dtype == np.float64  # a real LU, not a complex one
     det, _ = det_one_minus(op)
     assert complex(det).imag == 0.0
     # the two-contour operators are factored in their real form
-    assert qa_operator(2.0, 1.0)._factor()[0].dtype == np.float64
+    op_q = qa_operator(2.0, 1.0)
+    det_one_minus(op_q)
+    m = op_q.weights.size
+    assert factored == [("lu_factor", (n, n), np.float64),
+                        ("lu_factor", (m, m), np.float64)]  # real LUs only
 
 
 def test_singular_operator_detected():
@@ -177,6 +253,15 @@ def test_singular_operator_detected():
     assert op.solve_path == "dense"
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_nan_operator_has_a_nan_determinant():
+    # an unresolved kernel (halfline at alpha 1/256) is all NaN; its
+    # determinant must read NaN, not overflow to inf
+    op = DiscreteOperator(np.full((6, 6), math.nan), np.ones(6))
+    det, log_mag = det_one_minus(op)
+    assert math.isnan(det) and math.isnan(log_mag)
+
+
 def _low_rank_operator(n, rank, seed):
     # K = U V^T from random factors, with non-unit weights: rank-`rank` K W
     rng = np.random.default_rng(seed)
@@ -186,7 +271,7 @@ def _low_rank_operator(n, rank, seed):
     return DiscreteOperator(u @ v.T, w), rng
 
 
-def test_low_rank_operator_solves_through_the_sketch():
+def test_low_rank_operator_solves_through_the_sketch(factored):
     op, rng = _low_rank_operator(200, 4, 21)
     a = np.eye(200) - op.matrix()
     rhs = rng.normal(size=(200, 2))
@@ -195,7 +280,9 @@ def test_low_rank_operator_solves_through_the_sketch():
     assert op.sketch_rank == 16 and op.sketch_tail <= 1e-13
     want = np.linalg.solve(a, rhs)
     assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
-    assert op._lu is None  # no n x n LU was formed
+    # the only matrix factored is S, once for its sign and once per solve
+    assert [(seam, shape) for seam, shape, _ in factored] == [
+        ("lu_factor", (16, 16)), ("lu_solve", (16, 16))]
 
 
 def test_sketched_solves_are_bit_identical():
@@ -214,7 +301,7 @@ def test_sketched_solves_are_bit_identical():
     assert twin.sketch_tail == op.sketch_tail
 
 
-def test_singular_low_rank_operator_raises_through_the_sketch():
+def test_singular_low_rank_operator_raises_through_the_sketch(factored):
     # K = e_0 e_0^T has rank 1 and I - K is exactly singular; the sketch
     # captures K exactly, so the zero pivot appears in the k x k system
     n = 200
@@ -224,7 +311,7 @@ def test_singular_low_rank_operator_raises_through_the_sketch():
     with pytest.raises(SingularError, match="numerically singular"):
         solve_resolvent(op, np.ones(n))
     assert op.solve_path == "sketch" and op.sketch_tail == 0.0
-    assert op._lu is None
+    assert [shape for _, shape, _ in factored] == [(16, 16)]  # no n x n LU
 
 
 def test_full_rank_operator_falls_back_to_the_dense_lu():
@@ -285,12 +372,11 @@ def test_refinement_converges():
     assert abs(fine - default) <= abs(coarse - default) + 1e-13
 
 
-def test_operator_reuses_lu_factorization():
+def test_operator_reuses_lu_factorization(factored):
     op = halfline_operator(2.0, 1.0)
-    det_one_minus(op)
-    first = op._lu
-    det_one_minus(op)
-    assert op._lu is first
+    first = det_one_minus(op)
+    assert det_one_minus(op) == first
+    assert len(factored) == 1  # the second determinant reads the cache
 
 
 def test_qa_and_ha_operator_shapes():

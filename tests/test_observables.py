@@ -200,17 +200,17 @@ def test_workspace_solve_allocation_budget():
 
 def test_workspace_solves_through_the_sketch(monkeypatch):
     # the real form of K W has only a few singular values above rounding,
-    # so the first rank-16 sketch meets its tail tolerance and the only LU
-    # is the 16 x 16 one of the Woodbury system
+    # so the first rank-16 sketch meets its tail tolerance and the only
+    # matrix factored is the 16 x 16 S of the Woodbury system
     seen, factored = [], []
 
     def spy(op, rhs):
         seen.append(op)
         return fredholm.solve_resolvent(op, rhs)
 
-    def lu_spy(a, **kwargs):
+    def lu_spy(a):
         factored.append(a.shape)
-        return lu_factor(a, **kwargs)
+        return lu_factor(a)
 
     lu_factor = fredholm.lu_factor
     monkeypatch.setattr(observables, "solve_resolvent", spy)

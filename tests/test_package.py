@@ -1,10 +1,13 @@
-"""Package surface tests: every exported name resolves, and the retired
-union-grid layer stays retired."""
+"""Package surface tests: every exported name resolves, the retired
+union-grid layer stays retired, and the runtime needs numpy alone."""
 
 from __future__ import annotations
 
 import dataclasses
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -45,3 +48,15 @@ def test_union_grid_layer_is_gone(module, name):
 def test_quadrature_grid_carries_no_labels():
     fields = {f.name for f in dataclasses.fields(QuadratureGrid)}
     assert fields == {"nodes", "weights", "panel_count", "order", "spec"}
+
+
+def test_import_loads_no_scipy():
+    # every determinant and solve goes through numpy.linalg; a fresh
+    # interpreter that imports the package (and its CLI) must not load scipy
+    src = os.path.dirname(os.path.dirname(os.path.abspath(critgap.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, critgap, critgap.cli; print(sorted("
+            "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"
