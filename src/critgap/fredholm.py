@@ -8,20 +8,22 @@ Q = [[0, A], [B, 0]] on the line/loop union.  Both two-contour routes are
 posed on the line grid: contour-Q by the Schur complement
 det(I - Q) = det(I - A W_loop B W_line) on the pair's own loop, contour-H by
 the line-reduced kernel on a separately graded loop.  Their grids are mirror
-images under conjugation, so both line operators are factored in their real
-form (kernels.real_form), a real LU of the same size.  Every determinant and
-dense solve goes through numpy.linalg, by the two functions lu_factor and
-lu_solve below.  The three routes share no kernel code beyond the gamma
-functions, so their agreement is the primary internal consistency check of
-the package.
+images under conjugation, so both line operators are real (kernels.real_form)
+and every LU is real.  contour-Q reads its determinant from a range sketch of
+its two real factors, a k x k determinant with k = 16 at first; contour-H,
+halfline and contour-Q's fallback past rank n/4 take a dense LU of I - K W.
+Every determinant and dense solve goes through numpy.linalg, by the two
+functions lu_factor and lu_solve below.  The three routes share no kernel
+code beyond the gamma functions, so their agreement is the primary internal
+consistency check of the package.
 
 The halfline grid is sized from the kernel's decay: on (a, inf) it falls
 like u(x) ~ exp(-x^2 / 2 alpha), so the grid ends where that drops below
 e^{-46}, or at a floor for small alpha (Bornemann, arXiv:0804.2543,
 truncates the infinite intervals of Fredholm determinants by the kernel's
 decay in the same way).  The
-two-contour routes form their line operator as one product of two real
-factors that kernels._real_factors writes into per-thread buffers.
+two-contour routes form their line operator from two real factors that
+kernels._real_factors writes into per-thread buffers.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .contours import (GeometryError, QuadratureGrid, _gl_panels,
-                       truncation_radius)
+from .contours import GeometryError, _gl_panels, truncation_radius
 from .special import _require_finite
 
 __all__ = [
@@ -65,6 +66,9 @@ _GRID_GROWTH = 1.6
 _SKETCH_RANK = 16    # first rank of a resolvent sketch
 _TAIL_PROBES = 4     # fresh probe columns that measure a sketch's tail
 _TAIL_TOL = 1e-13    # largest ||K W T - Q Q^H K W T|| / ||K W T|| accepted
+# splitmix64's increment and output multipliers (Steele, Lea and Flood 2014)
+_SPLITMIX = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9),
+             np.uint64(0x94D049BB133111EB))
 
 
 class SingularError(np.linalg.LinAlgError):
@@ -123,13 +127,55 @@ class HalfLineGrid:
 
 @functools.lru_cache(maxsize=16)
 def _probes(n: int, k: int) -> np.ndarray:
-    """Fixed-seed Gaussian probes [Omega | T] of a rank-k sketch on n nodes:
-    k range columns, then _TAIL_PROBES fresh columns for the tail.  They are
-    cached read-only, so every sketch of one size draws the same probes."""
-    probes = np.random.default_rng([n, k]).standard_normal(
-        (n, k + _TAIL_PROBES))
+    """Fixed Gaussian probes [Omega | T] of a rank-k sketch on n nodes: k
+    range columns, then _TAIL_PROBES fresh columns for the tail.
+
+    The uniforms are a splitmix64 counter stream seeded by (n, k), in numpy
+    uint64 arithmetic (which wraps silently), and Box-Muller turns their
+    pairs into Gaussians, so no sketch imports numpy.random, which costs
+    more time and memory than the draw.  They are cached read-only, so
+    every sketch of one size uses the same probes."""
+    increment, mul1, mul2 = _SPLITMIX
+    half = (n * (k + _TAIL_PROBES) + 1) // 2
+    z = np.arange(1, 2 * half + 1, dtype=np.uint64)
+    z *= increment
+    z += np.uint64(n << 32 | k)
+    z ^= z >> 30
+    z *= mul1
+    z ^= z >> 27
+    z *= mul2
+    z ^= z >> 31
+    u = (z >> 11).astype(float) * 2.0 ** -53          # uniform on [0, 1)
+    radius = np.sqrt(-2.0 * np.log1p(-u[:half]))
+    angle = 2.0 * math.pi * u[half:]
+    normals = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
+    probes = normals[:n * (k + _TAIL_PROBES)].reshape(n, k + _TAIL_PROBES)
     probes.setflags(write=False)
     return probes
+
+
+def _range_sketch(apply, n: int) -> tuple:
+    """Range basis of an n x n operator K W known through apply(x) = K W x.
+
+    apply maps fixed Gaussian probes [Omega | T] (_probes; k columns, 16 at
+    first, and _TAIL_PROBES fresh ones), and Q is the orthonormal basis of
+    K W Omega.  The tail ||K W T - Q Q^H K W T|| decides: while it exceeds
+    1e-13 of ||K W T|| the rank doubles, up to n/4.  Returns (Q, k, tail)
+    with the relative tail of the rank that passed, or (None, k, tail) of
+    the last rank tried when none did ((None, 0, nan) when n < 64 leaves no
+    room for one)."""
+    k, rank, rel_tail = _SKETCH_RANK, 0, math.nan
+    while 4 * k <= n:
+        y = apply(_probes(n, k))                        # K W [Omega | T]
+        q = np.linalg.qr(y[:, :k])[0]
+        kt = y[:, k:]
+        scale = float(np.linalg.norm(kt))
+        tail = float(np.linalg.norm(kt - q @ (q.conj().T @ kt)))
+        rank, rel_tail = k, tail / scale if scale else 0.0
+        if tail <= _TAIL_TOL * scale:
+            return q, rank, rel_tail
+        k *= 2
+    return None, rank, rel_tail
 
 
 @dataclass
@@ -141,30 +187,32 @@ class DiscreteOperator:
     two-contour operators pass the real form of K W (kernels.real_form),
     in which the weights no longer scale columns, with unit weights.
 
-    Resolvent solves go through a range sketch of K W.  Its eigenvalues are
-    those of the limiting kernel on (a, inf), which decay
-    super-exponentially, so a few directions carry all of it.  K W applied
-    to fixed-seed Gaussian probes Omega (k columns, 16 at first) gives an
-    orthonormal Q, and with B = Q^H K W the solve is Woodbury's on
-    K W ~ Q B through the k x k matrix S = I_k - B Q.  Fresh probes T
-    measure the tail ||K W T - Q B T||; while it exceeds 1e-13 of
-    ||K W T|| the rank doubles, and past n/4 the solve falls back to an
-    LU solve of I - K W itself.  After a solve, solve_path is "sketch" or
-    "dense", sketch_rank the last rank tried (0 if n < 64 left no room for
-    one) and sketch_tail its relative tail (nan if none was tried).
+    Resolvent solves go through a range sketch of K W (_range_sketch).
+    Its eigenvalues are those of the limiting kernel on (a, inf), which
+    decay super-exponentially, so a few directions carry all of it.  With
+    the sketch's orthonormal Q (rank k, 16 at first) and B = Q^H K W the
+    solve is Woodbury's on K W ~ Q B through the k x k matrix
+    S = I_k - B Q; when no rank up to n/4 passes the tail test it falls
+    back to an LU solve of I - K W itself.  After a solve, solve_path is
+    "sketch" or "dense", sketch_rank the last rank tried (0 if n < 64 left
+    no room for one) and sketch_tail its relative tail (nan if none was
+    tried).
 
-    Determinants stay on the dense LU, for two reasons.  The benchmark's
-    tracing test (perfbench/test_perfbench.py) pins one n x n LU of
-    (8/3) n^3 flops for a contour-H evaluation.  And that test may be
-    re-pinned only by a change to the benchmark itself, which claims no
-    gain of its own.
+    The operator's determinant is the dense LU of I - K W.  The benchmark's
+    tracing test (perfbench/test_perfbench.py) pins one n x n LU for a
+    contour-H evaluation, so only contour-Q, which never builds this
+    operator on its sketch path, reads its determinant from a sketch
+    (_route_det).
 
     numpy's slogdet and solve factor a copy of their input, so I - K W is
     written into this thread's grow-only buffer (kernels._buffer) rather
     than into a fresh array, which the allocator would fault in anew on
-    every operator; only (sign, log|det|) is kept on the operator.  The
-    dense solve writes the same buffer again.  kernel_values is never
-    written, so the residual check of a solve reads the operator as given.
+    every operator; only (sign, log|det|) is kept on the operator.  slogdet
+    is handed the buffer's transpose, which has the same determinant and is
+    already in LAPACK's column-major order, so numpy's copy is contiguous
+    instead of strided.  The dense solve writes the same buffer again.
+    kernel_values is never written, so the residual check of a solve reads
+    the operator as given.
     """
 
     kernel_values: np.ndarray
@@ -188,44 +236,38 @@ class DiscreteOperator:
         buffer: valid until the thread's next call."""
         n = self.weights.size
         dtype = np.result_type(self.kernel_values, self.weights)
-        a = kernels._buffer(f"one_minus_{dtype.char}", n * n, dtype)
         a = np.multiply(self.kernel_values, -self.weights,
-                        out=a.reshape(n, n))
+                        out=_square_buffer(n, dtype))
         a.flat[::n + 1] += 1.0
         return a
 
     def _factor(self) -> tuple:
-        """(sign, log|det|) of I - K W."""
+        """(sign, log|det|) of I - K W, from the LU of its transpose."""
         if self._slogdet is None:
-            self._slogdet = lu_factor(self._one_minus())
+            self._slogdet = lu_factor(self._one_minus().T)
         return self._slogdet
 
     def _sketch_factor(self):
         """(Q, B, S, sign of det S) of the range sketch, or None for the
         dense solve; the path is chosen on the first solve and kept."""
         if self.solve_path is None:
-            self._sketch = self._range_sketch()
-            self.solve_path = "dense" if self._sketch is None else "sketch"
+            q, self.sketch_rank, self.sketch_tail = _range_sketch(
+                self._apply, self.weights.size)
+            if q is None:
+                self._sketch = None
+            else:
+                b = (q.conj().T @ self.kernel_values) * self.weights
+                s = np.eye(q.shape[1]) - b @ q
+                self._sketch = q, b, s, lu_factor(s)[0]
+            self.solve_path = "dense" if q is None else "sketch"
         return self._sketch
 
-    def _range_sketch(self):
-        n = self.weights.size
-        k = _SKETCH_RANK
-        while 4 * k <= n:
-            y = self._apply(_probes(n, k))              # K W [Omega | T]
-            q = np.linalg.qr(y[:, :k])[0]
-            qh = q.conj().T
-            kt = y[:, k:]
-            scale = float(np.linalg.norm(kt))
-            tail = float(np.linalg.norm(kt - q @ (qh @ kt)))
-            self.sketch_rank = k
-            self.sketch_tail = tail / scale if scale else 0.0
-            if tail <= _TAIL_TOL * scale:
-                b = (qh @ self.kernel_values) * self.weights
-                s = np.eye(k) - b @ q
-                return q, b, s, lu_factor(s)[0]
-            k *= 2
-        return None
+
+def _square_buffer(n: int, dtype) -> np.ndarray:
+    """An n x n view of this thread's grow-only buffer of that dtype."""
+    dtype = np.dtype(dtype)
+    return kernels._buffer(f"one_minus_{dtype.char}", n * n,
+                           dtype).reshape(n, n)
 
 
 def det_one_minus(op: DiscreteOperator) -> tuple[complex, float]:
@@ -235,9 +277,14 @@ def det_one_minus(op: DiscreteOperator) -> tuple[complex, float]:
     exp(log|det|); the companion stays meaningful when the value itself
     under- or overflows.  Emits SingularWarning, and returns (0, -inf),
     when the LU meets an exactly zero pivot; a tiny nonzero pivot gives
-    its finite log-magnitude.  Always the dense LU: see DiscreteOperator
-    for why not the sketch."""
-    sign, log_mag = op._factor()
+    its finite log-magnitude.  This is the dense LU of the operator; the
+    contour-Q route reads the same determinant from a sketch of its
+    factors instead (_route_det), and falls back to this."""
+    return _det_value(*op._factor())
+
+
+def _det_value(sign, log_mag) -> tuple[complex, float]:
+    """det_one_minus's (value, log|det|) from a (sign, log|det|) pair."""
     if sign == 0.0 or log_mag == -math.inf:
         warnings.warn("determinant of I - K W is zero", SingularWarning)
         return 0.0 + 0.0j, -math.inf
@@ -275,7 +322,9 @@ def solve_resolvent(op: DiscreteOperator, rhs: np.ndarray) -> np.ndarray:
 
 def check_rounding_scale(op: DiscreteOperator, context: str) -> None:
     """Raise ArithmeticError when n eps max|K| max|w|, the scale of the LU's
-    backward error in det(I - K W), exceeds 3e-10.  K must be real.
+    backward error in det(I - K W), exceeds 3e-10.  K must be real.  It
+    reads the operator's own entries; contour-Q's sketched determinant
+    reads max|Q B| of its sketch in their place (_sketched_slogdet).
 
     The two-contour matrices (contour-Q, contour-H and the RH workspace) are
     sums of large terms that cancel, and their entries grow where the
@@ -284,10 +333,15 @@ def check_rounding_scale(op: DiscreteOperator, context: str) -> None:
     1.1e-10 on alpha [0.2, 96] x a [0.1, 16], and at least 8e-10 at alpha
     128 and at alpha <= 0.15 for a <= 4, where contour-Q and contour-H come
     out up to 3e-4 (alpha 128) and 8e-7 (alpha 0.12) away from halfline."""
-    kv = op.kernel_values
+    _rounding_guard(op.kernel_values, float(np.abs(op.weights).max()),
+                    context)
+
+
+def _rounding_guard(kv: np.ndarray, w_max: float, context: str) -> None:
+    """check_rounding_scale's test of n eps max|K| w_max against 3e-10 for
+    a real n x n K."""
     peak = max(kv.max(), -kv.min())  # max|K| of a real K, no |K| temporary
-    scale = (op.weights.size * _EPS * float(peak)
-             * float(np.abs(op.weights).max()))
+    scale = kv.shape[0] * _EPS * float(peak) * w_max
     if scale > _ROUNDING_TOL:
         raise ArithmeticError(
             f"{context}: entries reach rounding scale {scale:.1e} "
@@ -329,20 +383,20 @@ def halfline_operator(a: float, alpha: float,
     return DiscreteOperator(kv, grid.weights)
 
 
-def _line_operator(a: float, alpha: float, order: int, refine: float,
-                   loop: QuadratureGrid | None = None) -> DiscreteOperator:
-    """Two-contour operator reduced to the line grid of the (a, alpha) pair,
-    in its real form.
-
-    Without a loop grid the coupling blocks are contracted over the pair's
-    own loop: the exact Schur complement of [[0, A], [B, 0]].  With one, the
-    loop variable is integrated on it by the line-reduced kernel."""
+def _qa_factors(a: float, alpha: float, order: int,
+                refine: float) -> tuple[np.ndarray, np.ndarray]:
+    """Real factors (left, right) of contour-Q's line operator,
+    K W = left @ right.T: the coupling blocks of the (a, alpha) pair
+    contracted over its own loop, the exact Schur complement of
+    [[0, A], [B, 0]].  They are views of this thread's buffers
+    (kernels._real_factors)."""
     pair = kernels.qa_pair(alpha, a_max=a, refine=refine, order=order)
-    if loop is None:
-        left, right = kernels._real_factors(pair, a)
-        kv = left @ right.T
-    else:
-        kv = kernels.ha_matrix(pair, a, loop)
+    return kernels._real_factors(pair, a)
+
+
+def _line_operator(kv: np.ndarray) -> DiscreteOperator:
+    """A two-contour line operator from the real form of its K W, which
+    holds the weights, so its own are units."""
     return DiscreteOperator(kv, np.ones(kv.shape[0]))
 
 
@@ -353,7 +407,8 @@ def qa_operator(a: float, alpha: float, order: int = _DEFAULT_ORDER,
     det(I - Q W) = det(I - A W_loop B W_line).  Raises ValueError for an a
     or alpha that is not finite."""
     _require_finite(a=a, alpha=alpha)
-    return _line_operator(a, alpha, order, refine)
+    left, right = _qa_factors(a, alpha, order, refine)
+    return _line_operator(left @ right.T)
 
 
 def ha_operator(a: float, alpha: float, order: int = _DEFAULT_ORDER,
@@ -364,7 +419,8 @@ def ha_operator(a: float, alpha: float, order: int = _DEFAULT_ORDER,
     _require_finite(a=a, alpha=alpha)
     inner = kernels.qa_pair(alpha, a_max=a, refine=1.4 * refine,
                             order=max(8, order - 4))
-    return _line_operator(a, alpha, order, refine, loop=inner.loop)
+    pair = kernels.qa_pair(alpha, a_max=a, refine=refine, order=order)
+    return _line_operator(kernels.ha_matrix(pair, a, inner.loop))
 
 
 @dataclass(frozen=True)
@@ -377,11 +433,39 @@ class GapResult:
     err: float
 
 
+def _sketched_slogdet(left: np.ndarray, right: np.ndarray,
+                      context: str) -> tuple | None:
+    """(sign, log|det(I - K W)|) of K W = left @ right.T from its range
+    sketch (_range_sketch), or None when no rank up to n/4 passes the tail
+    test.
+
+    With the sketch's Q and B = Q^T K W = (Q^T left) right^T,
+    det(I - K W) = det(I_k - B Q) up to the sketch's tail, so K W is never
+    formed and the only LU is k x k.  The rounding guard reads max|Q B|
+    (n^2 k flops, written into this thread's square buffer) in place of
+    max|K W|, from which it differs by the tail; raises ArithmeticError as
+    check_rounding_scale does."""
+    n = left.shape[0]
+    q = _range_sketch(lambda x: left @ (right.T @ x), n)[0]
+    if q is None:
+        return None
+    b = (q.T @ left) @ right.T
+    qb = np.matmul(q, b, out=_square_buffer(n, float))
+    _rounding_guard(qb, 1.0, context)
+    return lu_factor(np.eye(q.shape[1]) - b @ q)
+
+
 def _route_det(a: float, alpha: float, route: str, refine: float) -> tuple[float, float]:
+    context = f"{route} at alpha={alpha}, a={a}"
     if route == "halfline":
         op = halfline_operator(a, alpha, refine=refine)
     elif route == "contour-Q":
-        op = qa_operator(a, alpha, refine=refine)
+        left, right = _qa_factors(a, alpha, _DEFAULT_ORDER, refine)
+        slogdet = _sketched_slogdet(left, right, context)
+        if slogdet is not None:
+            det, log_mag = _det_value(*slogdet)
+            return complex(det).real, log_mag
+        op = _line_operator(left @ right.T)  # the dense fallback: qa_operator
     elif route == "contour-H":
         op = ha_operator(a, alpha, refine=refine)
     else:
@@ -389,7 +473,7 @@ def _route_det(a: float, alpha: float, route: str, refine: float) -> tuple[float
     if route != "halfline":
         # halfline's entries stay small; its failure at large alpha is
         # truncation, which the rounding scale cannot see
-        check_rounding_scale(op, f"{route} at alpha={alpha}, a={a}")
+        check_rounding_scale(op, context)
     det, log_mag = det_one_minus(op)
     return complex(det).real, log_mag
 

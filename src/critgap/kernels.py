@@ -60,8 +60,9 @@ _TAIL_LOG = 40.0
 _BLOCK_BYTES = 1 << 19
 
 # per-thread, grow-only buffers (_buffer): _real_factors' two factors and
-# the block of Cauchy rows they are written from, and fredholm's I - K W,
-# one per dtype; held until the thread ends
+# the block of Cauchy rows they are written from, and fredholm's square
+# buffer (I - K W, or contour-Q's Q B), one per dtype; held until the
+# thread ends
 _FACTORS = threading.local()
 
 

@@ -126,7 +126,8 @@ class RhWorkspace:
     16 x 16 Woodbury system replace an n x n LU, with the full operator
     still checking the residual.  If the sketch's tail were ever above
     tolerance up to rank n/4, the solve would fall back to a dense LU
-    solve; determinants (fredholm.det_one_minus) stay dense in any case.
+    solve.  The workspace computes no determinant; contour-Q's P is read
+    from the same kind of sketch, of its two factors (fredholm._route_det).
 
     The line is a contours.build_vertical line, so z - s = i (Im z - Im s):
     the Cauchy factor is kept as the real matrix 1/(Im z - Im s) and its -i

@@ -9,6 +9,8 @@ independent operator constructions.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
 import sys
 import threading
 
@@ -171,7 +173,8 @@ def test_determinant_buffer_carries_no_state():
     # every determinant writes I - K W into one grow-only buffer per thread
     # and dtype; interleaved real and complex operators of growing and
     # shrinking sizes, with a dense solve writing the buffer in between,
-    # must factor exactly the matrix numpy factors from a fresh array
+    # must factor exactly the matrix numpy factors from a fresh array.  The
+    # LU is of the transpose, which numpy copies without strides
     cases = [(40, 1, float), (90, 2, complex), (20, 3, float),
              (150, 4, float), (35, 5, complex), (40, 1, float)]
     for case in cases + [(60, 6, float)] + cases[::-1]:
@@ -180,7 +183,7 @@ def test_determinant_buffer_carries_no_state():
         if case[0] == 60:
             solve_resolvent(op, np.ones(60))
         else:
-            want = np.linalg.slogdet(np.eye(case[0]) - k * w[None, :])
+            want = np.linalg.slogdet((np.eye(case[0]) - k * w[None, :]).T)
             assert op._factor() == tuple(want)
 
 
@@ -327,6 +330,84 @@ def test_full_rank_operator_falls_back_to_the_dense_lu():
     assert op.sketch_tail > 0.1
     np.testing.assert_allclose(x, np.linalg.solve(np.eye(n) - k, rhs),
                                rtol=1e-12, atol=1e-13)
+
+
+def test_probes_are_fixed_read_only_gaussians():
+    # drawn from a splitmix64 stream seeded by (n, k), not numpy.random:
+    # the same bits on every draw, and standard normal to sampling error
+    first = fredholm._probes(670, 16)
+    fredholm._probes.cache_clear()
+    again = fredholm._probes(670, 16)
+    assert first is not again and np.array_equal(first, again)
+    assert first.shape == (670, 16 + fredholm._TAIL_PROBES)
+    assert not first.flags.writeable
+    assert abs(first.mean()) <= 0.05 and abs(first.std() - 1.0) <= 0.05
+    assert not np.array_equal(fredholm._probes(670, 32)[:, :20], first)
+
+
+def test_sketches_load_no_numpy_random():
+    # numpy.random costs megabytes of RSS on import; a fresh interpreter
+    # that computes a contour-Q P (a sketched determinant) and a u (a
+    # sketched solve) must never load it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fredholm.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys\n"
+            "from critgap import fredholm, observables\n"
+            "fredholm.gap_probability(1.7, 1.0, 'contour-Q')\n"
+            "observables.u_of_x(1.7, 1.0)\n"
+            "print('numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "False"
+
+
+def test_contour_q_factors_only_the_sketch(factored, monkeypatch):
+    # contour-Q's P is det(I_k - B Q) of the rank-16 sketch of its factors:
+    # neither run of the err pair forms the n x n operator or factors it
+    def no_operator(kv):
+        raise AssertionError(f"formed a {kv.shape} operator")
+
+    monkeypatch.setattr(fredholm, "_line_operator", no_operator)
+    res = gap_probability(1.7, 0.5, "contour-Q")
+    assert 0.0 < res.p < 1.0 and res.err <= 1e-9
+    assert factored == [("lu_factor", (16, 16), np.float64)] * 2
+
+
+@pytest.mark.parametrize("a, alpha", [(1.7, 0.5), (0.5, 2.0)])
+def test_contour_q_falls_back_to_the_dense_lu(a, alpha, factored,
+                                              monkeypatch):
+    # no rank passes a zero tail tolerance, so the route forms K W and
+    # factors it as qa_operator and det_one_minus do, bit for bit
+    monkeypatch.setattr(fredholm, "_TAIL_TOL", 0.0)
+    p = gap_probability(a, alpha, "contour-Q", estimate_error=False).p
+    n = qa_operator(a, alpha).weights.size
+    assert factored == [("lu_factor", (n, n), np.float64)]
+    assert p == det_one_minus(qa_operator(a, alpha))[0]
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0, 8.0])
+def test_sketched_contour_q_matches_the_dense_lu(alpha):
+    # the sketch's tail is below 1e-13 of K W, and its determinant lies
+    # within 5e-14 of the dense LU's (1.8e-14 at most when first measured)
+    for a in (0.5, 1.0, 2.0, 4.0):
+        for refine in (1.0, 0.5):
+            sketched = gap_probability(a, alpha, "contour-Q", refine=refine,
+                                       estimate_error=False).p
+            dense, _ = det_one_minus(qa_operator(a, alpha, refine=refine))
+            assert abs(sketched - dense) <= 5e-14, (a, refine)
+
+
+@pytest.mark.parametrize("alpha, raises", [
+    (0.12, True), (128.0, True), (0.2, False), (96.0, False)])
+def test_sketched_contour_q_keeps_the_rounding_guard(alpha, raises):
+    # the guard reads max|Q B| of the sketch in place of max|K W|; it must
+    # fire exactly where the dense operator's scale did (a <= 4)
+    for a in (0.5, 1.0, 2.0, 4.0):
+        if raises:
+            with pytest.raises(ArithmeticError, match="rounding scale"):
+                gap_probability(a, alpha, "contour-Q")
+        else:
+            assert math.isfinite(gap_probability(a, alpha, "contour-Q").p)
 
 
 def test_route_agreement_spot():
