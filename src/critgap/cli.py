@@ -90,7 +90,8 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         shift = kernels.centering_shift(n, m) if args.centered else 0.0
 
         # the finite loop's node count is set by its frequency cap, not by
-        # refine, so the error estimate raises the quadrature order instead
+        # refine (the line's does follow refine), so the error estimate
+        # raises the quadrature order instead
         def evaluate(x, y):
             val, ref = (kernels.finite_kernel(x + shift, y + shift, n, m,
                                               order=order, refine=refine)

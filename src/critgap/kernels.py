@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import (DomainError, _require_finite, gamma, log_gamma,
-                      recip_gamma)
+from .special import (DomainError, _digamma, _require_finite, gamma,
+                      log_gamma, recip_gamma)
 from .contours import (
     GeometryError,
     QuadratureGrid,
@@ -309,6 +309,55 @@ def centering_shift(n: int, m: int) -> float:
     return (m + 1) * (math.log(n) - 1.0 / (2.0 * n))
 
 
+# samples of the line half [0, T] on which _line_rate reads the phase rate
+_RATE_SAMPLES = 65
+
+
+def _line_rate(y: float, n: int, m: int, T: float) -> float:
+    """Upper bound on the phase rate |part_s'| of finite_kernel's line
+    integrand exp(part_s), part_s = (m+1) log Gamma(s+n) - log Gamma(s) - y s,
+    over s = 1/2 + i sigma, |sigma| <= T.
+
+    f = part_s' = (m+1) psi(s+n) - psi(s) - y is sampled at _RATE_SAMPLES
+    evenly spaced sigma in [0, T] (the line is its own mirror image).  On a
+    gap of width h whose ends have |f| = f0, f1 and on which |f'| <= L,
+    |f| <= (f0 + f1)/2 + L h/2.  L comes from |psi'(a + i sigma)| <=
+    sum_k 1/((a+k)^2 + sigma^2) <= 1/(a^2 + sigma^2) + atan(sigma/a)/sigma,
+    which decreases in sigma, so its value at a gap's left end holds on the
+    whole gap.
+    """
+    sigma = np.linspace(0.0, T, _RATE_SAMPLES)
+    s = 0.5 + 1j * sigma
+    psi = _digamma(np.concatenate([s + n, s]))
+    f = np.abs((m + 1) * psi[:_RATE_SAMPLES] - psi[_RATE_SAMPLES:] - y)
+    h = sigma[1]
+    # each gap's left end; atan(sigma/a)/sigma tends to 1/a at sigma = 0
+    left = np.maximum(sigma[:-1], 1e-300)
+
+    def psi1(a):
+        return 1.0 / (a * a + left * left) + np.arctan(left / a) / left
+
+    slope = (m + 1) * psi1(n + 0.5) + psi1(0.5)
+    return float(np.max(0.5 * (f[:-1] + f[1:] + slope * h)))
+
+
+def _finite_grids(x: float, y: float, n: int, m: int, order: int = 16,
+                  refine: float = 1.0) -> tuple[QuadratureGrid, QuadratureGrid]:
+    """finite_kernel's closed loop and vertical line at (x, y, n, m).
+
+    The loop resolves exp(x t) up to frequency max(|x|, |y|, 1).  The line
+    resolves its integrand's own phase rate (_line_rate), which is small
+    near the centering a_N, where (m+1) log Gamma(s+n) cancels the linear
+    phase of exp(-y s), rather than |y|."""
+    alpha_eff = (m + 1) / n
+    T_line = truncation_radius(alpha_eff / 2.0, growth=math.pi / 2.0)
+    loop = build_closed_loop(-n + 0.5, order=order, refine=refine,
+                             max_frequency=max(abs(x), abs(y), 1.0))
+    line = build_vertical(0.5, T_line, order=order, refine=refine,
+                          max_frequency=_line_rate(y, n, m, T_line))
+    return loop, line
+
+
 def finite_kernel(x: float, y: float, n: int, m: int, order: int = 16,
                   refine: float = 1.0) -> float:
     """Finite-N product-process kernel at real (x, y), log-space evaluation.
@@ -317,7 +366,9 @@ def finite_kernel(x: float, y: float, n: int, m: int, order: int = 16,
     -n + 1/2.  The exponent e[i, j] = part_t[i] + part_s[j] - log(s_j - t_i)
     is separable, each part being a log-gamma sum on its own contour, so the
     double sum is one contraction u @ C @ v with the Cauchy matrix
-    C = 1/(s - t) and u, v the exponentiated parts.
+    C = 1/(s - t) and u, v the exponentiated parts.  The grids come from
+    _finite_grids: the loop is sized by max(|x|, |y|, 1), the line by the
+    phase rate of exp(part_s).
 
     C is never formed in complex arithmetic.  Every line node has real part
     exactly c = line.spec.crossing, so s_j - t_i = d_i + i b_ij with
@@ -345,13 +396,7 @@ def finite_kernel(x: float, y: float, n: int, m: int, order: int = 16,
         raise DomainError("need n >= 1 and m >= 1")
     if m > 512:
         raise DomainError("factor count above the supported envelope of 512")
-    freq = max(abs(x), abs(y), 1.0)
-    alpha_eff = (m + 1) / n
-    T_line = truncation_radius(alpha_eff / 2.0, growth=math.pi / 2.0)
-    loop = build_closed_loop(-n + 0.5, order=order, refine=refine,
-                             max_frequency=freq)
-    line = build_vertical(0.5, T_line, order=order, refine=refine,
-                          max_frequency=freq)
+    loop, line = _finite_grids(x, y, n, m, order, refine)
 
     t, wt = loop.nodes, loop.weights
     s, ws = line.nodes, line.weights

@@ -69,6 +69,11 @@ _STIRLING = (
     -3617.0 / 122400.0,
 )
 
+# psi's Stirling series: the coefficients (2n - 1) c_n of w^{-2n}, highest n
+# first, from psi(w) = (d/dw) log Gamma(w)
+_DIGAMMA_SERIES = tuple((2 * n - 1) * c
+                        for n, c in reversed(list(enumerate(_STIRLING, 1))))
+
 # Stirling is accurate once |z| is at least this large (with Re z > 0): the
 # first omitted term, B_18 / (18 * 17 z^17), times the sec^18(arg z / 2) <= 2^9
 # of the right half-plane remainder bound, is below 1e-15 at |z| = 10.
@@ -157,6 +162,36 @@ def log_gamma(z: complex | np.ndarray) -> complex | np.ndarray:
         w += c * term
         term = term * zi2
     return _unwrap(w - shift)
+
+
+def _digamma(z: np.ndarray) -> np.ndarray:
+    """Digamma psi = (log Gamma)' on Re z > 0, elementwise over an array.
+
+    The same shift-then-Stirling scheme as log_gamma: psi(z) =
+    psi(z + count) - sum_{k < count} 1/(z + k), with count the fewest shifts
+    reaching the Stirling radius and psi(w) = log w - 1/(2w) -
+    sum_n (2n - 1) c_n w^{-2n}, c_n the log-gamma series coefficients
+    (_DIGAMMA_SERIES).
+    The caller keeps Re z > 0.
+    """
+    z = np.asarray(z, dtype=complex)
+    reach = np.sqrt(np.maximum(_STIRLING_RADIUS ** 2 - z.imag ** 2, 0.0))
+    count = np.maximum(np.ceil(reach - z.real), 0.0)
+    steps = np.arange(count.max(initial=0.0))
+    terms = np.reciprocal(z[..., None] + steps)
+    shift = np.sum(terms, axis=-1, where=steps < count[..., None])
+    w = z + count
+    wi = np.reciprocal(w)
+    wi2 = wi * wi
+    # the series in Horner form, highest power first
+    acc = np.full(w.shape, _DIGAMMA_SERIES[0], dtype=complex)
+    for c in _DIGAMMA_SERIES[1:]:
+        acc *= wi2
+        acc += c
+    acc *= wi2
+    acc += 0.5 * wi
+    acc += shift
+    return np.log(w) - acc
 
 
 def recip_gamma(z: complex | np.ndarray) -> complex | np.ndarray:

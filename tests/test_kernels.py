@@ -171,17 +171,12 @@ def test_finite_kernel_rejects_huge_powers():
         kernels.finite_kernel(0.0, 0.0, 4, 600)
 
 
-def _finite_grids(x, y, n, m):
-    freq = max(abs(x), abs(y), 1.0)
-    T_line = truncation_radius((m + 1) / n / 2.0, growth=math.pi / 2.0)
-    return (build_closed_loop(-n + 0.5, max_frequency=freq),
-            build_vertical(0.5, T_line, max_frequency=freq))
-
-
-def _dense_finite_kernel(x, y, n, m):
+def _dense_finite_kernel(x, y, n, m, line=None):
     """Reference: the exponent formed on the whole loop x line array with a
-    complex log, shifted by its real peak, then exponentiated and summed."""
-    loop, line = _finite_grids(x, y, n, m)
+    complex log, shifted by its real peak, then exponentiated and summed, on
+    finite_kernel's own grids or on the given line."""
+    loop, own_line = kernels._finite_grids(x, y, n, m)
+    line = own_line if line is None else line
     t, s = loop.nodes, line.nodes
     e = ((-(m + 1) * log_gamma(t + n) + _log_gamma_left(t) + x * t)[:, None]
          + ((m + 1) * log_gamma(s + n) - log_gamma(s) - y * s)[None, :]
@@ -204,7 +199,7 @@ def _block_rows(n, m):
     """Loop size and rows per block of finite_kernel's contraction at the
     centered point of (n, m)."""
     shift = kernels.centering_shift(n, m)
-    loop, line = _finite_grids(shift, shift, n, m)
+    loop, line = kernels._finite_grids(shift, shift, n, m)
     rows = max(1, kernels._BLOCK_BYTES // (8 * line.nodes.size))
     return loop.nodes.size, rows
 
@@ -226,9 +221,69 @@ def test_finite_kernel_matches_dense_log_space_sum(n, m, rel):
         assert abs(got - want) <= rel * abs(want), (n, m, x, y)
 
 
+# (n, m, y): the centred SEPARABLE_CASES, a point 20 right of the (32, 32)
+# centre, and the far-left y = 0.5 at (8, 8), 17.7 left of its centre
+RATE_POINTS = ([(n, m, kernels.centering_shift(n, m) - 0.7)
+                for n, m, _ in SEPARABLE_CASES]
+               + [(32, 32, kernels.centering_shift(32, 32) + 20.0), (8, 8, 0.5)])
+
+
+@pytest.mark.parametrize("n, m, y", RATE_POINTS)
+def test_line_rate_bounds_the_phase_rate_at_every_node(n, m, y):
+    # |part_s'| = |(m+1) psi(s+n) - psi(s) - y| on every node of the line
+    # finite_kernel builds, psi from mpmath; the rate sizes that same line
+    mpmath = pytest.importorskip("mpmath")
+    _, line = kernels._finite_grids(y, y, n, m)
+    rate = kernels._line_rate(y, n, m, line.spec.truncation)
+    with mpmath.workdps(20):
+        # the line is its own mirror image and |part_s'| is mirror
+        # symmetric, so the upper half holds every node's value
+        slope = [abs((m + 1) * mpmath.digamma(mpmath.mpc(0.5 + n, c.imag))
+                     - mpmath.digamma(mpmath.mpc(0.5, c.imag)) - y)
+                 for c in line.nodes if c.imag >= 0.0]
+    assert rate >= float(max(slope))
+    # and the bound is tight: within 1% (or 0.25) of the largest node value
+    assert rate <= 1.01 * float(max(slope)) + 0.25, (rate, float(max(slope)))
+
+
+def test_centred_line_follows_the_phase_rate_not_y():
+    # at the centring a_N = 113.9 of (32, 32) the integrand's phase rate is
+    # about 8.9; a line sized for |y| had 2016 nodes, this one at most 1/5
+    shift = kernels.centering_shift(32, 32)
+    loop, line = kernels._finite_grids(shift, shift, 32, 32)
+    assert kernels._line_rate(shift, 32, 32, line.spec.truncation) < 10.0
+    assert line.nodes.size <= 2016 // 5, line.nodes.size
+    # the loop is still sized by max(|x|, |y|, 1)
+    same = build_closed_loop(-31.5, max_frequency=shift)
+    assert np.array_equal(loop.nodes, same.nodes)
+    assert np.array_equal(loop.weights, same.weights)
+
+
+def _y_sized_line(y, n, m):
+    """A line sized by the frequency max(|y|, 1), finer than the phase rate
+    needs near the centring."""
+    T_line = truncation_radius((m + 1) / n / 2.0, growth=math.pi / 2.0)
+    return build_vertical(0.5, T_line, max_frequency=max(abs(y), 1.0))
+
+
+@pytest.mark.parametrize("n, m, rel", SEPARABLE_CASES)
+def test_finite_kernel_matches_a_y_sized_line(n, m, rel):
+    # the phase-rate line loses nothing against a line sized for |y| (2016
+    # nodes at (32, 32)), summed densely on the same loop; the differences
+    # measured up to 1.5e-12 at (60, 60), summation noise of the sums
+    shift = kernels.centering_shift(n, m)
+    for x, y in [(0.3, -0.7), (0.0, 0.0), (-1.5, 1.5), (3.0, 3.0)]:
+        x, y = x + shift, y + shift
+        want = _dense_finite_kernel(x, y, n, m, line=_y_sized_line(y, n, m))
+        got = kernels.finite_kernel(x, y, n, m)
+        assert abs(got - want) <= max(rel, 5e-12) * max(1.0, abs(want)), (
+            n, m, x, y)
+
+
 def test_finite_kernel_allocation_budget():
     # the Cauchy pair is built and contracted in blocks of loop rows in one
-    # reused buffer; the whole (2, loop, line) array at (32, 32) is 19.6 MB
+    # reused buffer; the whole (2, loop, line) array at (32, 32) is 2.8 MB
+    # (608 x 288 nodes), and a warmed call peaks near 1.2 MB
     shift = kernels.centering_shift(32, 32)
     kernels.finite_kernel(shift, shift, 32, 32)
     tracemalloc.start()

@@ -14,7 +14,8 @@ import pytest
 
 from critgap.contours import build_closed_loop
 from critgap.kernels import _log_gamma_left
-from critgap.special import DomainError, PoleError, gamma, log_gamma, recip_gamma
+from critgap.special import (DomainError, PoleError, _digamma, gamma, log_gamma,
+                             recip_gamma)
 
 REL = 1e-11
 
@@ -173,3 +174,17 @@ def test_log_gamma_matches_mpmath_across_the_shift_region():
         ref = np.array([complex(mpmath.loggamma(mpmath.mpc(c.real, c.imag)))
                         for c in z])
     assert np.abs(log_gamma(z) - ref).max() <= 1.6e-14
+
+
+def test_digamma_matches_mpmath_on_the_finite_kernel_line():
+    # psi(s) and psi(s + n) on s = 1/2 + i sigma, the arguments of the
+    # finite kernel's phase rate, for n up to the envelope m = 512 allows
+    mpmath = pytest.importorskip("mpmath")
+    sigma = np.linspace(0.0, 40.0, 81)
+    z = np.concatenate([0.5 + n + 1j * sigma
+                        for n in (0, 1, 4, 9, 10, 32, 100, 512)])
+    z = np.concatenate([z, z.conj()])
+    with mpmath.workdps(30):
+        ref = np.array([complex(mpmath.digamma(mpmath.mpc(c.real, c.imag)))
+                        for c in z])
+    assert np.all(np.abs(_digamma(z) - ref) <= 4e-15 * np.maximum(np.abs(ref), 1.0))
