@@ -9,9 +9,13 @@ posed on the line grid: contour-Q by the Schur complement
 det(I - Q) = det(I - A W_loop B W_line) on the pair's own loop, contour-H by
 the line-reduced kernel on a separately graded loop.  Their grids are mirror
 images under conjugation, so both line operators are real (kernels.real_form)
-and every LU is real.  contour-Q reads its determinant from a range sketch of
-its two real factors, a k x k determinant with k = 16 at first; contour-H,
-halfline and contour-Q's fallback past rank n/4 take a dense LU of I - K W.
+and every LU is real.  contour-Q's operator is carried by its two real
+factors (RealFactors), never formed: its determinant is read from a range
+sketch of them, a k x k determinant with k = 16 at first.  The RH workspace
+(observables.RhWorkspace) solves on the same factored operator, its a = 0
+factors rescaled per point, so the Schur complement has this one assembly.
+contour-H, halfline and contour-Q's fallback past rank n/4 take a dense LU
+of I - K W.
 Every determinant and dense solve goes through numpy.linalg, by the two
 functions lu_factor and lu_solve below.  The three routes share no kernel
 code beyond the gamma functions, so their agreement is the primary internal
@@ -44,6 +48,7 @@ __all__ = [
     "SingularWarning",
     "HalfLineGrid",
     "DiscreteOperator",
+    "RealFactors",
     "halfline_operator",
     "qa_operator",
     "ha_operator",
@@ -154,19 +159,20 @@ def _probes(n: int, k: int) -> np.ndarray:
     return probes
 
 
-def _range_sketch(apply, n: int) -> tuple:
-    """Range basis of an n x n operator K W known through apply(x) = K W x.
+def _range_sketch(probe, n: int) -> tuple:
+    """Range basis of an n x n operator K W known through probe(k) =
+    K W [Omega | T] on its fixed Gaussian probes (_probes; k columns, 16 at
+    first, and _TAIL_PROBES fresh ones).
 
-    apply maps fixed Gaussian probes [Omega | T] (_probes; k columns, 16 at
-    first, and _TAIL_PROBES fresh ones), and Q is the orthonormal basis of
-    K W Omega.  The tail ||K W T - Q Q^H K W T|| decides: while it exceeds
-    1e-13 of ||K W T|| the rank doubles, up to n/4.  Returns (Q, k, tail)
+    Q is the orthonormal basis of K W Omega.  The tail
+    ||K W T - Q Q^H K W T|| decides: while it exceeds 1e-13 of ||K W T||
+    the rank doubles, up to n/4.  Returns (Q, k, tail)
     with the relative tail of the rank that passed, or (None, k, tail) of
     the last rank tried when none did ((None, 0, nan) when n < 64 leaves no
     room for one)."""
     k, rank, rel_tail = _SKETCH_RANK, 0, math.nan
     while 4 * k <= n:
-        y = apply(_probes(n, k))                        # K W [Omega | T]
+        y = probe(k)                                    # K W [Omega | T]
         q = np.linalg.qr(y[:, :k])[0]
         kt = y[:, k:]
         scale = float(np.linalg.norm(kt))
@@ -178,14 +184,88 @@ def _range_sketch(apply, n: int) -> tuple:
     return None, rank, rel_tail
 
 
+def _turn(x: np.ndarray, d: np.ndarray | None, conj: bool = False
+          ) -> np.ndarray:
+    """x in real coordinates (Re v, Im v) along its first axis, with v
+    multiplied by d (by conj(d) with conj=True); d = None leaves x as it
+    is.  On such coordinates the multiplication is the real matrix
+    [[Re D, -Im D], [Im D, Re D]], D = diag(d), and conj(d) is its
+    transpose."""
+    if d is None:
+        return x
+    h = d.size
+    v = x[h:] * 1j
+    v += x[:h]
+    v *= (d.conj() if conj else d).reshape((h,) + (1,) * (x.ndim - 1))
+    return np.concatenate([v.real, v.imag])
+
+
+@dataclass(frozen=True)
+class RealFactors:
+    """A real line operator held as its two factors: K W = Dr left Dc
+    right^T, with left and right real (n, p) arrays, and Dr and Dc
+    multiplications by complex scalars on the (Re, Im) halves of the n
+    line and p loop coordinates (_turn; rows has n/2 entries and cols p/2,
+    None is the identity).
+
+    left and right are the real forms (kernels.real_form) of the two
+    coupling blocks A W_loop and conj((B W_line)^T), whose product is the
+    Schur complement A W_loop B W_line of the two-contour operator.  Only A
+    moves with a, by e^{-az} on line rows and e^{at} on loop columns, so a
+    workspace keeps the a = 0 factors and passes those two scalings.  The
+    operator is applied and projected through the factors and never formed:
+    each product costs n p columns' flops and no n x n or n x p array."""
+
+    left: np.ndarray
+    right: np.ndarray
+    rows: np.ndarray | None = None
+    cols: np.ndarray | None = None
+    right_probes: np.ndarray | None = None
+
+    def _finish(self, y: np.ndarray) -> np.ndarray:
+        """Dr left Dc y."""
+        return _turn(self.left @ _turn(y, self.cols), self.rows)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """K W x."""
+        return self._finish(self.right.T @ x)
+
+    def probe(self, k: int) -> np.ndarray:
+        """K W [Omega | T] on the rank-k probes (_probes).  right^T of the
+        first rank's probes does not move with the scalings, so a caller
+        that keeps it (_first_probes) passes it as right_probes."""
+        if k == _SKETCH_RANK and self.right_probes is not None:
+            return self._finish(self.right_probes)
+        return self.apply(_probes(self.left.shape[0], k))
+
+    def project(self, q: np.ndarray) -> np.ndarray:
+        """q^T K W, a (k, n) array for a real (n, k) q."""
+        ql = _turn(q, self.rows, conj=True).T @ self.left
+        if self.cols is not None:
+            ql = _turn(ql.T, self.cols, conj=True).T
+        return ql @ self.right.T
+
+    def dense(self) -> np.ndarray:
+        """K W as a fresh n x n array (the dense fallback; a sketch never
+        forms it)."""
+        left = self.left
+        if self.cols is not None:
+            left = _turn(left.T, self.cols, conj=True).T
+        return _turn(left, self.rows) @ self.right.T
+
+
 @dataclass
 class DiscreteOperator:
-    """Kernel values sampled on a grid plus the quadrature weights.
+    """Kernel values sampled on a grid plus the quadrature weights, or a
+    real line operator held as its factors.
 
     The determinant matrix is the right-weighted form K W (columns scaled by
     the weights); its solves are the kernel's Nystrom samples.  The
     two-contour operators pass the real form of K W (kernels.real_form),
     in which the weights no longer scale columns, with unit weights.
+    contour-Q and the RH workspace pass no values but `factors`
+    (RealFactors), from which K W is applied and projected; it is formed
+    only on the dense fallback below, once, as kernel_values.
 
     Resolvent solves go through a range sketch of K W (_range_sketch).
     Its eigenvalues are those of the limiting kernel on (a, inf), which
@@ -198,11 +278,11 @@ class DiscreteOperator:
     no room for one) and sketch_tail its relative tail (nan if none was
     tried).
 
-    The operator's determinant is the dense LU of I - K W.  The benchmark's
-    tracing test (perfbench/test_perfbench.py) pins one n x n LU for a
-    contour-H evaluation, so only contour-Q, which never builds this
-    operator on its sketch path, reads its determinant from a sketch
-    (_route_det).
+    The determinant of a factored operator whose sketch passed is det S,
+    which equals det(I - K W) up to the sketch's tail; every other
+    operator's is the dense LU of I - K W.  The benchmark's tracing test
+    (perfbench/test_perfbench.py) pins one n x n LU for a contour-H
+    evaluation, whose operator holds values, so it stays on the dense LU.
 
     numpy's slogdet and solve factor a copy of their input, so I - K W is
     written into this thread's grow-only buffer (kernels._buffer) rather
@@ -211,12 +291,13 @@ class DiscreteOperator:
     is handed the buffer's transpose, which has the same determinant and is
     already in LAPACK's column-major order, so numpy's copy is contiguous
     instead of strided.  The dense solve writes the same buffer again.
-    kernel_values is never written, so the residual check of a solve reads
-    the operator as given.
+    kernel_values, once given or formed, is never written, so the residual
+    check of a solve reads the operator as given.
     """
 
-    kernel_values: np.ndarray
+    kernel_values: np.ndarray | None
     weights: np.ndarray
+    factors: RealFactors | None = None
     _slogdet: tuple | None = field(default=None, init=False, repr=False)
     solve_path: str | None = field(default=None, init=False)
     sketch_rank: int = field(default=0, init=False)
@@ -224,43 +305,77 @@ class DiscreteOperator:
     _sketch: tuple | None = field(default=None, init=False, repr=False)
 
     def matrix(self) -> np.ndarray:
+        if self.kernel_values is None:
+            return self.factors.dense()
         return self.kernel_values * self.weights[None, :]
+
+    def _values(self) -> np.ndarray:
+        """kernel_values, formed from the factors on first use."""
+        if self.kernel_values is None:
+            self.kernel_values = self.factors.dense()
+        return self.kernel_values
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """matrix() @ x without forming the weighted matrix."""
+        if self.factors is not None:
+            return self.factors.apply(x)
         col = (slice(None),) + (None,) * (x.ndim - 1)
         return self.kernel_values @ (self.weights[col] * x)
+
+    def _probe(self, k: int) -> np.ndarray:
+        """K W [Omega | T] on the rank-k probes (_probes)."""
+        if self.factors is not None:
+            return self.factors.probe(k)
+        return self._apply(_probes(self.weights.size, k))
 
     def _one_minus(self) -> np.ndarray:
         """I - K W, real or complex as the operator is, in this thread's
         buffer: valid until the thread's next call."""
+        kv = self._values()
         n = self.weights.size
-        dtype = np.result_type(self.kernel_values, self.weights)
-        a = np.multiply(self.kernel_values, -self.weights,
-                        out=_square_buffer(n, dtype))
+        dtype = np.result_type(kv, self.weights)
+        a = np.multiply(kv, -self.weights, out=_square_buffer(n, dtype))
         a.flat[::n + 1] += 1.0
         return a
 
     def _factor(self) -> tuple:
-        """(sign, log|det|) of I - K W, from the LU of its transpose."""
+        """(sign, log|det|) of I - K W: det S of a factored operator's
+        sketch, else from the LU of the transpose of I - K W."""
         if self._slogdet is None:
-            self._slogdet = lu_factor(self._one_minus().T)
+            if self.factors is not None and self._sketch_factor() is not None:
+                self._slogdet = self._sketch[3]
+            else:
+                self._slogdet = lu_factor(self._one_minus().T)
         return self._slogdet
 
     def _sketch_factor(self):
-        """(Q, B, S, sign of det S) of the range sketch, or None for the
-        dense solve; the path is chosen on the first solve and kept."""
+        """(Q, B, S, (sign, log|det S|)) of the range sketch, or None for
+        the dense solve; the path is chosen on the first call and kept."""
         if self.solve_path is None:
             q, self.sketch_rank, self.sketch_tail = _range_sketch(
-                self._apply, self.weights.size)
+                self._probe, self.weights.size)
             if q is None:
                 self._sketch = None
             else:
-                b = (q.conj().T @ self.kernel_values) * self.weights
+                if self.factors is not None:
+                    b = self.factors.project(q)
+                else:
+                    b = (q.conj().T @ self.kernel_values) * self.weights
                 s = np.eye(q.shape[1]) - b @ q
-                self._sketch = q, b, s, lu_factor(s)[0]
+                self._sketch = q, b, s, lu_factor(s)
             self.solve_path = "dense" if q is None else "sketch"
         return self._sketch
+
+
+def _first_probes(right: np.ndarray) -> np.ndarray:
+    """right^T [Omega | T] on the first sketch rank's probes, for
+    RealFactors.right_probes."""
+    return right.T @ _probes(right.shape[0], _SKETCH_RANK)
+
+
+def _factored_operator(factors: RealFactors) -> DiscreteOperator:
+    """The real line operator K W held as its factors, with unit weights."""
+    return DiscreteOperator(None, np.ones(factors.left.shape[0]), factors)
 
 
 def _square_buffer(n: int, dtype) -> np.ndarray:
@@ -277,9 +392,9 @@ def det_one_minus(op: DiscreteOperator) -> tuple[complex, float]:
     exp(log|det|); the companion stays meaningful when the value itself
     under- or overflows.  Emits SingularWarning, and returns (0, -inf),
     when the LU meets an exactly zero pivot; a tiny nonzero pivot gives
-    its finite log-magnitude.  This is the dense LU of the operator; the
-    contour-Q route reads the same determinant from a sketch of its
-    factors instead (_route_det), and falls back to this."""
+    its finite log-magnitude.  This is the dense LU of the operator, or,
+    for an operator held as RealFactors whose sketch passed (contour-Q and
+    the RH workspace), det S of that sketch (see DiscreteOperator)."""
     return _det_value(*op._factor())
 
 
@@ -307,7 +422,7 @@ def solve_resolvent(op: DiscreteOperator, rhs: np.ndarray) -> np.ndarray:
         if sketch is None:
             x = lu_solve(op._one_minus(), rhs)
         else:
-            q, b, s, sign = sketch
+            q, b, s, (sign, _) = sketch
             if sign == 0.0:
                 raise np.linalg.LinAlgError("S is singular")
             x = rhs + q @ lu_solve(s, b @ rhs)
@@ -323,8 +438,10 @@ def solve_resolvent(op: DiscreteOperator, rhs: np.ndarray) -> np.ndarray:
 def check_rounding_scale(op: DiscreteOperator, context: str) -> None:
     """Raise ArithmeticError when n eps max|K| max|w|, the scale of the LU's
     backward error in det(I - K W), exceeds 3e-10.  K must be real.  It
-    reads the operator's own entries; contour-Q's sketched determinant
-    reads max|Q B| of its sketch in their place (_sketched_slogdet).
+    reads the operator's own entries; an operator held as RealFactors
+    whose sketch passes reads max|Q B| of its sketch in their place (n^2 k
+    flops, written into this thread's square buffer), from which max|K W|
+    differs by the sketch's tail.
 
     The two-contour matrices (contour-Q, contour-H and the RH workspace) are
     sums of large terms that cancel, and their entries grow where the
@@ -333,8 +450,13 @@ def check_rounding_scale(op: DiscreteOperator, context: str) -> None:
     1.1e-10 on alpha [0.2, 96] x a [0.1, 16], and at least 8e-10 at alpha
     128 and at alpha <= 0.15 for a <= 4, where contour-Q and contour-H come
     out up to 3e-4 (alpha 128) and 8e-7 (alpha 0.12) away from halfline."""
-    _rounding_guard(op.kernel_values, float(np.abs(op.weights).max()),
-                    context)
+    if op.factors is not None and op._sketch_factor() is not None:
+        q, b = op._sketch[:2]
+        qb = np.matmul(q, b, out=_square_buffer(q.shape[0], float))
+        _rounding_guard(qb, 1.0, context)
+    else:
+        _rounding_guard(op._values(), float(np.abs(op.weights).max()),
+                        context)
 
 
 def _rounding_guard(kv: np.ndarray, w_max: float, context: str) -> None:
@@ -433,39 +555,16 @@ class GapResult:
     err: float
 
 
-def _sketched_slogdet(left: np.ndarray, right: np.ndarray,
-                      context: str) -> tuple | None:
-    """(sign, log|det(I - K W)|) of K W = left @ right.T from its range
-    sketch (_range_sketch), or None when no rank up to n/4 passes the tail
-    test.
-
-    With the sketch's Q and B = Q^T K W = (Q^T left) right^T,
-    det(I - K W) = det(I_k - B Q) up to the sketch's tail, so K W is never
-    formed and the only LU is k x k.  The rounding guard reads max|Q B|
-    (n^2 k flops, written into this thread's square buffer) in place of
-    max|K W|, from which it differs by the tail; raises ArithmeticError as
-    check_rounding_scale does."""
-    n = left.shape[0]
-    q = _range_sketch(lambda x: left @ (right.T @ x), n)[0]
-    if q is None:
-        return None
-    b = (q.T @ left) @ right.T
-    qb = np.matmul(q, b, out=_square_buffer(n, float))
-    _rounding_guard(qb, 1.0, context)
-    return lu_factor(np.eye(q.shape[1]) - b @ q)
-
-
 def _route_det(a: float, alpha: float, route: str, refine: float) -> tuple[float, float]:
     context = f"{route} at alpha={alpha}, a={a}"
     if route == "halfline":
         op = halfline_operator(a, alpha, refine=refine)
     elif route == "contour-Q":
-        left, right = _qa_factors(a, alpha, _DEFAULT_ORDER, refine)
-        slogdet = _sketched_slogdet(left, right, context)
-        if slogdet is not None:
-            det, log_mag = _det_value(*slogdet)
-            return complex(det).real, log_mag
-        op = _line_operator(left @ right.T)  # the dense fallback: qa_operator
+        # det S of the sketch of K W = left right^T, with the guard on
+        # max|Q B|; past rank n/4, the dense LU of left @ right.T that
+        # qa_operator and det_one_minus give
+        op = _factored_operator(
+            RealFactors(*_qa_factors(a, alpha, _DEFAULT_ORDER, refine)))
     elif route == "contour-H":
         op = ha_operator(a, alpha, refine=refine)
     else:

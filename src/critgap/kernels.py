@@ -516,7 +516,8 @@ def cross_blocks(pair: ContourPair, a: float) -> tuple[np.ndarray, np.ndarray]:
     line<-loop, and the transpose (B W_line)^T[z, t] of loop<-line.  Both
     commute with conjugation, so the real form (see real_form) of the Schur
     complement A W_loop B W_line is real_form(A) @ real_form(conj(Bt)).T;
-    contour-Q writes those two real forms directly (_real_factors).
+    contour-Q writes those two real forms directly (_real_factors), and
+    observables.RhWorkspace writes them from these blocks at a = 0.
 
     Both are the Cauchy matrix R = 1/(z - t) scaled by rows and columns.
     Raises GeometryError if either grid is not mirror-symmetric."""

@@ -12,25 +12,29 @@ the gap probability:
 
 Y1 is computed from the resolvent formula: solve (I - Q_a)F = f on the
 contour union, then Y1 = sum of w_i F(s_i) h(s_i)^T.  The solve runs on the
-line grid through the Schur complement of the off-diagonal block operator
-(see RhWorkspace).  Everything here reuses the Nystrom machinery; no
-boundary-value problem is solved.
+line grid through the Schur complement A W_loop B W_line of the
+off-diagonal block operator, held as the same two real factors from which
+contour-Q reads its determinant (fredholm.RealFactors; see RhWorkspace).
+A workspace keeps those factors at a = 0 and rescales them per point
+without forming a real form of its own, so its solves write nothing
+shared and threads may share one workspace.  Each evaluation also carries
+log P(a), the log-determinant of the same sketched operator.  Everything
+here reuses the Nystrom machinery; no boundary-value problem is solved.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, special
+from . import fredholm, kernels, special
 from .contours import (GeometryError, _gl_panels, deformed_contours,
                        gamma_contour_integral, truncation_radius)
-from .fredholm import (DiscreteOperator, HalfLineGrid, _decay_end,
-                       check_rounding_scale, solve_resolvent)
+from .fredholm import (HalfLineGrid, _decay_end, check_rounding_scale,
+                       det_one_minus, solve_resolvent)
 
 __all__ = [
     "UnderflowWarning",
@@ -50,6 +54,7 @@ __all__ = [
 
 _IM_TOL = 1e-8
 _LOG_FLOOR = -700.0
+_RESIDUE_TERMS = 400  # residue_sum's cap on the number of terms
 
 
 class UnderflowWarning(RuntimeWarning):
@@ -62,7 +67,9 @@ class Y1Matrix:
 
     e11 is real (the log-derivative of the gap probability) and the product
     e12*e21 is real; the individual off-diagonal phases are convention-bound
-    and not asserted."""
+    and not asserted.  log_p is log P(a) = log|det(I - K W)| of the same
+    line operator: log|det S| of the solve's k x k Woodbury matrix, or the
+    dense LU's on the fallback path (nan when not computed)."""
 
     e11: complex
     e12: complex
@@ -70,6 +77,7 @@ class Y1Matrix:
     e22: complex
     a: float
     alpha: float
+    log_p: float = math.nan
 
     @property
     def log_deriv(self) -> float:
@@ -88,55 +96,54 @@ class RhWorkspace:
     The two-contour operator is Q = [[0, A], [B, 0]] over (line, loop), with
     A[z, t] = f(z).h(t) / (z - t) and B[t, s] = f(t).h(s) / (t - s).  Its
     a-dependence sits in scalar exponential factors, e^{-az} on line rows of
-    f and e^{+at} on loop rows of h, so only A moves with a.  The blocks and
-    the (f, h) vectors are assembled once at a = 0 and rescaled per
-    evaluation point.  The block structure reduces each solve to the line
-    grid (W: quadrature weights):
+    f and e^{+at} on loop rows of h, so only A moves with a.  The block
+    structure reduces each solve to the line grid (W: quadrature weights):
 
-        (I - K W_line) F_line = f_line + A W_loop f_loop,   K = A W_loop B,
-        F_loop = f_loop + B W_line F_line.
+        (I - K W_line) F_line = f_line + e,   K = A W_loop B,
+        F_loop = f_loop + B W_line F_line,
 
-    K is integrable again, K[z, s] = (f(z).g(s) + e(z).h(s)) / (z - s) with
-    e = A W_loop f_loop and g = h_loop^T W_loop B, so it is formed from loop
-    sums (matrix-vector products with the blocks) instead of a
-    line x loop x line matrix product; only its diagonal needs the
-    contraction of A and B, whose elementwise product is kept from
-    assembly, so each point's diagonal is one matrix-vector product with
-    the loop's e^{at}.  The loop enters Y1 only through g and a
-    constant: sum_loop F_loop h_loop^T W = f_loop^T W h_loop + sum_line
-    W F_line g.
+    with e = A W_loop f_loop and W_line g = (B W_line)^T W_loop h_loop.  The
+    loop enters Y1 only through g and a constant:
+    sum_loop F_loop h_loop^T W = f_loop^T W h_loop + sum_line W F_line g.
 
-    The grids are mirror images under conjugation and K W_line commutes
-    with it, so only the upper-half line rows of K W_line are formed and
-    its real form (kernels.real_form) is solved in real arithmetic.  The
-    right side and F_line are odd under the mirror (v[::-1] = -conj v), so
-    i F_line lies in the real subspace: both columns are real solves, and
-    the lower half of F_line is the mirror of the upper.  The Y1 sums then
-    have exactly mirrored terms, so their imaginary-residue checks see only
-    rounding; the rounding scale of the real form
-    (fredholm.check_rounding_scale) shows an unresolved discretization
-    instead (alpha 128, alpha <= 0.15); the guard needs K itself, so the
-    real form is still formed in full.  A sweep costs one real line-grid
-    solve per point and no contour rebuilds.  Valid for evaluation points
-    0 < a <= x_max (x_max sets the oscillation budget of the line grid).
+    The grids are mirror images under conjugation, and both coupling blocks
+    commute with it, so the workspace keeps only their real forms at a = 0
+    (kernels.real_form): left = real_form(A W_loop) and right =
+    real_form(conj((B W_line)^T)), as contour-Q's factors are, so that the
+    real form of K W is left @ right.T.  At a point a the line operator is
+    fredholm.RealFactors(left, right, e^{-az}, e^{at}): the two scalings
+    are complex multiplications on the (Re, Im) halves of the real
+    coordinates, and K W is applied through the factors without forming
+    any n x n or line x loop array.  The right side and F_line are odd
+    under the mirror (v[::-1] = -conj v), so i F_line lies in the real
+    subspace: both columns are real solves, and the lower half of F_line
+    is the mirror of the upper.  So are f_loop and W h_loop on the loop,
+    so e and W g come from the same two factors: left maps
+    i e^{at} f_loop to i e^{az} e, and right maps i conj(e^{at} W h_loop)
+    to i conj(W g).  The Y1 sums then have exactly mirrored terms,
+    and their imaginary-residue checks see only rounding.  Valid for
+    evaluation points 0 < a <= x_max (x_max sets the oscillation budget of
+    the line grid).
 
-    The solve is fredholm.solve_resolvent's sketch: the real form has only
-    a few singular values above rounding (its eigenvalues are those of the
-    limiting kernel on (a, inf)), so a rank-16 range sketch Q of it and a
-    16 x 16 Woodbury system replace an n x n LU, with the full operator
-    still checking the residual.  If the sketch's tail were ever above
-    tolerance up to rank n/4, the solve would fall back to a dense LU
-    solve.  The workspace computes no determinant; contour-Q's P is read
-    from the same kind of sketch, of its two factors (fredholm._route_det).
+    The solve is fredholm.solve_resolvent's sketch, the one contour-Q's
+    determinant is read from: the real form has only a few singular values
+    above rounding (its eigenvalues are those of the limiting kernel on
+    (a, inf)), so a rank-16 range sketch Q of it and a 16 x 16 Woodbury
+    system S replace an n x n LU, with the full factored operator still
+    checking the residual.  If the sketch's tail were ever above tolerance
+    up to rank n/4, the solve would fall back to a dense LU solve.  The
+    rounding guard (fredholm.check_rounding_scale) reads max|Q B| of the
+    sketch and shows an unresolved discretization (alpha 128,
+    alpha <= 0.15), which the real solves' imaginary residues cannot.
+    log|det S| is log P(a), returned as Y1Matrix.log_p.
 
-    The line is a contours.build_vertical line, so z - s = i (Im z - Im s):
-    the Cauchy factor is kept as the real matrix 1/(Im z - Im s) and its -i
-    goes into the (g, h) rows.  Each solve assembles K W and its real form
-    in two buffers the workspace owns and overwrites on every call; the
-    sketch then allocates only line-length blocks of 20 columns or fewer,
-    never an n x n copy.  A lock serialises the solves of one workspace, so
-    threads that share it wait for each other; parallel solves need a
-    workspace each."""
+    The workspace holds the two real (line, loop) factors, read-only,
+    line- and loop-length vectors, and right^T applied to the sketch's
+    first 20 probe columns, which does not move with a and saves one of the
+    sketch's two products per point.  A solve writes nothing into them: the
+    guard's Q B goes to this thread's square buffer and the rest is
+    line- or loop-length blocks of 20 columns or fewer.  So threads may
+    share one workspace and solve in parallel."""
 
     def __init__(self, alpha: float, x_max: float, order: int = 16,
                  refine: float = 1.0):
@@ -148,60 +155,58 @@ class RhWorkspace:
         pair = kernels.qa_pair(alpha, a_max=x_max, order=order, refine=refine)
         self.line, self.loop = pair.line, pair.loop
         if self.line.spec.kind != "line":
+            # f_line = e^{alpha z^2/4 - az} decays only up a vertical line
             raise GeometryError(
                 f"workspace needs a vertical line, got a {self.line.spec.kind}")
-        # upper-half line rows of A W_loop and (B W_line)^T, m x loop each
-        self.block_a, self.block_bt = kernels.cross_blocks(pair, 0.0)
-        self._diag_terms = self.block_a * self.block_bt  # A[z, t] B[t, z]
-        m = self.block_a.shape[0]
-        n = 2 * m
+        # upper-half line rows of A W_loop and (B W_line)^T, m x loop each;
+        # each block is dropped once its real form is written.  The real
+        # forms equal kernels._real_factors(pair, 0.0) bit for bit, but that
+        # would grow this thread's buffers to workspace size for good
+        block_a, block_bt = kernels.cross_blocks(pair, 0.0)
+        self.left = kernels.real_form(block_a)
+        del block_a
+        self.right = kernels.real_form(np.conjugate(block_bt, out=block_bt))
+        del block_bt
+        self._right_probes = fredholm._first_probes(self.right)
+        for array in (self.left, self.right, self._right_probes):
+            array.setflags(write=False)
+        m = self.left.shape[0] // 2
         f_line, h_line, f_loop, h_loop = kernels.rh_vectors(pair, 0.0)
         self.f_line = f_line[m:]                    # f(z).(1, 0), upper
         self.hw_line = self.line.weights * h_line   # W h(s).(0, 1)
         self.f_loop = f_loop                        # f(t).(0, 1)
         self.hw_loop = self.loop.weights * h_loop   # W h(t).(1, 0)
-        # 1 / (Im z - Im s) = i / (z - s); the diagonal is set separately
-        diff = np.subtract.outer(self.line.nodes[m:].imag, self.line.nodes.imag)
-        np.fill_diagonal(diff[:, m:], 1.0)
-        self._inv_diff = np.reciprocal(diff, out=diff)
-        self._kw = np.empty((m, n), dtype=complex)  # upper rows of K W
-        self._real = np.empty((n, n))               # its real form
-        self._unit = np.ones(n)
-        self._lock = threading.Lock()  # guards the buffers above
 
     def y1(self, a: float) -> Y1Matrix:
         if not 0.0 < a <= self.x_max + 1e-9:
             raise ValueError(f"a={a} outside workspace range (0, {self.x_max}]")
-        with self._lock:
-            return self._y1(a)
-
-    def _y1(self, a: float) -> Y1Matrix:
-        m = self.block_a.shape[0]
+        m, k = self.f_line.size, self.f_loop.size // 2
         line_scale = np.exp(-a * self.line.nodes[m:])
         loop_scale = np.exp(a * self.loop.nodes)
-        # right side (f_line, e) on the upper half: f_line(a) and A W f_loop
-        rhs = np.empty((m, 2), dtype=complex)
-        rhs[:, 0] = self.f_line
-        rhs[:, 1] = self.block_a @ (loop_scale * self.f_loop)
-        rhs *= line_scale[:, None]
-        # W g over the whole line; it is odd under the mirror, like the
-        # right side, so its lower half is -conj of the upper half reversed
-        gw_up = self.block_bt @ (loop_scale * self.hw_loop)
-        gw = np.concatenate([-gw_up[::-1].conj(), gw_up])
-        gh = np.stack([gw, self.hw_line])                 # W (g, h) rows
-        kw = np.matmul(rhs, -1j * gh, out=self._kw)
-        kw *= self._inv_diff
-        # A W_loop [z, t] B W_line [t, z], summed over the loop
-        diag = self._diag_terms @ loop_scale
-        diag *= line_scale
-        np.fill_diagonal(kw[:, m:], diag)
-        op = DiscreteOperator(kernels.real_form(kw, out=self._real), self._unit)
+        op = fredholm._factored_operator(fredholm.RealFactors(
+            self.left, self.right, line_scale, loop_scale[k:],
+            self._right_probes))
         check_rounding_scale(op, f"RhWorkspace.y1 at alpha={self.alpha}, a={a}")
-        # i rhs is in the real subspace; its coordinates are (Re, Im) of its
-        # upper half, and so are those of the solution i F_line
-        x = solve_resolvent(op, np.concatenate([-rhs.imag, rhs.real]))
+        # coordinates (Re, Im) of the upper halves of i f_line(a) and of
+        # i e = A W_loop (i f_loop(a)), in which the solution is i F_line
+        fl = self.f_line * line_scale
+        fv = (self.f_loop * loop_scale)[k:]
+        rhs = np.empty((2 * m, 2))
+        rhs[:m, 0], rhs[m:, 0] = -fl.imag, fl.real
+        rhs[:, 1] = fredholm._turn(
+            self.left @ np.concatenate([-fv.imag, fv.real]), line_scale)
+        x = solve_resolvent(op, rhs)
+        log_p = float(det_one_minus(op)[1])
         upper = x[m:] - 1j * x[:m]                        # F_line, upper half
         big_f_line = np.concatenate([-upper[::-1].conj(), upper])
+        # W g = (B W_line)^T v with v = W h_loop(a): right, the real form of
+        # conj((B W_line)^T), maps i conj(v) to i conj(W g).  W g is odd
+        # under the mirror, like the right side
+        hv = (self.hw_loop * loop_scale)[k:]
+        r = self.right @ np.concatenate([hv.imag, hv.real])
+        gw_up = r[m:] + 1j * r[:m]
+        gw = np.concatenate([-gw_up[::-1].conj(), gw_up])
+        gh = np.stack([gw, self.hw_line])                 # W (g, h) rows
         y1 = big_f_line.T @ gh.T
         y1[1, 0] += np.sum(self.f_loop * loop_scale * self.hw_loop)
         e11, e12, e21, e22 = y1[0, 0], y1[0, 1], y1[1, 0], y1[1, 1]
@@ -211,7 +216,7 @@ class RhWorkspace:
         if abs(prod.imag) > _IM_TOL * (1.0 + abs(prod)):
             raise ArithmeticError(
                 f"(Y1)_12 (Y1)_21 has imaginary residue {prod.imag:.3e}")
-        return Y1Matrix(e11, e12, e21, e22, a, self.alpha)
+        return Y1Matrix(e11, e12, e21, e22, a, self.alpha, log_p)
 
 
 def y1_matrix(a: float, alpha: float, workspace: RhWorkspace | None = None,
@@ -276,7 +281,9 @@ def log_gap_from_u(a: float, alpha: float, length: float = 30.0,
 
 def residue_sum(alpha: float, a: float, tol: float = 1e-18) -> float:
     """S(a) = sum_k (-1)^k / k! * exp(-alpha k^2/2 - a k); the pole expansion
-    of the loop integral in the right-tail moment.  Converges for a > 0."""
+    of the loop integral in the right-tail moment.  Converges for a > 0.
+    Stops once a term falls below tol relative to the sum, or, with a
+    RuntimeWarning, after 400 terms."""
     if alpha <= 0.0 or a <= 0.0:
         raise special.DomainError("alpha and a must be positive")
     total, k, log_fact = 0.0, 0, 0.0
@@ -288,7 +295,10 @@ def residue_sum(alpha: float, a: float, tol: float = 1e-18) -> float:
             return total
         k += 1
         log_fact += math.log(k)
-        if k > 400:
+        if k > _RESIDUE_TERMS:
+            warnings.warn(f"residue_sum stopped at its {_RESIDUE_TERMS}-term "
+                          f"cap before a term fell below tol={tol:g}",
+                          RuntimeWarning)
             return total
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -55,6 +56,14 @@ def test_u_asymptotic_log_channel():
 def test_residue_sum_anchors():
     for alpha, a, ref in RESIDUE_SUM_ANCHORS:
         assert residue_sum(alpha, a) == pytest.approx(ref, rel=1e-14)
+
+
+def test_residue_sum_warns_at_its_term_cap():
+    # tol = 0 is never met, so the sum runs to its 400-term cap; the value
+    # is still the converged one, but the stop is reported
+    with pytest.warns(RuntimeWarning, match="400-term cap"):
+        capped = residue_sum(2.0, 1.0, tol=0.0)
+    assert capped == pytest.approx(RESIDUE_SUM_ANCHORS[0][2], rel=1e-14)
 
 
 def test_residue_sum_monotone_to_one():
@@ -139,33 +148,49 @@ def test_workspace_matches_dense_union_solve():
 
 def test_workspace_solves_are_real(monkeypatch):
     # i F_line lies in the real subspace of the mirror-symmetric line grid,
-    # so both right-hand columns are solved through one real LU
+    # so both right-hand columns are one real solve, on an operator held as
+    # the workspace's two real factors: K W is never formed
     seen = []
 
     def spy(op, rhs):
-        seen.append((op.kernel_values.dtype, rhs.dtype, rhs.shape))
-        return fredholm.solve_resolvent(op, rhs)
+        x = fredholm.solve_resolvent(op, rhs)
+        seen.append((op, op.factors.left.dtype, op.factors.right.dtype,
+                     rhs.dtype, rhs.shape, x.dtype))
+        return x
 
     monkeypatch.setattr(observables, "solve_resolvent", spy)
     ws = RhWorkspace(1.0, 3.0)
     ws.y1(2.0)
-    assert seen == [(np.float64, np.float64, (len(ws.line), 2))]
+    [(op, *dtypes)] = seen
+    n = len(ws.line)
+    assert dtypes == [np.float64, np.float64, np.float64, (n, 2), np.float64]
+    assert op.factors.left is ws.left and op.factors.right is ws.right
+    assert op.kernel_values is None
 
 
 def _entries(y1):
-    return (y1.e11, y1.e12, y1.e21, y1.e22)
+    return (y1.e11, y1.e12, y1.e21, y1.e22, y1.log_p)
 
 
 def test_workspace_buffers_carry_no_state_between_solves(monkeypatch):
-    # every solve overwrites the workspace's K W and real-form buffers, so
-    # interleaved points, and a point after a solve that raised once those
-    # buffers were written, match solves on fresh workspaces bit for bit
+    # a solve writes nothing into the workspace, whose factors are
+    # read-only, and only this thread's square buffer among the thread's
+    # buffers, which every other two-contour call writes too.  So
+    # interleaved points, points after contour-Q and contour-H calls that
+    # rewrite those buffers at other sizes, and a point after a solve that
+    # raised once the guard had written the square buffer, match solves on
+    # fresh workspaces bit for bit
     alpha, x_max, a1, a2 = 1.0, 4.0, 1.3, 3.1
     fresh = {a: _entries(RhWorkspace(alpha, x_max).y1(a)) for a in (a1, a2)}
     ws = RhWorkspace(alpha, x_max)
+    left, right = ws.left.copy(), ws.right.copy()
+    assert not ws.left.flags.writeable and not ws.right.flags.writeable
     assert _entries(ws.y1(a1)) == fresh[a1]
     assert _entries(ws.y1(a2)) == fresh[a2]
     assert _entries(ws.y1(a1)) == fresh[a1]
+    for route, alpha_other in (("contour-Q", 0.5), ("contour-H", 2.0)):
+        fredholm.gap_probability(1.7, alpha_other, route)
+        assert _entries(ws.y1(a2)) == fresh[a2]
 
     def refuse(op, rhs):
         raise fredholm.SingularError("refused")
@@ -178,16 +203,18 @@ def test_workspace_buffers_carry_no_state_between_solves(monkeypatch):
         ws.y1(x_max + 1.0)
     assert _entries(ws.y1(a2)) == fresh[a2]
     assert _entries(ws.y1(a1)) == fresh[a1]
+    assert np.array_equal(ws.left, left) and np.array_equal(ws.right, right)
 
 
 def test_workspace_solve_allocation_budget():
-    # K W and its real form live in buffers the workspace owns, and the
-    # solve goes through a rank-16 sketch, so no n x n array is allocated.
-    # A warmed solve peaks at 0.35 n^2 * 8 bytes here (n = 288), about a
-    # hundred line-length vectors: probes, sketch and right sides.  The
-    # bound leaves 40% margin, and one n x n real copy would exceed it
+    # K W is applied through the factors and the solve goes through a
+    # rank-16 sketch, so no n x n or line x loop array is allocated: a
+    # warmed solve peaks at 0.30 n^2 * 8 bytes here (n = 288 line and
+    # p = 384 loop nodes), 37 (n + p) doubles, which are line- and
+    # loop-length blocks of at most 20 columns.  Both bounds leave a third
+    # or more of margin, and one n x n real copy would exceed either
     ws = RhWorkspace(1.0, 4.0)
-    n = len(ws.line)
+    n, p = len(ws.line), len(ws.loop)
     ws.y1(2.0)
     tracemalloc.start()
     try:
@@ -196,12 +223,40 @@ def test_workspace_solve_allocation_budget():
     finally:
         tracemalloc.stop()
     assert peak <= 0.5 * n * n * 8
+    assert peak <= 50 * (n + p) * 8
+
+
+def test_workspace_factors_are_contour_q_factors_at_zero():
+    # one assembly of the Schur complement: the workspace's a = 0 factors
+    # are the ones contour-Q writes for the same pair, bit for bit
+    for alpha, x_max in ((0.5, 4.0), (2.0, 9.0)):
+        ws = RhWorkspace(alpha, x_max)
+        pair = kernels.qa_pair(alpha, a_max=x_max)
+        left, right = kernels._real_factors(pair, 0.0)
+        assert np.array_equal(ws.left, left)
+        assert np.array_equal(ws.right, right)
+
+
+def test_workspace_footprint_is_its_two_factors():
+    # the workspace keeps the two real (line, loop) factors, line- and
+    # loop-length vectors and the 20 loop-length columns of right^T on the
+    # first probes: no n x n array and no complex line x loop block
+    for alpha in (0.5, 1.0, 2.0):
+        ws = RhWorkspace(alpha, 4.0)
+        n, p = len(ws.line), len(ws.loop)
+        arrays = [v for obj in (ws, ws.line, ws.loop)
+                  for v in vars(obj).values() if isinstance(v, np.ndarray)]
+        assert ws.left.shape == ws.right.shape == (n, p)
+        assert all(v.size <= 20 * max(n, p) for v in arrays
+                   if v is not ws.left and v is not ws.right)
+        assert sum(v.nbytes for v in arrays) <= 2 * n * p * 8 + 256 * (n + p)
 
 
 def test_workspace_solves_through_the_sketch(monkeypatch):
     # the real form of K W has only a few singular values above rounding,
     # so the first rank-16 sketch meets its tail tolerance and the only
-    # matrix factored is the 16 x 16 S of the Woodbury system
+    # matrix factored is the 16 x 16 S of the Woodbury system, once per
+    # point for the solve, its guard and its log P together
     seen, factored = [], []
 
     def spy(op, rhs):
@@ -225,10 +280,31 @@ def test_workspace_solves_through_the_sketch(monkeypatch):
     assert factored == [(16, 16)] * 6
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 8.0])
+def test_workspace_log_p_matches_halfline(alpha):
+    # log|det S| of each solve's Woodbury matrix is log det(I - K W) up to
+    # the sketch's tail, so every evaluation carries log P(a)
+    ws = RhWorkspace(alpha, 4.0)
+    for a in (0.5, 1.0, 2.0, 4.0):
+        want = fredholm.gap_probability(a, alpha, "halfline",
+                                        estimate_error=False).log_p
+        assert abs(ws.y1(a).log_p - want) <= 1e-9, a
+
+
+@pytest.mark.parametrize("a", [1.0, 2.0])
+def test_workspace_u_converges_at_alpha_96(a):
+    # the factored Schur complement holds u to 1.6e-9 (a = 1) and 4.0e-9
+    # (a = 2) across order {16, 20, 24} x refine {1, 1.5}; the integrable
+    # form it replaced drifted by 8.2e-8 and 2.8e-8 there
+    us = [RhWorkspace(96.0, 8.0, order=order, refine=refine).y1(a).u
+          for order in (16, 20, 24) for refine in (1.0, 1.5)]
+    assert max(us) - min(us) <= 1e-8
+
+
 def test_workspace_refuses_a_line_off_one_abscissa(monkeypatch):
-    # the workspace keeps 1/(Im z - Im s) as its Cauchy factor, which holds
-    # only on a vertical line (contours.build_vertical); a pair whose line
-    # grid is anything else, here the mirror-symmetric hairpin, is refused
+    # f_line = e^{alpha z^2/4 - az} decays only up a vertical line
+    # (contours.build_vertical); a pair whose line grid is anything else,
+    # here the mirror-symmetric hairpin, is refused
     qa_pair = kernels.qa_pair
 
     def hairpin_line(*args, **kwargs):
@@ -240,27 +316,34 @@ def test_workspace_refuses_a_line_off_one_abscissa(monkeypatch):
         RhWorkspace(1.0, 3.0)
 
 
-def test_workspace_shared_between_threads_serialises_solves():
-    # the solves of one workspace write into its buffers, so two threads
-    # sharing it must wait for each other and still get bit-identical Y1
-    alpha, x_max, points = 1.0, 4.0, (1.3, 3.1)
+def test_workspace_shared_between_threads_gives_identical_solves():
+    # a solve writes only this thread's own buffers, so threads share one
+    # workspace without a lock: more threads than cores, switching every
+    # 10 us, each get bit-identical Y1 at their own points
+    alpha, x_max, points = 1.0, 4.0, (1.3, 3.1, 0.7, 2.2)
     fresh = {a: _entries(RhWorkspace(alpha, x_max).y1(a)) for a in points}
     ws = RhWorkspace(alpha, x_max)
     start = threading.Barrier(len(points))
     seen = {a: [] for a in points}
 
     def sweep(a):
-        start.wait()
-        for _ in range(20):
+        start.wait(timeout=60)
+        for _ in range(10):
             seen[a].append(_entries(ws.y1(a)))
 
-    threads = [threading.Thread(target=sweep, args=(a,)) for a in points]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=sweep, args=(a,)) for a in points]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     for a in points:
-        assert seen[a] == [fresh[a]] * 20
+        assert seen[a] == [fresh[a]] * 10
 
 
 def test_workspace_refuses_rounding_dominated_entries():
