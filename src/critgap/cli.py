@@ -10,7 +10,8 @@ Subcommands:
 Exit codes: 0 success, 1 check failure, 2 usage error.  CSV floats use 17
 significant digits, so read-back reproduces the doubles bit-exactly.  Every
 output embeds a one-line manifest echoing the command, parameters, package
-version, and wall-clock time.
+version, wall-clock time, and the contour grids the command built and
+reused from the process's shared grids (contours._shared_grid).
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import time
 
 import numpy as np
 
-from . import __version__, fredholm, kernels, mc, observables, validate
+from . import (__version__, contours, fredholm, kernels, mc, observables,
+               validate)
 
 _FMT = "%.17g"
 _ALLOWANCE = 0.03          # |phat - P| may exceed the MC ci95 by this much
@@ -36,12 +38,21 @@ def _fmt(value: float) -> str:
     return _FMT % value
 
 
-def _manifest(command: str, params: dict, started: float) -> dict:
+def _start() -> tuple:
+    """A command's start: the wall clock and the grid cache's counts."""
+    return time.time(), contours._shared_grid.cache_info()
+
+
+def _manifest(command: str, params: dict, started: tuple) -> dict:
+    clock, grids = started
+    now = contours._shared_grid.cache_info()
     return {
         "command": command,
         "params": params,
         "version": __version__,
-        "wall_clock_s": round(time.time() - started, 3),
+        "wall_clock_s": round(time.time() - clock, 3),
+        "grids": {"built": now.misses - grids.misses,
+                  "reused": now.hits - grids.hits},
     }
 
 
@@ -78,7 +89,7 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
-    started = time.time()
+    started = _start()
     xs = args.x if args.x is not None else args.grid
     ys = args.y if args.y is not None else (args.grid if args.grid else xs)
     if not xs:
@@ -123,7 +134,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 
 
 def cmd_gap(args: argparse.Namespace) -> int:
-    started = time.time()
+    started = _start()
     routes = [r.strip() for r in args.routes.split(",") if r.strip()]
     for route in routes:
         if route not in fredholm.ROUTES:
@@ -179,7 +190,7 @@ def cmd_gap(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    started = time.time()
+    started = _start()
     rep = validate.report()
     rep["manifest"] = _manifest("validate", {}, started)
     json.dump(rep, sys.stdout, indent=2, sort_keys=True)
@@ -188,7 +199,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_mc(args: argparse.Namespace) -> int:
-    started = time.time()
+    started = _start()
     cfg = mc.McConfig(N=args.N, M=args.M, trials=args.trials, seed=args.seed)
     threads = mc.resolve_threads(args.threads)
     result = mc.sample_rightmost(cfg, threads=threads)

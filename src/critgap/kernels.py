@@ -9,6 +9,12 @@ closed loop and its line; as every line node has the same real part, C is
 carried by two real arrays, built and contracted block by block of loop rows.
 The two-contour line operators are one product of two real factors, which
 _real_factors writes block by block of Cauchy rows into per-thread buffers.
+
+The grids come from the contours builders, shared and read-only, and each
+keeps its own node values (QuadratureGrid.memo): Gamma and 1/Gamma of its
+nodes (_gamma_on, _recip_gamma_on), and finite_kernel's x- and y-free
+log-gamma parts at each (n, m).  So these are evaluated once per grid,
+not once per call.
 """
 
 from __future__ import annotations
@@ -64,6 +70,16 @@ _BLOCK_BYTES = 1 << 19
 # buffer (I - K W, or contour-Q's Q B), one per dtype; held until the
 # thread ends
 _FACTORS = threading.local()
+
+
+def _gamma_on(grid: QuadratureGrid) -> np.ndarray:
+    """Gamma of every node of `grid`, kept on the grid (read-only)."""
+    return grid.memo("gamma", lambda: gamma(grid.nodes))
+
+
+def _recip_gamma_on(grid: QuadratureGrid) -> np.ndarray:
+    """1/Gamma of every node of `grid`, kept on the grid (read-only)."""
+    return grid.memo("recip_gamma", lambda: recip_gamma(grid.nodes))
 
 
 def _log_gamma_left(z: np.ndarray) -> np.ndarray:
@@ -134,9 +150,10 @@ def _upper_half(grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
 
     Every hairpin and vertical line that `contours` builds is such a grid
     (traversed upward, lower half first), so its second half holds the
-    Im > 0 nodes.  Raises GeometryError for an odd node count or an
-    asymmetry above _MIRROR_TOL relative: a fold over such a grid would
-    return a wrong number."""
+    Im > 0 nodes.  Values memoised on the grid are over all its nodes;
+    their second half, [n // 2:], belongs to these.  Raises GeometryError
+    for an odd node count or an asymmetry above _MIRROR_TOL relative: a
+    fold over such a grid would return a wrong number."""
     z, w = grid.nodes, grid.weights
     n = z.size
     if n % 2:
@@ -231,7 +248,8 @@ def kernel_matrix(x: np.ndarray, y: np.ndarray, pair: ContourPair,
     y = np.atleast_1d(np.asarray(y, dtype=float))
 
     m, k = t.size, s.size
-    h = (ws * recip_gamma(s) * np.exp(alpha * s * s / 2.0)).conj()
+    h = (ws * _recip_gamma_on(pair.line)[k:]
+         * np.exp(alpha * s * s / 2.0)).conj()
     sb = s.conj()
     Z = np.empty((2, m, k), dtype=complex)
     np.subtract.outer(-t.conj(), -sb, out=Z[0])  # conj(s) - conj(t), exactly
@@ -244,7 +262,8 @@ def kernel_matrix(x: np.ndarray, y: np.ndarray, pair: ContourPair,
     Z[1] *= 1j * h
     E = np.exp(np.outer(-y, s - shift))
     M = Z.reshape(2 * m, k).view(float) @ E.view(float).T  # [Re M; Im M]
-    V = np.exp(np.outer(x, t - shift)) * (wt * gamma(t) * np.exp(-alpha * t * t / 2.0))
+    V = np.exp(np.outer(x, t - shift)) * (wt * _gamma_on(pair.loop)[m:]
+                                          * np.exp(-alpha * t * t / 2.0))
     return (V.real @ M[:m] - V.imag @ M[m:]) * (2.0 / _TWO_PI_I ** 2).real
 
 
@@ -260,8 +279,8 @@ def _kernel_sum(x: np.ndarray, y: np.ndarray, pair: ContourPair,
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
 
-    gt = gamma(t) * np.exp(-alpha * t * t / 2.0)
-    gs = recip_gamma(s) * np.exp(alpha * s * s / 2.0)
+    gt = _gamma_on(pair.loop) * np.exp(-alpha * t * t / 2.0)
+    gs = _recip_gamma_on(pair.line) * np.exp(alpha * s * s / 2.0)
     V = np.exp(np.outer(x, t - shift)) * gt            # (nx, nt)
     W = np.exp(np.outer(-y, s - shift)) * gs           # (ny, ns)
     C = (wt[:, None] * ws[None, :]) / (s[None, :] - t[:, None])
@@ -390,7 +409,10 @@ def finite_kernel(x: float, y: float, n: int, m: int, order: int = 16,
     without a pass over the loop x line exponent.  c_t + c_s bounds
     Re e to within log 4, and OverflowError is raised when it exceeds 700.
     The line is its own mirror image (s[::-1] == conj(s)), so part_s is
-    evaluated on its upper half and mirrored.
+    evaluated on its upper half and mirrored.  The x- and y-free parts,
+    -(m+1) log Gamma(t+n) + log Gamma(t) on the loop and
+    (m+1) log Gamma(s+n) - log Gamma(s) on the upper line, are kept on
+    the grids (QuadratureGrid.memo) at each (n, m).
     """
     if n < 1 or m < 1:
         raise DomainError("need n >= 1 and m >= 1")
@@ -400,9 +422,11 @@ def finite_kernel(x: float, y: float, n: int, m: int, order: int = 16,
 
     t, wt = loop.nodes, loop.weights
     s, ws = line.nodes, line.weights
-    part_t = -(m + 1) * log_gamma(t + n) + _log_gamma_left(t) + x * t
+    part_t = loop.memo(("finite", n, m), lambda: (
+        -(m + 1) * log_gamma(t + n) + _log_gamma_left(t))) + x * t
     s_up, _ = _upper_half(line)
-    half_s = (m + 1) * log_gamma(s_up + n) - log_gamma(s_up) - y * s_up
+    half_s = line.memo(("finite", n, m), lambda: (
+        (m + 1) * log_gamma(s_up + n) - log_gamma(s_up))) - y * s_up
     part_s = np.concatenate([half_s[::-1].conj(), half_s])
 
     c_t = float(part_t.real.max())
@@ -468,8 +492,8 @@ def factored_kernel(x: float, y: float, alpha: float, u_order: int = 32,
 
     t, wt = loop.nodes, loop.weights
     s, ws = line.nodes, line.weights
-    gt = gamma(t) * np.exp(-alpha * t * t / 2.0)
-    gs = recip_gamma(s) * np.exp(alpha * s * s / 2.0)
+    gt = _gamma_on(loop) * np.exp(-alpha * t * t / 2.0)
+    gs = _recip_gamma_on(line) * np.exp(alpha * s * s / 2.0)
     G = np.exp(np.outer(x + q, t - 0.5)) @ (wt * gt) / _TWO_PI_I
     Gt = np.exp(np.outer(-(y + q), s - 0.5)) @ (ws * gs) / _TWO_PI_I
     return _as_real(complex(np.sum(w * jac * G * Gt)))
@@ -488,9 +512,9 @@ def rh_vectors(pair: ContourPair, a: float) -> tuple[np.ndarray, ...]:
     quarter_z = alpha * z * z / 4.0
     quarter_t = alpha * t * t / 4.0
     f_line = np.exp(quarter_z - a * z) / _TWO_PI_I
-    h_line = -recip_gamma(z) * np.exp(quarter_z)
+    h_line = -_recip_gamma_on(pair.line) * np.exp(quarter_z)
     f_loop = np.exp(-quarter_t) / _TWO_PI_I
-    h_loop = gamma(t) * np.exp(-quarter_t + a * t)
+    h_loop = _gamma_on(pair.loop) * np.exp(-quarter_t + a * t)
     return f_line, h_line, f_loop, h_loop
 
 
@@ -503,10 +527,11 @@ def _cross_scales(pair: ContourPair, a: float) -> tuple[np.ndarray, ...]:
     z, wz = _upper_half(pair.line)
     _upper_half(pair.loop)  # the symmetry check; the blocks span the loop
     t, wt = pair.loop.nodes, pair.loop.weights
-    col_a = wt * gamma(t) * np.exp(-alpha * t * t / 4.0 + a * t)
+    col_a = wt * _gamma_on(pair.loop) * np.exp(-alpha * t * t / 4.0 + a * t)
     row_a = np.exp(alpha * z * z / 4.0 - a * z) / _TWO_PI_I
     col_b = np.exp(-alpha * t * t / 4.0)
-    row_b = wz * recip_gamma(z) * np.exp(alpha * z * z / 4.0) / _TWO_PI_I
+    row_b = (wz * _recip_gamma_on(pair.line)[z.size:]
+             * np.exp(alpha * z * z / 4.0) / _TWO_PI_I)
     return z, t, col_a, row_a, col_b, row_b
 
 
@@ -596,12 +621,12 @@ def _real_factors(pair: ContourPair, a: float,
         z, wz = _upper_half(pair.line)
         _upper_half(loop)  # the symmetry check; the sum runs over the loop
         t, wt = loop.nodes, loop.weights
-        left_cols = (wt * gamma(t) * np.exp(a * t - alpha * t * t / 2.0)
+        left_cols = (wt * _gamma_on(loop) * np.exp(a * t - alpha * t * t / 2.0)
                      / _TWO_PI_I)
         left_rows = np.exp(-a * z + alpha * z * z / 4.0)
         right_cols = None
-        right_rows = (wz * recip_gamma(z) * np.exp(alpha * z * z / 4.0)
-                      / _TWO_PI_I)
+        right_rows = (wz * _recip_gamma_on(pair.line)[z.size:]
+                      * np.exp(alpha * z * z / 4.0) / _TWO_PI_I)
     m, p = z.size, t.size
     left = _buffer("left", 2 * m * p, float).reshape(2 * m, p)
     right = _buffer("right", 2 * m * p, float).reshape(2 * m, p)

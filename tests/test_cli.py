@@ -89,6 +89,20 @@ def test_kernel_finite_err_is_order_difference(capsys):
     assert diff > 0.0
 
 
+def test_repeated_command_reuses_every_grid(capsys):
+    # the manifest counts the contour grids a command built and reused;
+    # a second identical command in one process builds none
+    argv = ("kernel", "--finite", "32", "32", "--centered",
+            "--grid=-1.5:1.5:5")
+    first = parse_csv(run_cli(capsys, *argv)[1])
+    second = parse_csv(run_cli(capsys, *argv)[1])
+    assert second[0]["grids"]["built"] == 0
+    assert second[0]["grids"]["reused"] == 100  # 25 points x 2 orders x 2
+    assert (first[0]["grids"]["built"] + first[0]["grids"]["reused"]
+            == second[0]["grids"]["reused"])
+    assert first[2] == second[2]
+
+
 def test_kernel_centered_without_finite(capsys):
     code, _, err = run_cli(capsys, "kernel", "--centered", "--x", "0")
     assert code == 2

@@ -6,6 +6,7 @@ than a second quadrature, so the grids are tested against exact numbers.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -34,6 +35,26 @@ def test_hairpin_structure():
     # endpoints approach -T -i delta and -T +i delta (open hairpin)
     assert grid.nodes[0].real < -5.0 and grid.nodes[0].imag < 0.0
     assert grid.nodes[-1].real < -5.0 and grid.nodes[-1].imag > 0.0
+
+
+@pytest.mark.parametrize("build", [
+    build_hairpin,
+    lambda: build_hairpin(nose=0.1),
+    build_vertical,
+    lambda: build_closed_loop(-3.5),
+])
+def test_builder_grids_are_read_only(build):
+    # the builders share one grid among every caller asking for its
+    # geometry, so no caller may write into it
+    grid = build()
+    for array in (grid.nodes, grid.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            array += 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.nodes = grid.nodes.copy()
+    assert build() is grid
 
 
 def test_hairpin_endpoint_integral():

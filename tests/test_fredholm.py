@@ -8,6 +8,7 @@ independent operator constructions.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -531,9 +532,11 @@ def test_asymmetric_line_grid_is_refused(monkeypatch):
     build_vertical = kernels.build_vertical
 
     def bent(*args, **kwargs):
+        # the builder's grid is shared and read-only: bend a copy
         grid = build_vertical(*args, **kwargs)
-        grid.nodes[5] += 1e-6
-        return grid
+        nodes = grid.nodes.copy()
+        nodes[5] += 1e-6
+        return dataclasses.replace(grid, nodes=nodes)
 
     monkeypatch.setattr(kernels, "build_vertical", bent)
     with pytest.raises(GeometryError, match="not symmetric"):

@@ -1,0 +1,154 @@
+"""The shared contour grids and the node values memoised on them.
+
+The builders return one read-only grid per geometry, and the gamma-function
+values on its nodes are computed once.  None of that may change a number:
+a cold and a warm evaluation, two threads racing on an empty cache, and a
+grid built without the cache must all agree bit for bit.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import threading
+
+import numpy as np
+import pytest
+
+from critgap import contours, fredholm, kernels, observables
+from critgap.contours import build_closed_loop, build_hairpin, build_vertical
+
+
+def _hex(value: float) -> str:
+    return float(value).hex()
+
+
+def _sweep() -> list[str]:
+    """P, log P and err of every route, u, and finite kernel values, as
+    float.hex strings."""
+    out = []
+    for alpha, a in ((0.5, 1.3), (1.0, 3.1)):
+        for route in fredholm.ROUTES:
+            res = fredholm.gap_probability(a, alpha, route)
+            out += [_hex(res.p), _hex(res.log_p), _hex(res.err)]
+    out.append(_hex(observables.u_of_x(2.0, 1.0)))
+    for n, m in ((32, 32), (24, 48), (8, 8)):
+        shift = kernels.centering_shift(n, m)
+        for order in (16, 24):
+            for refine in (0.5, 1.0):
+                out.append(_hex(kernels.finite_kernel(
+                    shift - 0.4, shift + 0.9, n, m, order=order,
+                    refine=refine)))
+    return out
+
+
+def test_cold_and_warm_evaluations_agree_bit_for_bit():
+    contours._shared_grid.cache_clear()
+    cold = _sweep()
+    built = contours._shared_grid.cache_info().misses
+    warm = _sweep()
+    assert contours._shared_grid.cache_info().misses == built
+    assert warm == cold
+
+
+def test_two_threads_on_an_empty_cache_agree_bit_for_bit():
+    contours._shared_grid.cache_clear()
+    start = threading.Barrier(2)
+    results = [None, None]
+
+    def run(slot):
+        start.wait()
+        results[slot] = _sweep()
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results[0] is not None and results[0] == results[1]
+    assert results[0] == _sweep()
+
+
+def test_finite_parts_are_kept_per_n_and_m():
+    # these share their loop at each n, and (3, 1) and (3, 4) their line
+    # too; each value must be the one an empty cache gives
+    cases = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 4))
+    contours._shared_grid.cache_clear()
+    shared = [_hex(kernels.finite_kernel(0.5, 0.25, n, m)) for n, m in cases]
+    alone = []
+    for n, m in cases:
+        contours._shared_grid.cache_clear()
+        alone.append(_hex(kernels.finite_kernel(0.5, 0.25, n, m)))
+    assert shared == alone
+    assert contours._shared_grid.cache_info().currsize == 2
+
+
+def test_one_layout_one_grid():
+    # a_max only caps the line's panel widths at 20.8 / a_max; while the
+    # cap stays above every panel the layout, and so the grid, is the same
+    assert (kernels.qa_pair(1.0, a_max=0.7).line
+            is kernels.qa_pair(1.0, a_max=3.7).line)
+    # at alpha 0.5 the outer panel is 6.9 wide: the cap splits it from
+    # a_max 3.0 on
+    below = kernels.qa_pair(0.5, a_max=2.9).line
+    above = kernels.qa_pair(0.5, a_max=3.1).line
+    assert below is not above
+    assert (len(below), len(above)) == (320, 352)
+
+
+def test_the_cache_stays_within_its_bound():
+    contours._shared_grid.cache_clear()
+    bound = contours._GRID_CACHE_SIZE
+    first = build_vertical(0.5)
+    for k in range(1, bound + 10):
+        build_vertical(0.5 + k / 1024.0)
+        assert contours._shared_grid.cache_info().currsize <= bound
+    info = contours._shared_grid.cache_info()
+    assert info.currsize == bound and info.misses == bound + 10
+    assert build_vertical(0.5) is not first  # the oldest was dropped
+
+
+def test_memo_stays_within_its_bound():
+    grid = build_closed_loop(-7.5)
+    for k in range(contours._MEMO_SIZE + 3):
+        value = grid.memo(("test", k), lambda: np.full(3, float(k)))
+        assert not value.flags.writeable
+        assert grid.memo(("test", k), None) is value
+        assert len(grid._memo) <= contours._MEMO_SIZE
+    assert ("test", 0) not in grid._memo  # the oldest goes first
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_hairpin(T=12.0, max_frequency=3.0),
+    lambda: build_hairpin(nose=0.1, refine=2.0),
+    lambda: build_vertical(0.7, 14.0, max_frequency=9.0),
+    lambda: build_closed_loop(-5.5, max_frequency=40.0, order=24),
+])
+def test_a_cached_grid_equals_a_fresh_construction(build, monkeypatch):
+    cached = build()
+    monkeypatch.setattr(contours, "_shared_grid",
+                        contours._shared_grid.__wrapped__)
+    fresh = build()
+    assert fresh is not cached
+    assert fresh.nodes.tobytes() == cached.nodes.tobytes()
+    assert fresh.weights.tobytes() == cached.weights.tobytes()
+    assert (fresh.panel_count, fresh.order, fresh.spec) == (
+        cached.panel_count, cached.order, cached.spec)
+
+
+def test_writable_grids_keep_no_memo():
+    pair = kernels.qa_pair(1.0, a_max=2.0)
+    x = np.linspace(0.5, 2.0, 4)
+    kernels.kernel_matrix(x, x, pair)
+    assert "gamma" in pair.loop._memo and "recip_gamma" in pair.line._memo
+    # a copy starts with an empty memo; one with writable nodes keeps none,
+    # since its caller may still move them
+    loop = dataclasses.replace(pair.loop, nodes=pair.loop.nodes.copy())
+    line = dataclasses.replace(pair.line, nodes=pair.line.nodes.copy())
+    own = dataclasses.replace(pair, loop=loop, line=line)
+    assert np.array_equal(kernels.kernel_matrix(x, x, own),
+                          kernels.kernel_matrix(x, x, pair))
+    assert loop._memo == {} and line._memo == {}
+    loop.nodes[:] += 0.01
+    assert not np.array_equal(kernels._gamma_on(loop),
+                              kernels._gamma_on(pair.loop))
