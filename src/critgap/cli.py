@@ -136,7 +136,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 def cmd_gap(args: argparse.Namespace) -> int:
     started = _start()
     routes = [r.strip() for r in args.routes.split(",") if r.strip()]
-    for route in routes:
+    for route in routes or [args.routes]:
         if route not in fredholm.ROUTES:
             print(f"gap: unknown route {route!r}; choose from "
                   f"{', '.join(fredholm.ROUTES)}", file=sys.stderr)
@@ -154,16 +154,10 @@ def cmd_gap(args: argparse.Namespace) -> int:
     header += ["logP", "u", "u_asym", "err"]
     rows = []
     for a in grid:
-        row = [float(a)]
-        log_p, err = None, 0.0
-        for route in routes:
-            res = fredholm.gap_probability(float(a), args.alpha, route,
-                                           refine=args.resolution)
-            row.append(res.p)
-            err = max(err, res.err)
-            if log_p is None:
-                log_p = res.log_p
-        row.append(log_p)
+        results = [fredholm.gap_probability(float(a), args.alpha, route,
+                                            refine=args.resolution)
+                   for route in routes]
+        row = [float(a)] + [res.p for res in results] + [results[0].log_p]
         u = math.nan
         if workspace is not None:
             try:
@@ -173,7 +167,8 @@ def cmd_gap(args: argparse.Namespace) -> int:
         u_failures += math.isnan(u)
         row.append(u)
         row.append(observables.u_asymptotic(float(a), args.alpha))
-        row.append(err)
+        # the largest err, NaN if any is (Python's max would drop a NaN)
+        row.append(float(np.max([res.err for res in results])))
         rows.append(row)
     manifest = _manifest("gap", {
         "alpha": args.alpha, "a_min": args.a_min, "a_max": args.a_max,
@@ -211,9 +206,15 @@ def cmd_mc(args: argparse.Namespace) -> int:
     if args.compare:
         alpha = cfg.M / cfg.N
         for entry in summary["gap_table"]:
-            res = fredholm.gap_probability(entry["a"], alpha, "halfline")
-            entry["p_theory_err"] = res.err
-            if _is_probability(res.p, res.err):
+            try:
+                res = fredholm.gap_probability(entry["a"], alpha, "halfline")
+                entry["p_theory_err"] = res.err
+                problem = (None if _is_probability(res.p, res.err)
+                           else f"P={res.p:.3g}, err={res.err:.3g}")
+            except (ArithmeticError, ValueError) as exc:
+                entry["p_theory_err"] = None
+                problem = f"{type(exc).__name__}: {exc}"
+            if problem is None:
                 entry["p_theory"] = res.p
                 entry["abs_diff"] = abs(entry["phat"] - res.p)
                 entry["within_allowance"] = (entry["abs_diff"]
@@ -221,8 +222,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
             else:
                 entry["p_theory"] = entry["abs_diff"] = None
                 entry["within_allowance"] = None
-                refused.append(f"a={entry['a']:g}: P={res.p:.3g}, "
-                               f"err={res.err:.3g}")
+                refused.append(f"a={entry['a']:g}: {problem}")
         summary["compare_alpha"] = alpha
         summary["compare_error"] = None
         if refused:

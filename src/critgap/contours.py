@@ -154,13 +154,9 @@ def _gl_panels(cuts: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     return mid + half * x, w * half
 
 
-def _check_basic(delta: float, T: float, panels: int, order: int) -> None:
-    if not 0.0 < delta < 0.5:
-        raise GeometryError(f"half-width must lie in (0, 1/2), got {delta}")
+def _check_extent(T: float, order: int) -> None:
     if T < 5.0:
         raise GeometryError(f"truncation must be >= 5, got {T}")
-    if panels < 4:
-        raise GeometryError(f"need at least 4 panels, got {panels}")
     if not 4 <= order <= 64:
         raise GeometryError(f"order per panel must lie in [4, 64], got {order}")
 
@@ -267,8 +263,8 @@ def _arc_panel_count(radius: float, max_frequency: float, order: int) -> int:
 
 
 def build_hairpin(delta: float = _DEFAULT_HALF_WIDTH, nose: float = _DEFAULT_NOSE,
-                  T: float = 10.0, panels: int | None = None, order: int = 16,
-                  *, max_frequency: float = 0.0, refine: float = 1.0) -> QuadratureGrid:
+                  T: float = 10.0, order: int = 16, *, max_frequency: float = 0.0,
+                  refine: float = 1.0) -> QuadratureGrid:
     """Open hairpin around the non-positive reals, positively oriented.
 
     Runs from -T - i*delta along the lower arm, closes around the real axis
@@ -281,11 +277,12 @@ def build_hairpin(delta: float = _DEFAULT_HALF_WIDTH, nose: float = _DEFAULT_NOS
     arm_first = _ARM_FIRST_WIDTH / refine
     if max_frequency > 0.0:
         arm_first = min(arm_first, 1.3 * order / max_frequency)
-    if panels is None:
-        panels = _geometric_count(T, arm_first, _ARM_GROWTH)
-    _check_basic(delta, T, panels, order)
+    if not 0.0 < delta < 0.5:
+        raise GeometryError(f"half-width must lie in (0, 1/2), got {delta}")
+    _check_extent(T, order)
     if not nose > 0.0:
         raise GeometryError(f"nose abscissa must be positive, got {nose}")
+    panels = _geometric_count(T, arm_first, _ARM_GROWTH)
     arc_panels = _arc_panel_count(min(delta, nose), max_frequency, order)
     return _shared_grid(_hairpin, delta, nose, T, panels, order, arc_panels)
 
@@ -336,8 +333,8 @@ def _hairpin(delta: float, nose: float, T: float, panels: int, order: int,
 
 
 def build_vertical(b: float = _DEFAULT_LINE_ABSCISSA, T: float = 10.0,
-                   panels: int | None = None, order: int = 16, *,
-                   max_frequency: float = 0.0, refine: float = 1.0) -> QuadratureGrid:
+                   order: int = 16, *, max_frequency: float = 0.0,
+                   refine: float = 1.0) -> QuadratureGrid:
     """Upward vertical line Re s = b, |Im s| <= T, graded toward the axis.
 
     Every node has real part exactly b (spec.crossing), so differences of
@@ -352,16 +349,9 @@ def build_vertical(b: float = _DEFAULT_LINE_ABSCISSA, T: float = 10.0,
     if max_frequency > 0.0:
         cap = max(1.3 * order / max_frequency, 0.05)
         first = min(first, cap)
-    if panels is None:
-        panels = _geometric_count(T, first, _LINE_GROWTH)
-    if T < 5.0:
-        raise GeometryError(f"truncation must be >= 5, got {T}")
-    if panels < 4:
-        raise GeometryError(f"need at least 4 panels, got {panels}")
-    if not 4 <= order <= 64:
-        raise GeometryError(f"order per panel must lie in [4, 64], got {order}")
-
-    half = _geometric_cuts(T, panels, _LINE_GROWTH, cap=cap)
+    _check_extent(T, order)
+    half = _geometric_cuts(T, _geometric_count(T, first, _LINE_GROWTH),
+                           _LINE_GROWTH, cap=cap)
     return _shared_grid(_vertical, b, T, order, tuple(half.tolist()))
 
 
@@ -396,8 +386,7 @@ def build_closed_loop(left_edge: float, delta: float = _DEFAULT_HALF_WIDTH,
     first = _ARM_FIRST_WIDTH / refine
     if max_frequency > 0.0:
         first = min(first, 1.3 * order / max_frequency)
-    panels = max(4, _geometric_count(nose - delta - left_edge, first,
-                                     _ARM_GROWTH))
+    panels = _geometric_count(nose - delta - left_edge, first, _ARM_GROWTH)
     return _shared_grid(_closed_loop, left_edge, delta, nose, order, panels,
                         _arc_panel_count(delta, max_frequency, order))
 
@@ -437,10 +426,11 @@ def _shared_grid(construct, *geometry) -> QuadratureGrid:
 
 
 def deformed_contours(alpha: float, a: float, order: int = 16, *,
-                      refine: float = 1.0, target: float = 40.0,
-                      max_frequency: float = 0.0) -> tuple[QuadratureGrid, QuadratureGrid]:
+                      refine: float = 1.0) -> tuple[QuadratureGrid, QuadratureGrid]:
     """Steepest-descent-adapted contour pair: loop nose at 1/(alpha a), line
-    through a/alpha.  Requires a^2 > 1 so the two crossings stay separated."""
+    through a/alpha, both cut where their Gaussian alpha/4 has dropped by
+    e^-40, and the line resolving frequencies up to a.  Requires a^2 > 1
+    so the two crossings stay separated."""
     if alpha <= 0.0:
         raise GeometryError("alpha must be positive")
     if a * a <= 1.0:
@@ -449,13 +439,12 @@ def deformed_contours(alpha: float, a: float, order: int = 16, *,
     b = a / alpha
     if b - nose < PAIR_MARGIN:
         raise GeometryError(f"loop nose {nose} and line {b} too close")
-    T_loop = truncation_radius(alpha / 4.0, growth=0.0, target=target,
-                               gamma_decay=True)
-    T_line = truncation_radius(alpha / 4.0, growth=math.pi / 2.0, target=target)
+    T_loop = truncation_radius(alpha / 4.0, gamma_decay=True)
+    T_line = truncation_radius(alpha / 4.0, growth=math.pi / 2.0)
     loop = build_hairpin(_DEFAULT_HALF_WIDTH, nose, T_loop, order=order,
                          refine=refine)
     line = build_vertical(b, T_line, order=order, refine=refine,
-                          max_frequency=max(max_frequency, a))
+                          max_frequency=a)
     return loop, line
 
 

@@ -437,7 +437,8 @@ def solve_resolvent(op: DiscreteOperator, rhs: np.ndarray) -> np.ndarray:
 
 def check_rounding_scale(op: DiscreteOperator, context: str) -> None:
     """Raise ArithmeticError when n eps max|K| max|w|, the scale of the LU's
-    backward error in det(I - K W), exceeds 3e-10.  K must be real.  It
+    backward error in det(I - K W), exceeds 3e-10 or is NaN.  K must be
+    real.  It
     reads the operator's own entries; an operator held as RealFactors
     whose sketch passes reads max|Q B| of its sketch in their place (n^2 k
     flops, written into this thread's square buffer), from which max|K W|
@@ -461,10 +462,10 @@ def check_rounding_scale(op: DiscreteOperator, context: str) -> None:
 
 def _rounding_guard(kv: np.ndarray, w_max: float, context: str) -> None:
     """check_rounding_scale's test of n eps max|K| w_max against 3e-10 for
-    a real n x n K."""
+    a real n x n K; a NaN scale fails it."""
     peak = max(kv.max(), -kv.min())  # max|K| of a real K, no |K| temporary
     scale = kv.shape[0] * _EPS * float(peak) * w_max
-    if scale > _ROUNDING_TOL:
+    if not scale <= _ROUNDING_TOL:  # NaN entries give a NaN scale
         raise ArithmeticError(
             f"{context}: entries reach rounding scale {scale:.1e} "
             f"(limit {_ROUNDING_TOL:.0e})")
@@ -477,10 +478,10 @@ def _decay_end(alpha: float) -> float:
 
 
 def halfline_operator(a: float, alpha: float,
-                      panels: int = _DEFAULT_PANELS, order: int = _DEFAULT_ORDER,
                       refine: float = 1.0) -> DiscreteOperator:
     """Conjugated kernel discretized on (a, a + length): a real operator,
-    so its determinant is a real LU.
+    so its determinant is a real LU.  The grid has round(8 refine) panels
+    (at least one) of order 16.
 
     The grid follows the kernel's decay: its length is
     max(5, x_end - a, min(40, 2 / alpha)), with x_end = _decay_end(alpha)
@@ -498,21 +499,21 @@ def halfline_operator(a: float, alpha: float,
     if alpha <= 0.0:
         raise GeometryError("alpha must be positive")
     length = max(5.0, _decay_end(alpha) - a, min(_FIXED_LENGTH, 2.0 / alpha))
-    grid = HalfLineGrid(a, length, max(1, round(panels * refine)), order)
+    grid = HalfLineGrid(a, length, max(1, round(_DEFAULT_PANELS * refine)))
     pair = kernels.kernel_pair(alpha, x_max=max(11.0, a + length),
                                refine=refine)
     kv = kernels.kernel_matrix(grid.nodes, grid.nodes, pair, shift=0.5)
     return DiscreteOperator(kv, grid.weights)
 
 
-def _qa_factors(a: float, alpha: float, order: int,
+def _qa_factors(a: float, alpha: float,
                 refine: float) -> tuple[np.ndarray, np.ndarray]:
     """Real factors (left, right) of contour-Q's line operator,
     K W = left @ right.T: the coupling blocks of the (a, alpha) pair
     contracted over its own loop, the exact Schur complement of
     [[0, A], [B, 0]].  They are views of this thread's buffers
     (kernels._real_factors)."""
-    pair = kernels.qa_pair(alpha, a_max=a, refine=refine, order=order)
+    pair = kernels.qa_pair(alpha, a_max=a, refine=refine)
     return kernels._real_factors(pair, a)
 
 
@@ -522,26 +523,25 @@ def _line_operator(kv: np.ndarray) -> DiscreteOperator:
     return DiscreteOperator(kv, np.ones(kv.shape[0]))
 
 
-def qa_operator(a: float, alpha: float, order: int = _DEFAULT_ORDER,
-                refine: float = 1.0) -> DiscreteOperator:
+def qa_operator(a: float, alpha: float, refine: float = 1.0) -> DiscreteOperator:
     """Two-contour coupling operator Q = [[0, A], [B, 0]] on the (line, loop)
     union, as its line-grid Schur complement A W_loop B:
     det(I - Q W) = det(I - A W_loop B W_line).  Raises ValueError for an a
     or alpha that is not finite."""
     _require_finite(a=a, alpha=alpha)
-    left, right = _qa_factors(a, alpha, order, refine)
+    left, right = _qa_factors(a, alpha, refine)
     return _line_operator(left @ right.T)
 
 
-def ha_operator(a: float, alpha: float, order: int = _DEFAULT_ORDER,
-                refine: float = 1.0) -> DiscreteOperator:
+def ha_operator(a: float, alpha: float, refine: float = 1.0) -> DiscreteOperator:
     """Line-reduced operator; its loop integration grid is built separately
-    from the coupling pair so this route stays an independent quadrature.
-    Raises ValueError for an a or alpha that is not finite."""
+    from the coupling pair, of order 12 and refined 1.4 times, so this route
+    stays an independent quadrature.  Raises ValueError for an a or alpha
+    that is not finite."""
     _require_finite(a=a, alpha=alpha)
     inner = kernels.qa_pair(alpha, a_max=a, refine=1.4 * refine,
-                            order=max(8, order - 4))
-    pair = kernels.qa_pair(alpha, a_max=a, refine=refine, order=order)
+                            order=_DEFAULT_ORDER - 4)
+    pair = kernels.qa_pair(alpha, a_max=a, refine=refine)
     return _line_operator(kernels.ha_matrix(pair, a, inner.loop))
 
 
@@ -563,8 +563,7 @@ def _route_det(a: float, alpha: float, route: str, refine: float) -> tuple[float
         # det S of the sketch of K W = left right^T, with the guard on
         # max|Q B|; past rank n/4, the dense LU of left @ right.T that
         # qa_operator and det_one_minus give
-        op = _factored_operator(
-            RealFactors(*_qa_factors(a, alpha, _DEFAULT_ORDER, refine)))
+        op = _factored_operator(RealFactors(*_qa_factors(a, alpha, refine)))
     elif route == "contour-H":
         op = ha_operator(a, alpha, refine=refine)
     else:
@@ -574,7 +573,10 @@ def _route_det(a: float, alpha: float, route: str, refine: float) -> tuple[float
         # truncation, which the rounding scale cannot see
         check_rounding_scale(op, context)
     det, log_mag = det_one_minus(op)
-    return complex(det).real, log_mag
+    det = complex(det).real
+    if not math.isfinite(det):  # a kernel the contours do not resolve
+        raise ArithmeticError(f"{context}: determinant is {det}")
+    return det, log_mag
 
 
 def gap_probability(a: float, alpha: float, route: str = "halfline",
@@ -583,7 +585,9 @@ def gap_probability(a: float, alpha: float, route: str = "halfline",
 
     The reported err is the self-convergence estimate |P(refine) - P(refine/2)|;
     the halved run reuses the same route with every panel budget halved.
-    Raises ValueError for an a or alpha that is not finite."""
+    Raises ValueError for an a or alpha that is not finite, ArithmeticError
+    for a determinant that is not finite (below alpha 0.04) or a tripped
+    rounding guard."""
     _require_finite(a=a, alpha=alpha)
     if a <= 0.0:
         raise ValueError(f"gap probability evaluated for a > 0 only, got {a}")

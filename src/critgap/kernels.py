@@ -105,7 +105,7 @@ class ContourPair:
 
 
 def kernel_pair(alpha: float, x_max: float = 30.0, x_min: float = 0.0,
-                order: int = 16, refine: float = 1.0) -> ContourPair:
+                refine: float = 1.0) -> ContourPair:
     """Contour pair sized for the critical/conjugated kernel at |x|,|y| within
     [x_min, x_max]: Gaussian coefficient alpha/2 on both contours."""
     if alpha <= 0.0:
@@ -115,10 +115,8 @@ def kernel_pair(alpha: float, x_max: float = 30.0, x_min: float = 0.0,
                                target=_TAIL_LOG, gamma_decay=True)
     T_line = truncation_radius(alpha / 2.0, growth=math.pi / 2.0,
                                target=_TAIL_LOG)
-    loop = build_hairpin(T=T_loop, order=order, refine=refine,
-                         max_frequency=abs(x_max))
-    line = build_vertical(T=T_line, order=order, refine=refine,
-                          max_frequency=abs(x_max))
+    loop = build_hairpin(T=T_loop, refine=refine, max_frequency=abs(x_max))
+    line = build_vertical(T=T_line, refine=refine, max_frequency=abs(x_max))
     return ContourPair(loop, line, alpha)
 
 
@@ -293,21 +291,18 @@ def _as_real(value: complex, scale: float = 1.0) -> float:
     return value.real
 
 
-def critical_kernel(x: float, y: float, alpha: float, pair: ContourPair | None = None,
+def critical_kernel(x: float, y: float, alpha: float,
                     refine: float = 1.0) -> float:
     """Limiting kernel of the critically-scaled product process at real (x, y).
     Raises ValueError for an x, y or alpha that is not finite."""
     _require_finite(x=x, y=y, alpha=alpha)
-    if pair is None:
-        m = max(abs(x), abs(y), 1.0)
-        pair = kernel_pair(alpha, x_max=m, x_min=min(x, y, 0.0), refine=refine)
+    pair = kernel_pair(alpha, x_max=max(abs(x), abs(y), 1.0),
+                       x_min=min(x, y, 0.0), refine=refine)
     val = _kernel_sum(np.array([x]), np.array([y]), pair, shift=0.0)[0, 0]
     return _as_real(val)
 
 
-def conjugated_kernel(x: float, y: float, alpha: float,
-                      pair: ContourPair | None = None,
-                      refine: float = 1.0) -> float:
+def conjugated_kernel(x: float, y: float, alpha: float) -> float:
     """exp(-(x-y)/2) K_crit(x, y): the symmetric-decay form used on (a, inf).
 
     Requires x, y > 0; the decay bound exp(-(x+y)/2) only holds there.
@@ -315,8 +310,7 @@ def conjugated_kernel(x: float, y: float, alpha: float,
     _require_finite(x=x, y=y, alpha=alpha)
     if x <= 0.0 or y <= 0.0:
         raise DomainError(f"conjugated kernel needs x, y > 0, got ({x}, {y})")
-    if pair is None:
-        pair = kernel_pair(alpha, x_max=max(x, y, 1.0), refine=refine)
+    pair = kernel_pair(alpha, x_max=max(x, y, 1.0))
     val = _kernel_sum(np.array([x]), np.array([y]), pair, shift=0.5)[0, 0]
     return _as_real(val)
 
@@ -466,29 +460,28 @@ def finite_kernel(x: float, y: float, n: int, m: int, order: int = 16,
     return _as_real(complex(val))
 
 
-def factored_kernel(x: float, y: float, alpha: float, u_order: int = 32,
-                    refine: float = 1.0) -> float:
+def factored_kernel(x: float, y: float, alpha: float) -> float:
     """Conjugated kernel rebuilt from its rank-factorization: the product of
     the two one-contour factors integrated over the coupling variable.
 
     The coupling integral over q in (0, inf) is mapped to u in (0, 1) by
     q = -2 log(1-u), under which the integrand becomes smooth and one
-    Gauss-Legendre panel of moderate order converges spectrally.
+    Gauss-Legendre panel of order 32 converges spectrally.  Raises
+    ValueError for an x, y or alpha that is not finite.
     """
+    _require_finite(x=x, y=y, alpha=alpha)
     if x <= 0.0 or y <= 0.0:
         raise DomainError(f"factored kernel needs x, y > 0, got ({x}, {y})")
-    un, uw = np.polynomial.legendre.leggauss(int(u_order * max(1.0, refine)))
+    un, uw = np.polynomial.legendre.leggauss(32)
     u = 0.5 * (un + 1.0)
     w = 0.5 * uw
     q = -2.0 * np.log1p(-u)
     jac = 2.0 / (1.0 - u)
 
     T_loop = truncation_radius(alpha / 2.0, gamma_decay=True)
-    loop = build_hairpin(T=T_loop, refine=refine,
-                         max_frequency=max(1.0, x + float(q.max())))
+    loop = build_hairpin(T=T_loop, max_frequency=max(1.0, x + float(q.max())))
     T_line = truncation_radius(alpha / 2.0, growth=math.pi / 2.0)
-    line = build_vertical(T=T_line, refine=refine,
-                          max_frequency=max(1.0, y + float(q.max())))
+    line = build_vertical(T=T_line, max_frequency=max(1.0, y + float(q.max())))
 
     t, wt = loop.nodes, loop.weights
     s, ws = line.nodes, line.weights

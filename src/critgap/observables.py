@@ -219,28 +219,30 @@ class RhWorkspace:
         return Y1Matrix(e11, e12, e21, e22, a, self.alpha, log_p)
 
 
-def y1_matrix(a: float, alpha: float, workspace: RhWorkspace | None = None,
-              order: int = 16, refine: float = 1.0) -> Y1Matrix:
+def y1_matrix(a: float, alpha: float,
+              workspace: RhWorkspace | None = None) -> Y1Matrix:
     """Residue matrix Y1(a) from the resolvent formula.  Raises ValueError
     for an a or alpha that is not finite."""
     special._require_finite(a=a, alpha=alpha)
     if a <= 0.0:
         raise ValueError(f"need a > 0, got {a}")
-    ws = workspace or RhWorkspace(alpha, a, order=order, refine=refine)
+    ws = workspace or RhWorkspace(alpha, a)
     return ws.y1(a)
 
 
-def u_of_x(x: float, alpha: float, workspace: RhWorkspace | None = None,
-           order: int = 16, refine: float = 1.0) -> float:
+def u_of_x(x: float, alpha: float,
+           workspace: RhWorkspace | None = None) -> float:
     """u(x) = -(Y1)_12 (Y1)_21, the integrand of the gap-probability
     double-integral representation.  Raises ValueError for an x or alpha
     that is not finite."""
     special._require_finite(x=x, alpha=alpha)
-    return y1_matrix(x, alpha, workspace, order=order, refine=refine).u
+    return y1_matrix(x, alpha, workspace).u
 
 
 def log_u_asymptotic(x: float, alpha: float) -> float:
-    """Log of the right-tail asymptotic of u; never under- or overflows."""
+    """Log of the right-tail asymptotic of u; never under- or overflows.
+    Raises ValueError for an x or alpha that is not finite."""
+    special._require_finite(x=x, alpha=alpha)
     if x <= 0.0 or alpha <= 0.0:
         raise special.DomainError("x and alpha must be positive")
     t = x / alpha
@@ -256,23 +258,22 @@ def u_asymptotic(x: float, alpha: float) -> float:
     return math.exp(lg) if lg > _LOG_FLOOR else 0.0
 
 
-def log_gap_from_u(a: float, alpha: float, length: float = 30.0,
-                   panels: int = 6, order: int = 8,
-                   workspace: RhWorkspace | None = None,
-                   refine: float = 1.0) -> float:
+def log_gap_from_u(a: float, alpha: float,
+                   workspace: RhWorkspace | None = None) -> float:
     """log P(a) reconstructed as -integral_a^(a+length) (x-a) u(x) dx.
 
-    The grid is graded toward a like the half-line determinant grid; u decays
-    like exp(-x^2 / 2 alpha), so the tail past (x-a) u < 1e-20 is dropped
-    rather than spent on resolvent solves; the halfline determinant grid
-    ends at the same x_end.  Raises ValueError for an a, alpha or length
-    that is not finite."""
-    special._require_finite(a=a, alpha=alpha, length=length)
+    The grid, 6 panels of order 8, is graded toward a like the half-line
+    determinant grid; u decays like exp(-x^2 / 2 alpha), so the tail past
+    (x-a) u < 1e-20 is dropped rather than spent on resolvent solves:
+    length = min(30, max(5, x_end - a)), x_end that of the halfline
+    determinant grid.  Raises ValueError for an a or alpha that is not
+    finite."""
+    special._require_finite(a=a, alpha=alpha)
     if a <= 0.0:
         raise ValueError(f"need a > 0, got {a}")
-    length = min(length, max(5.0, _decay_end(alpha) - a))
-    ws = workspace or RhWorkspace(alpha, a + length, refine=refine)
-    grid = HalfLineGrid(a, length, panels, order)
+    length = min(30.0, max(5.0, _decay_end(alpha) - a))
+    ws = workspace or RhWorkspace(alpha, a + length)
+    grid = HalfLineGrid(a, length, 6, 8)
     total = 0.0
     for x, w in zip(grid.nodes, grid.weights):
         total += w * (x - a) * u_of_x(float(x), alpha, ws)
@@ -283,7 +284,9 @@ def residue_sum(alpha: float, a: float, tol: float = 1e-18) -> float:
     """S(a) = sum_k (-1)^k / k! * exp(-alpha k^2/2 - a k); the pole expansion
     of the loop integral in the right-tail moment.  Converges for a > 0.
     Stops once a term falls below tol relative to the sum, or, with a
-    RuntimeWarning, after 400 terms."""
+    RuntimeWarning, after 400 terms.  Raises ValueError for an alpha or a
+    that is not finite."""
+    special._require_finite(alpha=alpha, a=a)
     if alpha <= 0.0 or a <= 0.0:
         raise special.DomainError("alpha and a must be positive")
     total, k, log_fact = 0.0, 0, 0.0
@@ -302,20 +305,21 @@ def residue_sum(alpha: float, a: float, tol: float = 1e-18) -> float:
             return total
 
 
-def asym_u1_21(a: float, alpha: float, order: int = 16, refine: float = 1.0,
-               method: str = "quadrature") -> complex:
+def asym_u1_21(a: float, alpha: float, method: str = "quadrature") -> complex:
     """Leading right-tail moment carried by the loop contour.
 
     Equals (i alpha / a) exp(-a^2 / 4 alpha) S(a) exactly; "quadrature"
     evaluates the loop integral on the steepest-descent contour, "residue"
-    sums the pole expansion.  The two must agree to rounding."""
+    sums the pole expansion.  The two must agree to rounding.  Raises
+    ValueError for an a or alpha that is not finite."""
+    special._require_finite(a=a, alpha=alpha)
     if a * a <= 1.0:
         raise GeometryError(f"need a^2 > 1 for the deformed contour, got a={a}")
     log_pref = -a * a / (4.0 * alpha) + math.log(alpha / a)
     if method == "residue":
         factor = residue_sum(alpha, a)
     elif method == "quadrature":
-        loop, _ = deformed_contours(alpha, a, order=order, refine=refine)
+        loop, _ = deformed_contours(alpha, a)
         factor = gamma_contour_integral(loop, alpha, a)
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -344,11 +348,14 @@ def _u1_12_grid(a: float, alpha: float, order: int,
     return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
 
 
-def asym_u1_12(a: float, alpha: float, truncation: float | None = None,
-               order: int = 16) -> complex:
+def asym_u1_12(a: float, alpha: float,
+               truncation: float | None = None) -> complex:
     """Leading right-tail moment carried by the line contour:
     (1/2 pi i) integral over the real line of exp(-(a^2/2 alpha)(x^2 + 1/2))
-    / Gamma((a/alpha)(1 - ix)) dx, evaluated in log space."""
+    / Gamma((a/alpha)(1 - ix)) dx, evaluated in log space on panels of
+    order 16 over |x| <= truncation.  Raises ValueError for an a, alpha or
+    truncation that is not finite."""
+    special._require_finite(a=a, alpha=alpha)
     if a <= 0.0 or alpha <= 0.0:
         raise special.DomainError("a and alpha must be positive")
     t = a / alpha
@@ -356,7 +363,8 @@ def asym_u1_12(a: float, alpha: float, truncation: float | None = None,
         # integrand magnitude exp(-(a^2/2a)x^2 + (pi t / 2)|x|) below e^-40
         truncation = truncation_radius(a * a / (2.0 * alpha),
                                        growth=math.pi * t / 2.0, target=40.0)
-    x, w = _u1_12_grid(a, alpha, order, truncation)
+    special._require_finite(truncation=truncation)
+    x, w = _u1_12_grid(a, alpha, 16, truncation)
     z = t * (1.0 - 1j * x)
     loggam = special.log_gamma(z)
     log_integrand = -loggam - (a * a / (2.0 * alpha)) * (x * x + 0.5)
@@ -373,7 +381,9 @@ def asym_u1_12(a: float, alpha: float, truncation: float | None = None,
 def asym_u1_12_closed(a: float, alpha: float) -> complex:
     """Closed-form limit of asym_u1_12, exact up to O((log a)^2 / a):
     exp(-(a^2 + 2 log^2(a/alpha))/(4 alpha)) / (i sqrt(2 pi alpha)
-    Gamma(1 + a/alpha))."""
+    Gamma(1 + a/alpha)).  Raises ValueError for an a or alpha that is not
+    finite."""
+    special._require_finite(a=a, alpha=alpha)
     if a <= 0.0 or alpha <= 0.0:
         raise special.DomainError("a and alpha must be positive")
     t = a / alpha
@@ -387,13 +397,12 @@ def asym_u1_12_closed(a: float, alpha: float) -> complex:
     return -1j * math.exp(log_mag)
 
 
-def u_asym_composed(a: float, alpha: float, order: int = 16,
-                    refine: float = 1.0) -> float:
+def u_asym_composed(a: float, alpha: float) -> float:
     """u(a) rebuilt from the two tail moments:
     u = (a^2/alpha^2) * asym_u1_12 * asym_u1_21.  Positive real for a > 1;
     agrees with u_asymptotic up to the O((log a)^2 / a) factor."""
-    m12 = asym_u1_12(a, alpha, order=order)
-    m21 = asym_u1_21(a, alpha, order=order, refine=refine)
+    m12 = asym_u1_12(a, alpha)
+    m21 = asym_u1_21(a, alpha)
     value = (a * a) / (alpha * alpha) * m12 * m21
     if abs(value.imag) > _IM_TOL * (1.0 + abs(value)):
         raise ArithmeticError(f"composed u has imaginary residue {value.imag:.3e}")

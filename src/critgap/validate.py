@@ -133,13 +133,14 @@ def check_line_reduction() -> CheckResult:
 
 
 def check_log_derivative() -> CheckResult:
-    """(Y1)_11 equals d/da log P (central difference, two-contour route)."""
+    """(Y1)_11 equals d/da log P: a central difference of halfline's
+    determinant, which shares no assembly with the RH workspace."""
     worst = 0.0
     for a, alpha in [(2.0, 1.0), (1.5, 2.0)]:
         step = 1e-3
-        lo = fredholm.gap_probability(a - step, alpha, "contour-Q",
+        lo = fredholm.gap_probability(a - step, alpha, "halfline",
                                       estimate_error=False).log_p
-        hi = fredholm.gap_probability(a + step, alpha, "contour-Q",
+        hi = fredholm.gap_probability(a + step, alpha, "halfline",
                                       estimate_error=False).log_p
         diff = (hi - lo) / (2.0 * step)
         y1 = observables.y1_matrix(a, alpha)
@@ -161,10 +162,10 @@ def check_second_derivative() -> CheckResult:
 
 
 def check_closure() -> CheckResult:
-    """log P rebuilt from the u-function double integral."""
+    """log P rebuilt from the u-function double integral vs halfline's."""
     a, alpha = 3.0, 1.0
     rebuilt = observables.log_gap_from_u(a, alpha)
-    direct = fredholm.gap_probability(a, alpha, "contour-Q",
+    direct = fredholm.gap_probability(a, alpha, "halfline",
                                       estimate_error=False).log_p
     return _result("double-integral-closure",
                    "log P from (x-a) u(x) integral vs determinant",

@@ -71,9 +71,11 @@ def test_criterion_3_rh_observable_identities():
     for alpha in (1.0, 2.0):
         ws = observables.RhWorkspace(alpha, 3.0 + 2.0 * step)
         for a in (1.5, 2.0, 3.0):
-            lo = fredholm.gap_probability(a - step, alpha, "contour-Q",
+            # log P from halfline, which shares no assembly with the
+            # workspace's two-contour factors
+            lo = fredholm.gap_probability(a - step, alpha, "halfline",
                                           estimate_error=False).log_p
-            hi = fredholm.gap_probability(a + step, alpha, "contour-Q",
+            hi = fredholm.gap_probability(a + step, alpha, "halfline",
                                           estimate_error=False).log_p
             diff = (hi - lo) / (2.0 * step)
             y0 = ws.y1(a)
@@ -83,7 +85,7 @@ def test_criterion_3_rh_observable_identities():
                    - ws.y1(a - step).e11.real) / (2.0 * step)
             worst_ode = max(worst_ode, abs(lhs - (y0.e12 * y0.e21).real))
             rebuilt = observables.log_gap_from_u(a, alpha)
-            direct = fredholm.gap_probability(a, alpha, "contour-Q",
+            direct = fredholm.gap_probability(a, alpha, "halfline",
                                               estimate_error=False).log_p
             worst_close = max(worst_close, abs(rebuilt - direct))
     elapsed = time.time() - started
@@ -93,6 +95,22 @@ def test_criterion_3_rh_observable_identities():
                 ("closure abs", worst_close, 1e-4),
                 ("runtime_s", elapsed, 300.0)],
                note="a in {1.5, 2, 3} x alpha in {1, 2}")
+
+
+def test_rh_identity_checks_read_no_contour_q(monkeypatch):
+    # contour-Q shares its factored Schur complement with the RH workspace,
+    # so a fault in that one assembly would cancel out of a check that
+    # compared the two: with contour-Q refused, both checks still pass
+    route_det = fredholm._route_det
+
+    def refuse_contour_q(a, alpha, route, refine):
+        if route == "contour-Q":
+            raise AssertionError("an RH identity check read contour-Q")
+        return route_det(a, alpha, route, refine)
+
+    monkeypatch.setattr(fredholm, "_route_det", refuse_contour_q)
+    assert validate.check_log_derivative().passed
+    assert validate.check_closure().passed
 
 
 def test_criterion_4_asymptotics():

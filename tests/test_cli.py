@@ -157,11 +157,12 @@ def test_gap_single_route(capsys):
         fredholm.gap_probability(2.0, 1.0, "contour-Q").p, rel=1e-12)
 
 
-def test_gap_unknown_route(capsys):
+@pytest.mark.parametrize("routes", ["simpson", ","])
+def test_gap_unknown_route(capsys, routes):
     code, _, err = run_cli(capsys, "gap", "--a-min", "1", "--a-max", "2",
-                           "--routes", "simpson")
+                           "--routes", routes)
     assert code == 2
-    assert "simpson" in err
+    assert f"unknown route {routes!r}" in err
 
 
 def test_gap_domain_validation(capsys):
@@ -313,6 +314,33 @@ def test_mc_compare_refuses_an_unresolved_theory(capsys):
         assert row["p_theory"] is None and row["within_allowance"] is None
         assert not row["p_theory_err"] <= 0.01
         assert f"a={row['a']:g}:" in doc["compare_error"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_mc_compare_refuses_a_theory_that_raises(capsys):
+    # at alpha = M/N = 1/256 every halfline determinant is NaN and raises:
+    # each row is refused with its error, the JSON is still written, and
+    # the command fails
+    code, out, err = run_cli(capsys, "mc", "--N", "256", "--M", "1",
+                             "--trials", "16", "--compare")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["compare_error"] and doc["compare_error"] in err
+    assert len(doc["gap_table"]) == 3
+    for row in doc["gap_table"]:
+        assert row["p_theory"] is None and row["p_theory_err"] is None
+        assert row["abs_diff"] is None and row["within_allowance"] is None
+        assert f"a={row['a']:g}: ArithmeticError" in doc["compare_error"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_gap_fails_loudly_where_p_is_nan(capsys):
+    # every route's determinant is NaN at alpha 1/256: exit 1, no row
+    code, out, err = run_cli(capsys, "gap", "--alpha", "0.00390625",
+                             "--a-min", "1", "--a-max", "1", "--steps", "1")
+    assert code == 1
+    assert not out
+    assert "determinant is nan" in err
 
 
 def test_runtime_errors_exit_1(capsys):

@@ -266,6 +266,29 @@ def test_nan_operator_has_a_nan_determinant():
     assert math.isnan(det) and math.isnan(log_mag)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("route", fredholm.ROUTES)
+def test_unresolved_alpha_raises_on_every_route(route):
+    # at alpha 1/256 the default contours do not resolve the kernel: every
+    # route's matrix is NaN.  halfline's NaN determinant and the two-contour
+    # routes' NaN rounding scale raise; neither returns P = NaN
+    with pytest.raises(ArithmeticError, match="nan"):
+        gap_probability(1.0, 1 / 256, route)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_unresolved_alpha_raises_in_the_workspace():
+    with pytest.raises(ArithmeticError, match="rounding scale nan"):
+        RhWorkspace(1 / 256, 2.0).y1(1.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("alpha", [1 / 128, 1 / 64])
+def test_halfline_raises_on_an_infinite_determinant(alpha):
+    with pytest.raises(ArithmeticError, match="determinant is inf"):
+        gap_probability(1.0, alpha, "halfline", estimate_error=False)
+
+
 def _low_rank_operator(n, rank, seed):
     # K = U V^T from random factors, with non-unit weights: rank-`rank` K W
     rng = np.random.default_rng(seed)
@@ -634,6 +657,15 @@ def test_halfline_grid_follows_the_decay(alpha):
     (qa_operator, (-math.inf, 1.0), "a"),
     (ha_operator, (math.inf, 1.0), "a"),
     (ha_operator, (1.0, math.nan), "alpha"),
+    (kernels.factored_kernel, (math.nan, 1.0, 1.0), "x"),
+    (kernels.factored_kernel, (math.inf, 1.0, 1.0), "x"),
+    (observables.residue_sum, (1.0, math.nan), "a"),
+    (lambda a, alpha: observables.asym_u1_21(a, alpha, method="residue"),
+     (math.nan, 1.0), "a"),
+    (observables.u_asymptotic, (math.nan, 1.0), "x"),
+    (observables.asym_u1_12, (math.nan, 1.0), "a"),
+    (observables.asym_u1_12, (4.0, 2.0, math.inf), "truncation"),
+    (observables.asym_u1_12_closed, (1.0, math.inf), "alpha"),
 ])
 def test_entry_points_reject_non_finite_inputs(call, args, name):
     # each raised from inside a grid builder before: "cannot convert float
