@@ -157,12 +157,18 @@ def test_gap_single_route(capsys):
         fredholm.gap_probability(2.0, 1.0, "contour-Q").p, rel=1e-12)
 
 
-@pytest.mark.parametrize("routes", ["simpson", ","])
-def test_gap_unknown_route(capsys, routes):
+def test_gap_unknown_route(capsys):
     code, _, err = run_cli(capsys, "gap", "--a-min", "1", "--a-max", "2",
-                           "--routes", routes)
+                           "--routes", "simpson")
     assert code == 2
-    assert f"unknown route {routes!r}" in err
+    assert "unknown route 'simpson'" in err
+
+
+def test_gap_empty_route_name(capsys):
+    code, _, err = run_cli(capsys, "gap", "--a-min", "1", "--a-max", "2",
+                           "--routes", ",")
+    assert code == 2
+    assert "unknown route ','" in err
 
 
 def test_gap_domain_validation(capsys):
