@@ -9,12 +9,15 @@ posed on the line grid: contour-Q by the Schur complement
 det(I - Q) = det(I - A W_loop B W_line) on the pair's own loop, contour-H by
 the line-reduced kernel on a separately graded loop.  Their grids are mirror
 images under conjugation, so both line operators are real (kernels.real_form)
-and every LU is real.  contour-Q's operator is carried by its two real
-factors (RealFactors), never formed: its determinant is read from a range
-sketch of them, a k x k determinant with k = 16 at first.  The RH workspace
+and every LU is real.  Every route hands the determinant one real K W with
+the weights folded in (DiscreteOperator): halfline and contour-H as a dense
+n x n array, contour-Q as its two real factors (RealFactors), never formed.
+Only a factored operator is sketched: its determinant is read from a range
+sketch of the factors (Halko, Martinsson and Tropp, arXiv:0909.4061), a
+k x k determinant with k = 16 at first.  The RH workspace
 (observables.RhWorkspace) solves on the same factored operator, its a = 0
 factors rescaled per point, so the Schur complement has this one assembly.
-contour-H, halfline and contour-Q's fallback past rank n/4 take a dense LU
+Dense operators, and contour-Q's fallback past rank n/4, take a dense LU
 of I - K W.
 Every determinant and dense solve goes through numpy.linalg, by the two
 functions lu_factor and lu_solve below.  The three routes share no kernel
@@ -63,6 +66,7 @@ ROUTES = ("halfline", "contour-Q", "contour-H")
 
 _EPS = float(np.finfo(float).eps)
 _ROUNDING_TOL = 3e-10  # largest n eps max|K W| a two-contour matrix may reach
+_P_SLACK = 1e-7       # how far a returned P may stray outside [0, 1]
 _FIXED_LENGTH = 40.0  # cap of the halfline length floor 2 / alpha
 _DECAY_LOG = 46.0   # the halfline grid ends where exp(-x^2 / 2 alpha) < e^-46
 _DEFAULT_PANELS = 8
@@ -70,7 +74,7 @@ _DEFAULT_ORDER = 16
 _GRID_GROWTH = 1.6
 _SKETCH_RANK = 16    # first rank of a resolvent sketch
 _TAIL_PROBES = 4     # fresh probe columns that measure a sketch's tail
-_TAIL_TOL = 1e-13    # largest ||K W T - Q Q^H K W T|| / ||K W T|| accepted
+_TAIL_TOL = 1e-13    # largest ||K W T - Q Q^T K W T|| / ||K W T|| accepted
 # splitmix64's increment and output multipliers (Steele, Lea and Flood 2014)
 _SPLITMIX = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9),
              np.uint64(0x94D049BB133111EB))
@@ -159,24 +163,24 @@ def _probes(n: int, k: int) -> np.ndarray:
     return probes
 
 
-def _range_sketch(probe, n: int) -> tuple:
-    """Range basis of an n x n operator K W known through probe(k) =
-    K W [Omega | T] on its fixed Gaussian probes (_probes; k columns, 16 at
-    first, and _TAIL_PROBES fresh ones).
+def _range_sketch(factors: RealFactors) -> tuple:
+    """Range basis of an n x n operator K W held as its factors, known
+    through factors.probe(k) = K W [Omega | T] on its fixed Gaussian probes
+    (_probes; k columns, 16 at first, and _TAIL_PROBES fresh ones).
 
     Q is the orthonormal basis of K W Omega.  The tail
-    ||K W T - Q Q^H K W T|| decides: while it exceeds 1e-13 of ||K W T||
+    ||K W T - Q Q^T K W T|| decides: while it exceeds 1e-13 of ||K W T||
     the rank doubles, up to n/4.  Returns (Q, k, tail)
     with the relative tail of the rank that passed, or (None, k, tail) of
     the last rank tried when none did ((None, 0, nan) when n < 64 leaves no
     room for one)."""
     k, rank, rel_tail = _SKETCH_RANK, 0, math.nan
-    while 4 * k <= n:
-        y = probe(k)                                    # K W [Omega | T]
+    while 4 * k <= factors.left.shape[0]:
+        y = factors.probe(k)                            # K W [Omega | T]
         q = np.linalg.qr(y[:, :k])[0]
         kt = y[:, k:]
         scale = float(np.linalg.norm(kt))
-        tail = float(np.linalg.norm(kt - q @ (q.conj().T @ kt)))
+        tail = float(np.linalg.norm(kt - q @ (q.T @ kt)))
         rank, rel_tail = k, tail / scale if scale else 0.0
         if tail <= _TAIL_TOL * scale:
             return q, rank, rel_tail
@@ -256,33 +260,27 @@ class RealFactors:
 
 @dataclass
 class DiscreteOperator:
-    """Kernel values sampled on a grid plus the quadrature weights, or a
-    real line operator held as its factors.
+    """A real line operator K W, with the quadrature weights folded in:
+    held as an n x n float64 array kw, or as its two factors (RealFactors)
+    with kw None.  A complex or otherwise non-float64 kw raises TypeError.
 
-    The determinant matrix is the right-weighted form K W (columns scaled by
-    the weights); its solves are the kernel's Nystrom samples.  The
-    two-contour operators pass the real form of K W (kernels.real_form),
-    in which the weights no longer scale columns, with unit weights.
-    contour-Q and the RH workspace pass no values but `factors`
-    (RealFactors), from which K W is applied and projected; it is formed
-    only on the dense fallback below, once, as kernel_values.
+    halfline and contour-H hold kw, the Nystrom matrix with its columns
+    scaled by the weights; contour-Q and the RH workspace hold the factors,
+    from which K W is applied and projected, and formed (once, by matrix())
+    only on the dense fallback below.
 
-    Resolvent solves go through a range sketch of K W (_range_sketch).
-    Its eigenvalues are those of the limiting kernel on (a, inf), which
-    decay super-exponentially, so a few directions carry all of it.  With
-    the sketch's orthonormal Q (rank k, 16 at first) and B = Q^H K W the
-    solve is Woodbury's on K W ~ Q B through the k x k matrix
-    S = I_k - B Q; when no rank up to n/4 passes the tail test it falls
-    back to an LU solve of I - K W itself.  After a solve, solve_path is
-    "sketch" or "dense", sketch_rank the last rank tried (0 if n < 64 left
-    no room for one) and sketch_tail its relative tail (nan if none was
-    tried).
-
-    The determinant of a factored operator whose sketch passed is det S,
-    which equals det(I - K W) up to the sketch's tail; every other
-    operator's is the dense LU of I - K W.  The benchmark's tracing test
-    (perfbench/test_perfbench.py) pins one n x n LU for a contour-H
-    evaluation, whose operator holds values, so it stays on the dense LU.
+    A factored operator's solves go through a range sketch of K W
+    (_range_sketch).  Its eigenvalues are those of the limiting kernel on
+    (a, inf), which decay super-exponentially, so a few directions carry all
+    of it.  With the sketch's orthonormal Q (rank k, 16 at first) and
+    B = Q^T K W the solve is Woodbury's on K W ~ Q B through the k x k
+    matrix S = I_k - B Q, and the determinant is det S, which equals
+    det(I - K W) up to the sketch's tail.  A dense operator, and a factored
+    one when no rank up to n/4 passes the tail test, takes the LU of
+    I - K W for both.  Once chosen, solve_path is "sketch" or "dense",
+    sketch_rank the last rank tried (0 for a dense operator or when n < 64
+    left no room for one) and sketch_tail its relative tail (nan if none
+    was tried).
 
     numpy's slogdet and solve factor a copy of their input, so I - K W is
     written into this thread's grow-only buffer (kernels._buffer) rather
@@ -291,12 +289,11 @@ class DiscreteOperator:
     is handed the buffer's transpose, which has the same determinant and is
     already in LAPACK's column-major order, so numpy's copy is contiguous
     instead of strided.  The dense solve writes the same buffer again.
-    kernel_values, once given or formed, is never written, so the residual
-    check of a solve reads the operator as given.
+    kw, once given or formed, is never written, so the residual check of a
+    solve reads the operator as given.
     """
 
-    kernel_values: np.ndarray | None
-    weights: np.ndarray
+    kw: np.ndarray | None
     factors: RealFactors | None = None
     _slogdet: tuple | None = field(default=None, init=False, repr=False)
     solve_path: str | None = field(default=None, init=False)
@@ -304,63 +301,54 @@ class DiscreteOperator:
     sketch_tail: float = field(default=math.nan, init=False)
     _sketch: tuple | None = field(default=None, init=False, repr=False)
 
-    def matrix(self) -> np.ndarray:
-        if self.kernel_values is None:
-            return self.factors.dense()
-        return self.kernel_values * self.weights[None, :]
+    def __post_init__(self) -> None:
+        if self.kw is not None and self.kw.dtype != np.float64:
+            raise TypeError(
+                f"K W must be a float64 array, got {self.kw.dtype}")
 
-    def _values(self) -> np.ndarray:
-        """kernel_values, formed from the factors on first use."""
-        if self.kernel_values is None:
-            self.kernel_values = self.factors.dense()
-        return self.kernel_values
+    def matrix(self) -> np.ndarray:
+        """K W, formed from the factors on first use and kept."""
+        if self.kw is None:
+            self.kw = self.factors.dense()
+        return self.kw
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        """matrix() @ x without forming the weighted matrix."""
+        """K W x, through the factors when the operator has them."""
         if self.factors is not None:
             return self.factors.apply(x)
-        col = (slice(None),) + (None,) * (x.ndim - 1)
-        return self.kernel_values @ (self.weights[col] * x)
-
-    def _probe(self, k: int) -> np.ndarray:
-        """K W [Omega | T] on the rank-k probes (_probes)."""
-        if self.factors is not None:
-            return self.factors.probe(k)
-        return self._apply(_probes(self.weights.size, k))
+        return self.kw @ x
 
     def _one_minus(self) -> np.ndarray:
-        """I - K W, real or complex as the operator is, in this thread's
-        buffer: valid until the thread's next call."""
-        kv = self._values()
-        n = self.weights.size
-        dtype = np.result_type(kv, self.weights)
-        a = np.multiply(kv, -self.weights, out=_square_buffer(n, dtype))
+        """I - K W in this thread's buffer: valid until the thread's next
+        call."""
+        kw = self.matrix()
+        n = kw.shape[0]
+        a = np.negative(kw, out=_square_buffer(n))
         a.flat[::n + 1] += 1.0
         return a
 
     def _factor(self) -> tuple:
-        """(sign, log|det|) of I - K W: det S of a factored operator's
-        sketch, else from the LU of the transpose of I - K W."""
+        """(sign, log|det|) of I - K W: det S of the sketch when there is
+        one, else from the LU of the transpose of I - K W."""
         if self._slogdet is None:
-            if self.factors is not None and self._sketch_factor() is not None:
-                self._slogdet = self._sketch[3]
-            else:
-                self._slogdet = lu_factor(self._one_minus().T)
+            sketch = self._sketch_factor()
+            self._slogdet = (lu_factor(self._one_minus().T) if sketch is None
+                             else sketch[3])
         return self._slogdet
 
     def _sketch_factor(self):
-        """(Q, B, S, (sign, log|det S|)) of the range sketch, or None for
-        the dense solve; the path is chosen on the first call and kept."""
+        """(Q, B, S, (sign, log|det S|)) of a factored operator's range
+        sketch, or None for the dense path; chosen on the first call and
+        kept."""
         if self.solve_path is None:
-            q, self.sketch_rank, self.sketch_tail = _range_sketch(
-                self._probe, self.weights.size)
+            q = None
+            if self.factors is not None:
+                q, self.sketch_rank, self.sketch_tail = _range_sketch(
+                    self.factors)
             if q is None:
                 self._sketch = None
             else:
-                if self.factors is not None:
-                    b = self.factors.project(q)
-                else:
-                    b = (q.conj().T @ self.kernel_values) * self.weights
+                b = self.factors.project(q)
                 s = np.eye(q.shape[1]) - b @ q
                 self._sketch = q, b, s, lu_factor(s)
             self.solve_path = "dense" if q is None else "sketch"
@@ -373,45 +361,35 @@ def _first_probes(right: np.ndarray) -> np.ndarray:
     return right.T @ _probes(right.shape[0], _SKETCH_RANK)
 
 
-def _factored_operator(factors: RealFactors) -> DiscreteOperator:
-    """The real line operator K W held as its factors, with unit weights."""
-    return DiscreteOperator(None, np.ones(factors.left.shape[0]), factors)
+def _square_buffer(n: int) -> np.ndarray:
+    """An n x n float64 view of this thread's grow-only square buffer."""
+    return kernels._buffer("one_minus", n * n, float).reshape(n, n)
 
 
-def _square_buffer(n: int, dtype) -> np.ndarray:
-    """An n x n view of this thread's grow-only buffer of that dtype."""
-    dtype = np.dtype(dtype)
-    return kernels._buffer(f"one_minus_{dtype.char}", n * n,
-                           dtype).reshape(n, n)
+def det_one_minus(op: DiscreteOperator) -> tuple[float, float]:
+    """det(I - K W) of a DiscreteOperator, with its log-magnitude as a
+    companion.
 
-
-def det_one_minus(op: DiscreteOperator) -> tuple[complex, float]:
-    """det(I - op) by pivoted LU, with its log-magnitude as a companion.
-
-    The value is the sign (a phase if the operator is complex) times
-    exp(log|det|); the companion stays meaningful when the value itself
-    under- or overflows.  Emits SingularWarning, and returns (0, -inf),
-    when the LU meets an exactly zero pivot; a tiny nonzero pivot gives
-    its finite log-magnitude.  This is the dense LU of the operator, or,
-    for an operator held as RealFactors whose sketch passed (contour-Q and
-    the RH workspace), det S of that sketch (see DiscreteOperator)."""
-    return _det_value(*op._factor())
-
-
-def _det_value(sign, log_mag) -> tuple[complex, float]:
-    """det_one_minus's (value, log|det|) from a (sign, log|det|) pair."""
+    The value is the sign times exp(log|det|); the companion stays
+    meaningful when the value itself under- or overflows.  Emits
+    SingularWarning, and returns (0, -inf), when the LU meets an exactly
+    zero pivot; a tiny nonzero pivot gives its finite log-magnitude.  This
+    is the dense LU of I - K W, or, for an operator held as RealFactors
+    whose sketch passed (contour-Q and the RH workspace), det S of that
+    sketch (see DiscreteOperator)."""
+    sign, log_mag = op._factor()
     if sign == 0.0 or log_mag == -math.inf:
         warnings.warn("determinant of I - K W is zero", SingularWarning)
-        return 0.0 + 0.0j, -math.inf
+        return 0.0, -math.inf
     log_mag = float(log_mag)
     if log_mag >= 700.0:
         return math.inf, log_mag
-    return sign * math.exp(log_mag), log_mag  # NaN entries stay NaN
+    return float(sign) * math.exp(log_mag), log_mag  # NaN stays NaN
 
 
 def solve_resolvent(op: DiscreteOperator, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - op) x = rhs; a real operator and a real rhs make a real
-    solve.
+    """Solve (I - K W) x = rhs for a DiscreteOperator; a real rhs makes a
+    real solve.
 
     On the sketch path x = rhs + Q S^{-1} B rhs, on the dense path an LU
     solve of I - K W (see DiscreteOperator).  Raises SingularError when the
@@ -436,13 +414,12 @@ def solve_resolvent(op: DiscreteOperator, rhs: np.ndarray) -> np.ndarray:
 
 
 def check_rounding_scale(op: DiscreteOperator, context: str) -> None:
-    """Raise ArithmeticError when n eps max|K| max|w|, the scale of the LU's
-    backward error in det(I - K W), exceeds 3e-10 or is NaN.  K must be
-    real.  It
-    reads the operator's own entries; an operator held as RealFactors
-    whose sketch passes reads max|Q B| of its sketch in their place (n^2 k
-    flops, written into this thread's square buffer), from which max|K W|
-    differs by the sketch's tail.
+    """Raise ArithmeticError when n eps max|K W|, the scale of the LU's
+    backward error in det(I - K W), exceeds 3e-10 or is NaN.  It reads the
+    operator's own entries; an operator held as RealFactors whose sketch
+    passes reads max|Q B| of its sketch in their place (n^2 k flops,
+    written into this thread's square buffer), from which max|K W| differs
+    by the sketch's tail.
 
     The two-contour matrices (contour-Q, contour-H and the RH workspace) are
     sums of large terms that cancel, and their entries grow where the
@@ -451,20 +428,14 @@ def check_rounding_scale(op: DiscreteOperator, context: str) -> None:
     1.1e-10 on alpha [0.2, 96] x a [0.1, 16], and at least 8e-10 at alpha
     128 and at alpha <= 0.15 for a <= 4, where contour-Q and contour-H come
     out up to 3e-4 (alpha 128) and 8e-7 (alpha 0.12) away from halfline."""
-    if op.factors is not None and op._sketch_factor() is not None:
-        q, b = op._sketch[:2]
-        qb = np.matmul(q, b, out=_square_buffer(q.shape[0], float))
-        _rounding_guard(qb, 1.0, context)
+    sketch = op._sketch_factor()
+    if sketch is None:
+        kw = op.matrix()
     else:
-        _rounding_guard(op._values(), float(np.abs(op.weights).max()),
-                        context)
-
-
-def _rounding_guard(kv: np.ndarray, w_max: float, context: str) -> None:
-    """check_rounding_scale's test of n eps max|K| w_max against 3e-10 for
-    a real n x n K; a NaN scale fails it."""
-    peak = max(kv.max(), -kv.min())  # max|K| of a real K, no |K| temporary
-    scale = kv.shape[0] * _EPS * float(peak) * w_max
+        q, b = sketch[:2]
+        kw = np.matmul(q, b, out=_square_buffer(q.shape[0]))
+    peak = max(kw.max(), -kw.min())  # max|K W|, no |K W| temporary
+    scale = kw.shape[0] * _EPS * float(peak)
     if not scale <= _ROUNDING_TOL:  # NaN entries give a NaN scale
         raise ArithmeticError(
             f"{context}: entries reach rounding scale {scale:.1e} "
@@ -479,8 +450,9 @@ def _decay_end(alpha: float) -> float:
 
 def halfline_operator(a: float, alpha: float,
                       refine: float = 1.0) -> DiscreteOperator:
-    """Conjugated kernel discretized on (a, a + length): a real operator,
-    so its determinant is a real LU.  The grid has round(8 refine) panels
+    """Conjugated kernel discretized on (a, a + length): the Nystrom matrix
+    with its columns scaled by the grid's weights, K W, a real operator
+    whose determinant is a real LU.  The grid has round(8 refine) panels
     (at least one) of order 16.
 
     The grid follows the kernel's decay: its length is
@@ -502,8 +474,9 @@ def halfline_operator(a: float, alpha: float,
     grid = HalfLineGrid(a, length, max(1, round(_DEFAULT_PANELS * refine)))
     pair = kernels.kernel_pair(alpha, x_max=max(11.0, a + length),
                                refine=refine)
-    kv = kernels.kernel_matrix(grid.nodes, grid.nodes, pair, shift=0.5)
-    return DiscreteOperator(kv, grid.weights)
+    kw = kernels.kernel_matrix(grid.nodes, grid.nodes, pair, shift=0.5)
+    kw *= grid.weights
+    return DiscreteOperator(kw)
 
 
 def _qa_factors(a: float, alpha: float,
@@ -517,20 +490,15 @@ def _qa_factors(a: float, alpha: float,
     return kernels._real_factors(pair, a)
 
 
-def _line_operator(kv: np.ndarray) -> DiscreteOperator:
-    """A two-contour line operator from the real form of its K W, which
-    holds the weights, so its own are units."""
-    return DiscreteOperator(kv, np.ones(kv.shape[0]))
-
-
 def qa_operator(a: float, alpha: float, refine: float = 1.0) -> DiscreteOperator:
     """Two-contour coupling operator Q = [[0, A], [B, 0]] on the (line, loop)
-    union, as its line-grid Schur complement A W_loop B:
-    det(I - Q W) = det(I - A W_loop B W_line).  Raises ValueError for an a
-    or alpha that is not finite."""
+    union, as the real form of its line-grid Schur complement, formed
+    densely: det(I - Q W) = det(I - A W_loop B W_line).  gap_probability's
+    contour-Q route holds the same K W as its factors instead.  Raises
+    ValueError for an a or alpha that is not finite."""
     _require_finite(a=a, alpha=alpha)
     left, right = _qa_factors(a, alpha, refine)
-    return _line_operator(left @ right.T)
+    return DiscreteOperator(left @ right.T)
 
 
 def ha_operator(a: float, alpha: float, refine: float = 1.0) -> DiscreteOperator:
@@ -542,7 +510,7 @@ def ha_operator(a: float, alpha: float, refine: float = 1.0) -> DiscreteOperator
     inner = kernels.qa_pair(alpha, a_max=a, refine=1.4 * refine,
                             order=_DEFAULT_ORDER - 4)
     pair = kernels.qa_pair(alpha, a_max=a, refine=refine)
-    return _line_operator(kernels.ha_matrix(pair, a, inner.loop))
+    return DiscreteOperator(kernels.ha_matrix(pair, a, inner.loop))
 
 
 @dataclass(frozen=True)
@@ -563,7 +531,8 @@ def _route_det(a: float, alpha: float, route: str, refine: float) -> tuple[float
         # det S of the sketch of K W = left right^T, with the guard on
         # max|Q B|; past rank n/4, the dense LU of left @ right.T that
         # qa_operator and det_one_minus give
-        op = _factored_operator(RealFactors(*_qa_factors(a, alpha, refine)))
+        factors = RealFactors(*_qa_factors(a, alpha, refine))
+        op = DiscreteOperator(None, factors)
     elif route == "contour-H":
         op = ha_operator(a, alpha, refine=refine)
     else:
@@ -573,7 +542,6 @@ def _route_det(a: float, alpha: float, route: str, refine: float) -> tuple[float
         # truncation, which the rounding scale cannot see
         check_rounding_scale(op, context)
     det, log_mag = det_one_minus(op)
-    det = complex(det).real
     if not math.isfinite(det):  # a kernel the contours do not resolve
         raise ArithmeticError(f"{context}: determinant is {det}")
     return det, log_mag
@@ -586,12 +554,20 @@ def gap_probability(a: float, alpha: float, route: str = "halfline",
     The reported err is the self-convergence estimate |P(refine) - P(refine/2)|;
     the halved run reuses the same route with every panel budget halved.
     Raises ValueError for an a or alpha that is not finite, ArithmeticError
-    for a determinant that is not finite (below alpha 0.04) or a tripped
-    rounding guard."""
+    for a determinant that is not finite (from alpha 1/64 down), a tripped
+    rounding guard, or a P outside [-1e-7, 1 + 1e-7], the routes' agreement
+    gate: from alpha 0.05 down halfline's P can be finite but not a
+    probability (2.52 at alpha 1/32, a = 1), while at alpha 1/16 it stays
+    within 3.5e-9 of [0, 1].  The halved run is not held to that bound, so err still
+    reports how far it moved."""
     _require_finite(a=a, alpha=alpha)
     if a <= 0.0:
         raise ValueError(f"gap probability evaluated for a > 0 only, got {a}")
     p, log_mag = _route_det(a, alpha, route, refine)
+    if not -_P_SLACK <= p <= 1.0 + _P_SLACK:
+        raise ArithmeticError(
+            f"{route} at alpha={alpha}, a={a}: P = {p:.10g} is not a "
+            f"probability (outside [-{_P_SLACK:g}, 1 + {_P_SLACK:g}])")
     err = math.nan
     if estimate_error:
         p_half, _ = _route_det(a, alpha, route, refine * 0.5)

@@ -183,7 +183,7 @@ class RhWorkspace:
         m, k = self.f_line.size, self.f_loop.size // 2
         line_scale = np.exp(-a * self.line.nodes[m:])
         loop_scale = np.exp(a * self.loop.nodes)
-        op = fredholm._factored_operator(fredholm.RealFactors(
+        op = fredholm.DiscreteOperator(None, fredholm.RealFactors(
             self.left, self.right, line_scale, loop_scale[k:],
             self._right_probes))
         check_rounding_scale(op, f"RhWorkspace.y1 at alpha={self.alpha}, a={a}")

@@ -309,16 +309,19 @@ def test_mc_compare_table(capsys):
 
 
 def test_mc_compare_refuses_an_unresolved_theory(capsys):
-    # at alpha = M/N = 1/32 halfline gives P = 2.52 (err 2.1) at a = 1 and
-    # err 7.5 at a = 2: no row may be compared, and the command fails
+    # at alpha = M/N = 1/32 halfline's P = 2.52 at a = 1 is not a
+    # probability and raises; at a = 2 it has err 7.5: no row may be
+    # compared, and the command fails
     code, out, err = run_cli(capsys, "mc", "--N", "64", "--M", "2",
                              "--trials", "16", "--seed", "1", "--compare")
     assert code == 1
     doc = json.loads(out)
     assert doc["compare_error"] and doc["compare_error"] in err
+    assert "a=1: ArithmeticError" in doc["compare_error"]
+    assert "not a probability" in doc["compare_error"]
     for row in doc["gap_table"]:
         assert row["p_theory"] is None and row["within_allowance"] is None
-        assert not row["p_theory_err"] <= 0.01
+        assert row["p_theory_err"] is None or not row["p_theory_err"] <= 0.01
         assert f"a={row['a']:g}:" in doc["compare_error"]
 
 
@@ -347,6 +350,17 @@ def test_gap_fails_loudly_where_p_is_nan(capsys):
     assert code == 1
     assert not out
     assert "determinant is nan" in err
+
+
+def test_gap_fails_loudly_where_p_is_not_a_probability(capsys):
+    # at alpha 1/32 halfline's determinant is finite but P = 2.52 at a = 1:
+    # exit 1, no row
+    code, out, err = run_cli(capsys, "gap", "--alpha", "0.03125",
+                             "--a-min", "1", "--a-max", "1", "--steps", "1",
+                             "--routes", "halfline")
+    assert code == 1
+    assert not out
+    assert "not a probability" in err
 
 
 def test_runtime_errors_exit_1(capsys):

@@ -8,6 +8,7 @@ independent operator constructions.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import os
@@ -21,8 +22,8 @@ import pytest
 import complex_reference
 from critgap import fredholm, kernels, observables
 from critgap.contours import GeometryError
-from critgap.fredholm import (DiscreteOperator, HalfLineGrid, SingularError,
-                              det_one_minus, gap_probability,
+from critgap.fredholm import (DiscreteOperator, HalfLineGrid, RealFactors,
+                              SingularError, det_one_minus, gap_probability,
                               halfline_operator, ha_operator, qa_operator,
                               solve_resolvent)
 from critgap.observables import RhWorkspace
@@ -99,23 +100,20 @@ def test_gap_probability_rejects_non_finite_inputs(a, alpha, name):
             gap_probability(a, alpha, route)
 
 
-def _operator_trace(op: DiscreteOperator) -> complex:
-    return complex(np.sum(np.diag(op.kernel_values) * op.weights))
-
-
 def test_trace_anchors():
+    # the trace of K W is the Nystrom sum of the kernel's diagonal
     op = halfline_operator(1e-12, 1.0)
-    assert complex(_operator_trace(op)).real == pytest.approx(
-        TRACE_0_INF_ALPHA1, rel=1e-10)
+    assert np.trace(op.matrix()) == pytest.approx(TRACE_0_INF_ALPHA1,
+                                                  rel=1e-10)
     op5 = halfline_operator(5.0, 2.0)
-    assert complex(_operator_trace(op5)).real == pytest.approx(
-        TRACE_5_INF_ALPHA2, rel=1e-10)
+    assert np.trace(op5.matrix()) == pytest.approx(TRACE_5_INF_ALPHA2,
+                                                   rel=1e-10)
 
 
 def test_det_matches_numpy_on_dense_system():
     rng = np.random.default_rng(5)
-    k = rng.normal(size=(40, 40)) * 0.1 + 1j * rng.normal(size=(40, 40)) * 0.1
-    op = DiscreteOperator(k, np.ones(40, dtype=complex))
+    k = rng.normal(size=(40, 40)) * 0.1
+    op = DiscreteOperator(k)
     det, log_mag = det_one_minus(op)
     ref = np.linalg.det(np.eye(40) - k)
     assert det == pytest.approx(ref, rel=1e-11)
@@ -134,65 +132,81 @@ def factored(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_determinant_and_dense_solve_match_numpy(dtype):
+def test_determinant_and_dense_solve_match_numpy():
     # I - K W is formed in a per-thread buffer: the determinant, its sign
     # and the dense solve must match numpy's on a fresh matrix, with
-    # non-unit weights, and the kernel values must be left as they were
+    # non-unit weights folded into K W, which must be left as it was
     rng = np.random.default_rng(11)
     n = 30
-    k = rng.normal(size=(n, n)) * 0.2
-    w = rng.uniform(0.5, 1.5, n)
-    if dtype is complex:
-        k = k + 1j * rng.normal(size=(n, n)) * 0.2
-        w = w * np.exp(1j * rng.uniform(-1.0, 1.0, n))
-    kept = k.copy()
-    op = DiscreteOperator(k, w)
-    a = np.eye(n) - k * w[None, :]
+    kw = rng.normal(size=(n, n)) * 0.2 * rng.uniform(0.5, 1.5, n)
+    kept = kw.copy()
+    op = DiscreteOperator(kw)
+    a = np.eye(n) - kw
     det, log_mag = det_one_minus(op)
     ref = np.linalg.det(a)
     assert det == pytest.approx(ref, rel=1e-12)
     assert log_mag == pytest.approx(math.log(abs(ref)), rel=1e-12)
-    rhs = rng.normal(size=(n, 2)).astype(dtype)
+    rhs = rng.normal(size=(n, 2))
     np.testing.assert_allclose(solve_resolvent(op, rhs),
                                np.linalg.solve(a, rhs), rtol=1e-12, atol=1e-13)
-    assert op.solve_path == "dense" and op.sketch_rank == 0  # n < 64
-    assert np.array_equal(op.kernel_values, kept)
-    assert op.kernel_values is k
+    assert op.solve_path == "dense" and op.sketch_rank == 0
+    assert np.array_equal(op.matrix(), kept)
+    assert op.matrix() is kw
 
 
-def _random_operator(n, seed, dtype=float):
+def test_dense_operator_is_never_sketched(factored):
+    # halfline's n = 128 leaves room for a sketch, but only a factored
+    # operator is sketched: the determinant and the solve both take the
+    # n x n LU, and no 16 x 16 LU is made
+    op = halfline_operator(1.5, 1.0)
+    n = op.matrix().shape[0]
+    assert n == 128
+    det_one_minus(op)
+    solve_resolvent(op, np.exp(-np.linspace(0.0, 3.0, n)))
+    assert op.solve_path == "dense" and op.sketch_rank == 0
+    assert math.isnan(op.sketch_tail)
+    assert [(seam, shape) for seam, shape, _ in factored] == [
+        ("lu_factor", (n, n)), ("lu_solve", (n, n))]
+
+
+@pytest.mark.parametrize("kw", [np.eye(4, dtype=complex) * 0.1,
+                                np.eye(4, dtype=np.float32) * 0.1],
+                         ids=["complex", "float32"])
+def test_operator_refuses_a_kw_that_is_not_float64(kw):
+    # K W is real by construction on every route; a complex K W is refused
+    # where it is made rather than cast, or failing, at its first LU
+    with pytest.raises(TypeError, match="float64"):
+        DiscreteOperator(kw)
+
+
+def _random_operator(n, seed):
     rng = np.random.default_rng(seed)
     k = rng.normal(size=(n, n)) * (0.5 / math.sqrt(n))
-    w = rng.uniform(0.5, 1.5, n)
-    if dtype is complex:
-        k = k + 1j * rng.normal(size=(n, n)) * (0.5 / math.sqrt(n))
-    return k, w
+    return k * rng.uniform(0.5, 1.5, n)
 
 
 def test_determinant_buffer_carries_no_state():
-    # every determinant writes I - K W into one grow-only buffer per thread
-    # and dtype; interleaved real and complex operators of growing and
-    # shrinking sizes, with a dense solve writing the buffer in between,
-    # must factor exactly the matrix numpy factors from a fresh array.  The
-    # LU is of the transpose, which numpy copies without strides
-    cases = [(40, 1, float), (90, 2, complex), (20, 3, float),
-             (150, 4, float), (35, 5, complex), (40, 1, float)]
-    for case in cases + [(60, 6, float)] + cases[::-1]:
-        k, w = _random_operator(*case)
-        op = DiscreteOperator(k, w)
+    # every determinant writes I - K W into one grow-only buffer per
+    # thread; interleaved operators of growing and shrinking sizes, with a
+    # dense solve writing the buffer in between, must factor exactly the
+    # matrix numpy factors from a fresh array.  The LU is of the transpose,
+    # which numpy copies without strides
+    cases = [(40, 1), (90, 2), (20, 3), (150, 4), (35, 5), (40, 1)]
+    for case in cases + [(60, 6)] + cases[::-1]:
+        kw = _random_operator(*case)
+        op = DiscreteOperator(kw)
         if case[0] == 60:
             solve_resolvent(op, np.ones(60))
         else:
-            want = np.linalg.slogdet((np.eye(case[0]) - k * w[None, :]).T)
+            want = np.linalg.slogdet((np.eye(case[0]) - kw).T)
             assert op._factor() == tuple(want)
 
 
 def test_determinants_across_threads_are_bit_identical():
     # the buffer is per thread, so threads factoring operators of different
     # sizes at once never see each other's I - K W
-    cases = [(120, 7, float), (60, 8, complex), (200, 9, float)]
-    want = [det_one_minus(DiscreteOperator(*_random_operator(*c)))
+    cases = [(120, 7), (60, 8), (200, 9)]
+    want = [det_one_minus(DiscreteOperator(_random_operator(*c)))
             for c in cases]
     start = threading.Barrier(4)
     seen = [[] for _ in range(4)]
@@ -201,7 +215,7 @@ def test_determinants_across_threads_are_bit_identical():
         start.wait()
         for j in range(15):
             case = cases[(i + j) % len(cases)]
-            op = DiscreteOperator(*_random_operator(*case))
+            op = DiscreteOperator(_random_operator(*case))
             seen[i].append((case, det_one_minus(op)))
 
     interval = sys.getswitchinterval()
@@ -223,8 +237,8 @@ def test_determinants_across_threads_are_bit_identical():
 
 def test_solve_resolvent_residual():
     op = halfline_operator(1.5, 1.0)
-    n = op.weights.size
-    rhs = np.exp(-np.linspace(0.0, 3.0, n)).astype(complex)
+    n = op.matrix().shape[0]
+    rhs = np.exp(-np.linspace(0.0, 3.0, n))
     x = solve_resolvent(op, rhs)
     resid = rhs - (x - op.matrix() @ x)
     assert np.linalg.norm(resid) <= 1e-10 * (1.0 + np.linalg.norm(rhs))
@@ -232,28 +246,26 @@ def test_solve_resolvent_residual():
 
 def test_halfline_operator_is_real(factored):
     op = halfline_operator(2.0, 1.0)
-    n = op.weights.size
-    assert op.kernel_values.dtype == np.float64
-    assert op.weights.dtype == np.float64
+    n = op.matrix().shape[0]
+    assert op.matrix().dtype == np.float64
     det, _ = det_one_minus(op)
-    assert complex(det).imag == 0.0
+    assert type(det) is float
     # the two-contour operators are factored in their real form
     op_q = qa_operator(2.0, 1.0)
     det_one_minus(op_q)
-    m = op_q.weights.size
+    m = op_q.matrix().shape[0]
     assert factored == [("lu_factor", (n, n), np.float64),
                         ("lu_factor", (m, m), np.float64)]  # real LUs only
 
 
 def test_singular_operator_detected():
-    k = np.eye(6, dtype=complex)  # I - K is exactly singular
-    op = DiscreteOperator(k, np.ones(6, dtype=complex))
+    op = DiscreteOperator(np.eye(6))  # I - K W is exactly singular
     with pytest.warns(fredholm.SingularWarning):
         det, log_mag = det_one_minus(op)
     assert det == 0.0
     assert log_mag == -math.inf
     with pytest.raises(SingularError):
-        solve_resolvent(op, np.ones(6, dtype=complex))
+        solve_resolvent(op, np.ones(6))
     assert op.solve_path == "dense"
 
 
@@ -261,7 +273,7 @@ def test_singular_operator_detected():
 def test_nan_operator_has_a_nan_determinant():
     # an unresolved kernel (halfline at alpha 1/256) is all NaN; its
     # determinant must read NaN, not overflow to inf
-    op = DiscreteOperator(np.full((6, 6), math.nan), np.ones(6))
+    op = DiscreteOperator(np.full((6, 6), math.nan))
     det, log_mag = det_one_minus(op)
     assert math.isnan(det) and math.isnan(log_mag)
 
@@ -290,12 +302,13 @@ def test_halfline_raises_on_an_infinite_determinant(alpha):
 
 
 def _low_rank_operator(n, rank, seed):
-    # K = U V^T from random factors, with non-unit weights: rank-`rank` K W
+    # K = U V^T from random factors, with non-unit weights: rank-`rank`
+    # K W = U (W V)^T, held as those two factors
     rng = np.random.default_rng(seed)
     u = rng.normal(size=(n, rank)) / np.sqrt(n)
     v = rng.normal(size=(n, rank)) / np.sqrt(n)
     w = rng.uniform(0.5, 1.5, n)
-    return DiscreteOperator(u @ v.T, w), rng
+    return DiscreteOperator(None, RealFactors(u, w[:, None] * v)), rng
 
 
 def test_low_rank_operator_solves_through_the_sketch(factored):
@@ -314,14 +327,15 @@ def test_low_rank_operator_solves_through_the_sketch(factored):
 
 def test_sketched_solves_are_bit_identical():
     # the probes are drawn from a fixed seed per (n, k), so two operators
-    # with the same values, and two solves of one, give the same bits, also
+    # with the same factors, and two solves of one, give the same bits, also
     # when the probes are drawn afresh in between
     op, rng = _low_rank_operator(200, 4, 22)
     rhs = rng.normal(size=200)
     first = solve_resolvent(op, rhs)
     again = solve_resolvent(op, rhs)
     fredholm._probes.cache_clear()
-    twin = DiscreteOperator(op.kernel_values.copy(), op.weights.copy())
+    twin = DiscreteOperator(None, RealFactors(op.factors.left.copy(),
+                                              op.factors.right.copy()))
     other = solve_resolvent(twin, rhs)
     assert twin.solve_path == op.solve_path == "sketch"
     assert np.array_equal(first, again) and np.array_equal(first, other)
@@ -332,9 +346,9 @@ def test_singular_low_rank_operator_raises_through_the_sketch(factored):
     # K = e_0 e_0^T has rank 1 and I - K is exactly singular; the sketch
     # captures K exactly, so the zero pivot appears in the k x k system
     n = 200
-    k = np.zeros((n, n))
-    k[0, 0] = 1.0
-    op = DiscreteOperator(k, np.ones(n))
+    e0 = np.zeros((n, 1))
+    e0[0] = 1.0
+    op = DiscreteOperator(None, RealFactors(e0, e0))
     with pytest.raises(SingularError, match="numerically singular"):
         solve_resolvent(op, np.ones(n))
     assert op.solve_path == "sketch" and op.sketch_tail == 0.0
@@ -342,12 +356,13 @@ def test_singular_low_rank_operator_raises_through_the_sketch(factored):
 
 
 def test_full_rank_operator_falls_back_to_the_dense_lu():
-    # a random K has no small tail at any rank: 16 and 32 are tried, and
-    # 64 > n/4 sends the solve to the dense LU
+    # a random K, held as the factors (K, I), has no small tail at any
+    # rank: 16 and 32 are tried, and 64 > n/4 sends the solve to the dense
+    # LU of K formed from its factors
     rng = np.random.default_rng(23)
     n = 128
     k = rng.normal(size=(n, n)) * 0.05
-    op = DiscreteOperator(k, np.ones(n))
+    op = DiscreteOperator(None, RealFactors(k, np.eye(n)))
     rhs = rng.normal(size=n)
     x = solve_resolvent(op, rhs)
     assert op.solve_path == "dense" and op.sketch_rank == 32
@@ -388,10 +403,10 @@ def test_sketches_load_no_numpy_random():
 def test_contour_q_factors_only_the_sketch(factored, monkeypatch):
     # contour-Q's P is det(I_k - B Q) of the rank-16 sketch of its factors:
     # neither run of the err pair forms the n x n operator or factors it
-    def no_operator(kv):
-        raise AssertionError(f"formed a {kv.shape} operator")
+    def no_operator(factors):
+        raise AssertionError(f"formed a {factors.left.shape[0]}-row operator")
 
-    monkeypatch.setattr(fredholm, "_line_operator", no_operator)
+    monkeypatch.setattr(RealFactors, "dense", no_operator)
     res = gap_probability(1.7, 0.5, "contour-Q")
     assert 0.0 < res.p < 1.0 and res.err <= 1e-9
     assert factored == [("lu_factor", (16, 16), np.float64)] * 2
@@ -404,7 +419,7 @@ def test_contour_q_falls_back_to_the_dense_lu(a, alpha, factored,
     # factors it as qa_operator and det_one_minus do, bit for bit
     monkeypatch.setattr(fredholm, "_TAIL_TOL", 0.0)
     p = gap_probability(a, alpha, "contour-Q", estimate_error=False).p
-    n = qa_operator(a, alpha).weights.size
+    n = qa_operator(a, alpha).matrix().shape[0]
     assert factored == [("lu_factor", (n, n), np.float64)]
     assert p == det_one_minus(qa_operator(a, alpha))[0]
 
@@ -487,17 +502,34 @@ def test_operator_reuses_lu_factorization(factored):
 def test_qa_and_ha_operator_shapes():
     op_q = qa_operator(2.0, 1.0)
     op_h = ha_operator(2.0, 1.0)
-    assert op_q.kernel_values.shape[0] == op_q.weights.size
-    assert op_h.kernel_values.shape[0] == op_h.weights.size
     # both live on the pair's line grid; contour-Q reaches it by a Schur
-    # complement, contour-H by integrating out its own loop.  Each is the
-    # real form of K W, which holds the weights, so its own are units
-    assert np.array_equal(op_q.weights, op_h.weights)
+    # complement, contour-H by integrating out its own loop.  Each holds
+    # the real form of K W as a dense array
     n = len(kernels.qa_pair(1.0, a_max=2.0, a=2.0).line)
     for op in (op_q, op_h):
-        assert op.kernel_values.shape == (n, n)
-        assert op.kernel_values.dtype == np.float64
-        assert np.all(op.weights == 1.0)
+        assert op.factors is None
+        assert op.matrix().shape == (n, n)
+        assert op.matrix().dtype == np.float64
+
+
+def test_every_route_operator_is_float64(monkeypatch):
+    # each route's determinant is taken of a real K W: a float64 array
+    # (halfline, contour-H) or two float64 factors (contour-Q)
+    seen = []
+
+    def spy(op):
+        seen.append(op)
+        return det_one_minus(op)
+
+    monkeypatch.setattr(fredholm, "det_one_minus", spy)
+    for route in fredholm.ROUTES:
+        gap_probability(1.7, 1.0, route, estimate_error=False)
+    halfline, contour_q, contour_h = seen
+    assert halfline.factors is None and contour_h.factors is None
+    assert contour_q.kw is None
+    arrays = [halfline.kw, contour_h.kw, contour_q.factors.left,
+              contour_q.factors.right]
+    assert all(array.dtype == np.float64 for array in arrays)
 
 
 def test_qa_operator_matches_union_determinant():
@@ -546,7 +578,7 @@ def test_folded_determinants_match_complex_reference(alpha):
                 kw = complex_reference.line_matrix(a, alpha, route, refine)
                 want = np.linalg.det(np.eye(kw.shape[0]) - kw)
                 op = build(a, alpha, refine=refine)
-                assert op.kernel_values.dtype == np.float64
+                assert op.matrix().dtype == np.float64
                 det, _ = det_one_minus(op)
                 assert abs(det - want) <= 1e-13 * abs(want), (route, a, refine)
 
@@ -606,6 +638,29 @@ def test_halfline_has_no_rounding_guard():
     assert abs(res.p - P_ONE_POLE_A1_ALPHA128) <= 1e-8
 
 
+def test_a_p_that_is_not_a_probability_raises():
+    # at alpha 1/32 halfline's determinant is finite but P = 2.52 at a = 1;
+    # at alpha 1/16 P stays within 3.5e-9 of [0, 1] and is returned
+    with pytest.raises(ArithmeticError, match="is not a probability"):
+        gap_probability(1.0, 1 / 32, "halfline")
+    res = gap_probability(1.0, 1 / 16, "halfline")
+    assert -1e-7 <= res.p <= 1.0 + 1e-7
+
+
+def test_the_halved_run_is_not_held_to_the_probability_bound(monkeypatch):
+    # err compares P with the refine/2 run, which may stray further than
+    # the bound; only the P that is returned is checked
+    route_det = fredholm._route_det
+
+    def stray_half(a, alpha, route, refine):
+        p, log_mag = route_det(a, alpha, route, refine)
+        return (p + 0.5, log_mag) if refine < 1.0 else (p, log_mag)
+
+    monkeypatch.setattr(fredholm, "_route_det", stray_half)
+    res = gap_probability(2.0, 1.0, "halfline")
+    assert 0.0 < res.p < 1.0 and res.err == pytest.approx(0.5)
+
+
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 4.0])
 def test_routes_agree_at_alpha_64(a):
     # the decay-sized halfline grid reaches x = 77 here; the fixed length
@@ -619,24 +674,29 @@ def test_routes_agree_at_alpha_64(a):
 @pytest.mark.parametrize("alpha", [1 / 256, 0.05, 0.25, 0.5, 1.0, 8.0, 64.0])
 def test_halfline_grid_follows_the_decay(alpha):
     # length max(5, x_end - a, min(40, 2 / alpha)), x_end where
-    # exp(-x^2 / 2 alpha) reaches e^-46.  From alpha 0.05 down (mc --compare
-    # reaches alpha = M/N = 1/256) the capped floor gives the fixed length
-    # 40 and its pair of frequency a + 40, so the operator is that budget's,
-    # entry for entry: at 1/256 those entries are NaN on both (the default
-    # contours do not resolve the kernel there), hence assert_array_equal
+    # exp(-x^2 / 2 alpha) reaches e^-46, and a pair of frequency
+    # max(11, a + length): the operator's K W is the kernel matrix on that
+    # grid with its columns scaled by the weights, bit for bit.  From alpha
+    # 0.05 down (mc --compare reaches alpha = M/N = 1/256) the capped floor
+    # gives the fixed length 40.  At 1/256 the entries are NaN on both (the
+    # default contours do not resolve the kernel there, and numpy warns of
+    # the invalid value), hence assert_array_equal
     a = 1.0
-    op = halfline_operator(a, alpha)
     x_end = math.sqrt(92.0 * alpha)
     length = max(5.0, x_end - a, min(40.0, 2.0 / alpha))
-    assert op.weights.sum() == pytest.approx(length, rel=1e-13)
-    assert op.kernel_values.shape == (128, 128)
     if alpha <= 0.05:
-        grid = HalfLineGrid(a, 40.0, 8, 16)
-        pair = kernels.kernel_pair(alpha, x_max=a + 40.0)
-        assert np.array_equal(op.weights, grid.weights)
-        np.testing.assert_array_equal(
-            op.kernel_values,
-            kernels.kernel_matrix(grid.nodes, grid.nodes, pair, shift=0.5))
+        assert length == 40.0
+    grid = HalfLineGrid(a, length, 8, 16)
+    assert grid.weights.sum() == pytest.approx(length, rel=1e-13)
+    unresolved = alpha < 0.01
+    with (pytest.warns(RuntimeWarning, match="invalid value") if unresolved
+          else contextlib.nullcontext()):
+        op = halfline_operator(a, alpha)
+        pair = kernels.kernel_pair(alpha, x_max=max(11.0, a + length))
+        want = kernels.kernel_matrix(grid.nodes, grid.nodes, pair, shift=0.5)
+    assert op.matrix().shape == (128, 128)
+    assert np.isnan(op.matrix()).all() == unresolved
+    np.testing.assert_array_equal(op.matrix(), want * grid.weights)
 
 
 @pytest.mark.parametrize("call, args, name", [

@@ -408,7 +408,7 @@ def test_direct_real_factors_match_real_forms_of_the_blocks(alpha, refine):
         pair = kernels.qa_pair(alpha, a_max=a, refine=refine)
         block_a, block_bt = kernels.cross_blocks(pair, a)
         want = kernels.real_form(block_a) @ kernels.real_form(block_bt.conj()).T
-        np.testing.assert_array_equal(op.kernel_values, want)
+        np.testing.assert_array_equal(op.matrix(), want)
 
         inner = kernels.qa_pair(alpha, a_max=a, refine=1.4 * refine,
                                 order=12).loop
@@ -416,21 +416,21 @@ def test_direct_real_factors_match_real_forms_of_the_blocks(alpha, refine):
         want = kernels.real_form(left) @ kernels.real_form(right).T
         np.testing.assert_array_equal(kernels.ha_matrix(pair, a, inner), want)
         op = fredholm.ha_operator(a, alpha, refine=refine)
-        np.testing.assert_array_equal(op.kernel_values, want)
+        np.testing.assert_array_equal(op.matrix(), want)
 
 
 def test_real_factors_are_per_thread():
     # each thread writes its factors into buffers of its own, so concurrent
     # assemblies return what serial ones do
     cases = [(0.5, 1.7), (2.0, 4.0), (1.0, 0.5), (0.5, 4.0)]
-    serial = [fredholm.qa_operator(a, alpha).kernel_values
+    serial = [fredholm.qa_operator(a, alpha).matrix()
               for alpha, a in cases]
     got = [None] * len(cases)
 
     def work(i):
         for _ in range(3):
             alpha, a = cases[i]
-            got[i] = fredholm.qa_operator(a, alpha).kernel_values
+            got[i] = fredholm.qa_operator(a, alpha).matrix()
 
     threads = [threading.Thread(target=work, args=(i,))
                for i in range(len(cases))]

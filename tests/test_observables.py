@@ -165,7 +165,7 @@ def test_workspace_solves_are_real(monkeypatch):
     n = len(ws.line)
     assert dtypes == [np.float64, np.float64, np.float64, (n, 2), np.float64]
     assert op.factors.left is ws.left and op.factors.right is ws.right
-    assert op.kernel_values is None
+    assert op.kw is None
 
 
 def _entries(y1):
