@@ -10,16 +10,11 @@ the gap probability:
     d/da (Y1)_{11} = (Y1)_{12}(Y1)_{21} = -u(a),
     log P(a)  = integral_a^inf (x - a) (Y1)_{12}(Y1)_{21} dx.
 
-Y1 is computed from the resolvent formula: solve (I - Q_a)F = f on the
-contour union, then Y1 = sum of w_i F(s_i) h(s_i)^T.  The solve runs on the
-line grid through the Schur complement A W_loop B W_line of the
-off-diagonal block operator, held as the same two real factors from which
-contour-Q reads its determinant (fredholm.RealFactors; see RhWorkspace).
-A workspace keeps those factors at a = 0 and rescales them per point
-without forming a real form of its own, so its solves write nothing
-shared and threads may share one workspace.  Each evaluation also carries
-log P(a), the log-determinant of the same sketched operator.  Everything
-here reuses the Nystrom machinery; no boundary-value problem is solved.
+critgap.validate checks each of them.  Y1 is computed from the resolvent
+formula: solve (I - Q_a)F = f on the contour union, then Y1 = sum of
+w_i F(s_i) h(s_i)^T, on the line grid through the two real factors from
+which contour-Q reads its determinant (see RhWorkspace).  Everything here
+reuses the Nystrom machinery; no boundary-value problem is solved.
 """
 
 from __future__ import annotations
@@ -280,10 +275,10 @@ def log_gap_from_u(a: float, alpha: float,
     return -total
 
 
-def residue_sum(alpha: float, a: float, tol: float = 1e-18) -> float:
+def residue_sum(alpha: float, a: float) -> float:
     """S(a) = sum_k (-1)^k / k! * exp(-alpha k^2/2 - a k); the pole expansion
     of the loop integral in the right-tail moment.  Converges for a > 0.
-    Stops once a term falls below tol relative to the sum, or, with a
+    Stops once a term falls below 1e-18 of the sum, or, with a
     RuntimeWarning, after 400 terms.  Raises ValueError for an alpha or a
     that is not finite."""
     special._require_finite(alpha=alpha, a=a)
@@ -294,35 +289,28 @@ def residue_sum(alpha: float, a: float, tol: float = 1e-18) -> float:
         loge = -alpha * k * k / 2.0 - a * k - log_fact
         term = math.exp(loge) if loge > _LOG_FLOOR else 0.0
         total += term if k % 2 == 0 else -term
-        if k > 0 and term < tol * abs(total):
+        if k > 0 and term < 1e-18 * abs(total):
             return total
         k += 1
         log_fact += math.log(k)
         if k > _RESIDUE_TERMS:
             warnings.warn(f"residue_sum stopped at its {_RESIDUE_TERMS}-term "
-                          f"cap before a term fell below tol={tol:g}",
+                          "cap before a term fell below 1e-18 of the sum",
                           RuntimeWarning)
             return total
 
 
-def asym_u1_21(a: float, alpha: float, method: str = "quadrature") -> complex:
-    """Leading right-tail moment carried by the loop contour.
-
-    Equals (i alpha / a) exp(-a^2 / 4 alpha) S(a) exactly; "quadrature"
-    evaluates the loop integral on the steepest-descent contour, "residue"
-    sums the pole expansion.  The two must agree to rounding.  Raises
-    ValueError for an a or alpha that is not finite."""
+def asym_u1_21(a: float, alpha: float) -> complex:
+    """Leading right-tail moment carried by the loop contour: the loop
+    integral on the steepest-descent contour, which equals
+    (i alpha / a) exp(-a^2 / 4 alpha) S(a) exactly (S: residue_sum).
+    Raises ValueError for an a or alpha that is not finite."""
     special._require_finite(a=a, alpha=alpha)
     if a * a <= 1.0:
         raise GeometryError(f"need a^2 > 1 for the deformed contour, got a={a}")
     log_pref = -a * a / (4.0 * alpha) + math.log(alpha / a)
-    if method == "residue":
-        factor = residue_sum(alpha, a)
-    elif method == "quadrature":
-        loop, _ = deformed_contours(alpha, a)
-        factor = gamma_contour_integral(loop, alpha, a)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    loop, _ = deformed_contours(alpha, a)
+    factor = gamma_contour_integral(loop, alpha, a)
     if log_pref + math.log(abs(factor) + 1e-300) < _LOG_FLOOR:
         warnings.warn("tail moment below 1e-300; log channel only",
                       UnderflowWarning)
@@ -348,22 +336,19 @@ def _u1_12_grid(a: float, alpha: float, order: int,
     return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
 
 
-def asym_u1_12(a: float, alpha: float,
-               truncation: float | None = None) -> complex:
+def asym_u1_12(a: float, alpha: float) -> complex:
     """Leading right-tail moment carried by the line contour:
     (1/2 pi i) integral over the real line of exp(-(a^2/2 alpha)(x^2 + 1/2))
     / Gamma((a/alpha)(1 - ix)) dx, evaluated in log space on panels of
-    order 16 over |x| <= truncation.  Raises ValueError for an a, alpha or
-    truncation that is not finite."""
+    order 16 over |x| <= T, where the integrand falls below e^-40.  Raises
+    ValueError for an a or alpha that is not finite."""
     special._require_finite(a=a, alpha=alpha)
     if a <= 0.0 or alpha <= 0.0:
         raise special.DomainError("a and alpha must be positive")
     t = a / alpha
-    if truncation is None:
-        # integrand magnitude exp(-(a^2/2a)x^2 + (pi t / 2)|x|) below e^-40
-        truncation = truncation_radius(a * a / (2.0 * alpha),
-                                       growth=math.pi * t / 2.0, target=40.0)
-    special._require_finite(truncation=truncation)
+    # integrand magnitude exp(-(a^2/2a)x^2 + (pi t / 2)|x|) below e^-40
+    truncation = truncation_radius(a * a / (2.0 * alpha),
+                                   growth=math.pi * t / 2.0, target=40.0)
     x, w = _u1_12_grid(a, alpha, 16, truncation)
     z = t * (1.0 - 1j * x)
     loggam = special.log_gamma(z)

@@ -5,6 +5,9 @@ These are hard checks: each one holds to rounding (or to a stated window)
 whenever the numerics are healthy, so a single failure means the build is
 wrong, not that a tolerance is tight.  The CLI exposes the suite as the
 `validate` subcommand with exit code 1 on any failure.
+
+An identity checked at several points has one residual function of the
+point: check_* takes the worst over its points, the tests over theirs.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 from . import fredholm, kernels, observables, special
 from .contours import build_closed_loop
 
-__all__ = ["CheckResult", "run_all", "report", "CHECKS"]
+__all__ = ["CheckResult", "report", "CHECKS"]
 
 
 @dataclass(frozen=True)
@@ -31,8 +34,7 @@ class CheckResult:
 
 def _result(identity: str, description: str, measured: float,
             tolerance: float) -> CheckResult:
-    measured = float(measured)
-    return CheckResult(identity, description, measured, tolerance,
+    return CheckResult(identity, description, float(measured), tolerance,
                        bool(measured <= tolerance))
 
 
@@ -82,20 +84,18 @@ def check_loop_residue() -> CheckResult:
                    worst, 1e-10)
 
 
+def route_spread(a: float, alpha: float) -> float:
+    """Largest minus smallest P(a) over the three determinant routes."""
+    ps = [fredholm.gap_probability(a, alpha, route, estimate_error=False).p
+          for route in fredholm.ROUTES]
+    return max(ps) - min(ps)
+
+
 def check_route_equivalence() -> CheckResult:
-    """The three determinant routes give the same gap probability."""
-    worst = 0.0
-    for a, alpha in [(1.0, 1.0), (2.0, 0.5), (2.0, 2.0), (3.0, 1.0)]:
-        p_half = fredholm.gap_probability(a, alpha, "halfline",
-                                          estimate_error=False).p
-        p_q = fredholm.gap_probability(a, alpha, "contour-Q",
-                                       estimate_error=False).p
-        p_h = fredholm.gap_probability(a, alpha, "contour-H",
-                                       estimate_error=False).p
-        worst = max(worst, abs(p_half - p_q), abs(p_q - p_h))
+    pts = [(1.0, 1.0), (2.0, 0.5), (2.0, 2.0), (3.0, 1.0)]
     return _result("route-equivalence",
                    "half-line vs two-contour vs line-reduced determinants",
-                   worst, 1e-7)
+                   max(route_spread(*p) for p in pts), 1e-7)
 
 
 def check_jump_unipotent() -> CheckResult:
@@ -132,84 +132,103 @@ def check_line_reduction() -> CheckResult:
                    worst, 1e-12)
 
 
+def _halfline(a: float, alpha: float) -> fredholm.GapResult:
+    # halfline shares no assembly with the RH workspace's two-contour factors
+    return fredholm.gap_probability(a, alpha, "halfline", estimate_error=False)
+
+
+def log_derivative_error(a: float, alpha: float) -> float:
+    """|(Y1)_11 - d/da log P| / (1 + |d/da log P|), by central difference."""
+    step = 1e-3
+    hi, lo = _halfline(a + step, alpha).log_p, _halfline(a - step, alpha).log_p
+    diff = (hi - lo) / (2.0 * step)
+    y1 = observables.y1_matrix(a, alpha)
+    return abs(y1.log_deriv - diff) / (1.0 + abs(diff))
+
+
 def check_log_derivative() -> CheckResult:
-    """(Y1)_11 equals d/da log P: a central difference of halfline's
-    determinant, which shares no assembly with the RH workspace."""
-    worst = 0.0
-    for a, alpha in [(2.0, 1.0), (1.5, 2.0)]:
-        step = 1e-3
-        lo = fredholm.gap_probability(a - step, alpha, "halfline",
-                                      estimate_error=False).log_p
-        hi = fredholm.gap_probability(a + step, alpha, "halfline",
-                                      estimate_error=False).log_p
-        diff = (hi - lo) / (2.0 * step)
-        y1 = observables.y1_matrix(a, alpha)
-        worst = max(worst, abs(y1.log_deriv - diff) / (1.0 + abs(diff)))
     return _result("log-derivative",
                    "residue-matrix (1,1) entry vs d/da of log determinant",
-                   worst, 1e-4)
+                   max(log_derivative_error(2.0, 1.0),
+                       log_derivative_error(1.5, 2.0)), 1e-4)
+
+
+def ode_error(a: float, alpha: float) -> float:
+    """|d/da (Y1)_11 + u|, by central difference on one workspace."""
+    step = 1e-3
+    ws = observables.RhWorkspace(alpha, a + 1.0)
+    lhs = (ws.y1(a + step).e11.real - ws.y1(a - step).e11.real) / (2.0 * step)
+    return abs(lhs + ws.y1(a).u)
 
 
 def check_second_derivative() -> CheckResult:
-    """d/da (Y1)_11 equals the off-diagonal product (the u-function ODE)."""
-    a, alpha, step = 2.0, 1.0, 1e-3
-    ws = observables.RhWorkspace(alpha, a + 1.0)
-    lhs = (ws.y1(a + step).e11.real - ws.y1(a - step).e11.real) / (2.0 * step)
-    rhs = -ws.y1(a).u
     return _result("second-derivative-ode",
                    "d/da of residue (1,1) vs off-diagonal product",
-                   abs(lhs - rhs), 1e-3)
+                   ode_error(2.0, 1.0), 1e-3)
+
+
+def closure_error(a: float, alpha: float) -> float:
+    """|log P rebuilt from the u-function double integral - halfline's|."""
+    return abs(observables.log_gap_from_u(a, alpha) - _halfline(a, alpha).log_p)
 
 
 def check_closure() -> CheckResult:
-    """log P rebuilt from the u-function double integral vs halfline's."""
-    a, alpha = 3.0, 1.0
-    rebuilt = observables.log_gap_from_u(a, alpha)
-    direct = fredholm.gap_probability(a, alpha, "halfline",
-                                      estimate_error=False).log_p
     return _result("double-integral-closure",
                    "log P from (x-a) u(x) integral vs determinant",
-                   abs(rebuilt - direct), 1e-4)
+                   closure_error(3.0, 1.0), 1e-4)
+
+
+def loop_moment_error(a: float, alpha: float) -> float:
+    """Relative gap of the loop moment's quadrature to its pole series."""
+    quad = observables.asym_u1_21(a, alpha)
+    res = (1j * math.exp(-a * a / (4.0 * alpha) + math.log(alpha / a))
+           * observables.residue_sum(alpha, a))
+    return abs(quad - res) / abs(res)
 
 
 def check_tail_moment_loop() -> CheckResult:
-    """Loop tail moment: steepest-descent quadrature vs pole expansion."""
-    worst = 0.0
-    for a, alpha in [(4.0, 2.0), (2.0, 1.0), (6.0, 2.0)]:
-        quad = observables.asym_u1_21(a, alpha, method="quadrature")
-        res = observables.asym_u1_21(a, alpha, method="residue")
-        worst = max(worst, abs(quad - res) / abs(res))
+    pts = [(4.0, 2.0), (2.0, 1.0), (6.0, 2.0)]
     return _result("tail-moment-loop",
-                   "loop moment quadrature vs residue series", worst, 1e-10)
+                   "loop moment quadrature vs residue series",
+                   max(loop_moment_error(*p) for p in pts), 1e-10)
+
+
+def line_moment_ratio(a: float, alpha: float) -> complex:
+    """The line tail moment over its closed form; 1 + O((log a)^2 / a)."""
+    return (observables.asym_u1_12(a, alpha)
+            / observables.asym_u1_12_closed(a, alpha))
 
 
 def check_tail_moment_line() -> CheckResult:
     """Line tail moment: purely imaginary, and near its closed form."""
     m4 = observables.asym_u1_12(4.0, 2.0)
     imag_purity = abs(m4.real) / abs(m4)
-    ratio = (observables.asym_u1_12(10.0, 2.0)
-             / observables.asym_u1_12_closed(10.0, 2.0))
+    ratio = line_moment_ratio(10.0, 2.0)
     window = max(0.0, abs(ratio.real - 1.0) - 0.25, abs(ratio.imag))
     return _result("tail-moment-line",
                    "line moment imaginarity and closed-form window",
                    max(imag_purity, window), 1e-10)
 
 
+def tail_excess(a: float, alpha: float) -> float:
+    """(1 - P(a)) e^{a/2}, P from halfline."""
+    return (1.0 - _halfline(a, alpha).p) * math.exp(a / 2.0)
+
+
 def check_tail_bound() -> CheckResult:
-    """(1 - P(a)) e^{a/2} stays below a fixed constant on the right tail."""
-    worst = 0.0
-    for a in (4.0, 6.0, 8.0, 10.0, 12.0):
-        p = fredholm.gap_probability(a, 2.0, "halfline",
-                                     estimate_error=False).p
-        worst = max(worst, (1.0 - p) * math.exp(a / 2.0))
+    worst = max(tail_excess(a, 2.0) for a in (4.0, 6.0, 8.0, 10.0, 12.0))
     return _result("tail-bound", "(1-P) exp(a/2) bounded on a in [4,12]",
                    worst, 1e-2)
 
 
+def u_ratio(a: float, alpha: float) -> float:
+    """u(a) over its right-tail asymptotic form."""
+    return observables.u_of_x(a, alpha) / observables.u_asymptotic(a, alpha)
+
+
 def check_asymptotic_window() -> CheckResult:
     """u/u_asymptotic near 1 at a = 6 and closer at a = 8 (alpha = 2)."""
-    r6 = observables.u_of_x(6.0, 2.0) / observables.u_asymptotic(6.0, 2.0)
-    r8 = observables.u_of_x(8.0, 2.0) / observables.u_asymptotic(8.0, 2.0)
+    r6, r8 = u_ratio(6.0, 2.0), u_ratio(8.0, 2.0)
     shrink = 0.0 if abs(r8 - 1.0) < abs(r6 - 1.0) else 1.0
     return _result("asymptotic-window",
                    "u over its right-tail form: in [0.5, 1.5] and improving",
@@ -233,13 +252,9 @@ CHECKS = (
 )
 
 
-def run_all() -> list[CheckResult]:
-    return [check() for check in CHECKS]
-
-
-def report(results: list[CheckResult] | None = None) -> dict:
+def report() -> dict:
     """JSON-ready validation report; all_passed gates the CLI exit code."""
-    results = run_all() if results is None else results
+    results = [check() for check in CHECKS]
     return {
         "suite": "critgap-validate",
         "checks": [asdict(r) for r in results],

@@ -3,7 +3,8 @@
 Each test prints a single scorecard line (visible with -s, or on failure)
 carrying the measured figures next to their pinned tolerances; the assert
 fails if any figure is out of tolerance.  Runtime bounds are asserted
-where the contract states them.
+where the contract states them.  Criteria 1-5 call critgap.validate's
+function for each identity, on their own grids and bounds.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ import math
 import time
 
 import numpy as np
-import pytest
 
-from critgap import fredholm, kernels, mc, observables, special, validate
+import test_observables
+from critgap import fredholm, mc, special, validate
 
 GRID_A = (1.0, 2.0, 3.0, 4.0)
 GRID_ALPHA = (0.5, 1.0, 2.0)
@@ -32,62 +33,31 @@ def _criterion(num, title, parts, note=""):
 
 def test_criterion_1_route_equivalence():
     started = time.time()
-    worst_hq, worst_qh = 0.0, 0.0
-    for a in GRID_A:
-        for alpha in GRID_ALPHA:
-            p_half = fredholm.gap_probability(a, alpha, "halfline",
-                                              estimate_error=False).p
-            p_q = fredholm.gap_probability(a, alpha, "contour-Q",
-                                           estimate_error=False).p
-            p_h = fredholm.gap_probability(a, alpha, "contour-H",
-                                           estimate_error=False).p
-            worst_hq = max(worst_hq, abs(p_half - p_q))
-            worst_qh = max(worst_qh, abs(p_q - p_h))
+    worst = max(validate.route_spread(a, alpha)
+                for a in GRID_A for alpha in GRID_ALPHA)
     elapsed = time.time() - started
     _criterion(1, "determinant-route equivalence",
-               [("max|P_half-P_Q|", worst_hq, 1e-7),
-                ("max|P_Q-P_H|", worst_qh, 1e-7),
+               [("max route spread", worst, 1e-7),
                 ("runtime_s", elapsed, 60.0)],
                note="12-point (a, alpha) grid")
 
 
 def test_criterion_2_factorization_and_residue():
-    worst_fact = 0.0
-    for x, y, alpha in [(1.0, 2.0, 2.0), (0.5, 0.7, 0.5), (2.0, 2.0, 2.0),
-                        (0.3, 1.1, 1.0), (1.5, 0.4, 1.0)]:
-        worst_fact = max(worst_fact,
-                         abs(kernels.conjugated_kernel(x, y, alpha)
-                             - kernels.factored_kernel(x, y, alpha)))
+    # |K| < 0.34 at validate's five points, so a relative error of 5e-9
+    # holds |K - K_factored| below 1e-8
     _criterion(2, "kernel factorization + loop residue",
-               [("max|K-K_factored|", worst_fact, 1e-8),
+               [("max rel |K-K_factored|",
+                 validate.check_kernel_factorization().measured, 5e-9),
                 ("max residue error",
                  validate.check_loop_residue().measured, 1e-10)])
 
 
 def test_criterion_3_rh_observable_identities():
     started = time.time()
-    step = 1e-3
-    worst_logd, worst_ode, worst_close = 0.0, 0.0, 0.0
-    for alpha in (1.0, 2.0):
-        ws = observables.RhWorkspace(alpha, 3.0 + 2.0 * step)
-        for a in (1.5, 2.0, 3.0):
-            # log P from halfline, which shares no assembly with the
-            # workspace's two-contour factors
-            lo = fredholm.gap_probability(a - step, alpha, "halfline",
-                                          estimate_error=False).log_p
-            hi = fredholm.gap_probability(a + step, alpha, "halfline",
-                                          estimate_error=False).log_p
-            diff = (hi - lo) / (2.0 * step)
-            y0 = ws.y1(a)
-            worst_logd = max(worst_logd,
-                             abs(y0.log_deriv - diff) / (1.0 + abs(diff)))
-            lhs = (ws.y1(a + step).e11.real
-                   - ws.y1(a - step).e11.real) / (2.0 * step)
-            worst_ode = max(worst_ode, abs(lhs - (y0.e12 * y0.e21).real))
-            rebuilt = observables.log_gap_from_u(a, alpha)
-            direct = fredholm.gap_probability(a, alpha, "halfline",
-                                              estimate_error=False).log_p
-            worst_close = max(worst_close, abs(rebuilt - direct))
+    grid = [(a, alpha) for alpha in (1.0, 2.0) for a in (1.5, 2.0, 3.0)]
+    worst_logd = max(validate.log_derivative_error(*p) for p in grid)
+    worst_ode = max(validate.ode_error(*p) for p in grid)
+    worst_close = max(validate.closure_error(*p) for p in grid)
     elapsed = time.time() - started
     _criterion(3, "residue-matrix identities",
                [("log-derivative rel", worst_logd, 1e-4),
@@ -100,7 +70,8 @@ def test_criterion_3_rh_observable_identities():
 def test_rh_identity_checks_read_no_contour_q(monkeypatch):
     # contour-Q shares its factored Schur complement with the RH workspace,
     # so a fault in that one assembly would cancel out of a check that
-    # compared the two: with contour-Q refused, both checks still pass
+    # compared the two: with contour-Q refused, the checks and the unit
+    # tests that compare Y1 or u with log P still pass
     route_det = fredholm._route_det
 
     def refuse_contour_q(a, alpha, route, refine):
@@ -111,18 +82,15 @@ def test_rh_identity_checks_read_no_contour_q(monkeypatch):
     monkeypatch.setattr(fredholm, "_route_det", refuse_contour_q)
     assert validate.check_log_derivative().passed
     assert validate.check_closure().passed
+    test_observables.test_y1_log_derivative_identity()
+    test_observables.test_closure_against_determinant()
+    test_observables.test_u_equals_second_log_derivative()
 
 
 def test_criterion_4_asymptotics():
-    r6 = observables.u_of_x(6.0, 2.0) / observables.u_asymptotic(6.0, 2.0)
-    r8 = observables.u_of_x(8.0, 2.0) / observables.u_asymptotic(8.0, 2.0)
-    worst_21 = 0.0
-    for a, alpha in [(4.0, 2.0), (6.0, 2.0)]:
-        quad = observables.asym_u1_21(a, alpha, method="quadrature")
-        res = observables.asym_u1_21(a, alpha, method="residue")
-        worst_21 = max(worst_21, abs(quad - res) / abs(res))
-    ratio_12 = (observables.asym_u1_12(10.0, 2.0)
-                / observables.asym_u1_12_closed(10.0, 2.0))
+    r6, r8 = validate.u_ratio(6.0, 2.0), validate.u_ratio(8.0, 2.0)
+    worst_21 = max(validate.loop_moment_error(a, 2.0) for a in (4.0, 6.0))
+    ratio_12 = validate.line_moment_ratio(10.0, 2.0)
     _criterion(4, "right-tail asymptotics",
                [("|u/u_asym - 1| @a=6", abs(r6 - 1.0), 0.5),
                 ("|u/u_asym - 1| @a=8", abs(r8 - 1.0), abs(r6 - 1.0)),
@@ -132,11 +100,8 @@ def test_criterion_4_asymptotics():
 
 
 def test_criterion_5_tail_bound():
-    worst = 0.0
-    for a in np.arange(4.0, 12.5, 1.0):
-        p = fredholm.gap_probability(float(a), 2.0, "halfline",
-                                     estimate_error=False).p
-        worst = max(worst, (1.0 - p) * math.exp(a / 2.0))
+    worst = max(validate.tail_excess(float(a), 2.0)
+                for a in np.arange(4.0, 12.5, 1.0))
     _criterion(5, "tail bound shape",
                [("max (1-P) e^{a/2}", worst, 1e-2)],
                note="a in [4, 12], alpha = 2")

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import complex_reference
-from critgap import fredholm, kernels, observables
+from critgap import fredholm, kernels, observables, validate
 from critgap.contours import GeometryError
 from critgap.fredholm import (DiscreteOperator, HalfLineGrid, RealFactors,
                               SingularError, det_one_minus, gap_probability,
@@ -451,9 +451,7 @@ def test_sketched_contour_q_keeps_the_rounding_guard(alpha, raises):
 
 def test_route_agreement_spot():
     for a, alpha in [(1.5, 1.0), (2.5, 2.0)]:
-        ps = [gap_probability(a, alpha, r, estimate_error=False).p
-              for r in fredholm.ROUTES]
-        assert max(ps) - min(ps) <= 1e-9
+        assert validate.route_spread(a, alpha) <= 1e-9
 
 
 def test_gap_probability_monotone_and_bounded():
@@ -550,9 +548,7 @@ ROUTE_AS = (0.5, 1.0, 2.0, 4.0)
 @pytest.mark.parametrize("alpha", ROUTE_ALPHAS)
 @pytest.mark.parametrize("a", ROUTE_AS)
 def test_route_agreement_grid(a, alpha):
-    ps = [gap_probability(a, alpha, r, estimate_error=False).p
-          for r in fredholm.ROUTES]
-    assert max(ps) - min(ps) <= 1e-9
+    assert validate.route_spread(a, alpha) <= 1e-9
 
 
 def test_two_contour_similarity_is_real():
@@ -720,11 +716,9 @@ def test_halfline_grid_follows_the_decay(alpha):
     (kernels.factored_kernel, (math.nan, 1.0, 1.0), "x"),
     (kernels.factored_kernel, (math.inf, 1.0, 1.0), "x"),
     (observables.residue_sum, (1.0, math.nan), "a"),
-    (lambda a, alpha: observables.asym_u1_21(a, alpha, method="residue"),
-     (math.nan, 1.0), "a"),
+    (observables.asym_u1_21, (math.nan, 1.0), "a"),
     (observables.u_asymptotic, (math.nan, 1.0), "x"),
     (observables.asym_u1_12, (math.nan, 1.0), "a"),
-    (observables.asym_u1_12, (4.0, 2.0, math.inf), "truncation"),
     (observables.asym_u1_12_closed, (1.0, math.inf), "alpha"),
 ])
 def test_entry_points_reject_non_finite_inputs(call, args, name):

@@ -1,8 +1,9 @@
 """Riemann-Hilbert observable tests.
 
 The derivative identities are checked against finite differences of the
-independently computed determinant; asymptotic anchors were evaluated with
-mpmath at 25 digits and frozen.
+independently computed halfline determinant, through the residuals in
+critgap.validate; asymptotic anchors were evaluated with mpmath at 25
+digits and frozen.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import complex_reference
-from critgap import fredholm, kernels, observables
+from critgap import fredholm, kernels, observables, validate
 from critgap.contours import GeometryError
 from critgap.observables import (RhWorkspace, UnderflowWarning, asym_u1_12,
                                  asym_u1_12_closed, asym_u1_21,
@@ -58,11 +59,13 @@ def test_residue_sum_anchors():
         assert residue_sum(alpha, a) == pytest.approx(ref, rel=1e-14)
 
 
-def test_residue_sum_warns_at_its_term_cap():
-    # tol = 0 is never met, so the sum runs to its 400-term cap; the value
-    # is still the converged one, but the stop is reported
-    with pytest.warns(RuntimeWarning, match="400-term cap"):
-        capped = residue_sum(2.0, 1.0, tol=0.0)
+def test_residue_sum_warns_at_its_term_cap(monkeypatch):
+    # the term at k = 5 is still above 1e-18 of the sum, so a 5-term cap
+    # stops the sum early; the value is already the converged one, but the
+    # stop is reported
+    monkeypatch.setattr(observables, "_RESIDUE_TERMS", 5)
+    with pytest.warns(RuntimeWarning, match="5-term cap"):
+        capped = residue_sum(2.0, 1.0)
     assert capped == pytest.approx(RESIDUE_SUM_ANCHORS[0][2], rel=1e-14)
 
 
@@ -76,23 +79,12 @@ def test_residue_sum_monotone_to_one():
 
 
 def test_y1_log_derivative_identity():
-    step = 1e-3
     for a, alpha in [(2.0, 1.0), (1.5, 2.0)]:
-        lo = fredholm.gap_probability(a - step, alpha, "contour-Q",
-                                      estimate_error=False).log_p
-        hi = fredholm.gap_probability(a + step, alpha, "contour-Q",
-                                      estimate_error=False).log_p
-        diff = (hi - lo) / (2.0 * step)
-        y1 = y1_matrix(a, alpha)
-        assert abs(y1.log_deriv - diff) <= 1e-5 * (1.0 + abs(diff))
+        assert validate.log_derivative_error(a, alpha) <= 1e-5
 
 
 def test_y1_ode_identity():
-    a, alpha, step = 2.0, 1.0, 1e-3
-    ws = RhWorkspace(alpha, a + 1.0)
-    lhs = (ws.y1(a + step).e11.real - ws.y1(a - step).e11.real) / (2.0 * step)
-    y0 = ws.y1(a)
-    assert abs(lhs - (y0.e12 * y0.e21).real) <= 1e-4
+    assert validate.ode_error(2.0, 1.0) <= 1e-4
 
 
 def test_y1_el11_vanishes_at_large_a():
@@ -109,7 +101,7 @@ def test_u_positive_on_right_tail():
 def test_u_equals_second_log_derivative():
     # 5-point central second difference of log P(a) at a=2, alpha=1
     a, alpha, h = 2.0, 1.0, 2e-2
-    logps = [fredholm.gap_probability(a + k * h, alpha, "contour-Q",
+    logps = [fredholm.gap_probability(a + k * h, alpha, "halfline",
                                       estimate_error=False).log_p
              for k in (-2, -1, 0, 1, 2)]
     second = (-logps[0] + 16 * logps[1] - 30 * logps[2] + 16 * logps[3]
@@ -371,10 +363,7 @@ def test_workspace_range_checks():
 
 def test_closure_against_determinant():
     a, alpha = 2.0, 1.0
-    rebuilt = log_gap_from_u(a, alpha)
-    direct = fredholm.gap_probability(a, alpha, "contour-Q",
-                                      estimate_error=False).log_p
-    assert abs(rebuilt - direct) <= 1e-4
+    assert validate.closure_error(a, alpha) <= 1e-4
     # integrand positivity: each node contributes with one sign
     ws = RhWorkspace(alpha, a + 8.0)
     grid = fredholm.HalfLineGrid(a, 8.0, 4, 6)
@@ -388,15 +377,13 @@ def test_closure_vanishes_at_large_a():
 
 def test_tail_moment_loop_routes_agree():
     for a, alpha in [(4.0, 2.0), (2.0, 1.0), (8.0, 2.0)]:
-        quad = asym_u1_21(a, alpha, method="quadrature")
-        res = asym_u1_21(a, alpha, method="residue")
-        assert abs(quad - res) <= 1e-10 * abs(res)
+        assert validate.loop_moment_error(a, alpha) <= 1e-10
 
 
 def test_tail_moment_loop_normalization():
     # value * (a / (i alpha)) * exp(a^2 / (4 alpha)) -> 1 from below-ish
     for a in (6.0, 10.0, 14.0):
-        val = asym_u1_21(a, 2.0, method="residue")
+        val = asym_u1_21(a, 2.0)
         scaled = (val * a / (1j * 2.0) * math.exp(a * a / 8.0)).real
         assert abs(scaled - 1.0) <= 2.0 * math.exp(-a)
 
@@ -408,20 +395,24 @@ def test_tail_moment_loop_geometry_guard():
         asym_u1_21(0.5, 1.0)
 
 
-def test_tail_moment_line_structure():
+def test_tail_moment_line_structure(monkeypatch):
     val = asym_u1_12(4.0, 2.0)
     assert abs(val.real) <= 1e-10 * abs(val)   # purely imaginary
-    v8 = asym_u1_12(4.0, 2.0, truncation=8.0)
-    v12 = asym_u1_12(4.0, 2.0, truncation=12.0)
-    assert abs(v8 - v12) <= 1e-12 * abs(v12)
+    # stable under moving the truncation from x = 8 to x = 12
+    values = []
+    for radius in (8.0, 12.0):
+        monkeypatch.setattr(observables, "truncation_radius",
+                            lambda *args, **kwargs: radius)
+        values.append(asym_u1_12(4.0, 2.0))
+    assert abs(values[0] - values[1]) <= 1e-12 * abs(values[1])
 
 
 def test_tail_moment_line_closed_form_window():
-    ratio = asym_u1_12(10.0, 2.0) / asym_u1_12_closed(10.0, 2.0)
+    ratio = validate.line_moment_ratio(10.0, 2.0)
     assert 0.75 <= ratio.real <= 1.25
     assert abs(ratio.imag) <= 1e-10
     # window tightens as a grows
-    r6 = asym_u1_12(6.0, 2.0) / asym_u1_12_closed(6.0, 2.0)
+    r6 = validate.line_moment_ratio(6.0, 2.0)
     assert abs(ratio.real - 1.0) < abs(r6.real - 1.0)
 
 
@@ -433,8 +424,7 @@ def test_u_asym_composed_windows():
 
 
 def test_asymptotic_ratio_improves():
-    r6 = u_of_x(6.0, 2.0) / u_asymptotic(6.0, 2.0)
-    r8 = u_of_x(8.0, 2.0) / u_asymptotic(8.0, 2.0)
+    r6, r8 = validate.u_ratio(6.0, 2.0), validate.u_ratio(8.0, 2.0)
     assert 0.5 <= r6 <= 1.5
     assert abs(r8 - 1.0) < abs(r6 - 1.0)
 
@@ -443,7 +433,7 @@ def test_underflow_warnings():
     with pytest.warns(UnderflowWarning):
         assert asym_u1_12(80.0, 1.0) == 0.0j
     with pytest.warns(UnderflowWarning):
-        assert asym_u1_21(80.0, 1.0, method="residue") == 0.0j
+        assert asym_u1_21(80.0, 1.0) == 0.0j
     with pytest.warns(UnderflowWarning):
         asym_u1_12_closed(80.0, 1.0)
 
