@@ -14,7 +14,10 @@ the weights folded in (DiscreteOperator): halfline and contour-H as a dense
 n x n array, contour-Q as its two real factors (RealFactors), never formed.
 Only a factored operator is sketched: its determinant is read from a range
 sketch of the factors (Halko, Martinsson and Tropp, arXiv:0909.4061), a
-k x k determinant with k = 16 at first.  The RH workspace
+k x k determinant with k = 8 at first: K W has at most 7 singular values
+above 1e-15 of its largest on alpha {0.1, ..., 64} x a {0.1, ..., 8}, and
+the first rank passes the tail test on alpha {0.1, ..., 128} x
+a {0.1, ..., 16}, so the rank never doubles there.  The RH workspace
 (observables.RhWorkspace) solves on the same factored operator, its a = 0
 factors rescaled per point, so the Schur complement has this one assembly.
 Dense operators, and contour-Q's fallback past rank n/4, take a dense LU
@@ -72,7 +75,7 @@ _DECAY_LOG = 46.0   # the halfline grid ends where exp(-x^2 / 2 alpha) < e^-46
 _DEFAULT_PANELS = 8
 _DEFAULT_ORDER = 16
 _GRID_GROWTH = 1.6
-_SKETCH_RANK = 16    # first rank of a resolvent sketch
+_SKETCH_RANK = 8     # first rank of a resolvent sketch
 _TAIL_PROBES = 4     # fresh probe columns that measure a sketch's tail
 _TAIL_TOL = 1e-13    # largest ||K W T - Q Q^T K W T|| / ||K W T|| accepted
 # splitmix64's increment and output multipliers (Steele, Lea and Flood 2014)
@@ -166,7 +169,8 @@ def _probes(n: int, k: int) -> np.ndarray:
 def _range_sketch(factors: RealFactors) -> tuple:
     """Range basis of an n x n operator K W held as its factors, known
     through factors.probe(k) = K W [Omega | T] on its fixed Gaussian probes
-    (_probes; k columns, 16 at first, and _TAIL_PROBES fresh ones).
+    (_probes; k columns, _SKETCH_RANK at first, and _TAIL_PROBES fresh
+    ones).
 
     Q is the orthonormal basis of K W Omega.  The tail
     ||K W T - Q Q^T K W T|| decides: while it exceeds 1e-13 of ||K W T||
@@ -272,7 +276,7 @@ class DiscreteOperator:
     A factored operator's solves go through a range sketch of K W
     (_range_sketch).  Its eigenvalues are those of the limiting kernel on
     (a, inf), which decay super-exponentially, so a few directions carry all
-    of it.  With the sketch's orthonormal Q (rank k, 16 at first) and
+    of it.  With the sketch's orthonormal Q (rank k, 8 at first) and
     B = Q^T K W the solve is Woodbury's on K W ~ Q B through the k x k
     matrix S = I_k - B Q, and the determinant is det S, which equals
     det(I - K W) up to the sketch's tail.  A dense operator, and a factored

@@ -123,7 +123,7 @@ class RhWorkspace:
     The solve is fredholm.solve_resolvent's sketch, the one contour-Q's
     determinant is read from: the real form has only a few singular values
     above rounding (its eigenvalues are those of the limiting kernel on
-    (a, inf)), so a rank-16 range sketch Q of it and a 16 x 16 Woodbury
+    (a, inf)), so a rank-8 range sketch Q of it and an 8 x 8 Woodbury
     system S replace an n x n LU, with the full factored operator still
     checking the residual.  If the sketch's tail were ever above tolerance
     up to rank n/4, the solve would fall back to a dense LU solve.  The
@@ -134,10 +134,10 @@ class RhWorkspace:
 
     The workspace holds the two real (line, loop) factors, read-only,
     line- and loop-length vectors, and right^T applied to the sketch's
-    first 20 probe columns, which does not move with a and saves one of the
+    first 12 probe columns, which does not move with a and saves one of the
     sketch's two products per point.  A solve writes nothing into them: the
     guard's Q B goes to this thread's square buffer and the rest is
-    line- or loop-length blocks of 20 columns or fewer.  So threads may
+    line- or loop-length blocks of 12 columns or fewer.  So threads may
     share one workspace and solve in parallel."""
 
     def __init__(self, alpha: float, x_max: float, order: int = 16,

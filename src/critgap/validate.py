@@ -99,20 +99,30 @@ def check_route_equivalence() -> CheckResult:
 
 
 def check_jump_unipotent() -> CheckResult:
-    """f.h = 0 on the line and on the loop, so det(I - 2 pi i f h^T) = 1."""
-    pair = kernels.qa_pair(1.0, a_max=2.0)
-    f_line, h_line, f_loop, h_loop = kernels.rh_vectors(pair, 2.0)
-    # (f, h) rows: ((f_line, 0), (0, h_line)) and ((0, f_loop), (h_loop, 0))
-    zero_line, zero_loop = np.zeros_like(f_line), np.zeros_like(f_loop)
-    f = np.concatenate([np.stack([f_line, zero_line], axis=1),
-                        np.stack([zero_loop, f_loop], axis=1)])
-    h = np.concatenate([np.stack([zero_line, h_line], axis=1),
-                        np.stack([h_loop, zero_loop], axis=1)])
-    dot = np.einsum("ij,ij->i", f, h)
-    jdet = 1.0 - 2.0j * math.pi * dot  # det of I - 2 pi i f h^T
-    worst = max(float(np.max(np.abs(dot))), float(np.max(np.abs(jdet - 1.0))))
+    """The jump I - 2 pi i f h^T is unipotent because f and h are nonzero
+    on complementary components (f = (f_line, 0), h = (0, h_line) on the
+    line, f = (0, f_loop), h = (h_loop, 0) on the loop), so f.h = 0 by
+    construction.  What that rests on is that these components build the
+    two-contour operator: f_line(z) h_loop(t) w_t / (z - t) must be
+    A W_loop and f_loop(t) h_line(z) w_z / (t - z) must be (B W_line)^T,
+    as cross_blocks assembles them, on its upper-half line rows."""
+    a = 2.0
+    pair = kernels.qa_pair(1.0, a_max=a)
+    f_line, h_line, f_loop, h_loop = kernels.rh_vectors(pair, a)
+    block_a, block_bt = kernels.cross_blocks(pair, a)
+    m = block_a.shape[0]
+    z, wz = pair.line.nodes[m:], pair.line.weights[m:]
+    t, wt = pair.loop.nodes, pair.loop.weights
+    z_minus_t = np.subtract.outer(z, t)
+    rebuilt_a = np.outer(f_line[m:], h_loop * wt) / z_minus_t
+    rebuilt_bt = np.outer(h_line[m:] * wz, f_loop) / -z_minus_t
+    worst = max(float(np.max(np.abs(rebuilt - block))
+                      / np.max(np.abs(block)))
+                for rebuilt, block in ((rebuilt_a, block_a),
+                                       (rebuilt_bt, block_bt)))
     return _result("jump-unipotent",
-                   "pointwise f.h = 0 and unit jump-matrix determinant",
+                   "coupling blocks rebuilt from the jump vectors f, h vs "
+                   "cross_blocks",
                    worst, 1e-12)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import complex_reference
-from critgap import fredholm, kernels, observables, validate
+from critgap import contours, fredholm, kernels, observables, validate
 from critgap.contours import GeometryError
 from critgap.fredholm import (DiscreteOperator, HalfLineGrid, RealFactors,
                               SingularError, det_one_minus, gap_probability,
@@ -157,7 +157,7 @@ def test_determinant_and_dense_solve_match_numpy():
 def test_dense_operator_is_never_sketched(factored):
     # halfline's n = 128 leaves room for a sketch, but only a factored
     # operator is sketched: the determinant and the solve both take the
-    # n x n LU, and no 16 x 16 LU is made
+    # n x n LU, and no sketch's k x k LU is made
     op = halfline_operator(1.5, 1.0)
     n = op.matrix().shape[0]
     assert n == 128
@@ -317,12 +317,13 @@ def test_low_rank_operator_solves_through_the_sketch(factored):
     rhs = rng.normal(size=(200, 2))
     x = solve_resolvent(op, rhs)
     assert op.solve_path == "sketch"
-    assert op.sketch_rank == 16 and op.sketch_tail <= 1e-13
+    k = fredholm._SKETCH_RANK
+    assert op.sketch_rank == k and op.sketch_tail <= 1e-13
     want = np.linalg.solve(a, rhs)
     assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
     # the only matrix factored is S, once for its sign and once per solve
     assert [(seam, shape) for seam, shape, _ in factored] == [
-        ("lu_factor", (16, 16)), ("lu_solve", (16, 16))]
+        ("lu_factor", (k, k)), ("lu_solve", (k, k))]
 
 
 def test_sketched_solves_are_bit_identical():
@@ -352,13 +353,14 @@ def test_singular_low_rank_operator_raises_through_the_sketch(factored):
     with pytest.raises(SingularError, match="numerically singular"):
         solve_resolvent(op, np.ones(n))
     assert op.solve_path == "sketch" and op.sketch_tail == 0.0
-    assert [shape for _, shape, _ in factored] == [(16, 16)]  # no n x n LU
+    k = fredholm._SKETCH_RANK
+    assert [shape for _, shape, _ in factored] == [(k, k)]  # no n x n LU
 
 
 def test_full_rank_operator_falls_back_to_the_dense_lu():
     # a random K, held as the factors (K, I), has no small tail at any
-    # rank: 16 and 32 are tried, and 64 > n/4 sends the solve to the dense
-    # LU of K formed from its factors
+    # rank: 8, 16 and 32 are tried, and 64 > n/4 sends the solve to the
+    # dense LU of K formed from its factors
     rng = np.random.default_rng(23)
     n = 128
     k = rng.normal(size=(n, n)) * 0.05
@@ -401,7 +403,7 @@ def test_sketches_load_no_numpy_random():
 
 
 def test_contour_q_factors_only_the_sketch(factored, monkeypatch):
-    # contour-Q's P is det(I_k - B Q) of the rank-16 sketch of its factors:
+    # contour-Q's P is det(I_k - B Q) of the rank-k sketch of its factors:
     # neither run of the err pair forms the n x n operator or factors it
     def no_operator(factors):
         raise AssertionError(f"formed a {factors.left.shape[0]}-row operator")
@@ -409,7 +411,8 @@ def test_contour_q_factors_only_the_sketch(factored, monkeypatch):
     monkeypatch.setattr(RealFactors, "dense", no_operator)
     res = gap_probability(1.7, 0.5, "contour-Q")
     assert 0.0 < res.p < 1.0 and res.err <= 1e-9
-    assert factored == [("lu_factor", (16, 16), np.float64)] * 2
+    k = fredholm._SKETCH_RANK
+    assert factored == [("lu_factor", (k, k), np.float64)] * 2
 
 
 @pytest.mark.parametrize("a, alpha", [(1.7, 0.5), (0.5, 2.0)])
@@ -427,7 +430,8 @@ def test_contour_q_falls_back_to_the_dense_lu(a, alpha, factored,
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0, 8.0])
 def test_sketched_contour_q_matches_the_dense_lu(alpha):
     # the sketch's tail is below 1e-13 of K W, and its determinant lies
-    # within 5e-14 of the dense LU's (1.8e-14 at most when first measured)
+    # within 5e-14 of the dense LU's (3.5e-14 at most at rank 8, 1.1e-14 at
+    # rank 16)
     for a in (0.5, 1.0, 2.0, 4.0):
         for refine in (1.0, 0.5):
             sketched = gap_probability(a, alpha, "contour-Q", refine=refine,
@@ -447,6 +451,75 @@ def test_sketched_contour_q_keeps_the_rounding_guard(alpha, raises):
                 gap_probability(a, alpha, "contour-Q")
         else:
             assert math.isfinite(gap_probability(a, alpha, "contour-Q").p)
+
+
+# the guard's raise set on alpha x a: every a at alpha 0.1, and a up to 8
+# at alpha 0.12, up to 4 at alpha 0.15 and alpha 128
+GUARD_ALPHAS = (0.1, 0.12, 0.15, 0.2, 0.5, 1.0, 2.0, 8.0, 64.0, 96.0, 128.0)
+GUARD_AS = (0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
+GUARD_RAISES_UP_TO = {0.1: 16.0, 0.12: 8.0, 0.15: 4.0, 128.0: 4.0}
+
+
+def _trips_the_guard(call) -> bool:
+    try:
+        call()
+    except ArithmeticError as exc:
+        if "rounding scale" not in str(exc):
+            raise
+        return True
+    return False
+
+
+def test_rounding_guard_raise_set_is_pinned():
+    # contour-Q and the workspace read the same guard, max|Q B| of their
+    # sketches; on this grid both fire on exactly the same 23 points, at
+    # sketch ranks 8 and 16 alike.  A cheaper guard or another rank must
+    # keep this set
+    want = {(alpha, a) for alpha in GUARD_ALPHAS for a in GUARD_AS
+            if a <= GUARD_RAISES_UP_TO.get(alpha, 0.0)}
+    assert len(want) == 23
+    on_q, on_workspace = set(), set()
+    for alpha in GUARD_ALPHAS:
+        ws = RhWorkspace(alpha, 16.0)
+        for a in GUARD_AS:
+            if _trips_the_guard(lambda: gap_probability(
+                    a, alpha, "contour-Q", estimate_error=False)):
+                on_q.add((alpha, a))
+            if _trips_the_guard(lambda: ws.y1(a)):
+                on_workspace.add((alpha, a))
+    assert on_q == want
+    assert on_workspace == want
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 1.0, 2.0, 8.0, 64.0, 96.0])
+def test_first_sketch_rank_covers_the_resolved_domain(alpha, monkeypatch):
+    # K W has only a few singular values above 1e-15 of its largest (at
+    # most 7 on alpha {0.1, ..., 64} x a {0.1, ..., 8}), so the first rank
+    # meets the tail test on every contour-Q operator and every workspace
+    # point, and the rank never doubles.  A regime that needs more rank
+    # fails here instead of slowing down unseen
+    k = fredholm._SKETCH_RANK
+    for a in (0.1, 1.0, 4.0, 16.0):
+        for refine in (1.0, 0.5):
+            op = DiscreteOperator(None, RealFactors(
+                *fredholm._qa_factors(a, alpha, refine)))
+            det_one_minus(op)
+            assert op.solve_path == "sketch", (a, refine)
+            assert op.sketch_rank == k, (a, refine)
+            assert op.sketch_tail <= fredholm._TAIL_TOL, (a, refine)
+    seen = []
+
+    def spy(op, rhs):
+        seen.append(op)
+        return fredholm.solve_resolvent(op, rhs)
+
+    monkeypatch.setattr(observables, "solve_resolvent", spy)
+    ws = RhWorkspace(alpha, 16.0)
+    for a in (0.1, 0.5, 2.0, 8.0, 16.0):
+        ws.y1(a)
+        op = seen[-1]
+        assert op.solve_path == "sketch" and op.sketch_rank == k, a
+        assert op.sketch_tail <= fredholm._TAIL_TOL, a
 
 
 def test_route_agreement_spot():
@@ -675,8 +748,10 @@ def test_halfline_grid_follows_the_decay(alpha):
     # grid with its columns scaled by the weights, bit for bit.  From alpha
     # 0.05 down (mc --compare reaches alpha = M/N = 1/256) the capped floor
     # gives the fixed length 40.  At 1/256 the entries are NaN on both (the
-    # default contours do not resolve the kernel there, and numpy warns of
-    # the invalid value), hence assert_array_equal
+    # default contours do not resolve the kernel there: 1/Gamma on the
+    # grids' nodes divides by zero and overflows as they are built, and
+    # numpy warns of the invalid value), hence assert_array_equal.  The grid
+    # cache is cleared, so the grids are built here whatever ran before
     a = 1.0
     x_end = math.sqrt(92.0 * alpha)
     length = max(5.0, x_end - a, min(40.0, 2.0 / alpha))
@@ -685,11 +760,17 @@ def test_halfline_grid_follows_the_decay(alpha):
     grid = HalfLineGrid(a, length, 8, 16)
     assert grid.weights.sum() == pytest.approx(length, rel=1e-13)
     unresolved = alpha < 0.01
-    with (pytest.warns(RuntimeWarning, match="invalid value") if unresolved
-          else contextlib.nullcontext()):
+    contours._shared_grid.cache_clear()
+    with (pytest.warns(RuntimeWarning) if unresolved
+          else contextlib.nullcontext()) as seen:
         op = halfline_operator(a, alpha)
         pair = kernels.kernel_pair(alpha, x_max=max(11.0, a + length))
         want = kernels.kernel_matrix(grid.nodes, grid.nodes, pair, shift=0.5)
+    if unresolved:
+        messages = [str(w.message) for w in seen]
+        assert any(m.startswith("invalid value") for m in messages)
+        build = ("divide by zero", "overflow", "invalid value")
+        assert all(m.startswith(build) for m in messages), messages
     assert op.matrix().shape == (128, 128)
     assert np.isnan(op.matrix()).all() == unresolved
     np.testing.assert_array_equal(op.matrix(), want * grid.weights)

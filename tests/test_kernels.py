@@ -478,6 +478,29 @@ def test_cross_blocks_and_ha_matrix_refuse_odd_grids():
         kernels.ha_matrix(odd, 2.0, odd.loop)
 
 
+# the faults each rh_vectors component is given below: a rescaled and
+# shifted f_line, a rotated h_line, a constant f_loop, a shifted h_loop
+RH_VECTOR_FAULTS = (lambda v: 3.7 * v + 1.0, lambda v: -2.0 * v + 5j,
+                    lambda v: np.full_like(v, v[0]), lambda v: v + 1000.0)
+
+
+@pytest.mark.parametrize("part", range(4))
+def test_jump_check_fails_on_wrong_rh_vectors(part, monkeypatch):
+    # f.h = 0 holds by the block structure of (f, h) whatever rh_vectors
+    # returns, so validate compares the blocks they build with cross_blocks
+    # (4.4e-16 relative on the true vectors); one wrong component fails it
+    assert validate.check_jump_unipotent().measured <= 1e-14
+    true_vectors = kernels.rh_vectors
+
+    def broken(pair, a):
+        parts = list(true_vectors(pair, a))
+        parts[part] = RH_VECTOR_FAULTS[part](parts[part])
+        return tuple(parts)
+
+    monkeypatch.setattr(kernels, "rh_vectors", broken)
+    assert not validate.check_jump_unipotent().passed
+
+
 def test_rh_vectors_orthogonality():
     a, alpha = 2.0, 1.0
     pair = kernels.qa_pair(alpha, a_max=a)

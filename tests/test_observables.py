@@ -200,10 +200,10 @@ def test_workspace_buffers_carry_no_state_between_solves(monkeypatch):
 
 def test_workspace_solve_allocation_budget():
     # K W is applied through the factors and the solve goes through a
-    # rank-16 sketch, so no n x n or line x loop array is allocated: a
-    # warmed solve peaks at 0.30 n^2 * 8 bytes here (n = 288 line and
-    # p = 384 loop nodes), 37 (n + p) doubles, which are line- and
-    # loop-length blocks of at most 20 columns.  Both bounds leave a third
+    # low-rank sketch, so no n x n or line x loop array is allocated: a
+    # warmed solve peaks at 0.18 n^2 * 8 bytes here (n = 288 line and
+    # p = 384 loop nodes), 22 (n + p) doubles, which are line- and
+    # loop-length blocks of at most 12 columns.  Both bounds leave a third
     # or more of margin, and one n x n real copy would exceed either
     ws = RhWorkspace(1.0, 4.0)
     n, p = len(ws.line), len(ws.loop)
@@ -231,8 +231,9 @@ def test_workspace_factors_are_contour_q_factors_at_zero():
 
 def test_workspace_footprint_is_its_two_factors():
     # the workspace keeps the two real (line, loop) factors, line- and
-    # loop-length vectors and the 20 loop-length columns of right^T on the
-    # first probes: no n x n array and no complex line x loop block
+    # loop-length vectors and the 12 loop-length columns of right^T on the
+    # first probes (rank 8 and 4 tail probes): no n x n array and no
+    # complex line x loop block
     for alpha in (0.5, 1.0, 2.0):
         ws = RhWorkspace(alpha, 4.0)
         n, p = len(ws.line), len(ws.loop)
@@ -246,8 +247,8 @@ def test_workspace_footprint_is_its_two_factors():
 
 def test_workspace_solves_through_the_sketch(monkeypatch):
     # the real form of K W has only a few singular values above rounding,
-    # so the first rank-16 sketch meets its tail tolerance and the only
-    # matrix factored is the 16 x 16 S of the Woodbury system, once per
+    # so the first sketch rank meets its tail tolerance and the only
+    # matrix factored is the k x k S of the Woodbury system, once per
     # point for the solve, its guard and its log P together
     seen, factored = [], []
 
@@ -262,14 +263,15 @@ def test_workspace_solves_through_the_sketch(monkeypatch):
     lu_factor = fredholm.lu_factor
     monkeypatch.setattr(observables, "solve_resolvent", spy)
     monkeypatch.setattr(fredholm, "lu_factor", lu_spy)
+    k = fredholm._SKETCH_RANK
     for alpha in (0.5, 1.0, 2.0):
         ws = RhWorkspace(alpha, 4.0)
         for a in (1.0, 3.0):
             ws.y1(a)
             op = seen[-1]
             assert op.solve_path == "sketch", (alpha, a)
-            assert op.sketch_rank == 16 and op.sketch_tail <= 1e-14
-    assert factored == [(16, 16)] * 6
+            assert op.sketch_rank == k and op.sketch_tail <= 1e-14
+    assert factored == [(k, k)] * 6
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 8.0])
