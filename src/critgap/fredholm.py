@@ -17,11 +17,24 @@ sketch of the factors (Halko, Martinsson and Tropp, arXiv:0909.4061), a
 k x k determinant with k = 8 at first: K W has at most 7 singular values
 above 1e-15 of its largest on alpha {0.1, ..., 64} x a {0.1, ..., 8}, and
 the first rank passes the tail test on alpha {0.1, ..., 128} x
-a {0.1, ..., 16}, so the rank never doubles there.  The RH workspace
-(observables.RhWorkspace) solves on the same factored operator, its a = 0
-factors rescaled per point, so the Schur complement has this one assembly.
+a {0.1, ..., 16}, so the rank never doubles there.  The rounding guard
+(check_rounding_scale) reads max|Q B| of the sketch without forming the
+n x n Q B.
+
+In the Schur complement a enters only as e^{-az} on line rows and e^{at}
+on loop columns, so contour-Q holds the pair's a = 0 factors with those
+two scalings (RealFactors.rows and cols).  The RH workspace
+(observables.RhWorkspace) solves on the same operator: it keeps the a = 0
+factors of its pair and its operator at the last a, sketched and
+measured.  A live workspace is listed in _WORKSPACES, a weak table keyed
+by its pair's two grids, and contour-Q on the same grids takes its
+operator from there, so a P and a u at one a share one assembly and one
+sketch; with no workspace alive, kernels._real_factors(pair, 0.0) writes
+the factors into this thread's buffers.  The factors are the same bits
+either way, so P does not depend on whether a workspace is alive.
 Dense operators, and contour-Q's fallback past rank n/4, take a dense LU
-of I - K W.
+of I - K W; an operator that would need that fallback above 4096 rows
+raises instead.
 Every determinant and dense solve goes through numpy.linalg, by the two
 functions lu_factor and lu_solve below.  The three routes share no kernel
 code beyond the gamma functions, so their agreement is the primary internal
@@ -31,9 +44,7 @@ The halfline grid is sized from the kernel's decay: on (a, inf) it falls
 like u(x) ~ exp(-x^2 / 2 alpha), so the grid ends where that drops below
 e^{-46}, or at a floor for small alpha (Bornemann, arXiv:0804.2543,
 truncates the infinite intervals of Fredholm determinants by the kernel's
-decay in the same way).  The
-two-contour routes form their line operator from two real factors that
-kernels._real_factors writes into per-thread buffers.
+decay in the same way).
 """
 
 from __future__ import annotations
@@ -41,12 +52,14 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
-from .contours import GeometryError, _gl_panels, truncation_radius
+from .contours import (GeometryError, QuadratureGrid, _gl_panels,
+                       truncation_radius)
 from .special import _require_finite
 
 __all__ = [
@@ -78,6 +91,11 @@ _GRID_GROWTH = 1.6
 _SKETCH_RANK = 8     # first rank of a resolvent sketch
 _TAIL_PROBES = 4     # fresh probe columns that measure a sketch's tail
 _TAIL_TOL = 1e-13    # largest ||K W T - Q Q^T K W T|| / ||K W T|| accepted
+# largest n of a factored operator whose dense fallback is formed: 2.3 times
+# the largest n on the resolved domain (alpha 0.2-96, a and x_max up to 21,
+# refine up to 2), 1792 at alpha 0.2; K W of 4096 rows is 134 MB
+_DENSE_ROWS = 4096
+_GUARD_ROWS = 32     # rows of Q per block of the guard's max|Q B|
 # splitmix64's increment and output multipliers (Steele, Lea and Flood 2014)
 _SPLITMIX = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9),
              np.uint64(0x94D049BB133111EB))
@@ -177,10 +195,13 @@ def _range_sketch(factors: RealFactors) -> tuple:
     the rank doubles, up to n/4.  Returns (Q, k, tail)
     with the relative tail of the rank that passed, or (None, k, tail) of
     the last rank tried when none did ((None, 0, nan) when n < 64 leaves no
-    room for one)."""
+    room for one).  A probe product that is not finite, which no rank can
+    mend, stops the sketch at once with (None, k, nan)."""
     k, rank, rel_tail = _SKETCH_RANK, 0, math.nan
     while 4 * k <= factors.left.shape[0]:
         y = factors.probe(k)                            # K W [Omega | T]
+        if not math.isfinite(np.linalg.norm(y)):
+            return None, k, math.nan
         q = np.linalg.qr(y[:, :k])[0]
         kt = y[:, k:]
         scale = float(np.linalg.norm(kt))
@@ -281,10 +302,15 @@ class DiscreteOperator:
     matrix S = I_k - B Q, and the determinant is det S, which equals
     det(I - K W) up to the sketch's tail.  A dense operator, and a factored
     one when no rank up to n/4 passes the tail test, takes the LU of
-    I - K W for both.  Once chosen, solve_path is "sketch" or "dense",
-    sketch_rank the last rank tried (0 for a dense operator or when n < 64
-    left no room for one) and sketch_tail its relative tail (nan if none
-    was tried).
+    I - K W for both; past 4096 rows a factored operator raises
+    ArithmeticError instead of forming K W.  Once chosen, solve_path is
+    "sketch" or "dense", sketch_rank the last rank tried (0 for a dense
+    operator or when n < 64 left no room for one) and sketch_tail its
+    relative tail (nan if none was tried, or if the probe product was not
+    finite).  rounding_scale is the rounding guard's measurement,
+    n eps max|K W| (check_rounding_scale): None until the guard first reads
+    it, then kept, so an operator shared by several callers is measured
+    once.  A probe product that is not finite sets it to nan at once.
 
     numpy's slogdet and solve factor a copy of their input, so I - K W is
     written into this thread's grow-only buffer (kernels._buffer) rather
@@ -303,6 +329,7 @@ class DiscreteOperator:
     solve_path: str | None = field(default=None, init=False)
     sketch_rank: int = field(default=0, init=False)
     sketch_tail: float = field(default=math.nan, init=False)
+    rounding_scale: float | None = field(default=None, init=False)
     _sketch: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -311,8 +338,15 @@ class DiscreteOperator:
                 f"K W must be a float64 array, got {self.kw.dtype}")
 
     def matrix(self) -> np.ndarray:
-        """K W, formed from the factors on first use and kept."""
+        """K W, formed from the factors on first use and kept; raises
+        ArithmeticError rather than form one of more than 4096 rows."""
         if self.kw is None:
+            n = self.factors.left.shape[0]
+            if n > _DENSE_ROWS:
+                raise ArithmeticError(
+                    f"K W of {n} rows is past the {_DENSE_ROWS} rows the "
+                    f"dense fallback may form (sketch rank "
+                    f"{self.sketch_rank}, tail {self.sketch_tail:.1e})")
             self.kw = self.factors.dense()
         return self.kw
 
@@ -351,12 +385,28 @@ class DiscreteOperator:
                     self.factors)
             if q is None:
                 self._sketch = None
+                if self.sketch_rank and math.isnan(self.sketch_tail):
+                    self.rounding_scale = math.nan  # a product not finite
             else:
                 b = self.factors.project(q)
                 s = np.eye(q.shape[1]) - b @ q
                 self._sketch = q, b, s, lu_factor(s)
             self.solve_path = "dense" if q is None else "sketch"
         return self._sketch
+
+    def _rounding(self) -> float:
+        """rounding_scale, measured on the first call: max|Q B| of the
+        sketch, or max|K W| when there is none (see check_rounding_scale)."""
+        if self.rounding_scale is None:
+            sketch = self._sketch_factor()  # sets nan on a product not finite
+            if self.rounding_scale is None:
+                if sketch is None:
+                    kw = self.matrix()
+                    n, peak = kw.shape[0], max(kw.max(), -kw.min())
+                else:
+                    n, peak = sketch[0].shape[0], _max_abs_product(*sketch[:2])
+                self.rounding_scale = n * _EPS * float(peak)
+        return self.rounding_scale
 
 
 def _first_probes(right: np.ndarray) -> np.ndarray:
@@ -417,13 +467,39 @@ def solve_resolvent(op: DiscreteOperator, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+def _max_abs_product(q: np.ndarray, b: np.ndarray) -> float:
+    """max|Q B| of an (n, k) Q and a (k, n) B without forming the n x n
+    Q B.  Since |Q_i B_:j| <= ||Q_i|| max_j ||B_:j||, the rows of Q are
+    visited in blocks of 32, largest norm first, until that bound for the
+    next row cannot beat the maximum found so far (the factor 1 + 1e-12
+    covers the rounding of both sides).  The blocks' entries are those of
+    Q @ B, so the result is abs(Q @ B).max(); NaN anywhere gives NaN."""
+    row_norms = np.sqrt(np.einsum("ij,ij->i", q, q))
+    col_norm = math.sqrt(float(np.einsum("ij,ij->j", b, b).max()))
+    bound = float(row_norms.max()) * col_norm  # NaN if q or b holds one
+    if not math.isfinite(bound):
+        return bound
+    order = np.argsort(row_norms)[::-1]
+    col_bound = col_norm * (1.0 + 1e-12)
+    peak = 0.0
+    for start in range(0, order.size, _GUARD_ROWS):
+        rows = order[start:start + _GUARD_ROWS]
+        if row_norms[rows[0]] * col_bound <= peak:
+            break
+        block = q[rows] @ b
+        peak = max(peak, block.max(), -block.min())
+    return float(peak)
+
+
 def check_rounding_scale(op: DiscreteOperator, context: str) -> None:
     """Raise ArithmeticError when n eps max|K W|, the scale of the LU's
     backward error in det(I - K W), exceeds 3e-10 or is NaN.  It reads the
-    operator's own entries; an operator held as RealFactors whose sketch
-    passes reads max|Q B| of its sketch in their place (n^2 k flops,
-    written into this thread's square buffer), from which max|K W| differs
-    by the sketch's tail.
+    operator's own entries, or, for an operator held as RealFactors whose
+    sketch passes, max|Q B| of the sketch, from which max|K W| differs by
+    the sketch's tail; Q B is never formed (_max_abs_product).  A probe
+    product that is not finite gives a NaN scale at once.  The scale is
+    measured once per operator and kept as its rounding_scale, so callers
+    that share an operator each raise with their own context.
 
     The two-contour matrices (contour-Q, contour-H and the RH workspace) are
     sums of large terms that cancel, and their entries grow where the
@@ -432,14 +508,7 @@ def check_rounding_scale(op: DiscreteOperator, context: str) -> None:
     1.1e-10 on alpha [0.2, 96] x a [0.1, 16], and at least 8e-10 at alpha
     128 and at alpha <= 0.15 for a <= 4, where contour-Q and contour-H come
     out up to 3e-4 (alpha 128) and 8e-7 (alpha 0.12) away from halfline."""
-    sketch = op._sketch_factor()
-    if sketch is None:
-        kw = op.matrix()
-    else:
-        q, b = sketch[:2]
-        kw = np.matmul(q, b, out=_square_buffer(q.shape[0]))
-    peak = max(kw.max(), -kw.min())  # max|K W|, no |K W| temporary
-    scale = kw.shape[0] * _EPS * float(peak)
+    scale = op._rounding()
     if not scale <= _ROUNDING_TOL:  # NaN entries give a NaN scale
         raise ArithmeticError(
             f"{context}: entries reach rounding scale {scale:.1e} "
@@ -483,26 +552,55 @@ def halfline_operator(a: float, alpha: float,
     return DiscreteOperator(kw)
 
 
-def _qa_factors(a: float, alpha: float,
-                refine: float) -> tuple[np.ndarray, np.ndarray]:
-    """Real factors (left, right) of contour-Q's line operator,
-    K W = left @ right.T: the coupling blocks of the (a, alpha) pair
-    contracted over its own loop, the exact Schur complement of
-    [[0, A], [B, 0]].  They are views of this thread's buffers
-    (kernels._real_factors)."""
+# live RH workspaces (observables.RhWorkspace) by the ids of their pair's
+# (line, loop) grids, which a workspace holds: an id cannot be reused while
+# its entry lives
+_WORKSPACES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _pair_key(line: QuadratureGrid, loop: QuadratureGrid) -> tuple[int, int]:
+    """_WORKSPACES' key of a contour pair's two grids."""
+    return id(line), id(loop)
+
+
+def _factors_at(left: np.ndarray, right: np.ndarray, line: QuadratureGrid,
+                loop: QuadratureGrid, a: float,
+                right_probes: np.ndarray | None = None) -> RealFactors:
+    """The two-contour line operator at a from its a = 0 factors (left,
+    right) on the (line, loop) pair: e^{-az} on the upper-half line nodes
+    and e^{at} on the upper-half loop nodes (RealFactors.rows and cols)."""
+    m, k = line.nodes.size // 2, loop.nodes.size // 2
+    return RealFactors(left, right, np.exp(-a * line.nodes[m:]),
+                       np.exp(a * loop.nodes[k:]), right_probes)
+
+
+def _contour_q_operator(a: float, alpha: float,
+                        refine: float) -> DiscreteOperator:
+    """contour-Q's line operator K W, the exact Schur complement of
+    [[0, A], [B, 0]] on the (a, alpha) pair's own loop, held as the pair's
+    a = 0 factors scaled to a.  A live workspace of the same pair
+    (_WORKSPACES) supplies its operator at a, sketched and measured; else
+    the factors are views of this thread's buffers
+    (kernels._real_factors), valid until its next two-contour call."""
     pair = kernels.qa_pair(alpha, a_max=a, refine=refine)
-    return kernels._real_factors(pair, a)
+    workspace = _WORKSPACES.get(_pair_key(pair.line, pair.loop))
+    if workspace is not None:
+        return workspace._operator(a)
+    left, right = kernels._real_factors(pair, 0.0)
+    return DiscreteOperator(None, _factors_at(left, right, pair.line,
+                                              pair.loop, a))
 
 
 def qa_operator(a: float, alpha: float, refine: float = 1.0) -> DiscreteOperator:
     """Two-contour coupling operator Q = [[0, A], [B, 0]] on the (line, loop)
     union, as the real form of its line-grid Schur complement, formed
-    densely: det(I - Q W) = det(I - A W_loop B W_line).  gap_probability's
-    contour-Q route holds the same K W as its factors instead.  Raises
-    ValueError for an a or alpha that is not finite."""
+    densely: det(I - Q W) = det(I - A W_loop B W_line).  It is
+    RealFactors.dense() of the scaled a = 0 factors that
+    gap_probability's contour-Q route holds.  Raises ValueError for an a or
+    alpha that is not finite."""
     _require_finite(a=a, alpha=alpha)
-    left, right = _qa_factors(a, alpha, refine)
-    return DiscreteOperator(left @ right.T)
+    return DiscreteOperator(
+        _contour_q_operator(a, alpha, refine).factors.dense())
 
 
 def ha_operator(a: float, alpha: float, refine: float = 1.0) -> DiscreteOperator:
@@ -532,11 +630,10 @@ def _route_det(a: float, alpha: float, route: str, refine: float) -> tuple[float
     if route == "halfline":
         op = halfline_operator(a, alpha, refine=refine)
     elif route == "contour-Q":
-        # det S of the sketch of K W = left right^T, with the guard on
-        # max|Q B|; past rank n/4, the dense LU of left @ right.T that
-        # qa_operator and det_one_minus give
-        factors = RealFactors(*_qa_factors(a, alpha, refine))
-        op = DiscreteOperator(None, factors)
+        # det S of the sketch of the scaled a = 0 factors, with the guard
+        # on max|Q B|; past rank n/4, the dense LU that qa_operator and
+        # det_one_minus give
+        op = _contour_q_operator(a, alpha, refine)
     elif route == "contour-H":
         op = ha_operator(a, alpha, refine=refine)
     else:

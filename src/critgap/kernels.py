@@ -67,8 +67,7 @@ _BLOCK_BYTES = 1 << 19
 
 # per-thread, grow-only buffers (_buffer): _real_factors' two factors and
 # the block of Cauchy rows they are written from, and fredholm's square
-# buffer (I - K W, or contour-Q's Q B), one per dtype; held until the
-# thread ends
+# buffer (I - K W of a dense LU); held until the thread ends
 _FACTORS = threading.local()
 
 
@@ -533,9 +532,10 @@ def cross_blocks(pair: ContourPair, a: float) -> tuple[np.ndarray, np.ndarray]:
     upper-half line rows over the whole loop (m x loop): (A W_loop)[z, t]
     line<-loop, and the transpose (B W_line)^T[z, t] of loop<-line.  Both
     commute with conjugation, so the real form (see real_form) of the Schur
-    complement A W_loop B W_line is real_form(A) @ real_form(conj(Bt)).T;
-    contour-Q writes those two real forms directly (_real_factors), and
-    observables.RhWorkspace writes them from these blocks at a = 0.
+    complement A W_loop B W_line is real_form(A) @ real_form(conj(Bt)).T.
+    At a = 0, contour-Q writes those two real forms directly
+    (_real_factors), and observables.RhWorkspace writes them from these
+    blocks; both scale them to each a.
 
     Both are the Cauchy matrix R = 1/(z - t) scaled by rows and columns.
     Raises GeometryError if either grid is not mirror-symmetric."""

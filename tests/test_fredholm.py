@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -295,6 +296,60 @@ def test_unresolved_alpha_raises_in_the_workspace():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("call", ["workspace", "contour-Q"])
+def test_a_nan_operator_fails_at_the_first_sketch_rank(call, monkeypatch):
+    # at alpha 1/256 the probe product is NaN: the sketch stops at rank 8,
+    # the guard reads a NaN scale and raises, and neither a larger rank
+    # nor the dense n x n fallback is tried (n = 5504 for the workspace,
+    # 3072 for contour-Q's pair).  The rank-8 probes are the only ones
+    # drawn, and a warmed call allocates at most an eighth of one n x n
+    # array (1.6 and 0.9 MB measured, against 242 and 75 MB)
+    drawn = []
+    probes = fredholm._probes
+
+    def spy(n, k):
+        drawn.append((n, k))
+        return probes(n, k)
+
+    monkeypatch.setattr(fredholm, "_probes", spy)
+    if call == "workspace":
+        ws = RhWorkspace(1 / 256, 2.0)
+        run = lambda: ws.y1(1.0)  # noqa: E731
+    else:
+        run = lambda: gap_probability(  # noqa: E731
+            1.0, 1 / 256, "contour-Q", estimate_error=False)
+        with pytest.raises(ArithmeticError):
+            run()  # grows this thread's factor buffers
+    tracemalloc.start()
+    try:
+        with pytest.raises(ArithmeticError, match="rounding scale nan"):
+            run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    [n] = {n for n, _ in drawn}
+    assert {k for _, k in drawn} == {fredholm._SKETCH_RANK}
+    assert n == (5504 if call == "workspace" else 3072)
+    assert peak <= n * n
+
+
+def test_dense_fallback_is_refused_past_its_row_limit(monkeypatch):
+    # a factored operator with no low-rank sketch falls back to forming
+    # K W only up to _DENSE_ROWS rows; past them it raises rather than
+    # allocate n x n doubles.  The limit is lowered so that the full-rank
+    # operator of test_full_rank_operator_falls_back_to_the_dense_lu is
+    # past it
+    rng = np.random.default_rng(23)
+    n = 128
+    op = DiscreteOperator(None, RealFactors(rng.normal(size=(n, n)) * 0.05,
+                                            np.eye(n)))
+    monkeypatch.setattr(fredholm, "_DENSE_ROWS", n - 1)
+    with pytest.raises(ArithmeticError, match="dense fallback"):
+        det_one_minus(op)
+    assert op.solve_path == "dense" and op.kw is None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("alpha", [1 / 128, 1 / 64])
 def test_halfline_raises_on_an_infinite_determinant(alpha):
     with pytest.raises(ArithmeticError, match="determinant is inf"):
@@ -491,6 +546,66 @@ def test_rounding_guard_raise_set_is_pinned():
     assert on_workspace == want
 
 
+def test_guard_max_is_the_max_of_q_b_without_forming_it(monkeypatch):
+    # on every operator the pinned raise set's grid measures, the guard's
+    # max|Q B| equals abs(Q @ B).max() bit for bit, and its scale is kept
+    # on the operator as rounding_scale.  No square buffer is written
+    seen = []
+    max_abs = fredholm._max_abs_product
+
+    def spy(q, b):
+        peak = max_abs(q, b)
+        seen.append((peak, float(np.abs(q @ b).max())))
+        return peak
+
+    def no_square(n):
+        raise AssertionError(f"wrote a {n} x {n} buffer")
+
+    monkeypatch.setattr(fredholm, "_max_abs_product", spy)
+    monkeypatch.setattr(fredholm, "_square_buffer", no_square)
+    for alpha in GUARD_ALPHAS:
+        for a in GUARD_AS:
+            op = fredholm._contour_q_operator(a, alpha, 1.0)
+            _trips_the_guard(
+                lambda: fredholm.check_rounding_scale(op, "guard grid"))
+            peak, want = seen[-1]
+            assert peak == want, (alpha, a)
+            assert op.rounding_scale == (
+                op.factors.left.shape[0] * fredholm._EPS * want)
+    assert len(seen) == len(GUARD_ALPHAS) * len(GUARD_AS)
+
+
+def test_guard_max_is_nan_on_a_nan_operator():
+    rng = np.random.default_rng(31)
+    q, b = rng.normal(size=(96, 8)), rng.normal(size=(8, 96))
+    assert fredholm._max_abs_product(q, b) == float(np.abs(q @ b).max())
+    for where in ("q", "b"):
+        qn, bn = q.copy(), b.copy()
+        (qn if where == "q" else bn)[5, 7] = math.nan
+        assert math.isnan(fredholm._max_abs_product(qn, bn)), where
+
+
+def test_a_shared_operator_is_measured_once(monkeypatch):
+    # contour-Q on the pair of a live workspace takes the workspace's
+    # operator at that a; the guard measures it once, and contour-Q and
+    # y1 each raise with their own context (alpha 128 trips the guard)
+    calls = []
+    max_abs = fredholm._max_abs_product
+
+    def spy(q, b):
+        calls.append(q.shape)
+        return max_abs(q, b)
+
+    monkeypatch.setattr(fredholm, "_max_abs_product", spy)
+    ws = RhWorkspace(128.0, 1.0)
+    scale = r"alpha=128.0, a=1.0: entries reach rounding scale"
+    with pytest.raises(ArithmeticError, match=rf"^contour-Q at {scale}"):
+        gap_probability(1.0, 128.0, "contour-Q", estimate_error=False)
+    with pytest.raises(ArithmeticError, match=rf"^RhWorkspace.y1 at {scale}"):
+        ws.y1(1.0)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("alpha", [0.2, 0.5, 1.0, 2.0, 8.0, 64.0, 96.0])
 def test_first_sketch_rank_covers_the_resolved_domain(alpha, monkeypatch):
     # K W has only a few singular values above 1e-15 of its largest (at
@@ -501,8 +616,7 @@ def test_first_sketch_rank_covers_the_resolved_domain(alpha, monkeypatch):
     k = fredholm._SKETCH_RANK
     for a in (0.1, 1.0, 4.0, 16.0):
         for refine in (1.0, 0.5):
-            op = DiscreteOperator(None, RealFactors(
-                *fredholm._qa_factors(a, alpha, refine)))
+            op = fredholm._contour_q_operator(a, alpha, refine)
             det_one_minus(op)
             assert op.solve_path == "sketch", (a, refine)
             assert op.sketch_rank == k, (a, refine)

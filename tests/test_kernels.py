@@ -392,14 +392,19 @@ def _parent_ha_factors(pair, a, loop):
 def test_direct_real_factors_match_real_forms_of_the_blocks(alpha, refine):
     # contour-Q and ha_matrix write their real factors straight from row
     # blocks of R = 1/(z - t) into reused buffers; the product must be the
-    # one of real_form's over the complex blocks, bit for bit.  The sizes
-    # vary across the parameters, so the buffers are also reused at other
+    # one of real_form's over the complex blocks, bit for bit: for
+    # contour-Q, the blocks at a = 0 with e^{-az} on the upper-half line
+    # rows and e^{at} on the upper-half loop columns.  The sizes vary
+    # across the parameters, so the buffers are also reused at other
     # shapes than the ones they were grown for
     for a in (0.5, 1.7, 4.0):
         op = fredholm.qa_operator(a, alpha, refine=refine)
         pair = kernels.qa_pair(alpha, a_max=a, refine=refine)
-        block_a, block_bt = kernels.cross_blocks(pair, a)
-        want = kernels.real_form(block_a) @ kernels.real_form(block_bt.conj()).T
+        block_a, block_bt = kernels.cross_blocks(pair, 0.0)
+        z, t = pair.line.nodes, pair.loop.nodes
+        want = fredholm.RealFactors(
+            kernels.real_form(block_a), kernels.real_form(block_bt.conj()),
+            np.exp(-a * z[z.size // 2:]), np.exp(a * t[t.size // 2:])).dense()
         np.testing.assert_array_equal(op.matrix(), want)
 
         inner = kernels.qa_pair(alpha, a_max=a, refine=1.4 * refine,

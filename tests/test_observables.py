@@ -9,6 +9,7 @@ digits and frozen.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
 import sys
 import threading
@@ -164,14 +165,17 @@ def _entries(y1):
     return (y1.e11, y1.e12, y1.e21, y1.e22, y1.log_p)
 
 
+def _gap_entries(res):
+    return res.p, res.log_p, res.err
+
+
 def test_workspace_buffers_carry_no_state_between_solves(monkeypatch):
     # a solve writes nothing into the workspace, whose factors are
-    # read-only, and only this thread's square buffer among the thread's
-    # buffers, which every other two-contour call writes too.  So
-    # interleaved points, points after contour-Q and contour-H calls that
-    # rewrite those buffers at other sizes, and a point after a solve that
-    # raised once the guard had written the square buffer, match solves on
-    # fresh workspaces bit for bit
+    # read-only, nor into this thread's buffers, which every other
+    # two-contour call writes.  So interleaved points, points after
+    # contour-Q and contour-H calls that rewrite those buffers at other
+    # sizes, and a point after a solve that raised once the guard had
+    # passed, match solves on fresh workspaces bit for bit
     alpha, x_max, a1, a2 = 1.0, 4.0, 1.3, 3.1
     fresh = {a: _entries(RhWorkspace(alpha, x_max).y1(a)) for a in (a1, a2)}
     ws = RhWorkspace(alpha, x_max)
@@ -312,18 +316,28 @@ def test_workspace_refuses_a_line_off_one_abscissa(monkeypatch):
 
 def test_workspace_shared_between_threads_gives_identical_solves():
     # a solve writes only this thread's own buffers, so threads share one
-    # workspace without a lock: more threads than cores, switching every
-    # 10 us, each get bit-identical Y1 at their own points
+    # workspace without a lock, and call contour-Q on its pair, which takes
+    # the workspace's operator at the last a and so keeps replacing it:
+    # more threads than cores, switching every 10 us, each get contour-Q's
+    # (p, log_p, err) and Y1 at their own points bit for bit as computed
+    # with no workspace alive and on fresh workspaces
     alpha, x_max, points = 1.0, 4.0, (1.3, 3.1, 0.7, 2.2)
-    fresh = {a: _entries(RhWorkspace(alpha, x_max).y1(a)) for a in points}
+    fresh = {a: (_gap_entries(fredholm.gap_probability(a, alpha,
+                                                       "contour-Q")),
+                 _entries(RhWorkspace(alpha, x_max).y1(a))) for a in points}
     ws = RhWorkspace(alpha, x_max)
+    for a in points:
+        pair = kernels.qa_pair(alpha, a_max=a)
+        assert fredholm._WORKSPACES[
+            fredholm._pair_key(pair.line, pair.loop)] is ws
     start = threading.Barrier(len(points))
     seen = {a: [] for a in points}
 
     def sweep(a):
         start.wait(timeout=60)
         for _ in range(10):
-            seen[a].append(_entries(ws.y1(a)))
+            p = _gap_entries(fredholm.gap_probability(a, alpha, "contour-Q"))
+            seen[a].append((p, _entries(ws.y1(a))))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -338,6 +352,51 @@ def test_workspace_shared_between_threads_gives_identical_solves():
     assert not any(t.is_alive() for t in threads)
     for a in points:
         assert seen[a] == [fresh[a]] * 10
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 8.0])
+def test_contour_q_is_the_same_with_or_without_a_workspace(alpha):
+    # contour-Q reads its determinant from the a = 0 factors with the
+    # e^{-az} and e^{at} scalings, written into this thread's buffers or
+    # taken from a live workspace of its pair; (p, log_p, err) are the
+    # same bits either way, and log_p is the workspace's y1(a).log_p
+    for a in (0.5, 1.7, 4.0):
+        alone = fredholm.gap_probability(a, alpha, "contour-Q")
+        ws = RhWorkspace(alpha, a)
+        key = fredholm._pair_key(ws.line, ws.loop)
+        assert fredholm._WORKSPACES[key] is ws
+        shared = fredholm.gap_probability(a, alpha, "contour-Q")
+        assert ws._last[0] == a  # contour-Q took the workspace's operator
+        assert _gap_entries(shared) == _gap_entries(alone), a
+        assert ws.y1(a).log_p == shared.log_p, a
+        del ws
+
+
+def test_contour_q_log_p_is_the_workspace_log_p_where_the_pairs_match():
+    # a sweep's workspace is sized to its a_max; contour-Q's pair at a
+    # smaller a is often the same grids (18 of these 24 points, all 8 at
+    # alpha 1 and 2), and there both read one sketch
+    matched = 0
+    for alpha in (0.5, 1.0, 2.0):
+        ws = RhWorkspace(alpha, 4.0)
+        for a in np.linspace(0.5, 4.0, 8):
+            pair = kernels.qa_pair(alpha, a_max=float(a))
+            res = fredholm.gap_probability(float(a), alpha, "contour-Q",
+                                           estimate_error=False)
+            if fredholm._pair_key(pair.line, pair.loop) == (
+                    fredholm._pair_key(ws.line, ws.loop)):
+                matched += 1
+                assert ws.y1(float(a)).log_p == res.log_p, (alpha, a)
+    assert matched == 18
+
+
+def test_the_workspace_table_forgets_a_dead_workspace():
+    ws = RhWorkspace(1.0, 3.0)
+    ws.y1(2.0)
+    assert list(fredholm._WORKSPACES.values()) == [ws]
+    del ws
+    gc.collect()
+    assert len(fredholm._WORKSPACES) == 0
 
 
 def test_workspace_refuses_rounding_dominated_entries():
