@@ -24,13 +24,13 @@ n x n Q B.
 In the Schur complement a enters only as e^{-az} on line rows and e^{at}
 on loop columns, so contour-Q holds the pair's a = 0 factors with those
 two scalings (RealFactors.rows and cols).  The RH workspace
-(observables.RhWorkspace) solves on the same operator: it keeps the a = 0
-factors of its pair and its operator at the last a, sketched and
-measured.  A live workspace is listed in _WORKSPACES, a weak table keyed
-by its pair's two grids, and contour-Q on the same grids takes its
-operator from there, so a P and a u at one a share one assembly and one
-sketch; with no workspace alive, kernels._real_factors(pair, 0.0) writes
-the factors into this thread's buffers.  The factors are the same bits
+(observables.RhWorkspace) solves on the same operator: it holds its
+pair's a = 0 factors as PairFactors, which keep the sketched operator at
+the last a.  Live PairFactors are listed in _SHARED, a weak table keyed
+by the pair's alpha and two grids, and contour-Q on the same pair takes
+its operator from there, so a P and a u at one a share one assembly and
+one sketch; with none alive, kernels._real_factors(pair, 0.0) writes the
+factors into this thread's buffers.  The factors are the same bits
 either way, so P does not depend on whether a workspace is alive.
 Dense operators, and contour-Q's fallback past rank n/4, take a dense LU
 of I - K W; an operator that would need that fallback above 4096 rows
@@ -68,6 +68,7 @@ __all__ = [
     "HalfLineGrid",
     "DiscreteOperator",
     "RealFactors",
+    "PairFactors",
     "halfline_operator",
     "qa_operator",
     "ha_operator",
@@ -552,43 +553,83 @@ def halfline_operator(a: float, alpha: float,
     return DiscreteOperator(kw)
 
 
-# live RH workspaces (observables.RhWorkspace) by the ids of their pair's
-# (line, loop) grids, which a workspace holds: an id cannot be reused while
-# its entry lives
-_WORKSPACES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# live PairFactors by _pair_key: the a = 0 factors depend on alpha as well
+# as on the grids, and the grids alone do not tell alphas apart (from alpha
+# about 7.7 on both truncation radii sit at their floor, so alpha 8 and 64
+# share their grids).  An entry holds its pair's grids, so their ids cannot
+# be reused while it lives
+_SHARED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def _pair_key(line: QuadratureGrid, loop: QuadratureGrid) -> tuple[int, int]:
-    """_WORKSPACES' key of a contour pair's two grids."""
-    return id(line), id(loop)
+def _pair_key(pair: kernels.ContourPair) -> tuple[float, int, int]:
+    """_SHARED's key of a contour pair: its alpha and its two grids."""
+    return float(pair.alpha), id(pair.line), id(pair.loop)
 
 
-def _factors_at(left: np.ndarray, right: np.ndarray, line: QuadratureGrid,
-                loop: QuadratureGrid, a: float,
-                right_probes: np.ndarray | None = None) -> RealFactors:
+def _factors_at(left: np.ndarray, right: np.ndarray, pair: kernels.ContourPair,
+                a: float, right_probes: np.ndarray | None = None
+                ) -> RealFactors:
     """The two-contour line operator at a from its a = 0 factors (left,
-    right) on the (line, loop) pair: e^{-az} on the upper-half line nodes
-    and e^{at} on the upper-half loop nodes (RealFactors.rows and cols)."""
-    m, k = line.nodes.size // 2, loop.nodes.size // 2
-    return RealFactors(left, right, np.exp(-a * line.nodes[m:]),
-                       np.exp(a * loop.nodes[k:]), right_probes)
+    right) on the pair: e^{-az} on the upper-half line nodes and e^{at} on
+    the upper-half loop nodes (RealFactors.rows and cols)."""
+    m, k = pair.line.nodes.size // 2, pair.loop.nodes.size // 2
+    return RealFactors(left, right, np.exp(-a * pair.line.nodes[m:]),
+                       np.exp(a * pair.loop.nodes[k:]), right_probes)
+
+
+class PairFactors:
+    """A contour pair's two-contour line operator at a = 0, as its real
+    factors (left, right), read-only, for sharing between contour-Q and
+    observables.RhWorkspace.
+
+    While the object lives it is listed in _SHARED under the pair's alpha
+    and grids, and contour-Q on that pair takes its operator from
+    operator(a) instead of writing the factors anew.  operator(a) keeps
+    the sketched operator of the last a as one entry, stored only once its
+    sketch and rounding scale are measured, so a P and a u at one a share
+    one sketch; an operator on the dense path is not kept, so no n x n K W
+    outlives its caller.  The factors hold the same bits as
+    kernels._real_factors(pair, 0.0), so the operator does not depend on
+    which source it came from.  right_probes is right^T on the first
+    sketch rank's probes, which does not move with a."""
+
+    def __init__(self, pair: kernels.ContourPair, left: np.ndarray,
+                 right: np.ndarray):
+        self.pair, self.left, self.right = pair, left, right
+        self.right_probes = _first_probes(right)
+        for array in (left, right, self.right_probes):
+            array.setflags(write=False)
+        self._last: tuple | None = None   # (a, sketched operator at a)
+        _SHARED[_pair_key(pair)] = self
+
+    def operator(self, a: float) -> DiscreteOperator:
+        """K W at a, its a = 0 factors scaled, with its sketch and rounding
+        scale measured; the guard is left to the caller."""
+        last = self._last
+        if last is not None and last[0] == a:
+            return last[1]
+        op = DiscreteOperator(None, _factors_at(self.left, self.right,
+                                                self.pair, a,
+                                                self.right_probes))
+        op._rounding()
+        if op.solve_path == "sketch":
+            self._last = a, op
+        return op
 
 
 def _contour_q_operator(a: float, alpha: float,
                         refine: float) -> DiscreteOperator:
     """contour-Q's line operator K W, the exact Schur complement of
     [[0, A], [B, 0]] on the (a, alpha) pair's own loop, held as the pair's
-    a = 0 factors scaled to a.  A live workspace of the same pair
-    (_WORKSPACES) supplies its operator at a, sketched and measured; else
-    the factors are views of this thread's buffers
+    a = 0 factors scaled to a: from live PairFactors of the pair when
+    there are some, else views of this thread's buffers
     (kernels._real_factors), valid until its next two-contour call."""
     pair = kernels.qa_pair(alpha, a_max=a, refine=refine)
-    workspace = _WORKSPACES.get(_pair_key(pair.line, pair.loop))
-    if workspace is not None:
-        return workspace._operator(a)
+    shared = _SHARED.get(_pair_key(pair))
+    if shared is not None:
+        return shared.operator(a)
     left, right = kernels._real_factors(pair, 0.0)
-    return DiscreteOperator(None, _factors_at(left, right, pair.line,
-                                              pair.loop, a))
+    return DiscreteOperator(None, _factors_at(left, right, pair, a))
 
 
 def qa_operator(a: float, alpha: float, refine: float = 1.0) -> DiscreteOperator:

@@ -132,21 +132,21 @@ class RhWorkspace:
     (alpha 128, alpha <= 0.15), which the real solves' imaginary residues
     cannot.  log|det S| is log P(a), returned as Y1Matrix.log_p.
 
-    _operator(a) keeps the operator of the last a only, as one entry that
-    is replaced only once the new operator's sketch and guard measurement
-    are done.  While the workspace lives it is listed in fredholm's weak
-    table of workspaces under its pair's two grids, and contour-Q on the
-    same grids takes its operator from _operator(a): so a P and a u at one
-    a share one sketch, and contour-Q's P is the same, bit for bit, with
-    or without a workspace.
+    The factors are held as fredholm.PairFactors, which give the operator
+    at each a and keep the last a's sketched operator.  While the
+    workspace lives they are listed in fredholm's weak table under the
+    pair's alpha and grids, and contour-Q on the same pair takes its
+    operator from them: so a P and a u at one a share one sketch, and
+    contour-Q's P is the same, bit for bit, with or without a workspace.
 
     The workspace holds the two real (line, loop) factors, read-only,
     line- and loop-length vectors, right^T applied to the sketch's first
     12 probe columns, which does not move with a and saves one of the
-    sketch's two products per point, and the last operator with its
-    n x 8 sketch.  A solve writes nothing into the factors, and the rest
-    is line- or loop-length blocks of 12 columns or fewer.  So threads may
-    share one workspace, and call contour-Q on its pair, in parallel."""
+    sketch's two products per point, and the last sketched operator with
+    its n x 8 sketch.  A solve writes nothing into the factors, and the
+    rest is line- or loop-length blocks of 12 columns or fewer.  So threads
+    may share one workspace, and call contour-Q on its pair, in
+    parallel."""
 
     def __init__(self, alpha: float, x_max: float, order: int = 16,
                  refine: float = 1.0):
@@ -170,36 +170,18 @@ class RhWorkspace:
         del block_a
         self.right = kernels.real_form(np.conjugate(block_bt, out=block_bt))
         del block_bt
-        self._right_probes = fredholm._first_probes(self.right)
-        for array in (self.left, self.right, self._right_probes):
-            array.setflags(write=False)
-        self._last: tuple | None = None   # (a, operator at a)
+        self.factors = fredholm.PairFactors(pair, self.left, self.right)
         m = self.left.shape[0] // 2
         f_line, h_line, f_loop, h_loop = kernels.rh_vectors(pair, 0.0)
         self.f_line = f_line[m:]                    # f(z).(1, 0), upper
         self.hw_line = self.line.weights * h_line   # W h(s).(0, 1)
         self.f_loop = f_loop                        # f(t).(0, 1)
         self.hw_loop = self.loop.weights * h_loop   # W h(t).(1, 0)
-        fredholm._WORKSPACES[fredholm._pair_key(self.line, self.loop)] = self
-
-    def _operator(self, a: float) -> fredholm.DiscreteOperator:
-        """The line operator K W at a, its a = 0 factors scaled, with its
-        sketch and rounding scale measured; the guard is left to the
-        caller.  The last a's operator is kept and returned again."""
-        last = self._last
-        if last is not None and last[0] == a:
-            return last[1]
-        op = fredholm.DiscreteOperator(None, fredholm._factors_at(
-            self.left, self.right, self.line, self.loop, a,
-            self._right_probes))
-        op._rounding()
-        self._last = a, op
-        return op
 
     def y1(self, a: float) -> Y1Matrix:
         if not 0.0 < a <= self.x_max + 1e-9:
             raise ValueError(f"a={a} outside workspace range (0, {self.x_max}]")
-        op = self._operator(a)
+        op = self.factors.operator(a)
         check_rounding_scale(op, f"RhWorkspace.y1 at alpha={self.alpha}, a={a}")
         m, k = self.f_line.size, self.f_loop.size // 2
         line_scale = op.factors.rows

@@ -406,6 +406,12 @@ def test_direct_real_factors_match_real_forms_of_the_blocks(alpha, refine):
             kernels.real_form(block_a), kernels.real_form(block_bt.conj()),
             np.exp(-a * z[z.size // 2:]), np.exp(a * t[t.size // 2:])).dense()
         np.testing.assert_array_equal(op.matrix(), want)
+        # the scalings against the blocks assembled at a itself, an
+        # independent assembly: within 6.8e-16 of max|K W| here
+        block_a, block_bt = kernels.cross_blocks(pair, a)
+        at_a = (kernels.real_form(block_a)
+                @ kernels.real_form(block_bt.conj()).T)
+        assert np.abs(op.matrix() - at_a).max() <= 1e-14 * np.abs(at_a).max()
 
         inner = kernels.qa_pair(alpha, a_max=a, refine=1.4 * refine,
                                 order=12).loop

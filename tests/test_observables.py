@@ -328,8 +328,7 @@ def test_workspace_shared_between_threads_gives_identical_solves():
     ws = RhWorkspace(alpha, x_max)
     for a in points:
         pair = kernels.qa_pair(alpha, a_max=a)
-        assert fredholm._WORKSPACES[
-            fredholm._pair_key(pair.line, pair.loop)] is ws
+        assert fredholm._SHARED[fredholm._pair_key(pair)] is ws.factors
     start = threading.Barrier(len(points))
     seen = {a: [] for a in points}
 
@@ -363,10 +362,11 @@ def test_contour_q_is_the_same_with_or_without_a_workspace(alpha):
     for a in (0.5, 1.7, 4.0):
         alone = fredholm.gap_probability(a, alpha, "contour-Q")
         ws = RhWorkspace(alpha, a)
-        key = fredholm._pair_key(ws.line, ws.loop)
-        assert fredholm._WORKSPACES[key] is ws
+        pair = kernels.qa_pair(alpha, a_max=a)
+        assert fredholm._SHARED[fredholm._pair_key(pair)] is ws.factors
         shared = fredholm.gap_probability(a, alpha, "contour-Q")
-        assert ws._last[0] == a  # contour-Q took the workspace's operator
+        # contour-Q took the workspace's operator
+        assert ws.factors._last[0] == a
         assert _gap_entries(shared) == _gap_entries(alone), a
         assert ws.y1(a).log_p == shared.log_p, a
         del ws
@@ -383,8 +383,7 @@ def test_contour_q_log_p_is_the_workspace_log_p_where_the_pairs_match():
             pair = kernels.qa_pair(alpha, a_max=float(a))
             res = fredholm.gap_probability(float(a), alpha, "contour-Q",
                                            estimate_error=False)
-            if fredholm._pair_key(pair.line, pair.loop) == (
-                    fredholm._pair_key(ws.line, ws.loop)):
+            if pair.line is ws.line and pair.loop is ws.loop:
                 matched += 1
                 assert ws.y1(float(a)).log_p == res.log_p, (alpha, a)
     assert matched == 18
@@ -393,10 +392,38 @@ def test_contour_q_log_p_is_the_workspace_log_p_where_the_pairs_match():
 def test_the_workspace_table_forgets_a_dead_workspace():
     ws = RhWorkspace(1.0, 3.0)
     ws.y1(2.0)
-    assert list(fredholm._WORKSPACES.values()) == [ws]
+    assert list(fredholm._SHARED.values()) == [ws.factors]
     del ws
     gc.collect()
-    assert len(fredholm._WORKSPACES) == 0
+    assert len(fredholm._SHARED) == 0
+
+
+def test_workspace_of_another_alpha_on_the_same_grids_is_not_shared():
+    # from alpha about 7.7 on, the truncation radii sit at their floor, so
+    # alpha 8 and 64 share their grids at one a_max; the factors differ,
+    # and contour-Q at alpha 64 must not take alpha 8's operator
+    a = 4.0
+    alone = fredholm.gap_probability(a, 64.0, "contour-Q")
+    ws = RhWorkspace(8.0, a)
+    pair = kernels.qa_pair(64.0, a_max=a)
+    assert pair.line is ws.line and pair.loop is ws.loop
+    shared = fredholm.gap_probability(a, 64.0, "contour-Q")
+    assert ws.factors._last is None
+    assert _gap_entries(shared) == _gap_entries(alone)
+    assert shared.p != fredholm.gap_probability(a, 8.0, "contour-Q").p
+
+
+def test_workspace_keeps_no_operator_on_the_dense_path(monkeypatch):
+    # only a sketched operator is kept as the last a's: one that takes the
+    # dense fallback forms its n x n K W, which must not outlive the call
+    ws = RhWorkspace(1.0, 3.0)
+    ws.y1(2.0)
+    assert ws.factors._last[0] == 2.0
+    monkeypatch.setattr(fredholm, "_range_sketch",
+                        lambda factors: (None, 0, math.nan))
+    res = ws.y1(1.5)
+    assert np.isfinite(res.u)
+    assert ws.factors._last[0] == 2.0
 
 
 def test_workspace_refuses_rounding_dominated_entries():
