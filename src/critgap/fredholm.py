@@ -7,10 +7,11 @@ kernel on (a, inf), and also the determinant of the two-contour operator
 Q = [[0, A], [B, 0]] on the line/loop union.  Both two-contour routes are
 posed on the line grid: contour-Q by the Schur complement
 det(I - Q) = det(I - A W_loop B W_line) on the pair's own loop, contour-H by
-the line-reduced kernel on a separately graded loop.  Their grids are mirror
-images under conjugation, so both line operators are real (kernels.real_form)
-and every LU is real.  Every route hands the determinant one real K W with
-the weights folded in (DiscreteOperator): halfline and contour-H as a dense
+the line-reduced kernel, a divided difference of one sum over a separately
+graded loop (kernels.ha_matrix).  Their grids are mirror images under
+conjugation, so both line operators are real (kernels.real_form) and every
+LU is real.  Every route hands the determinant one real K W with the
+weights folded in (DiscreteOperator): halfline and contour-H as a dense
 n x n array, contour-Q as its two real factors (RealFactors), never formed.
 Only a factored operator is sketched: its determinant is read from a range
 sketch of the factors (Halko, Martinsson and Tropp, arXiv:0909.4061), a
@@ -645,10 +646,10 @@ def qa_operator(a: float, alpha: float, refine: float = 1.0) -> DiscreteOperator
 
 
 def ha_operator(a: float, alpha: float, refine: float = 1.0) -> DiscreteOperator:
-    """Line-reduced operator; its loop integration grid is built separately
-    from the coupling pair, of order 12 and refined 1.4 times, so this route
-    stays an independent quadrature.  Raises ValueError for an a or alpha
-    that is not finite."""
+    """Line-reduced operator (kernels.ha_matrix), dense; its loop is built
+    apart from the coupling pair, of order 12 and refined 1.4 times, so this
+    route stays an independent quadrature.  Raises ValueError for an a or
+    alpha that is not finite."""
     _require_finite(a=a, alpha=alpha)
     inner = kernels.qa_pair(alpha, a_max=a, refine=1.4 * refine,
                             order=_DEFAULT_ORDER - 4)

@@ -7,8 +7,8 @@ dense products so Nystrom assembly stays cheap.  The finite-N kernel is one
 contraction u @ C @ v with the Cauchy matrix C = 1/(s - t) between its
 closed loop and its line; as every line node has the same real part, C is
 carried by two real arrays, built and contracted block by block of loop rows.
-The two-contour line operators are one product of two real factors, which
-_real_factors writes block by block of Cauchy rows into per-thread buffers.
+contour-Q's line operator is one product of two real factors written by
+_real_factors; contour-H's (ha_matrix) is a divided difference of one loop sum.
 
 The grids come from the contours builders, shared and read-only, and each
 keeps its own node values (QuadratureGrid.memo): Gamma and 1/Gamma of its
@@ -57,6 +57,7 @@ _TWO_PI_I = 2.0j * math.pi
 _IM_TOL = 1e-9
 # largest relative asymmetry a grid may have and still be folded by conjugation
 _MIRROR_TOL = 1e-12
+_NEAR = 0.05  # ha_matrix sums K W directly for nodes this close in Im
 
 # decay budget: contour tails are cut where integrands drop by e^{-40}
 _TAIL_LOG = 40.0
@@ -66,8 +67,8 @@ _TAIL_LOG = 40.0
 _BLOCK_BYTES = 1 << 19
 
 # per-thread, grow-only buffers (_buffer): _real_factors' two factors and
-# the block of Cauchy rows they are written from, and fredholm's square
-# buffer (I - K W of a dense LU); held until the thread ends
+# their block of Cauchy rows, and fredholm's square buffer (I - K W of a
+# dense LU), which ha_matrix's work arrays reuse; held until the thread ends
 _FACTORS = threading.local()
 
 
@@ -161,7 +162,7 @@ def _upper_half(grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
     return z[n // 2:], w[n // 2:]
 
 
-def real_form(upper: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def real_form(upper: np.ndarray) -> np.ndarray:
     """Real matrix similar to an operator X between two mirror-symmetric
     grids that commutes with their conjugation J conj (J reverses a grid):
     J conj(X) J = X.  Takes X's rows at the upper-half nodes, over all
@@ -177,15 +178,11 @@ def real_form(upper: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     node j.  The same coordinates span the whole space over C, so for a
     square X this is a similarity, det(I - X) = det(I - real_form(X_up)),
     and the real form of a product is the product of the real forms.
-
-    The result is written into `out` when one is given: a real (2m, p)
-    array that does not overlap `upper`.
     """
     m, p = upper.shape
     if p % 2:
         raise GeometryError(f"{p} columns: an odd grid has no mirror pairing")
-    if out is None:
-        out = np.empty((2 * m, p))
+    out = np.empty((2 * m, p))
     _write_real_form(upper, out[:m], out[m:])
     return out
 
@@ -552,21 +549,61 @@ def cross_blocks(pair: ContourPair, a: float) -> tuple[np.ndarray, np.ndarray]:
 
 def ha_matrix(pair: ContourPair, a: float, loop: QuadratureGrid) -> np.ndarray:
     """Real form (see real_form) of the line-reduced kernel times the line
-    weights, K W, on the pair's line grid, with the loop variable integrated
-    on `loop`, a grid of its own or the pair's.
+    weights, K W, on the pair's vertical line, with the loop variable
+    integrated on `loop`, a grid of its own or the pair's.
 
-    K W = L Rt with L = diag(e^{-az + alpha z^2/4}) R diag(g) and
-    Rt = R^T diag(w e^{alpha z^2/4} / Gamma(z) / (2 pi i)), where
-    R = 1/(z - t) and g = w_t Gamma(t) e^{at - alpha t^2/2} / (2 pi i);
-    both factors commute with conjugation.  L's upper-half rows are R's,
-    scaled.  For the transpose Rt, the real form is real_form of the
-    conjugated upper rows of Rt^T = diag(.) R, transposed: R's rows again.
-    So one Cauchy matrix on the upper line rows gives both factors, which
-    _real_factors writes as real forms; the result is their one product,
-    a fresh array.  Raises GeometryError if either grid is not
-    mirror-symmetric."""
-    left, right = _real_factors(pair, a, loop)
-    return left @ right.T
+    K W = L Rt, L = diag(e^{-az + alpha z^2/4}) R diag(g), Rt = R^T diag(b),
+    R = 1/(z - t), g = w_t Gamma(t) e^{at - alpha t^2/2} / (2 pi i) and
+    b = w_z e^{alpha z^2/4} / Gamma(z) / (2 pi i), is integrable (Its,
+    Izergin, Korepin and Slavnov): by partial fractions it is a divided
+    difference of one loop sum f(z) = sum_t g_t / (z - t), K W[z, z'] =
+    e^{-az + alpha z^2/4} (f(z) - f(z')) / (z' - z) b(z'), with z' - z =
+    i (Im z' - Im z) on the line and f(conj z) = conj f(z): one pass over
+    R and O(n^2), not an n x p x n product.  Where |Im z' - Im z| < _NEAR
+    the difference cancels and the entry is summed over the loop instead.
+    With f numpy's pairwise sum, K W is within 2.7e-15 of max|K W| of the
+    complex product.  The result is a fresh array; the work arrays are
+    this thread's buffers.  Raises GeometryError if the line is not
+    vertical or either grid is not mirror-symmetric."""
+    alpha, line = pair.alpha, pair.line
+    if line.spec.kind != "line":
+        raise GeometryError(f"ha_matrix needs a line, got a {line.spec.kind}")
+    z = _upper_half(line)[0]
+    _upper_half(loop)  # the symmetry check; the sum runs over the loop
+    t, wt = loop.nodes, loop.weights
+    g = wt * _gamma_on(loop) * np.exp(a * t - alpha * t * t / 2.0) / _TWO_PI_I
+    m, p, y = z.size, t.size, z.imag
+    r = _buffer("left", 2 * m * p, float).view(complex).reshape(m, p)
+    np.reciprocal(np.subtract.outer(z, t, out=r), out=r)
+    rg = _buffer("right", 2 * m * p, float).view(complex).reshape(m, p)
+    np.multiply(r, g, out=rg)
+    f = rg.sum(axis=1)
+    # sum_t g r_i r_j for node i and each node j = i + d up to _NEAR above
+    # it, and for the k nodes within _NEAR of the real axis and their mirrors
+    near = [(np.arange(m), 0, np.einsum("ij,ij->i", rg, r))]
+    for d in range(1, m):
+        i = np.flatnonzero(y[d:] - y[:m - d] < _NEAR)
+        if not i.size:
+            break
+        near.append((i, d, np.einsum("ij,ij->i", rg[i], r[i + d])))
+    k = int(np.searchsorted(y, _NEAR))
+    mirror = rg[:k] @ r[:k][::-1, ::-1].conj().T
+    lead = np.exp(-a * z + alpha * z * z / 4.0)
+    b = (line.weights * _recip_gamma_on(line)
+         * np.exp(alpha * line.nodes * line.nodes / 4.0) / _TWO_PI_I)
+    kw = _buffer("one_minus", 4 * m * m, float).view(complex).reshape(m, 2 * m)
+    np.matmul(np.stack([lead * f, -lead], axis=1) / 1j,
+              np.stack([b, np.concatenate([f[::-1].conj(), f]) * b]), out=kw)
+    out = np.empty((2 * m, 2 * m))  # its upper half holds Im z' - Im z first
+    gap = np.subtract.outer(-y, -line.nodes.imag, out=out[:m])
+    np.fill_diagonal(gap[:, m:], np.inf)  # z' = z: summed directly
+    kw *= np.reciprocal(gap, out=gap)
+    for i, d, s in near:
+        kw[i, m + i + d] = lead[i] * s * b[m + i + d]
+        kw[i + d, m + i] = lead[i + d] * s * b[m + i]
+    kw[:k, m - k:m] = lead[:k, None] * mirror * b[m - k:m]
+    _write_real_form(kw, out[:m], out[m:])
+    return out
 
 
 def _buffer(name: str, size: int, dtype: type) -> np.ndarray:
@@ -579,20 +616,16 @@ def _buffer(name: str, size: int, dtype: type) -> np.ndarray:
     return buf[:size]
 
 
-def _real_factors(pair: ContourPair, a: float,
-                  loop: QuadratureGrid | None = None
+def _real_factors(pair: ContourPair, a: float
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Real forms (left, right) of the two factors of a two-contour line
-    operator, K W = L X^T, so that left @ right.T is the real form of K W.
-
-    Without `loop` these are contour-Q's coupling blocks on the pair's own
-    loop, L = A W_loop and X = (B W_line)^T of cross_blocks; with one,
-    ha_matrix's factors L and Rt^T with the loop variable on `loop`.  Both
-    are row and column scalings of the Cauchy matrix R = 1/(z - t) on the
-    upper-half line rows, and left = real_form(L), right =
-    real_form(conj(X)).  Every entry is rounded as in the complex blocks,
-    (R * cols) * rows, so left @ right.T equals the product of real_form's
-    over those blocks bit for bit.
+    """Real forms (left, right) of contour-Q's two coupling blocks on the
+    pair's own loop, L = A W_loop and X = (B W_line)^T of cross_blocks, so
+    that left @ right.T is the real form of the Schur complement K W =
+    L X^T.  Both are row and column scalings of the Cauchy matrix
+    R = 1/(z - t) on the upper-half line rows, and left = real_form(L),
+    right = real_form(conj(X)).  Every entry is rounded as in the complex
+    blocks, (R * cols) * rows, so left @ right.T equals the product of
+    real_form's over those blocks bit for bit.
 
     R is built a block of rows at a time, and both real forms are written
     from the block straight into the factors: no line x loop complex array
@@ -603,23 +636,10 @@ def _real_factors(pair: ContourPair, a: float,
     each time.  They stay valid until the thread's next call; callers keep
     only fresh arrays computed from them.  The buffers are never shrunk or
     released: a thread holds its largest factors and block so far until
-    it ends, 1.3 to 5.6 MB after one contour-Q and one contour-H call on
-    alpha [0.2, 64] x a [1, 16] x refine [1, 2].  Raises GeometryError if
-    either grid is not mirror-symmetric."""
-    if loop is None:
-        z, t, left_cols, left_rows, right_cols, right_rows = \
-            _cross_scales(pair, a)
-    else:
-        alpha = pair.alpha
-        z, wz = _upper_half(pair.line)
-        _upper_half(loop)  # the symmetry check; the sum runs over the loop
-        t, wt = loop.nodes, loop.weights
-        left_cols = (wt * _gamma_on(loop) * np.exp(a * t - alpha * t * t / 2.0)
-                     / _TWO_PI_I)
-        left_rows = np.exp(-a * z + alpha * z * z / 4.0)
-        right_cols = None
-        right_rows = (wz * _recip_gamma_on(pair.line)[z.size:]
-                      * np.exp(alpha * z * z / 4.0) / _TWO_PI_I)
+    it ends, 1.3 to 11.8 MB after one contour-Q call on alpha [0.2, 64] x
+    a [1, 16] x refine [1, 2].  Raises GeometryError if either grid is not
+    mirror-symmetric."""
+    z, t, left_cols, left_rows, right_cols, right_rows = _cross_scales(pair, a)
     m, p = z.size, t.size
     left = _buffer("left", 2 * m * p, float).reshape(2 * m, p)
     right = _buffer("right", 2 * m * p, float).reshape(2 * m, p)
@@ -633,8 +653,7 @@ def _real_factors(pair: ContourPair, a: float,
         np.multiply(r, left_cols, out=scaled)
         scaled *= left_rows[i:j, None]
         _write_real_form(scaled, left[i:j], left[m + i:m + j])
-        if right_cols is not None:
-            r *= right_cols  # in place: R is not needed again
+        r *= right_cols  # in place: R is not needed again
         r *= right_rows[i:j, None]
         _write_real_form(r, right[i:j], right[m + i:m + j], conj=True)
     return left, right

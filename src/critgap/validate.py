@@ -127,9 +127,9 @@ def check_jump_unipotent() -> CheckResult:
 
 
 def check_line_reduction() -> CheckResult:
-    """Line-reduced kernel equals the loop-contracted product of the two
-    coupling blocks when evaluated on the same loop grid (both in real
-    form, weights included)."""
+    """Line-reduced kernel, a divided difference of one loop sum, equals
+    the loop-contracted product of the two coupling blocks on the same loop
+    grid (both in real form, weights included)."""
     a, alpha = 2.0, 1.0
     pair = kernels.qa_pair(alpha, a_max=a)
     block_a, block_bt = kernels.cross_blocks(pair, a)

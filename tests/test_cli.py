@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -234,10 +235,10 @@ def test_validate_json_and_exit_code(capsys):
 
 
 def test_validate_catches_injected_fault(capsys, monkeypatch):
-    # a 1% miscalibration of the two-contour factors must fail route
+    # a 1% miscalibration of contour-Q's two factors must fail route
     # equivalence (a global sign flip would not: the determinant sees only
-    # the product of the two factors, and the flips cancel).  contour-Q and
-    # contour-H both write their factors through kernels._real_factors
+    # the product of the two factors, and the flips cancel).  contour-Q
+    # alone writes its factors through kernels._real_factors
     fast = tuple(c for c in validate.CHECKS
                  if c.__name__ == "check_route_equivalence")
     monkeypatch.setattr(validate, "CHECKS", fast)
@@ -252,6 +253,27 @@ def test_validate_catches_injected_fault(capsys, monkeypatch):
     assert code == 1
     doc = json.loads(out)
     assert doc["all_passed"] is False
+
+
+def test_validate_catches_a_contour_h_fault(capsys, monkeypatch):
+    # contour-H's loop sum f(z) = sum_t g_t / (z - t) runs over its own
+    # loop, whose weights enter g alone: 1% heavier weights there must fail
+    # route equivalence, since no other route uses that loop
+    fast = tuple(c for c in validate.CHECKS
+                 if c.__name__ == "check_route_equivalence")
+    monkeypatch.setattr(validate, "CHECKS", fast)
+    true_ha_matrix = kernels.ha_matrix
+    calls = []
+
+    def broken(pair, a, loop):
+        calls.append(a)
+        return true_ha_matrix(pair, a, dataclasses.replace(
+            loop, weights=1.01 * loop.weights))
+
+    monkeypatch.setattr(kernels, "ha_matrix", broken)
+    code, out, _ = run_cli(capsys, "validate")
+    assert calls and code == 1
+    assert json.loads(out)["all_passed"] is False
 
 
 def test_mc_csv_deterministic(capsys, tmp_path):

@@ -546,6 +546,18 @@ def test_rounding_guard_raise_set_is_pinned():
     assert on_workspace == want
 
 
+def test_contour_h_rounding_guard_raise_set_is_pinned():
+    # contour-H reads max|K W| of its dense matrix, an independent
+    # quadrature and assembly; it fires on the same 23 points as contour-Q,
+    # and a new assembly of its matrix must keep this set
+    want = {(alpha, a) for alpha in GUARD_ALPHAS for a in GUARD_AS
+            if a <= GUARD_RAISES_UP_TO.get(alpha, 0.0)}
+    got = {(alpha, a) for alpha in GUARD_ALPHAS for a in GUARD_AS
+           if _trips_the_guard(lambda: gap_probability(
+               a, alpha, "contour-H", estimate_error=False))}
+    assert got == want
+
+
 def test_guard_max_is_the_max_of_q_b_without_forming_it(monkeypatch):
     # on every operator the pinned raise set's grid measures, the guard's
     # max|Q B| equals abs(Q @ B).max() bit for bit, and its scale is kept

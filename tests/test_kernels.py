@@ -367,13 +367,16 @@ def test_shared_cauchy_factor_matches_inline_formulas(alpha, a):
 
 def test_line_reduced_matches_block_product():
     # validate measures max|diff| / (1 + max|A B|), and max|A B| = 0.044 at
-    # its point, so 4e-15 holds max|diff| below 1e-13 max|A B|
+    # its point, so 4e-15 holds max|diff| below 1e-13 max|A B|.  It compares
+    # two algorithms, ha_matrix's divided difference and the product of the
+    # coupling blocks: 8.0e-17 apart
     assert validate.check_line_reduction().measured <= 4e-15
 
 
 def _parent_ha_factors(pair, a, loop):
-    """ha_matrix's two complex factors L and conj(Rt^T) on the upper-half
-    line rows, formed whole in the order of the entries' roundings."""
+    """The two complex factors L and conj(Rt^T) of the line-reduced kernel
+    on the upper-half line rows, formed whole: the n x p x n product form
+    that ha_matrix's divided difference replaces."""
     alpha = pair.alpha
     m = len(pair.line) // 2
     z, wz = pair.line.nodes[m:], pair.line.weights[m:]
@@ -390,11 +393,13 @@ def _parent_ha_factors(pair, a, loop):
 @pytest.mark.parametrize("refine", [1.0, 0.5])
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 def test_direct_real_factors_match_real_forms_of_the_blocks(alpha, refine):
-    # contour-Q and ha_matrix write their real factors straight from row
-    # blocks of R = 1/(z - t) into reused buffers; the product must be the
-    # one of real_form's over the complex blocks, bit for bit: for
-    # contour-Q, the blocks at a = 0 with e^{-az} on the upper-half line
-    # rows and e^{at} on the upper-half loop columns.  The sizes vary
+    # contour-Q writes its real factors straight from row blocks of
+    # R = 1/(z - t) into reused buffers; the product must be the one of
+    # real_form's over the complex blocks at a = 0 with e^{-az} on the
+    # upper-half line rows and e^{at} on the upper-half loop columns, bit
+    # for bit.  ha_matrix, a divided difference of one loop sum, must lie
+    # within 5e-15 of max|K W| of the product of its two factors (2.2e-15
+    # here), and ha_operator must hold it bit for bit.  The sizes vary
     # across the parameters, so the buffers are also reused at other
     # shapes than the ones they were grown for
     for a in (0.5, 1.7, 4.0):
@@ -417,23 +422,66 @@ def test_direct_real_factors_match_real_forms_of_the_blocks(alpha, refine):
                                 order=12).loop
         left, right = _parent_ha_factors(pair, a, inner)
         want = kernels.real_form(left) @ kernels.real_form(right).T
-        np.testing.assert_array_equal(kernels.ha_matrix(pair, a, inner), want)
+        got = kernels.ha_matrix(pair, a, inner)
+        assert np.abs(got - want).max() <= 5e-15 * np.abs(want).max()
         op = fredholm.ha_operator(a, alpha, refine=refine)
-        np.testing.assert_array_equal(op.matrix(), want)
+        np.testing.assert_array_equal(op.matrix(), got)
+
+
+def _ha_inner(alpha, a, refine):
+    """ha_operator's coupling pair and its own loop."""
+    return (kernels.qa_pair(alpha, a_max=a, refine=refine),
+            kernels.qa_pair(alpha, a_max=a, refine=1.4 * refine,
+                            order=12).loop)
+
+
+@pytest.mark.parametrize("refine", [1.0, 0.5])
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0, 8.0, 64.0, 96.0])
+def test_ha_matrix_divided_difference_matches_complex_product(alpha, refine):
+    # the divided difference (f(z) - f(z')) / (z' - z) cancels for nearby
+    # nodes; with those entries summed directly the real form stays within
+    # 2.7e-15 of max|K W| of the unfolded complex product, and without them
+    # (the diagonal alone summed directly) it reaches 8.8e-15
+    for a in (0.5, 1.0, 2.0, 4.0, 8.0):
+        pair, inner = _ha_inner(alpha, a, refine)
+        m = len(pair.line) // 2
+        want = kernels.real_form(
+            (complex_reference.ha_matrix(pair, a, inner)
+             * pair.line.weights)[m:])
+        got = kernels.ha_matrix(pair, a, inner)
+        assert np.abs(got - want).max() <= 5e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("refine", [1.0, 0.5])
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0, 8.0])
+def test_contour_h_determinant_matches_product_form(alpha, refine):
+    # contour-H's P against det(I - K W) of the product of ha_matrix's two
+    # factors, each written whole: at most 1.8e-15 apart here
+    for a in (0.5, 1.0, 2.0, 4.0):
+        pair, inner = _ha_inner(alpha, a, refine)
+        left, right = _parent_ha_factors(pair, a, inner)
+        want = fredholm.det_one_minus(fredholm.DiscreteOperator(
+            kernels.real_form(left) @ kernels.real_form(right).T))[0]
+        got = fredholm.det_one_minus(fredholm.ha_operator(a, alpha, refine))
+        assert abs(got[0] - want) <= 1e-14
 
 
 def test_real_factors_are_per_thread():
-    # each thread writes its factors into buffers of its own, so concurrent
-    # assemblies return what serial ones do
+    # each thread writes contour-Q's factors and contour-H's work arrays
+    # into buffers of its own, so concurrent assemblies return what serial
+    # ones do
     cases = [(0.5, 1.7), (2.0, 4.0), (1.0, 0.5), (0.5, 4.0)]
-    serial = [fredholm.qa_operator(a, alpha).matrix()
-              for alpha, a in cases]
+
+    def both(alpha, a):
+        return (fredholm.qa_operator(a, alpha).matrix(),
+                fredholm.ha_operator(a, alpha).matrix())
+
+    serial = [both(alpha, a) for alpha, a in cases]
     got = [None] * len(cases)
 
     def work(i):
         for _ in range(3):
-            alpha, a = cases[i]
-            got[i] = fredholm.qa_operator(a, alpha).matrix()
+            got[i] = both(*cases[i])
 
     threads = [threading.Thread(target=work, args=(i,))
                for i in range(len(cases))]
@@ -441,8 +489,10 @@ def test_real_factors_are_per_thread():
         thread.start()
     for thread in threads:
         thread.join(timeout=60)
+        assert not thread.is_alive()
     for want, value in zip(serial, got):
-        np.testing.assert_array_equal(value, want)
+        np.testing.assert_array_equal(value[0], want[0])
+        np.testing.assert_array_equal(value[1], want[1])
 
 
 def _commuting(rng, rows, cols):
@@ -487,6 +537,10 @@ def test_cross_blocks_and_ha_matrix_refuse_odd_grids():
         kernels.cross_blocks(odd, 2.0)
     with pytest.raises(GeometryError, match="odd"):
         kernels.ha_matrix(odd, 2.0, odd.loop)
+    # the divided difference needs z' - z = i (Im z' - Im z): a vertical line
+    hairpin = dataclasses.replace(pair, line=loop)
+    with pytest.raises(GeometryError, match="needs a line, got a hairpin"):
+        kernels.ha_matrix(hairpin, 2.0, loop)
 
 
 # the faults each rh_vectors component is given below: a rescaled and
