@@ -15,7 +15,7 @@ from .contours import (ContourSpec, GeometryError, QuadratureGrid,
 from .fredholm import (DiscreteOperator, GapResult, HalfLineGrid, ROUTES,
                        SingularError, SingularWarning, det_one_minus,
                        gap_probability, halfline_operator, ha_operator,
-                       qa_operator, solve_resolvent)
+                       solve_resolvent)
 from .kernels import (centering_shift, conjugated_kernel, critical_kernel,
                       factored_kernel, finite_kernel, kernel_pair, qa_pair)
 from .mc import (ConvergenceError, McConfig, McResult, center_aN,
@@ -41,8 +41,7 @@ __all__ = [
     # determinants
     "ROUTES", "HalfLineGrid", "DiscreteOperator", "GapResult",
     "gap_probability", "det_one_minus", "solve_resolvent",
-    "halfline_operator", "qa_operator", "ha_operator", "SingularError",
-    "SingularWarning",
+    "halfline_operator", "ha_operator", "SingularError", "SingularWarning",
     # observables
     "Y1Matrix", "RhWorkspace", "y1_matrix", "u_of_x",
     "u_asymptotic", "log_gap_from_u", "residue_sum", "asym_u1_21",

@@ -31,8 +31,9 @@ the last a.  Live PairFactors are listed in _SHARED, a weak table keyed
 by the pair's alpha and two grids, and contour-Q on the same pair takes
 its operator from there, so a P and a u at one a share one assembly and
 one sketch; with none alive, kernels._real_factors(pair, 0.0) writes the
-factors into this thread's buffers.  The factors are the same bits
-either way, so P does not depend on whether a workspace is alive.
+factors into this thread's buffers.  One loop (kernels._write_factors)
+writes them either way, the same bits, so P does not depend on whether a
+workspace is alive.
 Dense operators, and contour-Q's fallback past rank n/4, take a dense LU
 of I - K W; an operator that would need that fallback above 4096 rows
 raises instead.
@@ -71,7 +72,6 @@ __all__ = [
     "RealFactors",
     "PairFactors",
     "halfline_operator",
-    "qa_operator",
     "ha_operator",
     "det_one_minus",
     "solve_resolvent",
@@ -633,18 +633,6 @@ def _contour_q_operator(a: float, alpha: float,
     return DiscreteOperator(None, _factors_at(left, right, pair, a))
 
 
-def qa_operator(a: float, alpha: float, refine: float = 1.0) -> DiscreteOperator:
-    """Two-contour coupling operator Q = [[0, A], [B, 0]] on the (line, loop)
-    union, as the real form of its line-grid Schur complement, formed
-    densely: det(I - Q W) = det(I - A W_loop B W_line).  It is
-    RealFactors.dense() of the scaled a = 0 factors that
-    gap_probability's contour-Q route holds.  Raises ValueError for an a or
-    alpha that is not finite."""
-    _require_finite(a=a, alpha=alpha)
-    return DiscreteOperator(
-        _contour_q_operator(a, alpha, refine).factors.dense())
-
-
 def ha_operator(a: float, alpha: float, refine: float = 1.0) -> DiscreteOperator:
     """Line-reduced operator (kernels.ha_matrix), dense; its loop is built
     apart from the coupling pair, of order 12 and refined 1.4 times, so this
@@ -673,8 +661,7 @@ def _route_det(a: float, alpha: float, route: str, refine: float) -> tuple[float
         op = halfline_operator(a, alpha, refine=refine)
     elif route == "contour-Q":
         # det S of the sketch of the scaled a = 0 factors, with the guard
-        # on max|Q B|; past rank n/4, the dense LU that qa_operator and
-        # det_one_minus give
+        # on max|Q B|; past rank n/4, the dense LU of RealFactors.dense()
         op = _contour_q_operator(a, alpha, refine)
     elif route == "contour-H":
         op = ha_operator(a, alpha, refine=refine)

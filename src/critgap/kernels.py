@@ -1,5 +1,5 @@
 """Correlation kernels: critical, conjugated, finite-product, factored forms,
-and the coupling blocks of the two-contour operator with its line reduction.
+and the real factors of the two-contour operator with its line reduction.
 
 Everything is a double (or single) contour integral over a hairpin-loop /
 vertical-line pair.  Matrix-valued evaluators batch the node sums as three
@@ -7,8 +7,11 @@ dense products so Nystrom assembly stays cheap.  The finite-N kernel is one
 contraction u @ C @ v with the Cauchy matrix C = 1/(s - t) between its
 closed loop and its line; as every line node has the same real part, C is
 carried by two real arrays, built and contracted block by block of loop rows.
-contour-Q's line operator is one product of two real factors written by
-_real_factors; contour-H's (ha_matrix) is a divided difference of one loop sum.
+contour-Q's line operator is one product of two real factors, which one
+loop writes (_write_factors): into fresh arrays for the RH workspace and
+validate (cross_blocks), into this thread's buffers for contour-Q
+(_real_factors).  contour-H's (ha_matrix) is a divided difference of one
+loop sum.
 
 The grids come from the contours builders, shared and read-only, and each
 keeps its own node values (QuadratureGrid.memo): Gamma and 1/Gamma of its
@@ -66,9 +69,10 @@ _TAIL_LOG = 40.0
 # contraction: small enough for the elementwise passes to stay in cache
 _BLOCK_BYTES = 1 << 19
 
-# per-thread, grow-only buffers (_buffer): _real_factors' two factors and
-# their block of Cauchy rows, and fredholm's square buffer (I - K W of a
-# dense LU), which ha_matrix's work arrays reuse; held until the thread ends
+# per-thread, grow-only buffers (_buffer): _real_factors' two factors,
+# _write_factors' block of Cauchy rows, and fredholm's square buffer (I - K W
+# of a dense LU), which ha_matrix's work arrays reuse; held until the thread
+# ends
 _FACTORS = threading.local()
 
 
@@ -507,44 +511,17 @@ def rh_vectors(pair: ContourPair, a: float) -> tuple[np.ndarray, ...]:
     return f_line, h_line, f_loop, h_loop
 
 
-def _cross_scales(pair: ContourPair, a: float) -> tuple[np.ndarray, ...]:
-    """Upper-half line nodes z, loop nodes t and the scalings of R = 1/(z - t)
-    that make the two coupling blocks (see cross_blocks):
-    A W_loop = diag(row_a) R diag(col_a), (B W_line)^T = diag(row_b) R
-    diag(col_b).  Returns (z, t, col_a, row_a, col_b, row_b)."""
-    alpha = pair.alpha
-    z, wz = _upper_half(pair.line)
-    _upper_half(pair.loop)  # the symmetry check; the blocks span the loop
-    t, wt = pair.loop.nodes, pair.loop.weights
-    col_a = wt * _gamma_on(pair.loop) * np.exp(-alpha * t * t / 4.0 + a * t)
-    row_a = np.exp(alpha * z * z / 4.0 - a * z) / _TWO_PI_I
-    col_b = np.exp(-alpha * t * t / 4.0)
-    row_b = (wz * _recip_gamma_on(pair.line)[z.size:]
-             * np.exp(alpha * z * z / 4.0) / _TWO_PI_I)
-    return z, t, col_a, row_a, col_b, row_b
-
-
 def cross_blocks(pair: ContourPair, a: float) -> tuple[np.ndarray, np.ndarray]:
-    """The two coupling blocks with their source grids' weights, each as
-    upper-half line rows over the whole loop (m x loop): (A W_loop)[z, t]
-    line<-loop, and the transpose (B W_line)^T[z, t] of loop<-line.  Both
-    commute with conjugation, so the real form (see real_form) of the Schur
-    complement A W_loop B W_line is real_form(A) @ real_form(conj(Bt)).T.
-    At a = 0, contour-Q writes those two real forms directly
-    (_real_factors), and observables.RhWorkspace writes them from these
-    blocks; both scale them to each a.
-
-    Both are the Cauchy matrix R = 1/(z - t) scaled by rows and columns.
-    Raises GeometryError if either grid is not mirror-symmetric."""
-    z, t, col_a, row_a, col_b, row_b = _cross_scales(pair, a)
-    R = np.subtract.outer(z, t)
-    np.reciprocal(R, out=R)
-    A = R * col_a[None, :]
-    A *= row_a[:, None]
-    Bt = R  # scaled in place: R is not needed again
-    Bt *= col_b[None, :]
-    Bt *= row_b[:, None]
-    return A, Bt
+    """Real forms (left, right) of the two coupling blocks at a, as fresh
+    (2m, loop) arrays: left = real_form(A W_loop) of line<-loop and
+    right = real_form(conj((B W_line)^T)) of loop<-line, on the upper-half
+    line rows (_write_factors).  Both blocks commute with conjugation, so
+    left @ right.T is the real form of the Schur complement A W_loop
+    B W_line.  Raises GeometryError if either grid is not mirror-symmetric."""
+    m, p = pair.line.nodes.size // 2, pair.loop.nodes.size
+    left, right = np.empty((2 * m, p)), np.empty((2 * m, p))
+    _write_factors(pair, a, left, right)
+    return left, right
 
 
 def ha_matrix(pair: ContourPair, a: float, loop: QuadratureGrid) -> np.ndarray:
@@ -618,31 +595,38 @@ def _buffer(name: str, size: int, dtype: type) -> np.ndarray:
 
 def _real_factors(pair: ContourPair, a: float
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Real forms (left, right) of contour-Q's two coupling blocks on the
-    pair's own loop, L = A W_loop and X = (B W_line)^T of cross_blocks, so
-    that left @ right.T is the real form of the Schur complement K W =
-    L X^T.  Both are row and column scalings of the Cauchy matrix
-    R = 1/(z - t) on the upper-half line rows, and left = real_form(L),
-    right = real_form(conj(X)).  Every entry is rounded as in the complex
-    blocks, (R * cols) * rows, so left @ right.T equals the product of
-    real_form's over those blocks bit for bit.
-
-    R is built a block of rows at a time, and both real forms are written
-    from the block straight into the factors: no line x loop complex array
-    exists.  The block and its scaled copy hold _BLOCK_BYTES (0.5 MB)
-    together.  The factors and the block are views of this thread's
-    grow-only buffers, so repeated calls reuse their memory instead of
-    asking the allocator for megabytes that it may trim and fault in again
-    each time.  They stay valid until the thread's next call; callers keep
-    only fresh arrays computed from them.  The buffers are never shrunk or
-    released: a thread holds its largest factors and block so far until
-    it ends, 1.3 to 11.8 MB after one contour-Q call on alpha [0.2, 64] x
-    a [1, 16] x refine [1, 2].  Raises GeometryError if either grid is not
-    mirror-symmetric."""
-    z, t, left_cols, left_rows, right_cols, right_rows = _cross_scales(pair, a)
-    m, p = z.size, t.size
+    """cross_blocks(pair, a), the same bits, in views of this thread's
+    grow-only buffers, valid until its next call: repeated contour-Q calls
+    reuse that memory instead of asking the allocator for megabytes that
+    it may trim and fault in again each time.  A thread holds its largest
+    factors so far until it ends, 1.3 to 11.8 MB after one contour-Q call
+    on alpha [0.2, 64] x a [1, 16] x refine [1, 2]."""
+    m, p = pair.line.nodes.size // 2, pair.loop.nodes.size
     left = _buffer("left", 2 * m * p, float).reshape(2 * m, p)
     right = _buffer("right", 2 * m * p, float).reshape(2 * m, p)
+    _write_factors(pair, a, left, right)
+    return left, right
+
+
+def _write_factors(pair: ContourPair, a: float, left: np.ndarray,
+                   right: np.ndarray) -> None:
+    """Write cross_blocks(pair, a) into the (2m, loop) arrays left and
+    right.  Both blocks are the Cauchy matrix R = 1/(z - t) scaled by rows
+    and columns, each entry rounded as (R * cols) * rows.  R is built a
+    block of rows at a time in this thread's buffer "cauchy", which holds
+    it and its scaled copy in _BLOCK_BYTES (0.5 MB), and both real forms
+    are written from the block straight into the factors: no line x loop
+    complex array exists."""
+    alpha = pair.alpha
+    z, wz = _upper_half(pair.line)
+    _upper_half(pair.loop)  # the symmetry check; the blocks span the loop
+    t, wt = pair.loop.nodes, pair.loop.weights
+    col_a = wt * _gamma_on(pair.loop) * np.exp(-alpha * t * t / 4.0 + a * t)
+    row_a = np.exp(alpha * z * z / 4.0 - a * z) / _TWO_PI_I
+    col_b = np.exp(-alpha * t * t / 4.0)
+    row_b = (wz * _recip_gamma_on(pair.line)[z.size:]
+             * np.exp(alpha * z * z / 4.0) / _TWO_PI_I)
+    m, p = z.size, t.size
     rows = min(m, max(1, _BLOCK_BYTES // (32 * p)))
     block = _buffer("cauchy", 2 * rows * p, complex).reshape(2, rows, p)
     for i in range(0, m, rows):
@@ -650,10 +634,9 @@ def _real_factors(pair: ContourPair, a: float
         r, scaled = block[0, :j - i], block[1, :j - i]
         np.subtract.outer(z[i:j], t, out=r)
         np.reciprocal(r, out=r)
-        np.multiply(r, left_cols, out=scaled)
-        scaled *= left_rows[i:j, None]
+        np.multiply(r, col_a, out=scaled)
+        scaled *= row_a[i:j, None]
         _write_real_form(scaled, left[i:j], left[m + i:m + j])
-        r *= right_cols  # in place: R is not needed again
-        r *= right_rows[i:j, None]
+        r *= col_b  # in place: R is not needed again
+        r *= row_b[i:j, None]
         _write_real_form(r, right[i:j], right[m + i:m + j], conj=True)
-    return left, right

@@ -102,10 +102,10 @@ class RhWorkspace:
     sum_loop F_loop h_loop^T W = f_loop^T W h_loop + sum_line W F_line g.
 
     The grids are mirror images under conjugation, and both coupling blocks
-    commute with it, so the workspace keeps only their real forms at a = 0
-    (kernels.real_form): left = real_form(A W_loop) and right =
-    real_form(conj((B W_line)^T)), as contour-Q's factors are, so that the
-    real form of K W is left @ right.T.  At a point a the line operator is
+    commute with it, so the workspace keeps only their real forms at a = 0,
+    contour-Q's two factors (kernels.cross_blocks): left = real_form(A
+    W_loop) and right = real_form(conj((B W_line)^T)), so that the real
+    form of K W is left @ right.T.  At a point a the line operator is
     fredholm.RealFactors(left, right, e^{-az}, e^{at}): the two scalings
     are complex multiplications on the (Re, Im) halves of the real
     coordinates, and K W is applied through the factors without forming
@@ -161,15 +161,7 @@ class RhWorkspace:
             # f_line = e^{alpha z^2/4 - az} decays only up a vertical line
             raise GeometryError(
                 f"workspace needs a vertical line, got a {self.line.spec.kind}")
-        # upper-half line rows of A W_loop and (B W_line)^T, m x loop each;
-        # each block is dropped once its real form is written.  The real
-        # forms equal kernels._real_factors(pair, 0.0) bit for bit, but that
-        # would grow this thread's buffers to workspace size for good
-        block_a, block_bt = kernels.cross_blocks(pair, 0.0)
-        self.left = kernels.real_form(block_a)
-        del block_a
-        self.right = kernels.real_form(np.conjugate(block_bt, out=block_bt))
-        del block_bt
+        self.left, self.right = kernels.cross_blocks(pair, 0.0)
         self.factors = fredholm.PairFactors(pair, self.left, self.right)
         m = self.left.shape[0] // 2
         f_line, h_line, f_loop, h_loop = kernels.rh_vectors(pair, 0.0)

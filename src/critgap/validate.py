@@ -8,6 +8,9 @@ wrong, not that a tolerance is tight.  The CLI exposes the suite as the
 
 An identity checked at several points has one residual function of the
 point: check_* takes the worst over its points, the tests over theirs.
+The two-contour checks read the real factors that contour-Q and the RH
+workspace solve with (kernels.cross_blocks), so they test the one loop
+that writes them.
 """
 
 from __future__ import annotations
@@ -105,21 +108,22 @@ def check_jump_unipotent() -> CheckResult:
     construction.  What that rests on is that these components build the
     two-contour operator: f_line(z) h_loop(t) w_t / (z - t) must be
     A W_loop and f_loop(t) h_line(z) w_z / (t - z) must be (B W_line)^T,
-    as cross_blocks assembles them, on its upper-half line rows."""
+    whose real forms, of A W_loop and of conj((B W_line)^T), cross_blocks
+    writes on the upper-half line rows."""
     a = 2.0
     pair = kernels.qa_pair(1.0, a_max=a)
     f_line, h_line, f_loop, h_loop = kernels.rh_vectors(pair, a)
-    block_a, block_bt = kernels.cross_blocks(pair, a)
-    m = block_a.shape[0]
+    factors = kernels.cross_blocks(pair, a)
+    m = factors[0].shape[0] // 2
     z, wz = pair.line.nodes[m:], pair.line.weights[m:]
     t, wt = pair.loop.nodes, pair.loop.weights
     z_minus_t = np.subtract.outer(z, t)
     rebuilt_a = np.outer(f_line[m:], h_loop * wt) / z_minus_t
     rebuilt_bt = np.outer(h_line[m:] * wz, f_loop) / -z_minus_t
-    worst = max(float(np.max(np.abs(rebuilt - block))
-                      / np.max(np.abs(block)))
-                for rebuilt, block in ((rebuilt_a, block_a),
-                                       (rebuilt_bt, block_bt)))
+    rebuilt = (kernels.real_form(rebuilt_a),
+               kernels.real_form(rebuilt_bt.conj()))
+    worst = max(float(np.max(np.abs(r - f)) / np.max(np.abs(f)))
+                for r, f in zip(rebuilt, factors))
     return _result("jump-unipotent",
                    "coupling blocks rebuilt from the jump vectors f, h vs "
                    "cross_blocks",
@@ -128,12 +132,12 @@ def check_jump_unipotent() -> CheckResult:
 
 def check_line_reduction() -> CheckResult:
     """Line-reduced kernel, a divided difference of one loop sum, equals
-    the loop-contracted product of the two coupling blocks on the same loop
-    grid (both in real form, weights included)."""
+    the loop-contracted product left @ right.T of the two coupling blocks'
+    real forms on the same loop grid (weights included)."""
     a, alpha = 2.0, 1.0
     pair = kernels.qa_pair(alpha, a_max=a)
-    block_a, block_bt = kernels.cross_blocks(pair, a)
-    direct = kernels.real_form(block_a) @ kernels.real_form(block_bt.conj()).T
+    left, right = kernels.cross_blocks(pair, a)
+    direct = left @ right.T
     reduced = kernels.ha_matrix(pair, a, pair.loop)
     worst = float(np.max(np.abs(direct - reduced))
                   / (1.0 + np.max(np.abs(direct))))

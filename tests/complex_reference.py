@@ -71,8 +71,8 @@ def ha_matrix(pair, a, loop):
 
 
 def line_matrix(a, alpha, route, refine=1.0, order=16):
-    """The complex K W of `qa_operator` (route "contour-Q") or `ha_operator`
-    ("contour-H") on the same grids."""
+    """The complex K W of route "contour-Q", the product of the two
+    coupling blocks, or of `ha_operator` ("contour-H") on the same grids."""
     pair = kernels.qa_pair(alpha, a_max=a, refine=refine, order=order, a=a)
     if route == "contour-Q":
         block_a, block_b = cross_blocks(pair, a)

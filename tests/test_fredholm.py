@@ -25,12 +25,23 @@ from critgap import contours, fredholm, kernels, observables, validate
 from critgap.contours import GeometryError
 from critgap.fredholm import (DiscreteOperator, HalfLineGrid, RealFactors,
                               SingularError, det_one_minus, gap_probability,
-                              halfline_operator, ha_operator, qa_operator,
+                              halfline_operator, ha_operator,
                               solve_resolvent)
 from critgap.observables import RhWorkspace
 
 TRACE_0_INF_ALPHA1 = 0.5131565138586352785453
 TRACE_5_INF_ALPHA2 = 3.688412361201974893414e-5
+
+
+def qa_dense(a, alpha, refine=1.0):
+    """contour-Q's K W at (a, alpha), formed densely from its factors."""
+    return DiscreteOperator(
+        fredholm._contour_q_operator(a, alpha, refine).factors.dense())
+
+
+def contour_q_route(a, alpha):
+    """P(a) on the contour-Q route."""
+    return gap_probability(a, alpha, "contour-Q")
 
 
 def test_halfline_grid_structure():
@@ -252,7 +263,7 @@ def test_halfline_operator_is_real(factored):
     det, _ = det_one_minus(op)
     assert type(det) is float
     # the two-contour operators are factored in their real form
-    op_q = qa_operator(2.0, 1.0)
+    op_q = qa_dense(2.0, 1.0)
     det_one_minus(op_q)
     m = op_q.matrix().shape[0]
     assert factored == [("lu_factor", (n, n), np.float64),
@@ -474,12 +485,12 @@ def test_contour_q_factors_only_the_sketch(factored, monkeypatch):
 def test_contour_q_falls_back_to_the_dense_lu(a, alpha, factored,
                                               monkeypatch):
     # no rank passes a zero tail tolerance, so the route forms K W and
-    # factors it as qa_operator and det_one_minus do, bit for bit
+    # factors it as RealFactors.dense() and det_one_minus do, bit for bit
     monkeypatch.setattr(fredholm, "_TAIL_TOL", 0.0)
     p = gap_probability(a, alpha, "contour-Q", estimate_error=False).p
-    n = qa_operator(a, alpha).matrix().shape[0]
+    n = qa_dense(a, alpha).matrix().shape[0]
     assert factored == [("lu_factor", (n, n), np.float64)]
-    assert p == det_one_minus(qa_operator(a, alpha))[0]
+    assert p == det_one_minus(qa_dense(a, alpha))[0]
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0, 8.0])
@@ -491,7 +502,7 @@ def test_sketched_contour_q_matches_the_dense_lu(alpha):
         for refine in (1.0, 0.5):
             sketched = gap_probability(a, alpha, "contour-Q", refine=refine,
                                        estimate_error=False).p
-            dense, _ = det_one_minus(qa_operator(a, alpha, refine=refine))
+            dense, _ = det_one_minus(qa_dense(a, alpha, refine=refine))
             assert abs(sketched - dense) <= 5e-14, (a, refine)
 
 
@@ -697,7 +708,7 @@ def test_operator_reuses_lu_factorization(factored):
 
 
 def test_qa_and_ha_operator_shapes():
-    op_q = qa_operator(2.0, 1.0)
+    op_q = qa_dense(2.0, 1.0)
     op_h = ha_operator(2.0, 1.0)
     # both live on the pair's line grid; contour-Q reaches it by a Schur
     # complement, contour-H by integrating out its own loop.  Each holds
@@ -736,7 +747,7 @@ def test_qa_operator_matches_union_determinant():
         q = complex_reference.union_matrix(pair, a)
         w = np.concatenate([pair.line.weights, pair.loop.weights])
         full = np.linalg.det(np.eye(w.size) - q * w[None, :])
-        det, _ = det_one_minus(qa_operator(a, alpha))
+        det, _ = det_one_minus(qa_dense(a, alpha))
         assert abs(det - full) <= 1e-13 * abs(full)
 
 
@@ -768,7 +779,7 @@ def test_two_contour_similarity_is_real():
 def test_folded_determinants_match_complex_reference(alpha):
     for a in ROUTE_AS:
         for refine in (1.0, 0.5):
-            for route, build in (("contour-Q", qa_operator),
+            for route, build in (("contour-Q", qa_dense),
                                  ("contour-H", ha_operator)):
                 kw = complex_reference.line_matrix(a, alpha, route, refine)
                 want = np.linalg.det(np.eye(kw.shape[0]) - kw)
@@ -790,7 +801,7 @@ def test_asymmetric_line_grid_is_refused(monkeypatch):
 
     monkeypatch.setattr(kernels, "build_vertical", bent)
     with pytest.raises(GeometryError, match="not symmetric"):
-        qa_operator(2.0, 1.0)
+        qa_dense(2.0, 1.0)
     with pytest.raises(GeometryError, match="not symmetric"):
         ha_operator(2.0, 1.0)
 
@@ -916,8 +927,8 @@ def test_halfline_grid_follows_the_decay(alpha):
     (kernels.conjugated_kernel, (1.0, math.nan, 1.0), "y"),
     (halfline_operator, (math.nan, 1.0), "a"),
     (halfline_operator, (1.0, math.inf), "alpha"),
-    (qa_operator, (1.0, math.nan), "alpha"),
-    (qa_operator, (-math.inf, 1.0), "a"),
+    (contour_q_route, (1.0, math.nan), "alpha"),
+    (contour_q_route, (-math.inf, 1.0), "a"),
     (ha_operator, (math.inf, 1.0), "a"),
     (ha_operator, (1.0, math.nan), "alpha"),
     (kernels.factored_kernel, (math.nan, 1.0, 1.0), "x"),

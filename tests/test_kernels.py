@@ -333,31 +333,39 @@ def test_qa_matrix_block_structure():
     np.testing.assert_allclose(q[n_line:, :n_line], want_b, rtol=1e-12)
 
 
+def _assert_factors_match(got, want_a, want_bt):
+    """cross_blocks' two real factors against real_form of the complex
+    blocks A W_loop and conj((B W_line)^T) on the upper-half line rows,
+    within 1e-15 of max|entry|.  The real-form entries are sums and
+    differences of mirror columns that cancel, so an elementwise rtol
+    would not hold (gaps reach 2e-10 of an entry)."""
+    left, right = got
+    for factor, want in ((left, kernels.real_form(want_a)),
+                         (right, kernels.real_form(want_bt.conj()))):
+        assert factor.flags.c_contiguous and factor.dtype == np.float64
+        assert np.abs(factor - want).max() <= 1e-15 * np.abs(want).max()
+
+
 def test_cross_blocks_match_qa_matrix():
     # the union matrix's blocks A W_loop and (B W_line)^T on the upper-half
-    # line rows
+    # line rows, in real form
     a, alpha = 1.5, 2.0
     pair = kernels.qa_pair(alpha, a_max=a)
     q = complex_reference.union_matrix(pair, a)
-    block_a, block_bt = kernels.cross_blocks(pair, a)
     n_line, m = len(pair.line), len(pair.line) // 2
-    np.testing.assert_allclose(block_a, q[m:n_line, n_line:]
-                               * pair.loop.weights[None, :], rtol=1e-13)
-    np.testing.assert_allclose(block_bt, q[n_line:, m:n_line].T
-                               * pair.line.weights[m:, None], rtol=1e-13)
+    _assert_factors_match(kernels.cross_blocks(pair, a),
+                          q[m:n_line, n_line:] * pair.loop.weights[None, :],
+                          q[n_line:, m:n_line].T * pair.line.weights[m:, None])
 
 
 @pytest.mark.parametrize("alpha, a", [(0.5, 0.5), (1.0, 2.0), (2.0, 4.0)])
 def test_shared_cauchy_factor_matches_inline_formulas(alpha, a):
     pair = kernels.qa_pair(alpha, a_max=a)
     m = len(pair.line) // 2
-    block_a, block_bt = kernels.cross_blocks(pair, a)
     want_a, want_b = complex_reference.cross_blocks(pair, a)
-    np.testing.assert_allclose(block_a, want_a[m:] * pair.loop.weights,
-                               rtol=1e-14, atol=0.0)
-    np.testing.assert_allclose(block_bt, (want_b * pair.line.weights)[:, m:].T,
-                               rtol=1e-14, atol=0.0)
-    assert block_a.flags.c_contiguous and block_bt.flags.c_contiguous
+    _assert_factors_match(kernels.cross_blocks(pair, a),
+                          want_a[m:] * pair.loop.weights,
+                          (want_b * pair.line.weights)[:, m:].T)
     inner = kernels.qa_pair(alpha, a_max=a, refine=1.4, order=12).loop
     got = kernels.ha_matrix(pair, a, inner)
     want = kernels.real_form(
@@ -390,32 +398,40 @@ def _parent_ha_factors(pair, a, loop):
     return left, right.conj()
 
 
+def qa_dense(a, alpha, refine=1.0):
+    """contour-Q's K W at (a, alpha), formed densely from its factors."""
+    return fredholm.DiscreteOperator(
+        fredholm._contour_q_operator(a, alpha, refine).factors.dense())
+
+
 @pytest.mark.parametrize("refine", [1.0, 0.5])
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 def test_direct_real_factors_match_real_forms_of_the_blocks(alpha, refine):
-    # contour-Q writes its real factors straight from row blocks of
-    # R = 1/(z - t) into reused buffers; the product must be the one of
-    # real_form's over the complex blocks at a = 0 with e^{-az} on the
-    # upper-half line rows and e^{at} on the upper-half loop columns, bit
-    # for bit.  ha_matrix, a divided difference of one loop sum, must lie
-    # within 5e-15 of max|K W| of the product of its two factors (2.2e-15
-    # here), and ha_operator must hold it bit for bit.  The sizes vary
-    # across the parameters, so the buffers are also reused at other
-    # shapes than the ones they were grown for
+    # contour-Q's factors are cross_blocks' bits, written into reused
+    # buffers; its K W must be the product of the factors at a = 0 with
+    # e^{-az} on the upper-half line rows and e^{at} on the upper-half
+    # loop columns, bit for bit.  ha_matrix, a divided difference of one
+    # loop sum, must lie within 5e-15 of max|K W| of the product of its
+    # two factors (2.2e-15 here), and ha_operator must hold it bit for
+    # bit.  The sizes vary across the parameters, so the buffers are also
+    # reused at other shapes than the ones they were grown for
     for a in (0.5, 1.7, 4.0):
-        op = fredholm.qa_operator(a, alpha, refine=refine)
         pair = kernels.qa_pair(alpha, a_max=a, refine=refine)
-        block_a, block_bt = kernels.cross_blocks(pair, 0.0)
+        for at in (0.0, a):
+            for got, want in zip(kernels._real_factors(pair, at),
+                                 kernels.cross_blocks(pair, at)):
+                np.testing.assert_array_equal(got, want)
+        op = qa_dense(a, alpha, refine=refine)
+        left, right = kernels.cross_blocks(pair, 0.0)
         z, t = pair.line.nodes, pair.loop.nodes
         want = fredholm.RealFactors(
-            kernels.real_form(block_a), kernels.real_form(block_bt.conj()),
-            np.exp(-a * z[z.size // 2:]), np.exp(a * t[t.size // 2:])).dense()
+            left, right, np.exp(-a * z[z.size // 2:]),
+            np.exp(a * t[t.size // 2:])).dense()
         np.testing.assert_array_equal(op.matrix(), want)
-        # the scalings against the blocks assembled at a itself, an
+        # the scalings against the factors written at a itself, an
         # independent assembly: within 6.8e-16 of max|K W| here
-        block_a, block_bt = kernels.cross_blocks(pair, a)
-        at_a = (kernels.real_form(block_a)
-                @ kernels.real_form(block_bt.conj()).T)
+        left, right = kernels.cross_blocks(pair, a)
+        at_a = left @ right.T
         assert np.abs(op.matrix() - at_a).max() <= 1e-14 * np.abs(at_a).max()
 
         inner = kernels.qa_pair(alpha, a_max=a, refine=1.4 * refine,
@@ -473,7 +489,7 @@ def test_real_factors_are_per_thread():
     cases = [(0.5, 1.7), (2.0, 4.0), (1.0, 0.5), (0.5, 4.0)]
 
     def both(alpha, a):
-        return (fredholm.qa_operator(a, alpha).matrix(),
+        return (qa_dense(a, alpha).matrix(),
                 fredholm.ha_operator(a, alpha).matrix())
 
     serial = [both(alpha, a) for alpha, a in cases]
@@ -552,8 +568,9 @@ RH_VECTOR_FAULTS = (lambda v: 3.7 * v + 1.0, lambda v: -2.0 * v + 5j,
 @pytest.mark.parametrize("part", range(4))
 def test_jump_check_fails_on_wrong_rh_vectors(part, monkeypatch):
     # f.h = 0 holds by the block structure of (f, h) whatever rh_vectors
-    # returns, so validate compares the blocks they build with cross_blocks
-    # (4.4e-16 relative on the true vectors); one wrong component fails it
+    # returns, so validate compares the real forms of the blocks they build
+    # with cross_blocks (4.7e-16 relative on the true vectors); one wrong
+    # component fails it
     assert validate.check_jump_unipotent().measured <= 1e-14
     true_vectors = kernels.rh_vectors
 
@@ -564,6 +581,21 @@ def test_jump_check_fails_on_wrong_rh_vectors(part, monkeypatch):
 
     monkeypatch.setattr(kernels, "rh_vectors", broken)
     assert not validate.check_jump_unipotent().passed
+
+
+def test_line_reduction_check_fails_on_a_wrong_factor(monkeypatch):
+    # validate compares ha_matrix's divided difference with the product of
+    # cross_blocks' two real factors (8.0e-17 apart); a right factor 1% too
+    # large fails it
+    assert validate.check_line_reduction().passed
+    true_blocks = kernels.cross_blocks
+
+    def broken(pair, a):
+        left, right = true_blocks(pair, a)
+        return left, 1.01 * right
+
+    monkeypatch.setattr(kernels, "cross_blocks", broken)
+    assert not validate.check_line_reduction().passed
 
 
 def test_rh_vectors_orthogonality():

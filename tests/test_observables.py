@@ -233,6 +233,26 @@ def test_workspace_factors_are_contour_q_factors_at_zero():
         assert np.array_equal(ws.right, right)
 
 
+def test_workspace_build_transient_is_small():
+    # the two real factors are written a block of Cauchy rows at a time
+    # straight into the arrays the workspace keeps, so building one
+    # allocates little beyond what it holds: 0.20-0.21 MB here.  The two
+    # complex line x loop blocks alone, formed whole and then folded, would
+    # take 2.15 and 1.31 MB.  A warm-up build keeps the grids, their gamma
+    # values and this thread's block buffer out of the measurement
+    for alpha, x_max in ((0.25, 6.0), (1.0, 9.0)):
+        RhWorkspace(alpha, x_max)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            ws = RhWorkspace(alpha, x_max)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - retained <= 0.5e6, (alpha, peak - retained)
+        del ws
+
+
 def test_workspace_footprint_is_its_two_factors():
     # the workspace keeps the two real (line, loop) factors, line- and
     # loop-length vectors and the 12 loop-length columns of right^T on the

@@ -38,7 +38,8 @@ def test_package_all_names_resolve():
     ("contours", "LINE"), ("contours", "LOOP"), ("contours", "union_grid"),
     ("kernels", "rh_vector_arrays"), ("kernels", "integrable_kernel"),
     ("kernels", "qa_matrix"), ("kernels", "line_reduced_kernel"),
-    ("kernels", "left_factor"), ("kernels", "right_factor")])
+    ("kernels", "left_factor"), ("kernels", "right_factor"),
+    ("fredholm", "qa_operator")])
 def test_union_grid_layer_is_gone(module, name):
     mod = importlib.import_module(f"critgap.{module}")
     assert not hasattr(mod, name)
