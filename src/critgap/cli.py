@@ -174,6 +174,9 @@ def cmd_gap(args: argparse.Namespace) -> int:
         "alpha": args.alpha, "a_min": args.a_min, "a_max": args.a_max,
         "steps": args.steps, "routes": routes, "resolution": args.resolution,
     }, started)
+    manifest["workspace"] = None if workspace is None else {
+        "line": len(workspace.line), "loop": len(workspace.loop),
+        "ranks": list(workspace.factors.ranks)}
     manifest["u_error"] = None
     if u_error is not None:
         manifest["u_error"] = f"{type(u_error).__name__}: {u_error}"

@@ -24,15 +24,20 @@ n x n Q B.
 
 In the Schur complement a enters only as e^{-az} on line rows and e^{at}
 on loop columns, so contour-Q holds the pair's a = 0 factors with those
-two scalings (RealFactors.rows and cols).  The RH workspace
-(observables.RhWorkspace) solves on the same operator: it holds its
-pair's a = 0 factors as PairFactors, which keep the sketched operator at
-the last a.  Live PairFactors are listed in _SHARED, a weak table keyed
-by the pair's alpha and two grids, and contour-Q on the same pair takes
-its operator from there, so a P and a u at one a share one assembly and
-one sketch; with none alive, kernels._real_factors(pair, 0.0) writes the
-factors into this thread's buffers.  One loop (kernels._write_factors)
-writes them either way, the same bits, so P does not depend on whether a
+two scalings (RealFactors.rows and cols).  The factors are numerically
+thin: their singular values fall below 1e-16 of the largest after 40-48
+of 352-384, so PairFactors compress each once per pair, as an orthonormal
+rank-48 basis and its coefficients (a randomized range finder, the
+sketch's method), and every later product costs (n + p) 48 flops per
+column in place of n p.  The RH workspace (observables.RhWorkspace)
+solves on the same operator: it holds its pair's PairFactors, which keep
+the sketched operator at the last a.  Live PairFactors are listed in
+_SHARED, a weak table keyed by the pair's alpha and two grids; contour-Q
+and a new workspace on the same pair take them from there, and contour-Q
+keeps the last two it built alive (_RECENT), so a sweep that returns to
+a recent pair does not compress it again, and a P and a u at one a share
+one sketch.  Every PairFactors
+of a pair holds the same bits, so P does not depend on whether a
 workspace is alive.
 Dense operators, and contour-Q's fallback past rank n/4, take a dense LU
 of I - K W; an operator that would need that fallback above 4096 rows
@@ -51,11 +56,12 @@ decay in the same way).
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import warnings
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -93,6 +99,8 @@ _GRID_GROWTH = 1.6
 _SKETCH_RANK = 8     # first rank of a resolvent sketch
 _TAIL_PROBES = 4     # fresh probe columns that measure a sketch's tail
 _TAIL_TOL = 1e-13    # largest ||K W T - Q Q^T K W T|| / ||K W T|| accepted
+_BASIS_RANK = 48     # first rank of a two-contour factor's basis
+_BASIS_TOL = 1e-14   # largest ||X T - U U^T X T|| / ||X T|| of a factor X
 # largest n of a factored operator whose dense fallback is formed: 2.3 times
 # the largest n on the resolved domain (alpha 0.2-96, a and x_max up to 21,
 # refine up to 2), 1792 at alpha 0.2; K W of 4096 rows is 134 MB
@@ -157,16 +165,14 @@ class HalfLineGrid:
         return self.nodes.size
 
 
-@functools.lru_cache(maxsize=16)
-def _probes(n: int, k: int) -> np.ndarray:
-    """Fixed Gaussian probes [Omega | T] of a rank-k sketch on n nodes: k
+def _normals(n: int, k: int) -> np.ndarray:
+    """Fixed Gaussians [Omega | T] of a rank-k range finder on n nodes: k
     range columns, then _TAIL_PROBES fresh columns for the tail.
 
     The uniforms are a splitmix64 counter stream seeded by (n, k), in numpy
     uint64 arithmetic (which wraps silently), and Box-Muller turns their
-    pairs into Gaussians, so no sketch imports numpy.random, which costs
-    more time and memory than the draw.  They are cached read-only, so
-    every sketch of one size uses the same probes."""
+    pairs into Gaussians, so no range finder imports numpy.random, which
+    costs more time and memory than the draw."""
     increment, mul1, mul2 = _SPLITMIX
     half = (n * (k + _TAIL_PROBES) + 1) // 2
     z = np.arange(1, 2 * half + 1, dtype=np.uint64)
@@ -186,22 +192,34 @@ def _probes(n: int, k: int) -> np.ndarray:
     return probes
 
 
-def _range_sketch(factors: RealFactors) -> tuple:
-    """Range basis of an n x n operator K W held as its factors, known
-    through factors.probe(k) = K W [Omega | T] on its fixed Gaussian probes
-    (_probes; k columns, _SKETCH_RANK at first, and _TAIL_PROBES fresh
-    ones).
+@functools.lru_cache(maxsize=16)
+def _probes(n: int, k: int) -> np.ndarray:
+    """The probes of a rank-k sketch of an n x n K W (_normals), cached
+    read-only, so every sketch of one size uses the same probes."""
+    return _normals(n, k)
 
-    Q is the orthonormal basis of K W Omega.  The tail
-    ||K W T - Q Q^T K W T|| decides: while it exceeds 1e-13 of ||K W T||
-    the rank doubles, up to n/4.  Returns (Q, k, tail)
-    with the relative tail of the rank that passed, or (None, k, tail) of
-    the last rank tried when none did ((None, 0, nan) when n < 64 leaves no
-    room for one).  A probe product that is not finite, which no rank can
-    mend, stops the sketch at once with (None, k, nan)."""
-    k, rank, rel_tail = _SKETCH_RANK, 0, math.nan
-    while 4 * k <= factors.left.shape[0]:
-        y = factors.probe(k)                            # K W [Omega | T]
+
+@functools.lru_cache(maxsize=4)
+def _factor_probes(p: int, r: int) -> np.ndarray:
+    """The probes of a rank-r basis of an (n, p) factor (_normals), cached
+    apart from the sketch's, so that neither evicts the other."""
+    return _normals(p, r)
+
+
+def _range_finder(probe, k: int, limit: int, tol: float) -> tuple:
+    """Orthonormal range basis of an operator X known through probe(k) =
+    X [Omega | T] on fixed Gaussian probes (_normals: k range columns and
+    _TAIL_PROBES fresh ones).
+
+    Q is the orthonormal basis of X Omega.  The tail ||X T - Q Q^T X T||
+    decides: while it exceeds tol ||X T|| the rank doubles, up to limit.
+    Returns (Q, k, tail) with the relative tail of the rank that passed,
+    or (None, k, tail) of the last rank tried when none did ((None, 0,
+    nan) when k > limit leaves no room for one).  A probe product that is
+    not finite, which no rank can mend, stops at once with (None, k, nan)."""
+    rank, rel_tail = 0, math.nan
+    while k <= limit:
+        y = probe(k)                                    # X [Omega | T]
         if not math.isfinite(np.linalg.norm(y)):
             return None, k, math.nan
         q = np.linalg.qr(y[:, :k])[0]
@@ -209,10 +227,31 @@ def _range_sketch(factors: RealFactors) -> tuple:
         scale = float(np.linalg.norm(kt))
         tail = float(np.linalg.norm(kt - q @ (q.T @ kt)))
         rank, rel_tail = k, tail / scale if scale else 0.0
-        if tail <= _TAIL_TOL * scale:
+        if tail <= tol * scale:
             return q, rank, rel_tail
         k *= 2
     return None, rank, rel_tail
+
+
+def _range_sketch(factors: RealFactors) -> tuple:
+    """_range_finder of an n x n K W held as its factors, on
+    factors.probe(k): from rank _SKETCH_RANK up to n/4, with tail tolerance
+    1e-13 (_TAIL_TOL)."""
+    return _range_finder(factors.probe, _SKETCH_RANK, factors.n // 4,
+                         _TAIL_TOL)
+
+
+def _compress(x: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """(U, G) with x ~ U G for an (n, p) factor x: U the orthonormal (n, r)
+    range basis of x (_range_finder on x @ _factor_probes(p, r), from rank
+    48 up to min(n, p)/2 with tail tolerance 1e-14) and G = U^T x, fresh
+    arrays.  A factor that no rank passes, or whose probe product is not
+    finite (checked at the first rank), is returned as (None, a copy of
+    x)."""
+    n, p = x.shape
+    u = _range_finder(lambda r: x @ _factor_probes(p, r), _BASIS_RANK,
+                      min(n, p) // 2, _BASIS_TOL)[0]
+    return (None, x.copy()) if u is None else (u, u.T @ x)
 
 
 def _turn(x: np.ndarray, d: np.ndarray | None, conj: bool = False
@@ -242,47 +281,78 @@ class RealFactors:
     left and right are the real forms (kernels.real_form) of the two
     coupling blocks A W_loop and conj((B W_line)^T), whose product is the
     Schur complement A W_loop B W_line of the two-contour operator.  Only A
-    moves with a, by e^{-az} on line rows and e^{at} on loop columns, so a
-    workspace keeps the a = 0 factors and passes those two scalings.  The
-    operator is applied and projected through the factors and never formed:
-    each product costs n p columns' flops and no n x n or n x p array."""
+    moves with a, by e^{-az} on line rows and e^{at} on loop columns, so
+    PairFactors keep the a = 0 factors and pass those two scalings.
+
+    A factor may be held through an orthonormal (n, r) basis: with
+    left_basis U, the factor is U left, and left is its (r, p)
+    coefficients (likewise right_basis and right).  The scalings act on
+    the basis's n rows and on the coefficients' p columns, so they are
+    unchanged by it.  The operator is applied, probed, projected and
+    formed through the bases and coefficients and never formed otherwise:
+    each product costs (n + p) r columns' flops with both bases, n p
+    without, and no n x n or n x p array."""
 
     left: np.ndarray
     right: np.ndarray
     rows: np.ndarray | None = None
     cols: np.ndarray | None = None
-    right_probes: np.ndarray | None = None
+    left_basis: np.ndarray | None = None
+    right_basis: np.ndarray | None = None
+
+    @property
+    def n(self) -> int:
+        """The line size n: K W is n x n."""
+        return (self.left if self.left_basis is None
+                else self.left_basis).shape[0]
+
+    def left_times(self, y: np.ndarray) -> np.ndarray:
+        """The unscaled left factor times y, a (p, ...) array."""
+        y = self.left @ y
+        return y if self.left_basis is None else self.left_basis @ y
+
+    def right_times(self, y: np.ndarray) -> np.ndarray:
+        """The unscaled right factor times y, a (p, ...) array."""
+        y = self.right @ y
+        return y if self.right_basis is None else self.right_basis @ y
 
     def _finish(self, y: np.ndarray) -> np.ndarray:
         """Dr left Dc y."""
-        return _turn(self.left @ _turn(y, self.cols), self.rows)
+        return _turn(self.left_times(_turn(y, self.cols)), self.rows)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """K W x."""
+        if self.right_basis is not None:
+            x = self.right_basis.T @ x
         return self._finish(self.right.T @ x)
 
     def probe(self, k: int) -> np.ndarray:
-        """K W [Omega | T] on the rank-k probes (_probes).  right^T of the
-        first rank's probes does not move with the scalings, so a caller
-        that keeps it (_first_probes) passes it as right_probes."""
-        if k == _SKETCH_RANK and self.right_probes is not None:
-            return self._finish(self.right_probes)
-        return self.apply(_probes(self.left.shape[0], k))
+        """K W [Omega | T] on the rank-k probes (_probes)."""
+        return self.apply(_probes(self.n, k))
 
     def project(self, q: np.ndarray) -> np.ndarray:
         """q^T K W, a (k, n) array for a real (n, k) q."""
-        ql = _turn(q, self.rows, conj=True).T @ self.left
+        ql = _turn(q, self.rows, conj=True).T
+        if self.left_basis is not None:
+            ql = ql @ self.left_basis
+        ql = ql @ self.left
         if self.cols is not None:
             ql = _turn(ql.T, self.cols, conj=True).T
-        return ql @ self.right.T
+        ql = ql @ self.right.T
+        return ql if self.right_basis is None else ql @ self.right_basis.T
 
     def dense(self) -> np.ndarray:
         """K W as a fresh n x n array (the dense fallback; a sketch never
-        forms it)."""
-        left = self.left
+        forms it): each factor formed whole from its basis, then their
+        product."""
+        left, right = self.left, self.right
         if self.cols is not None:
             left = _turn(left.T, self.cols, conj=True).T
-        return _turn(left, self.rows) @ self.right.T
+        if self.left_basis is not None:
+            left = self.left_basis @ left
+        if self.right_basis is not None:
+            right = self.right_basis @ right
+        return _turn(left, self.rows) @ right.T
 
 
 @dataclass
@@ -343,7 +413,7 @@ class DiscreteOperator:
         """K W, formed from the factors on first use and kept; raises
         ArithmeticError rather than form one of more than 4096 rows."""
         if self.kw is None:
-            n = self.factors.left.shape[0]
+            n = self.factors.n
             if n > _DENSE_ROWS:
                 raise ArithmeticError(
                     f"K W of {n} rows is past the {_DENSE_ROWS} rows the "
@@ -409,12 +479,6 @@ class DiscreteOperator:
                     n, peak = sketch[0].shape[0], _max_abs_product(*sketch[:2])
                 self.rounding_scale = n * _EPS * float(peak)
         return self.rounding_scale
-
-
-def _first_probes(right: np.ndarray) -> np.ndarray:
-    """right^T [Omega | T] on the first sketch rank's probes, for
-    RealFactors.right_probes."""
-    return right.T @ _probes(right.shape[0], _SKETCH_RANK)
 
 
 def _square_buffer(n: int) -> np.ndarray:
@@ -560,6 +624,9 @@ def halfline_operator(a: float, alpha: float,
 # share their grids).  An entry holds its pair's grids, so their ids cannot
 # be reused while it lives
 _SHARED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# the PairFactors contour-Q built last, kept alive (and so in _SHARED) until
+# two newer ones replace them
+_RECENT: collections.deque = collections.deque(maxlen=2)
 
 
 def _pair_key(pair: kernels.ContourPair) -> tuple[float, int, int]:
@@ -567,70 +634,92 @@ def _pair_key(pair: kernels.ContourPair) -> tuple[float, int, int]:
     return float(pair.alpha), id(pair.line), id(pair.loop)
 
 
-def _factors_at(left: np.ndarray, right: np.ndarray, pair: kernels.ContourPair,
-                a: float, right_probes: np.ndarray | None = None
-                ) -> RealFactors:
-    """The two-contour line operator at a from its a = 0 factors (left,
-    right) on the pair: e^{-az} on the upper-half line nodes and e^{at} on
-    the upper-half loop nodes (RealFactors.rows and cols)."""
-    m, k = pair.line.nodes.size // 2, pair.loop.nodes.size // 2
-    return RealFactors(left, right, np.exp(-a * pair.line.nodes[m:]),
-                       np.exp(a * pair.loop.nodes[k:]), right_probes)
-
-
 class PairFactors:
     """A contour pair's two-contour line operator at a = 0, as its real
-    factors (left, right), read-only, for sharing between contour-Q and
-    observables.RhWorkspace.
+    factors, each compressed once, read-only, for sharing between
+    contour-Q and observables.RhWorkspace.
+
+    The factors are written by kernels._real_factors(pair, 0.0) and each
+    is held as U G (_compress): U the orthonormal (n, r) range basis of
+    the factor X, found by doubling r from 48 while the 4 tail probes'
+    relative residual exceeds 1e-14, and G = U^T X.  Their singular values
+    fall below 1e-16 of the largest after 40-48 of the 352-384 loop
+    columns (workspace pairs of alpha 0.5, 1 and 2, x_max 4 to 12), and
+    rank 48 passes on every pair of alpha 0.2 to 96 tried, with U G
+    within 4e-15 of each factor's largest entry, so every product with the
+    factors costs (n + p) 48 in place of n p flops per column.  A factor that no rank up to min(n, p)/2 captures, or whose
+    probe product is not finite, stays whole.  ranks gives the rows of the
+    two coefficient arrays: each factor's rank, or n where it stays whole.
+    at_zero is the a = 0 RealFactors.
 
     While the object lives it is listed in _SHARED under the pair's alpha
-    and grids, and contour-Q on that pair takes its operator from
-    operator(a) instead of writing the factors anew.  operator(a) keeps
-    the sketched operator of the last a as one entry, stored only once its
-    sketch and rounding scale are measured, so a P and a u at one a share
-    one sketch; an operator on the dense path is not kept, so no n x n K W
-    outlives its caller.  The factors hold the same bits as
-    kernels._real_factors(pair, 0.0), so the operator does not depend on
-    which source it came from.  right_probes is right^T on the first
-    sketch rank's probes, which does not move with a."""
+    and grids, and contour-Q and a new workspace on that pair take it
+    rather than compress the pair again (_pair_factors).  operator(a)
+    keeps the sketched operator of the last a as one entry, stored only
+    once its sketch and rounding scale are measured, so a P and a u at one
+    a share one sketch; an operator on the dense path is not kept, so no
+    n x n K W outlives its caller.  Every PairFactors of a pair holds the
+    same bits, so the operator does not depend on which caller built
+    them."""
 
-    def __init__(self, pair: kernels.ContourPair, left: np.ndarray,
-                 right: np.ndarray):
-        self.pair, self.left, self.right = pair, left, right
-        self.right_probes = _first_probes(right)
-        for array in (left, right, self.right_probes):
-            array.setflags(write=False)
+    def __init__(self, pair: kernels.ContourPair):
+        self.pair = pair
+        left, right = kernels._real_factors(pair, 0.0)
+        left_basis, left = _compress(left)
+        right_basis, right = _compress(right)
+        self.at_zero = RealFactors(left, right, left_basis=left_basis,
+                                   right_basis=right_basis)
+        for array in (left, right, left_basis, right_basis):
+            if array is not None:
+                array.setflags(write=False)
         self._last: tuple | None = None   # (a, sketched operator at a)
         _SHARED[_pair_key(pair)] = self
 
+    @property
+    def ranks(self) -> tuple[int, int]:
+        """Rows of the left and right coefficient arrays."""
+        return self.at_zero.left.shape[0], self.at_zero.right.shape[0]
+
     def operator(self, a: float) -> DiscreteOperator:
-        """K W at a, its a = 0 factors scaled, with its sketch and rounding
-        scale measured; the guard is left to the caller."""
+        """K W at a, the a = 0 factors with e^{-az} on the upper-half line
+        nodes and e^{at} on the upper-half loop nodes (RealFactors.rows and
+        cols), with its sketch and rounding scale measured; the guard is
+        left to the caller."""
         last = self._last
         if last is not None and last[0] == a:
             return last[1]
-        op = DiscreteOperator(None, _factors_at(self.left, self.right,
-                                                self.pair, a,
-                                                self.right_probes))
+        z, t = self.pair.line.nodes, self.pair.loop.nodes
+        op = DiscreteOperator(None, replace(
+            self.at_zero, rows=np.exp(-a * z[z.size // 2:]),
+            cols=np.exp(a * t[t.size // 2:])))
         op._rounding()
         if op.solve_path == "sketch":
             self._last = a, op
         return op
 
 
+def _pair_factors(pair: kernels.ContourPair, keep: bool = False
+                 ) -> PairFactors:
+    """The live PairFactors of the pair (_SHARED), or new ones; keep=True
+    holds new ones among the two that contour-Q built last (_RECENT), so a
+    sweep compresses each pair it returns to once."""
+    factors = _SHARED.get(_pair_key(pair))
+    if factors is None:
+        factors = PairFactors(pair)
+        if keep:
+            _RECENT.append(factors)
+    return factors
+
+
 def _contour_q_operator(a: float, alpha: float,
                         refine: float) -> DiscreteOperator:
     """contour-Q's line operator K W, the exact Schur complement of
     [[0, A], [B, 0]] on the (a, alpha) pair's own loop, held as the pair's
-    a = 0 factors scaled to a: from live PairFactors of the pair when
-    there are some, else views of this thread's buffers
-    (kernels._real_factors), valid until its next two-contour call."""
+    compressed a = 0 factors scaled to a (PairFactors): a workspace's when
+    one of the pair is alive, else contour-Q's own, kept among the last
+    two it built."""
     pair = kernels.qa_pair(alpha, a_max=a, refine=refine)
-    shared = _SHARED.get(_pair_key(pair))
-    if shared is not None:
-        return shared.operator(a)
-    left, right = kernels._real_factors(pair, 0.0)
-    return DiscreteOperator(None, _factors_at(left, right, pair, a))
+    return _pair_factors(pair, keep=True).operator(a)
 
 
 def ha_operator(a: float, alpha: float, refine: float = 1.0) -> DiscreteOperator:

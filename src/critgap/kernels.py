@@ -8,10 +8,10 @@ contraction u @ C @ v with the Cauchy matrix C = 1/(s - t) between its
 closed loop and its line; as every line node has the same real part, C is
 carried by two real arrays, built and contracted block by block of loop rows.
 contour-Q's line operator is one product of two real factors, which one
-loop writes (_write_factors): into fresh arrays for the RH workspace and
-validate (cross_blocks), into this thread's buffers for contour-Q
-(_real_factors).  contour-H's (ha_matrix) is a divided difference of one
-loop sum.
+loop writes (cross_blocks): into fresh arrays for validate, into this
+thread's buffers (_real_factors) as the input that fredholm.PairFactors
+compresses once per pair for contour-Q and the RH workspace.  contour-H's
+(ha_matrix) is a divided difference of one loop sum.
 
 The grids come from the contours builders, shared and read-only, and each
 keeps its own node values (QuadratureGrid.memo): Gamma and 1/Gamma of its
@@ -70,7 +70,7 @@ _TAIL_LOG = 40.0
 _BLOCK_BYTES = 1 << 19
 
 # per-thread, grow-only buffers (_buffer): _real_factors' two factors,
-# _write_factors' block of Cauchy rows, and fredholm's square buffer (I - K W
+# cross_blocks' block of Cauchy rows, and fredholm's square buffer (I - K W
 # of a dense LU), which ha_matrix's work arrays reuse; held until the thread
 # ends
 _FACTORS = threading.local()
@@ -511,19 +511,6 @@ def rh_vectors(pair: ContourPair, a: float) -> tuple[np.ndarray, ...]:
     return f_line, h_line, f_loop, h_loop
 
 
-def cross_blocks(pair: ContourPair, a: float) -> tuple[np.ndarray, np.ndarray]:
-    """Real forms (left, right) of the two coupling blocks at a, as fresh
-    (2m, loop) arrays: left = real_form(A W_loop) of line<-loop and
-    right = real_form(conj((B W_line)^T)) of loop<-line, on the upper-half
-    line rows (_write_factors).  Both blocks commute with conjugation, so
-    left @ right.T is the real form of the Schur complement A W_loop
-    B W_line.  Raises GeometryError if either grid is not mirror-symmetric."""
-    m, p = pair.line.nodes.size // 2, pair.loop.nodes.size
-    left, right = np.empty((2 * m, p)), np.empty((2 * m, p))
-    _write_factors(pair, a, left, right)
-    return left, right
-
-
 def ha_matrix(pair: ContourPair, a: float, loop: QuadratureGrid) -> np.ndarray:
     """Real form (see real_form) of the line-reduced kernel times the line
     weights, K W, on the pair's vertical line, with the loop variable
@@ -596,37 +583,46 @@ def _buffer(name: str, size: int, dtype: type) -> np.ndarray:
 def _real_factors(pair: ContourPair, a: float
                   ) -> tuple[np.ndarray, np.ndarray]:
     """cross_blocks(pair, a), the same bits, in views of this thread's
-    grow-only buffers, valid until its next call: repeated contour-Q calls
-    reuse that memory instead of asking the allocator for megabytes that
-    it may trim and fault in again each time.  A thread holds its largest
-    factors so far until it ends, 1.3 to 11.8 MB after one contour-Q call
-    on alpha [0.2, 64] x a [1, 16] x refine [1, 2]."""
+    grow-only buffers, valid until its next call: the input of
+    fredholm.PairFactors, which compresses them, so repeated builds reuse
+    that memory instead of asking the allocator for megabytes that it may
+    trim and fault in again each time.  A thread holds its largest factors
+    so far until it ends, 1.3 to 11.8 MB after one contour-Q call on alpha
+    [0.2, 64] x a [1, 16] x refine [1, 2]."""
     m, p = pair.line.nodes.size // 2, pair.loop.nodes.size
-    left = _buffer("left", 2 * m * p, float).reshape(2 * m, p)
-    right = _buffer("right", 2 * m * p, float).reshape(2 * m, p)
-    _write_factors(pair, a, left, right)
-    return left, right
+    return cross_blocks(pair, a, (
+        _buffer("left", 2 * m * p, float).reshape(2 * m, p),
+        _buffer("right", 2 * m * p, float).reshape(2 * m, p)))
 
 
-def _write_factors(pair: ContourPair, a: float, left: np.ndarray,
-                   right: np.ndarray) -> None:
-    """Write cross_blocks(pair, a) into the (2m, loop) arrays left and
-    right.  Both blocks are the Cauchy matrix R = 1/(z - t) scaled by rows
-    and columns, each entry rounded as (R * cols) * rows.  R is built a
-    block of rows at a time in this thread's buffer "cauchy", which holds
-    it and its scaled copy in _BLOCK_BYTES (0.5 MB), and both real forms
-    are written from the block straight into the factors: no line x loop
-    complex array exists."""
+def cross_blocks(pair: ContourPair, a: float,
+                 out: tuple[np.ndarray, np.ndarray] | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Real forms (left, right) of the two coupling blocks at a, as (2m,
+    loop) arrays, fresh or the pair `out` written in place:
+    left = real_form(A W_loop) of line<-loop and
+    right = real_form(conj((B W_line)^T)) of loop<-line, on the upper-half
+    line rows.  Both blocks commute with conjugation, so left @ right.T is
+    the real form of the Schur complement A W_loop B W_line.
+
+    Both blocks are the Cauchy matrix R = 1/(z - t) scaled by rows and
+    columns, each entry rounded as (R * cols) * rows.  R is built a block
+    of rows at a time in this thread's buffer "cauchy", which holds it and
+    its scaled copy in _BLOCK_BYTES (0.5 MB), and both real forms are
+    written from the block straight into the factors: no line x loop
+    complex array exists.  Raises GeometryError if either grid is not
+    mirror-symmetric."""
     alpha = pair.alpha
     z, wz = _upper_half(pair.line)
     _upper_half(pair.loop)  # the symmetry check; the blocks span the loop
     t, wt = pair.loop.nodes, pair.loop.weights
+    m, p = z.size, t.size
+    left, right = out or (np.empty((2 * m, p)), np.empty((2 * m, p)))
     col_a = wt * _gamma_on(pair.loop) * np.exp(-alpha * t * t / 4.0 + a * t)
     row_a = np.exp(alpha * z * z / 4.0 - a * z) / _TWO_PI_I
     col_b = np.exp(-alpha * t * t / 4.0)
     row_b = (wz * _recip_gamma_on(pair.line)[z.size:]
              * np.exp(alpha * z * z / 4.0) / _TWO_PI_I)
-    m, p = z.size, t.size
     rows = min(m, max(1, _BLOCK_BYTES // (32 * p)))
     block = _buffer("cauchy", 2 * rows * p, complex).reshape(2, rows, p)
     for i in range(0, m, rows):
@@ -640,3 +636,4 @@ def _write_factors(pair: ContourPair, a: float, left: np.ndarray,
         r *= col_b  # in place: R is not needed again
         r *= row_b[i:j, None]
         _write_real_form(r, right[i:j], right[m + i:m + j], conj=True)
+    return left, right

@@ -13,8 +13,9 @@ the gap probability:
 critgap.validate checks each of them.  Y1 is computed from the resolvent
 formula: solve (I - Q_a)F = f on the contour union, then Y1 = sum of
 w_i F(s_i) h(s_i)^T, on the line grid through the two real factors from
-which contour-Q reads its determinant (see RhWorkspace).  Everything here
-reuses the Nystrom machinery; no boundary-value problem is solved.
+which contour-Q reads its determinant, compressed once per contour pair
+to rank 48 (see RhWorkspace).  Everything here reuses the Nystrom
+machinery; no boundary-value problem is solved.
 """
 
 from __future__ import annotations
@@ -105,7 +106,11 @@ class RhWorkspace:
     commute with it, so the workspace keeps only their real forms at a = 0,
     contour-Q's two factors (kernels.cross_blocks): left = real_form(A
     W_loop) and right = real_form(conj((B W_line)^T)), so that the real
-    form of K W is left @ right.T.  At a point a the line operator is
+    form of K W is left @ right.T.  Each is held compressed, as an
+    orthonormal rank-48 basis of its line rows and its coefficients
+    (fredholm.PairFactors), and every product with it goes through both,
+    at (n + p) 48 flops per column in place of n p.  At a point a the line
+    operator is
     fredholm.RealFactors(left, right, e^{-az}, e^{at}): the two scalings
     are complex multiplications on the (Re, Im) halves of the real
     coordinates, and K W is applied through the factors without forming
@@ -113,7 +118,7 @@ class RhWorkspace:
     under the mirror (v[::-1] = -conj v), so i F_line lies in the real
     subspace: both columns are real solves, and the lower half of F_line
     is the mirror of the upper.  So are f_loop and W h_loop on the loop,
-    so e and W g come from the same two factors: left maps
+    so e and W g come from the same two thin factors: left maps
     i e^{at} f_loop to i e^{az} e, and right maps i conj(e^{at} W h_loop)
     to i conj(W g).  The Y1 sums then have exactly mirrored terms,
     and their imaginary-residue checks see only rounding.  Valid for
@@ -132,21 +137,22 @@ class RhWorkspace:
     (alpha 128, alpha <= 0.15), which the real solves' imaginary residues
     cannot.  log|det S| is log P(a), returned as Y1Matrix.log_p.
 
-    The factors are held as fredholm.PairFactors, which give the operator
-    at each a and keep the last a's sketched operator.  While the
-    workspace lives they are listed in fredholm's weak table under the
-    pair's alpha and grids, and contour-Q on the same pair takes its
-    operator from them: so a P and a u at one a share one sketch, and
-    contour-Q's P is the same, bit for bit, with or without a workspace.
+    The PairFactors give the operator at each a and keep the last a's
+    sketched operator.  While the workspace lives they are listed in
+    fredholm's weak table under the pair's alpha and grids; contour-Q on
+    the same pair takes its operator from them, and a workspace built
+    while contour-Q's own PairFactors of the pair are alive takes those:
+    so a pair is compressed once, a P and a u at one a share one sketch,
+    and contour-Q's P is the same, bit for bit, with or without a
+    workspace.
 
-    The workspace holds the two real (line, loop) factors, read-only,
-    line- and loop-length vectors, right^T applied to the sketch's first
-    12 probe columns, which does not move with a and saves one of the
-    sketch's two products per point, and the last sketched operator with
-    its n x 8 sketch.  A solve writes nothing into the factors, and the
-    rest is line- or loop-length blocks of 12 columns or fewer.  So threads
-    may share one workspace, and call contour-Q on its pair, in
-    parallel."""
+    The workspace holds its PairFactors, read-only: per factor an (n, 48)
+    basis and (48, p) coefficients, 0.50-0.61 MB at alpha 0.5-2 where the
+    two whole factors took 1.4-2.2 MB; line- and loop-length vectors; and
+    the last sketched operator with its n x 8 sketch.  A solve writes
+    nothing into the factors, and the rest is line- or loop-length blocks
+    of 12 columns or fewer.  So threads may share one workspace, and call
+    contour-Q on its pair, in parallel."""
 
     def __init__(self, alpha: float, x_max: float, order: int = 16,
                  refine: float = 1.0):
@@ -161,9 +167,8 @@ class RhWorkspace:
             # f_line = e^{alpha z^2/4 - az} decays only up a vertical line
             raise GeometryError(
                 f"workspace needs a vertical line, got a {self.line.spec.kind}")
-        self.left, self.right = kernels.cross_blocks(pair, 0.0)
-        self.factors = fredholm.PairFactors(pair, self.left, self.right)
-        m = self.left.shape[0] // 2
+        self.factors = fredholm._pair_factors(pair)
+        m = self.line.nodes.size // 2
         f_line, h_line, f_loop, h_loop = kernels.rh_vectors(pair, 0.0)
         self.f_line = f_line[m:]                    # f(z).(1, 0), upper
         self.hw_line = self.line.weights * h_line   # W h(s).(0, 1)
@@ -176,7 +181,8 @@ class RhWorkspace:
         op = self.factors.operator(a)
         check_rounding_scale(op, f"RhWorkspace.y1 at alpha={self.alpha}, a={a}")
         m, k = self.f_line.size, self.f_loop.size // 2
-        line_scale = op.factors.rows
+        factors = op.factors
+        line_scale = factors.rows
         loop_scale = np.exp(a * self.loop.nodes)
         # coordinates (Re, Im) of the upper halves of i f_line(a) and of
         # i e = A W_loop (i f_loop(a)), in which the solution is i F_line
@@ -185,7 +191,8 @@ class RhWorkspace:
         rhs = np.empty((2 * m, 2))
         rhs[:m, 0], rhs[m:, 0] = -fl.imag, fl.real
         rhs[:, 1] = fredholm._turn(
-            self.left @ np.concatenate([-fv.imag, fv.real]), line_scale)
+            factors.left_times(np.concatenate([-fv.imag, fv.real])),
+            line_scale)
         x = solve_resolvent(op, rhs)
         log_p = float(det_one_minus(op)[1])
         upper = x[m:] - 1j * x[:m]                        # F_line, upper half
@@ -194,7 +201,7 @@ class RhWorkspace:
         # conj((B W_line)^T), maps i conj(v) to i conj(W g).  W g is odd
         # under the mirror, like the right side
         hv = (self.hw_loop * loop_scale)[k:]
-        r = self.right @ np.concatenate([hv.imag, hv.real])
+        r = factors.right_times(np.concatenate([hv.imag, hv.real]))
         gw_up = r[m:] + 1j * r[:m]
         gw = np.concatenate([-gw_up[::-1].conj(), gw_up])
         gh = np.stack([gw, self.hw_line])                 # W (g, h) rows

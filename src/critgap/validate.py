@@ -8,9 +8,9 @@ wrong, not that a tolerance is tight.  The CLI exposes the suite as the
 
 An identity checked at several points has one residual function of the
 point: check_* takes the worst over its points, the tests over theirs.
-The two-contour checks read the real factors that contour-Q and the RH
-workspace solve with (kernels.cross_blocks), so they test the one loop
-that writes them.
+The two-contour checks read the whole real factors that contour-Q and
+the RH workspace compress and solve with (kernels.cross_blocks), so they
+test the one loop that writes them.
 """
 
 from __future__ import annotations

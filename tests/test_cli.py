@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from critgap import cli, fredholm, kernels, mc, validate
+from critgap import cli, fredholm, kernels, mc, observables, validate
 
 
 def run_cli(capsys, *argv):
@@ -192,6 +192,17 @@ def test_gap_csv_values_round_trip(capsys):
     _, _, rows = parse_csv(out)
     direct = fredholm.gap_probability(1.5, 1.0, "halfline")
     assert rows[0][1] == direct.p
+
+
+def test_gap_manifest_reports_the_workspace_factors(capsys):
+    # the u column's workspace: its line and loop node counts and the ranks
+    # of its two compressed factors
+    code, out, _ = run_cli(capsys, "gap", "--alpha", "1", "--a-min", "1",
+                           "--a-max", "3", "--steps", "2", "--format", "json")
+    assert code == 0
+    ws = observables.RhWorkspace(1.0, 3.0)
+    assert json.loads(out)["manifest"]["workspace"] == {
+        "line": len(ws.line), "loop": len(ws.loop), "ranks": [48, 48]}
 
 
 def test_gap_keeps_p_when_the_workspace_fails(capsys):

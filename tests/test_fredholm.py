@@ -39,6 +39,23 @@ def qa_dense(a, alpha, refine=1.0):
         fredholm._contour_q_operator(a, alpha, refine).factors.dense())
 
 
+def whole_operator(a, alpha, refine=1.0):
+    """contour-Q's operator at (a, alpha) held as the whole a = 0 factors
+    of its pair (kernels.cross_blocks) with the e^{-az} and e^{at}
+    scalings: the operator that contour-Q holds compressed."""
+    pair = kernels.qa_pair(alpha, a_max=a, refine=refine)
+    left, right = kernels.cross_blocks(pair, 0.0)
+    z, t = pair.line.nodes, pair.loop.nodes
+    return DiscreteOperator(None, RealFactors(
+        left, right, np.exp(-a * z[z.size // 2:]),
+        np.exp(a * t[t.size // 2:])))
+
+
+def qa_whole(a, alpha, refine=1.0):
+    """whole_operator's K W, formed densely."""
+    return DiscreteOperator(whole_operator(a, alpha, refine).factors.dense())
+
+
 def contour_q_route(a, alpha):
     """P(a) on the contour-Q route."""
     return gap_probability(a, alpha, "contour-Q")
@@ -263,7 +280,7 @@ def test_halfline_operator_is_real(factored):
     det, _ = det_one_minus(op)
     assert type(det) is float
     # the two-contour operators are factored in their real form
-    op_q = qa_dense(2.0, 1.0)
+    op_q = qa_whole(2.0, 1.0)
     det_one_minus(op_q)
     m = op_q.matrix().shape[0]
     assert factored == [("lu_factor", (n, n), np.float64),
@@ -594,7 +611,7 @@ def test_guard_max_is_the_max_of_q_b_without_forming_it(monkeypatch):
             peak, want = seen[-1]
             assert peak == want, (alpha, a)
             assert op.rounding_scale == (
-                op.factors.left.shape[0] * fredholm._EPS * want)
+                op.factors.n * fredholm._EPS * want)
     assert len(seen) == len(GUARD_ALPHAS) * len(GUARD_AS)
 
 
@@ -627,6 +644,84 @@ def test_a_shared_operator_is_measured_once(monkeypatch):
     with pytest.raises(ArithmeticError, match=rf"^RhWorkspace.y1 at {scale}"):
         ws.y1(1.0)
     assert len(calls) == 1
+
+
+COMPRESSED_AS = (0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
+
+
+def _workspace_u(alpha, a):
+    """u(a) on a workspace of contour-Q's pair at a, refine 1."""
+    return RhWorkspace(alpha, a).y1(a).u
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.25, 0.5, 1.0, 2.0, 8.0, 64.0, 96.0])
+def test_compressed_factors_keep_p_log_p_and_u(alpha, monkeypatch):
+    # contour-Q and the workspace hold each a = 0 factor as a rank-48 basis
+    # and coefficients.  Against the same sketch on the whole factors,
+    # contour-Q's P and log P and the workspace's u move by at most 4
+    # rounding scales (the guard's n eps max|Q B|); measured at most 1.4,
+    # 2.9 and 1.0 scales.  u is taken at refine 1 only: the refine-0.5
+    # pair does not resolve alpha 96 (contour-Q's err there is 0.04-0.4),
+    # and its solve moves u by up to 71 scales for any rounding-level change
+    # of the factors
+    with monkeypatch.context() as patch:
+        patch.setattr(fredholm, "_BASIS_TOL", 0.0)  # nothing compresses
+        fredholm._RECENT.clear()
+        whole_u = {a: _workspace_u(alpha, a) for a in COMPRESSED_AS}
+    fredholm._RECENT.clear()
+    for refine in (1.0, 0.5):
+        for a in COMPRESSED_AS:
+            op = fredholm._contour_q_operator(a, alpha, refine)
+            fredholm.check_rounding_scale(op, "compressed")
+            pair = kernels.qa_pair(alpha, a_max=a, refine=refine)
+            assert fredholm._SHARED[fredholm._pair_key(pair)].ranks == (
+                48, 48)
+            want = det_one_minus(whole_operator(a, alpha, refine))
+            got = det_one_minus(op)
+            bound = 4.0 * op.rounding_scale
+            assert abs(got[0] - want[0]) <= bound, ("P", refine, a)
+            assert abs(got[1] - want[1]) <= bound, ("log P", refine, a)
+            if refine == 1.0:
+                # the workspace shares contour-Q's operator at a
+                u = _workspace_u(alpha, a)
+                assert abs(u - whole_u[a]) <= bound, ("u", a)
+
+
+def test_uncompressed_fallback_is_the_whole_factors_sketch(monkeypatch):
+    # a factor that no rank up to min(line, loop)/2 captures stays whole;
+    # with the tolerance at 0 neither factor is compressed, and contour-Q's
+    # P and log P are the sketch of the whole factors, bit for bit
+    monkeypatch.setattr(fredholm, "_BASIS_TOL", 0.0)
+    for a, alpha in ((1.7, 0.5), (0.5, 2.0)):
+        res = gap_probability(a, alpha, "contour-Q", estimate_error=False)
+        pair = kernels.qa_pair(alpha, a_max=a)
+        factors = fredholm._SHARED[fredholm._pair_key(pair)]
+        assert factors.ranks == (len(pair.line),) * 2
+        zero = factors.at_zero
+        assert zero.left_basis is None and zero.right_basis is None
+        assert (res.p, res.log_p) == det_one_minus(whole_operator(a, alpha))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_factor_with_a_nan_probe_product_stays_whole(monkeypatch):
+    # at alpha 1/256 the right factor holds NaN: its range finder stops at
+    # the first rank and keeps it whole, so the sketch meets the NaN at
+    # once; the finite left factor compresses at rank 48
+    drawn = []
+    probes = fredholm._factor_probes
+
+    def spy(p, r):
+        drawn.append((p, r))
+        return probes(p, r)
+
+    monkeypatch.setattr(fredholm, "_factor_probes", spy)
+    pair = kernels.qa_pair(1 / 256, a_max=1.0)
+    factors = fredholm.PairFactors(pair)
+    p = len(pair.loop)
+    assert drawn == [(p, fredholm._BASIS_RANK)] * 2
+    assert factors.ranks == (fredholm._BASIS_RANK, len(pair.line))
+    with pytest.raises(ArithmeticError, match="rounding scale nan"):
+        fredholm.check_rounding_scale(factors.operator(1.0), "nan")
 
 
 @pytest.mark.parametrize("alpha", [0.2, 0.5, 1.0, 2.0, 8.0, 64.0, 96.0])
@@ -779,7 +874,7 @@ def test_two_contour_similarity_is_real():
 def test_folded_determinants_match_complex_reference(alpha):
     for a in ROUTE_AS:
         for refine in (1.0, 0.5):
-            for route, build in (("contour-Q", qa_dense),
+            for route, build in (("contour-Q", qa_whole),
                                  ("contour-H", ha_operator)):
                 kw = complex_reference.line_matrix(a, alpha, route, refine)
                 want = np.linalg.det(np.eye(kw.shape[0]) - kw)

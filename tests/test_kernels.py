@@ -408,9 +408,12 @@ def qa_dense(a, alpha, refine=1.0):
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 def test_direct_real_factors_match_real_forms_of_the_blocks(alpha, refine):
     # contour-Q's factors are cross_blocks' bits, written into reused
-    # buffers; its K W must be the product of the factors at a = 0 with
-    # e^{-az} on the upper-half line rows and e^{at} on the upper-half
-    # loop columns, bit for bit.  ha_matrix, a divided difference of one
+    # buffers and compressed once per pair (fredholm.PairFactors): basis
+    # times coefficients must give each a = 0 factor within 1e-14 of its
+    # largest entry (3.7e-15 at most here), and contour-Q's K W the
+    # product of the whole factors at a = 0 with e^{-az} on the upper-half
+    # line rows and e^{at} on the upper-half loop columns within 1e-14 of
+    # max|K W| (3.2e-15 at most).  ha_matrix, a divided difference of one
     # loop sum, must lie within 5e-15 of max|K W| of the product of its
     # two factors (2.2e-15 here), and ha_operator must hold it bit for
     # bit.  The sizes vary across the parameters, so the buffers are also
@@ -423,11 +426,16 @@ def test_direct_real_factors_match_real_forms_of_the_blocks(alpha, refine):
                 np.testing.assert_array_equal(got, want)
         op = qa_dense(a, alpha, refine=refine)
         left, right = kernels.cross_blocks(pair, 0.0)
+        zero = fredholm._SHARED[fredholm._pair_key(pair)].at_zero
+        for basis, coef, whole in ((zero.left_basis, zero.left, left),
+                                   (zero.right_basis, zero.right, right)):
+            assert (np.abs(basis @ coef - whole).max()
+                    <= 1e-14 * np.abs(whole).max())
         z, t = pair.line.nodes, pair.loop.nodes
         want = fredholm.RealFactors(
             left, right, np.exp(-a * z[z.size // 2:]),
             np.exp(a * t[t.size // 2:])).dense()
-        np.testing.assert_array_equal(op.matrix(), want)
+        assert np.abs(op.matrix() - want).max() <= 1e-14 * np.abs(want).max()
         # the scalings against the factors written at a itself, an
         # independent assembly: within 6.8e-16 of max|K W| here
         left, right = kernels.cross_blocks(pair, a)

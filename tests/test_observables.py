@@ -142,12 +142,15 @@ def test_workspace_matches_dense_union_solve():
 def test_workspace_solves_are_real(monkeypatch):
     # i F_line lies in the real subspace of the mirror-symmetric line grid,
     # so both right-hand columns are one real solve, on an operator held as
-    # the workspace's two real factors: K W is never formed
+    # the workspace's two real factors, each a real basis and real
+    # coefficients: K W is never formed
     seen = []
 
     def spy(op, rhs):
         x = fredholm.solve_resolvent(op, rhs)
-        seen.append((op, op.factors.left.dtype, op.factors.right.dtype,
+        factors = op.factors
+        seen.append((op, factors.left.dtype, factors.right.dtype,
+                     factors.left_basis.dtype, factors.right_basis.dtype,
                      rhs.dtype, rhs.shape, x.dtype))
         return x
 
@@ -156,8 +159,10 @@ def test_workspace_solves_are_real(monkeypatch):
     ws.y1(2.0)
     [(op, *dtypes)] = seen
     n = len(ws.line)
-    assert dtypes == [np.float64, np.float64, np.float64, (n, 2), np.float64]
-    assert op.factors.left is ws.left and op.factors.right is ws.right
+    assert dtypes == [np.float64] * 5 + [(n, 2), np.float64]
+    zero = ws.factors.at_zero
+    for name in ("left", "right", "left_basis", "right_basis"):
+        assert getattr(op.factors, name) is getattr(zero, name), name
     assert op.kw is None
 
 
@@ -170,8 +175,9 @@ def _gap_entries(res):
 
 
 def test_workspace_buffers_carry_no_state_between_solves(monkeypatch):
-    # a solve writes nothing into the workspace, whose factors are
-    # read-only, nor into this thread's buffers, which every other
+    # a solve writes nothing into the workspace, whose compressed factors
+    # (bases and coefficients) are read-only, nor into this thread's
+    # buffers, which every other
     # two-contour call writes.  So interleaved points, points after
     # contour-Q and contour-H calls that rewrite those buffers at other
     # sizes, and a point after a solve that raised once the guard had
@@ -179,8 +185,10 @@ def test_workspace_buffers_carry_no_state_between_solves(monkeypatch):
     alpha, x_max, a1, a2 = 1.0, 4.0, 1.3, 3.1
     fresh = {a: _entries(RhWorkspace(alpha, x_max).y1(a)) for a in (a1, a2)}
     ws = RhWorkspace(alpha, x_max)
-    left, right = ws.left.copy(), ws.right.copy()
-    assert not ws.left.flags.writeable and not ws.right.flags.writeable
+    zero = ws.factors.at_zero
+    arrays = [zero.left, zero.right, zero.left_basis, zero.right_basis]
+    copies = [array.copy() for array in arrays]
+    assert not any(array.flags.writeable for array in arrays)
     assert _entries(ws.y1(a1)) == fresh[a1]
     assert _entries(ws.y1(a2)) == fresh[a2]
     assert _entries(ws.y1(a1)) == fresh[a1]
@@ -199,7 +207,7 @@ def test_workspace_buffers_carry_no_state_between_solves(monkeypatch):
         ws.y1(x_max + 1.0)
     assert _entries(ws.y1(a2)) == fresh[a2]
     assert _entries(ws.y1(a1)) == fresh[a1]
-    assert np.array_equal(ws.left, left) and np.array_equal(ws.right, right)
+    assert all(map(np.array_equal, arrays, copies))
 
 
 def test_workspace_solve_allocation_budget():
@@ -223,23 +231,30 @@ def test_workspace_solve_allocation_budget():
 
 
 def test_workspace_factors_are_contour_q_factors_at_zero():
-    # one assembly of the Schur complement: the workspace's a = 0 factors
-    # are the ones contour-Q writes for the same pair, bit for bit
+    # one assembly of the Schur complement: the workspace's compressed a = 0
+    # factors are the ones contour-Q takes for the same pair (listed in
+    # fredholm._SHARED), and they are the bits of a fresh compression of
+    # the pair, so P does not depend on which caller compressed it
     for alpha, x_max in ((0.5, 4.0), (2.0, 9.0)):
         ws = RhWorkspace(alpha, x_max)
         pair = kernels.qa_pair(alpha, a_max=x_max)
-        left, right = kernels._real_factors(pair, 0.0)
-        assert np.array_equal(ws.left, left)
-        assert np.array_equal(ws.right, right)
+        assert fredholm._SHARED[fredholm._pair_key(pair)] is ws.factors
+        zero = ws.factors.at_zero
+        fresh = fredholm.PairFactors(pair).at_zero
+        del ws
+        for name in ("left", "right", "left_basis", "right_basis"):
+            assert np.array_equal(getattr(zero, name), getattr(fresh, name))
 
 
 def test_workspace_build_transient_is_small():
     # the two real factors are written a block of Cauchy rows at a time
-    # straight into the arrays the workspace keeps, so building one
-    # allocates little beyond what it holds: 0.20-0.21 MB here.  The two
-    # complex line x loop blocks alone, formed whole and then folded, would
-    # take 2.15 and 1.31 MB.  A warm-up build keeps the grids, their gamma
-    # values and this thread's block buffer out of the measurement
+    # straight into this thread's factor buffers and compressed from
+    # there, so building one allocates little beyond what it holds:
+    # 0.16-0.32 MB here, the range finder's line x 52 products and QR.
+    # The two complex line x loop blocks alone, formed whole and then
+    # folded, would take 2.15 and 1.31 MB.  A warm-up build keeps the
+    # grids, their gamma values, this thread's buffers and the cached
+    # probes out of the measurement
     for alpha, x_max in ((0.25, 6.0), (1.0, 9.0)):
         RhWorkspace(alpha, x_max)
         gc.collect()
@@ -254,19 +269,22 @@ def test_workspace_build_transient_is_small():
 
 
 def test_workspace_footprint_is_its_two_factors():
-    # the workspace keeps the two real (line, loop) factors, line- and
-    # loop-length vectors and the 12 loop-length columns of right^T on the
-    # first probes (rank 8 and 4 tail probes): no n x n array and no
-    # complex line x loop block
+    # the workspace keeps its two real (line, loop) factors compressed to
+    # rank 48, each an (n, 48) basis and (48, p) coefficients, and line-
+    # and loop-length vectors: 0.50-0.61 MB here, against 1.4-2.2 MB for
+    # the two whole factors, and no n x n or line x loop array
     for alpha in (0.5, 1.0, 2.0):
         ws = RhWorkspace(alpha, 4.0)
         n, p = len(ws.line), len(ws.loop)
-        arrays = [v for obj in (ws, ws.line, ws.loop)
-                  for v in vars(obj).values() if isinstance(v, np.ndarray)]
-        assert ws.left.shape == ws.right.shape == (n, p)
-        assert all(v.size <= 20 * max(n, p) for v in arrays
-                   if v is not ws.left and v is not ws.right)
-        assert sum(v.nbytes for v in arrays) <= 2 * n * p * 8 + 256 * (n + p)
+        zero = ws.factors.at_zero
+        assert ws.factors.ranks == (48, 48)
+        factors = [zero.left_basis, zero.left, zero.right_basis, zero.right]
+        assert [v.shape for v in factors] == [(n, 48), (48, p)] * 2
+        vectors = [v for obj in (ws, ws.line, ws.loop)
+                   for v in vars(obj).values() if isinstance(v, np.ndarray)]
+        assert all(v.size <= 2 * max(n, p) for v in vectors)
+        assert (sum(v.nbytes for v in factors + vectors)
+                <= 2 * 48 * (n + p) * 8 + 128 * (n + p))
 
 
 def test_workspace_solves_through_the_sketch(monkeypatch):
@@ -410,12 +428,20 @@ def test_contour_q_log_p_is_the_workspace_log_p_where_the_pairs_match():
 
 
 def test_the_workspace_table_forgets_a_dead_workspace():
+    # a workspace's factors leave the table with it; contour-Q's stay
+    # while they are among the last two it built
+    fredholm._RECENT.clear()
     ws = RhWorkspace(1.0, 3.0)
     ws.y1(2.0)
     assert list(fredholm._SHARED.values()) == [ws.factors]
     del ws
     gc.collect()
     assert len(fredholm._SHARED) == 0
+    for alpha in (0.5, 1.0, 2.0):
+        fredholm.gap_probability(2.0, alpha, "contour-Q",
+                                 estimate_error=False)
+    gc.collect()
+    assert sorted(key[0] for key in fredholm._SHARED) == [1.0, 2.0]
 
 
 def test_workspace_of_another_alpha_on_the_same_grids_is_not_shared():
