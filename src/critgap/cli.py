@@ -157,7 +157,14 @@ def cmd_gap(args: argparse.Namespace) -> int:
         results = [fredholm.gap_probability(float(a), args.alpha, route,
                                             refine=args.resolution)
                    for route in routes]
-        row = [float(a)] + [res.p for res in results] + [results[0].log_p]
+        ps = [res.p for res in results]
+        # the routes must agree to the probability bound's slack (1e-7):
+        # a row whose routes spread further is not a value of P
+        if max(ps) - min(ps) > fredholm._P_SLACK:
+            raise ArithmeticError(
+                f"alpha={args.alpha}, a={float(a)}: the routes' P spread "
+                f"{max(ps) - min(ps):.2e}, past {fredholm._P_SLACK:g}")
+        row = [float(a)] + ps + [results[0].log_p]
         u = math.nan
         if workspace is not None:
             try:

@@ -13,14 +13,14 @@ conjugation, so both line operators are real (kernels.real_form) and every
 LU is real.  Every route hands the determinant one real K W with the
 weights folded in (DiscreteOperator): halfline and contour-H as a dense
 n x n array, contour-Q as its two real factors (RealFactors), never formed.
-Only a factored operator is sketched: its determinant is read from a range
-sketch of the factors (Halko, Martinsson and Tropp, arXiv:0909.4061), a
-k x k determinant with k = 8 at first: K W has at most 7 singular values
+Only a factored operator is sketched: its determinant is read from a
+rank-8 range sketch of the factors (Halko, Martinsson and Tropp,
+arXiv:0909.4061), an 8 x 8 determinant: K W has at most 7 singular values
 above 1e-15 of its largest on alpha {0.1, ..., 64} x a {0.1, ..., 8}, and
-the first rank passes the tail test on alpha {0.1, ..., 128} x
-a {0.1, ..., 16}, so the rank never doubles there.  The rounding guard
-(check_rounding_scale) reads max|Q B| of the sketch without forming the
-n x n Q B.
+rank 8 passes the tail test on alpha {0.1, ..., 128} x a {0.1, ..., 16}.
+A sketch whose tail does not pass raises ArithmeticError; K W is never
+formed.  The rounding guard (check_rounding_scale) reads max|Q B| of the
+sketch without forming the n x n Q B.
 
 In the Schur complement a enters only as e^{-az} on line rows and e^{at}
 on loop columns, so contour-Q holds the pair's a = 0 factors with those
@@ -36,16 +36,12 @@ _SHARED, a weak table keyed by the pair's alpha and two grids; contour-Q
 and a new workspace on the same pair take them from there, and contour-Q
 keeps the last two it built alive (_RECENT), so a sweep that returns to
 a recent pair does not compress it again, and a P and a u at one a share
-one sketch.  Every PairFactors
-of a pair holds the same bits, so P does not depend on whether a
-workspace is alive.
-Dense operators, and contour-Q's fallback past rank n/4, take a dense LU
-of I - K W; an operator that would need that fallback above 4096 rows
-raises instead.
-Every determinant and dense solve goes through numpy.linalg, by the two
-functions lu_factor and lu_solve below.  The three routes share no kernel
-code beyond the gamma functions, so their agreement is the primary internal
-consistency check of the package.
+one sketch.  Every PairFactors of a pair holds the same bits, so P does
+not depend on whether a workspace is alive.  Dense operators take a dense
+LU of I - K W.  Every determinant and dense solve goes through
+numpy.linalg, by the two functions lu_factor and lu_solve below.  The
+three routes share no kernel code beyond the gamma functions, so their
+agreement is the primary internal consistency check of the package.
 
 The halfline grid is sized from the kernel's decay: on (a, inf) it falls
 like u(x) ~ exp(-x^2 / 2 alpha), so the grid ends where that drops below
@@ -96,15 +92,11 @@ _DECAY_LOG = 46.0   # the halfline grid ends where exp(-x^2 / 2 alpha) < e^-46
 _DEFAULT_PANELS = 8
 _DEFAULT_ORDER = 16
 _GRID_GROWTH = 1.6
-_SKETCH_RANK = 8     # first rank of a resolvent sketch
+_SKETCH_RANK = 8     # rank of a resolvent sketch
 _TAIL_PROBES = 4     # fresh probe columns that measure a sketch's tail
 _TAIL_TOL = 1e-13    # largest ||K W T - Q Q^T K W T|| / ||K W T|| accepted
-_BASIS_RANK = 48     # first rank of a two-contour factor's basis
+_BASIS_RANK = 48     # rank of a two-contour factor's basis
 _BASIS_TOL = 1e-14   # largest ||X T - U U^T X T|| / ||X T|| of a factor X
-# largest n of a factored operator whose dense fallback is formed: 2.3 times
-# the largest n on the resolved domain (alpha 0.2-96, a and x_max up to 21,
-# refine up to 2), 1792 at alpha 0.2; K W of 4096 rows is 134 MB
-_DENSE_ROWS = 4096
 _GUARD_ROWS = 32     # rows of Q per block of the guard's max|Q B|
 # splitmix64's increment and output multipliers (Steele, Lea and Flood 2014)
 _SPLITMIX = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9),
@@ -206,51 +198,35 @@ def _factor_probes(p: int, r: int) -> np.ndarray:
     return _normals(p, r)
 
 
-def _range_finder(probe, k: int, limit: int, tol: float) -> tuple:
-    """Orthonormal range basis of an operator X known through probe(k) =
-    X [Omega | T] on fixed Gaussian probes (_normals: k range columns and
-    _TAIL_PROBES fresh ones).
+def _range_finder(probe, k: int, tol: float) -> tuple:
+    """Orthonormal rank-k range basis of an operator X known through
+    probe(k) = X [Omega | T] on fixed Gaussian probes (_normals: k range
+    columns and _TAIL_PROBES fresh ones).
 
-    Q is the orthonormal basis of X Omega.  The tail ||X T - Q Q^T X T||
-    decides: while it exceeds tol ||X T|| the rank doubles, up to limit.
-    Returns (Q, k, tail) with the relative tail of the rank that passed,
-    or (None, k, tail) of the last rank tried when none did ((None, 0,
-    nan) when k > limit leaves no room for one).  A probe product that is
-    not finite, which no rank can mend, stops at once with (None, k, nan)."""
-    rank, rel_tail = 0, math.nan
-    while k <= limit:
-        y = probe(k)                                    # X [Omega | T]
-        if not math.isfinite(np.linalg.norm(y)):
-            return None, k, math.nan
-        q = np.linalg.qr(y[:, :k])[0]
-        kt = y[:, k:]
-        scale = float(np.linalg.norm(kt))
-        tail = float(np.linalg.norm(kt - q @ (q.T @ kt)))
-        rank, rel_tail = k, tail / scale if scale else 0.0
-        if tail <= tol * scale:
-            return q, rank, rel_tail
-        k *= 2
-    return None, rank, rel_tail
-
-
-def _range_sketch(factors: RealFactors) -> tuple:
-    """_range_finder of an n x n K W held as its factors, on
-    factors.probe(k): from rank _SKETCH_RANK up to n/4, with tail tolerance
-    1e-13 (_TAIL_TOL)."""
-    return _range_finder(factors.probe, _SKETCH_RANK, factors.n // 4,
-                         _TAIL_TOL)
+    Q is the orthonormal basis of X Omega, and the relative tail
+    ||X T - Q Q^T X T|| / ||X T|| decides.  Returns (Q, tail), with Q None
+    when the tail exceeds tol, and (None, nan) when the probe product is
+    not finite."""
+    y = probe(k)                                        # X [Omega | T]
+    if not math.isfinite(np.linalg.norm(y)):
+        return None, math.nan
+    q = np.linalg.qr(y[:, :k])[0]
+    kt = y[:, k:]
+    scale = float(np.linalg.norm(kt))
+    tail = float(np.linalg.norm(kt - q @ (q.T @ kt)))
+    rel_tail = tail / scale if scale else 0.0
+    return (q if tail <= tol * scale else None), rel_tail
 
 
 def _compress(x: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
-    """(U, G) with x ~ U G for an (n, p) factor x: U the orthonormal (n, r)
-    range basis of x (_range_finder on x @ _factor_probes(p, r), from rank
-    48 up to min(n, p)/2 with tail tolerance 1e-14) and G = U^T x, fresh
-    arrays.  A factor that no rank passes, or whose probe product is not
-    finite (checked at the first rank), is returned as (None, a copy of
-    x)."""
-    n, p = x.shape
+    """(U, G) with x ~ U G for an (n, p) factor x: U the orthonormal
+    (n, 48) range basis of x (_range_finder on x @ _factor_probes(p, 48),
+    with tail tolerance 1e-14) and G = U^T x, fresh arrays.  A factor whose
+    tail does not pass, or whose probe product is not finite, is returned
+    as (None, a copy of x)."""
+    p = x.shape[1]
     u = _range_finder(lambda r: x @ _factor_probes(p, r), _BASIS_RANK,
-                      min(n, p) // 2, _BASIS_TOL)[0]
+                      _BASIS_TOL)[0]
     return (None, x.copy()) if u is None else (u, u.T @ x)
 
 
@@ -288,10 +264,10 @@ class RealFactors:
     left_basis U, the factor is U left, and left is its (r, p)
     coefficients (likewise right_basis and right).  The scalings act on
     the basis's n rows and on the coefficients' p columns, so they are
-    unchanged by it.  The operator is applied, probed, projected and
-    formed through the bases and coefficients and never formed otherwise:
-    each product costs (n + p) r columns' flops with both bases, n p
-    without, and no n x n or n x p array."""
+    unchanged by it.  The operator is applied, probed and projected
+    through the bases and coefficients, and never formed: each product
+    costs (n + p) r columns' flops with both bases, n p without, and no
+    n x n or n x p array."""
 
     left: np.ndarray
     right: np.ndarray
@@ -342,9 +318,9 @@ class RealFactors:
         return ql if self.right_basis is None else ql @ self.right_basis.T
 
     def dense(self) -> np.ndarray:
-        """K W as a fresh n x n array (the dense fallback; a sketch never
-        forms it): each factor formed whole from its basis, then their
-        product."""
+        """K W as a fresh n x n array, the reference that tests compare
+        the sketch against (no solve forms it): each factor formed whole
+        from its basis, then their product."""
         left, right = self.left, self.right
         if self.cols is not None:
             left = _turn(left.T, self.cols, conj=True).T
@@ -363,26 +339,25 @@ class DiscreteOperator:
 
     halfline and contour-H hold kw, the Nystrom matrix with its columns
     scaled by the weights; contour-Q and the RH workspace hold the factors,
-    from which K W is applied and projected, and formed (once, by matrix())
-    only on the dense fallback below.
+    from which K W is applied and projected, never formed.
 
-    A factored operator's solves go through a range sketch of K W
-    (_range_sketch).  Its eigenvalues are those of the limiting kernel on
-    (a, inf), which decay super-exponentially, so a few directions carry all
-    of it.  With the sketch's orthonormal Q (rank k, 8 at first) and
-    B = Q^T K W the solve is Woodbury's on K W ~ Q B through the k x k
-    matrix S = I_k - B Q, and the determinant is det S, which equals
-    det(I - K W) up to the sketch's tail.  A dense operator, and a factored
-    one when no rank up to n/4 passes the tail test, takes the LU of
-    I - K W for both; past 4096 rows a factored operator raises
-    ArithmeticError instead of forming K W.  Once chosen, solve_path is
-    "sketch" or "dense", sketch_rank the last rank tried (0 for a dense
-    operator or when n < 64 left no room for one) and sketch_tail its
-    relative tail (nan if none was tried, or if the probe product was not
-    finite).  rounding_scale is the rounding guard's measurement,
-    n eps max|K W| (check_rounding_scale): None until the guard first reads
-    it, then kept, so an operator shared by several callers is measured
-    once.  A probe product that is not finite sets it to nan at once.
+    A dense operator (solve_path "dense") takes the LU of I - K W for its
+    determinant and its solves.  A factored one (solve_path "sketch") is
+    sketched once, when it is made: a rank-8 range sketch of K W on the
+    factors' probes (_range_finder), with its relative tail kept as
+    sketch_tail (nan for a dense operator, or when the probe product is not
+    finite).  Its eigenvalues are those of the limiting kernel on (a, inf),
+    which decay super-exponentially, so a few directions carry all of it.
+    With the sketch's orthonormal Q and B = Q^T K W the solve is Woodbury's
+    on K W ~ Q B through the 8 x 8 matrix S = I - B Q, and the determinant
+    is det S, which equals det(I - K W) up to the sketch's tail.  When the
+    tail is above 1e-13 no sketch is kept: the determinant, the solves and
+    the rounding scale raise ArithmeticError naming the rank and the tail,
+    and K W is not formed in the sketch's place.  rounding_scale is the
+    rounding guard's measurement, n eps max|K W| (check_rounding_scale):
+    None until the guard first reads it, then kept, so an operator shared
+    by several callers is measured once.  A probe product that is not
+    finite sets it to nan at once.
 
     numpy's slogdet and solve factor a copy of their input, so I - K W is
     written into this thread's grow-only buffer (kernels._buffer) rather
@@ -391,35 +366,37 @@ class DiscreteOperator:
     is handed the buffer's transpose, which has the same determinant and is
     already in LAPACK's column-major order, so numpy's copy is contiguous
     instead of strided.  The dense solve writes the same buffer again.
-    kw, once given or formed, is never written, so the residual check of a
-    solve reads the operator as given.
+    kw is never written, so the residual check of a solve reads the
+    operator as given.
     """
 
     kw: np.ndarray | None
     factors: RealFactors | None = None
     _slogdet: tuple | None = field(default=None, init=False, repr=False)
-    solve_path: str | None = field(default=None, init=False)
-    sketch_rank: int = field(default=0, init=False)
+    solve_path: str = field(default="dense", init=False)
     sketch_tail: float = field(default=math.nan, init=False)
     rounding_scale: float | None = field(default=None, init=False)
     _sketch: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.kw is not None and self.kw.dtype != np.float64:
-            raise TypeError(
-                f"K W must be a float64 array, got {self.kw.dtype}")
+        if self.factors is None:
+            if self.kw.dtype != np.float64:
+                raise TypeError(
+                    f"K W must be a float64 array, got {self.kw.dtype}")
+            return
+        self.solve_path = "sketch"
+        q, self.sketch_tail = _range_finder(self.factors.probe, _SKETCH_RANK,
+                                            _TAIL_TOL)
+        if q is not None:
+            b = self.factors.project(q)
+            s = np.eye(q.shape[1]) - b @ q
+            self._sketch = q, b, s, lu_factor(s)
+        elif math.isnan(self.sketch_tail):
+            self.rounding_scale = math.nan  # a probe product not finite
 
-    def matrix(self) -> np.ndarray:
-        """K W, formed from the factors on first use and kept; raises
-        ArithmeticError rather than form one of more than 4096 rows."""
-        if self.kw is None:
-            n = self.factors.n
-            if n > _DENSE_ROWS:
-                raise ArithmeticError(
-                    f"K W of {n} rows is past the {_DENSE_ROWS} rows the "
-                    f"dense fallback may form (sketch rank "
-                    f"{self.sketch_rank}, tail {self.sketch_tail:.1e})")
-            self.kw = self.factors.dense()
+    def matrix(self) -> np.ndarray | None:
+        """K W of a dense operator; None for a factored one, whose K W is
+        never formed."""
         return self.kw
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
@@ -429,55 +406,43 @@ class DiscreteOperator:
         return self.kw @ x
 
     def _one_minus(self) -> np.ndarray:
-        """I - K W in this thread's buffer: valid until the thread's next
-        call."""
-        kw = self.matrix()
-        n = kw.shape[0]
-        a = np.negative(kw, out=_square_buffer(n))
+        """I - K W of a dense operator in this thread's buffer: valid until
+        the thread's next call."""
+        n = self.kw.shape[0]
+        a = np.negative(self.kw, out=_square_buffer(n))
         a.flat[::n + 1] += 1.0
         return a
 
     def _factor(self) -> tuple:
-        """(sign, log|det|) of I - K W: det S of the sketch when there is
-        one, else from the LU of the transpose of I - K W."""
+        """(sign, log|det|) of I - K W: det S of the sketch, or from the LU
+        of the transpose of I - K W for a dense operator."""
         if self._slogdet is None:
             sketch = self._sketch_factor()
             self._slogdet = (lu_factor(self._one_minus().T) if sketch is None
                              else sketch[3])
         return self._slogdet
 
-    def _sketch_factor(self):
-        """(Q, B, S, (sign, log|det S|)) of a factored operator's range
-        sketch, or None for the dense path; chosen on the first call and
-        kept."""
-        if self.solve_path is None:
-            q = None
-            if self.factors is not None:
-                q, self.sketch_rank, self.sketch_tail = _range_sketch(
-                    self.factors)
-            if q is None:
-                self._sketch = None
-                if self.sketch_rank and math.isnan(self.sketch_tail):
-                    self.rounding_scale = math.nan  # a product not finite
-            else:
-                b = self.factors.project(q)
-                s = np.eye(q.shape[1]) - b @ q
-                self._sketch = q, b, s, lu_factor(s)
-            self.solve_path = "dense" if q is None else "sketch"
+    def _sketch_factor(self) -> tuple | None:
+        """(Q, B, S, (sign, log|det S|)) of the sketch, None for a dense
+        operator; raises ArithmeticError when the sketch's tail did not
+        pass."""
+        if self._sketch is None and self.factors is not None:
+            raise ArithmeticError(
+                f"the rank-{_SKETCH_RANK} sketch of K W leaves a relative "
+                f"tail of {self.sketch_tail:.1e} (limit {_TAIL_TOL:.0e})")
         return self._sketch
 
     def _rounding(self) -> float:
         """rounding_scale, measured on the first call: max|Q B| of the
-        sketch, or max|K W| when there is none (see check_rounding_scale)."""
+        sketch, or max|K W| of a dense operator (see check_rounding_scale);
+        raises as _sketch_factor does, unless the scale is already nan."""
         if self.rounding_scale is None:
-            sketch = self._sketch_factor()  # sets nan on a product not finite
-            if self.rounding_scale is None:
-                if sketch is None:
-                    kw = self.matrix()
-                    n, peak = kw.shape[0], max(kw.max(), -kw.min())
-                else:
-                    n, peak = sketch[0].shape[0], _max_abs_product(*sketch[:2])
-                self.rounding_scale = n * _EPS * float(peak)
+            sketch = self._sketch_factor()
+            if sketch is None:
+                n, peak = self.kw.shape[0], max(self.kw.max(), -self.kw.min())
+            else:
+                n, peak = sketch[0].shape[0], _max_abs_product(*sketch[:2])
+            self.rounding_scale = n * _EPS * float(peak)
         return self.rounding_scale
 
 
@@ -495,8 +460,9 @@ def det_one_minus(op: DiscreteOperator) -> tuple[float, float]:
     SingularWarning, and returns (0, -inf), when the LU meets an exactly
     zero pivot; a tiny nonzero pivot gives its finite log-magnitude.  This
     is the dense LU of I - K W, or, for an operator held as RealFactors
-    whose sketch passed (contour-Q and the RH workspace), det S of that
-    sketch (see DiscreteOperator)."""
+    (contour-Q and the RH workspace), det S of its rank-8 sketch; raises
+    ArithmeticError, naming the rank and the tail, when that sketch's tail
+    did not pass (see DiscreteOperator)."""
     sign, log_mag = op._factor()
     if sign == 0.0 or log_mag == -math.inf:
         warnings.warn("determinant of I - K W is zero", SingularWarning)
@@ -514,7 +480,9 @@ def solve_resolvent(op: DiscreteOperator, rhs: np.ndarray) -> np.ndarray:
     On the sketch path x = rhs + Q S^{-1} B rhs, on the dense path an LU
     solve of I - K W (see DiscreteOperator).  Raises SingularError when the
     LU of S or of I - K W meets an exactly zero pivot, or when the residual
-    against the full operator exceeds 1e-10 (1 + |rhs|)."""
+    against the full operator exceeds 1e-10 (1 + |rhs|), and
+    ArithmeticError, naming the rank and the tail, on a sketch whose tail
+    did not pass."""
     sketch = op._sketch_factor()
     try:
         if sketch is None:
@@ -560,12 +528,13 @@ def _max_abs_product(q: np.ndarray, b: np.ndarray) -> float:
 def check_rounding_scale(op: DiscreteOperator, context: str) -> None:
     """Raise ArithmeticError when n eps max|K W|, the scale of the LU's
     backward error in det(I - K W), exceeds 3e-10 or is NaN.  It reads the
-    operator's own entries, or, for an operator held as RealFactors whose
-    sketch passes, max|Q B| of the sketch, from which max|K W| differs by
-    the sketch's tail; Q B is never formed (_max_abs_product).  A probe
-    product that is not finite gives a NaN scale at once.  The scale is
-    measured once per operator and kept as its rounding_scale, so callers
-    that share an operator each raise with their own context.
+    operator's own entries, or, for an operator held as RealFactors,
+    max|Q B| of its sketch, from which max|K W| differs by the sketch's
+    tail; Q B is never formed (_max_abs_product).  A probe product that is
+    not finite gives a NaN scale at once, and a sketch whose tail did not
+    pass raises its ArithmeticError with the context prefixed.  The scale
+    is measured once per operator and kept as its rounding_scale, so
+    callers that share an operator each raise with their own context.
 
     The two-contour matrices (contour-Q, contour-H and the RH workspace) are
     sums of large terms that cancel, and their entries grow where the
@@ -574,7 +543,10 @@ def check_rounding_scale(op: DiscreteOperator, context: str) -> None:
     1.1e-10 on alpha [0.2, 96] x a [0.1, 16], and at least 8e-10 at alpha
     128 and at alpha <= 0.15 for a <= 4, where contour-Q and contour-H come
     out up to 3e-4 (alpha 128) and 8e-7 (alpha 0.12) away from halfline."""
-    scale = op._rounding()
+    try:
+        scale = op._rounding()
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"{context}: {exc}") from None
     if not scale <= _ROUNDING_TOL:  # NaN entries give a NaN scale
         raise ArithmeticError(
             f"{context}: entries reach rounding scale {scale:.1e} "
@@ -640,27 +612,25 @@ class PairFactors:
     contour-Q and observables.RhWorkspace.
 
     The factors are written by kernels._real_factors(pair, 0.0) and each
-    is held as U G (_compress): U the orthonormal (n, r) range basis of
-    the factor X, found by doubling r from 48 while the 4 tail probes'
-    relative residual exceeds 1e-14, and G = U^T X.  Their singular values
-    fall below 1e-16 of the largest after 40-48 of the 352-384 loop
-    columns (workspace pairs of alpha 0.5, 1 and 2, x_max 4 to 12), and
-    rank 48 passes on every pair of alpha 0.2 to 96 tried, with U G
-    within 4e-15 of each factor's largest entry, so every product with the
-    factors costs (n + p) 48 in place of n p flops per column.  A factor that no rank up to min(n, p)/2 captures, or whose
-    probe product is not finite, stays whole.  ranks gives the rows of the
-    two coefficient arrays: each factor's rank, or n where it stays whole.
-    at_zero is the a = 0 RealFactors.
+    is held as U G (_compress): U the orthonormal (n, 48) range basis of
+    the factor X, accepted when the 4 tail probes' relative residual is at
+    most 1e-14, and G = U^T X.  Their singular values fall below 1e-16 of
+    the largest after 40-48 of the 352-384 loop columns (workspace pairs
+    of alpha 0.5, 1 and 2, x_max 4 to 12), and rank 48 passes on every
+    pair of alpha 0.2 to 96 tried, with U G within 4e-15 of each factor's
+    largest entry, so every product with the factors costs (n + p) 48 in
+    place of n p flops per column.  A factor that rank 48 does not
+    capture, or whose probe product is not finite, stays whole.  ranks
+    gives the rows of the two coefficient arrays: each factor's rank, or n
+    where it stays whole.  at_zero is the a = 0 RealFactors.
 
     While the object lives it is listed in _SHARED under the pair's alpha
     and grids, and contour-Q and a new workspace on that pair take it
     rather than compress the pair again (_pair_factors).  operator(a)
-    keeps the sketched operator of the last a as one entry, stored only
-    once its sketch and rounding scale are measured, so a P and a u at one
-    a share one sketch; an operator on the dense path is not kept, so no
-    n x n K W outlives its caller.  Every PairFactors of a pair holds the
-    same bits, so the operator does not depend on which caller built
-    them."""
+    keeps the operator of the last a, sketched, as one entry, so a P and a
+    u at one a share one sketch and one rounding scale.  Every PairFactors
+    of a pair holds the same bits, so the operator does not depend on
+    which caller built them."""
 
     def __init__(self, pair: kernels.ContourPair):
         self.pair = pair
@@ -672,7 +642,7 @@ class PairFactors:
         for array in (left, right, left_basis, right_basis):
             if array is not None:
                 array.setflags(write=False)
-        self._last: tuple | None = None   # (a, sketched operator at a)
+        self._last: tuple | None = None   # (a, operator at a)
         _SHARED[_pair_key(pair)] = self
 
     @property
@@ -683,8 +653,7 @@ class PairFactors:
     def operator(self, a: float) -> DiscreteOperator:
         """K W at a, the a = 0 factors with e^{-az} on the upper-half line
         nodes and e^{at} on the upper-half loop nodes (RealFactors.rows and
-        cols), with its sketch and rounding scale measured; the guard is
-        left to the caller."""
+        cols), sketched; the guard is left to the caller."""
         last = self._last
         if last is not None and last[0] == a:
             return last[1]
@@ -692,9 +661,7 @@ class PairFactors:
         op = DiscreteOperator(None, replace(
             self.at_zero, rows=np.exp(-a * z[z.size // 2:]),
             cols=np.exp(a * t[t.size // 2:])))
-        op._rounding()
-        if op.solve_path == "sketch":
-            self._last = a, op
+        self._last = a, op
         return op
 
 
@@ -749,8 +716,8 @@ def _route_det(a: float, alpha: float, route: str, refine: float) -> tuple[float
     if route == "halfline":
         op = halfline_operator(a, alpha, refine=refine)
     elif route == "contour-Q":
-        # det S of the sketch of the scaled a = 0 factors, with the guard
-        # on max|Q B|; past rank n/4, the dense LU of RealFactors.dense()
+        # det S of the rank-8 sketch of the scaled a = 0 factors, with the
+        # guard on max|Q B|
         op = _contour_q_operator(a, alpha, refine)
     elif route == "contour-H":
         op = ha_operator(a, alpha, refine=refine)

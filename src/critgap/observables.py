@@ -64,8 +64,8 @@ class Y1Matrix:
     e11 is real (the log-derivative of the gap probability) and the product
     e12*e21 is real; the individual off-diagonal phases are convention-bound
     and not asserted.  log_p is log P(a) = log|det(I - K W)| of the same
-    line operator: log|det S| of the solve's k x k Woodbury matrix, or the
-    dense LU's on the fallback path (nan when not computed)."""
+    line operator: log|det S| of the solve's 8 x 8 Woodbury matrix (nan
+    when not computed)."""
 
     e11: complex
     e12: complex
@@ -130,10 +130,11 @@ class RhWorkspace:
     above rounding (its eigenvalues are those of the limiting kernel on
     (a, inf)), so a rank-8 range sketch Q of it and an 8 x 8 Woodbury
     system S replace an n x n LU, with the full factored operator still
-    checking the residual.  If the sketch's tail were ever above tolerance
-    up to rank n/4, the solve would fall back to a dense LU solve.  The
-    rounding guard (fredholm.check_rounding_scale) reads max|Q B| of the
-    sketch, without forming Q B, and shows an unresolved discretization
+    checking the residual.  A sketch whose tail is above tolerance raises
+    ArithmeticError through the rounding guard, with the workspace's
+    context; K W is never formed.  The rounding guard
+    (fredholm.check_rounding_scale) reads max|Q B| of the sketch, without
+    forming Q B, and shows an unresolved discretization
     (alpha 128, alpha <= 0.15), which the real solves' imaginary residues
     cannot.  log|det S| is log P(a), returned as Y1Matrix.log_p.
 

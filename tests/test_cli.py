@@ -395,6 +395,25 @@ def test_gap_fails_loudly_where_p_is_not_a_probability(capsys):
     assert "not a probability" in err
 
 
+def test_gap_fails_loudly_where_the_routes_spread(capsys):
+    # at alpha 96, a = 0.1 and resolution 0.5 every route's P is a
+    # probability, but halfline's 0.48 and contour-Q's 0.088 disagree: a
+    # spread past the probability bound's 1e-7 exits 1 with no row.  At
+    # resolution 1 the same point's routes agree and the row is printed
+    argv = ("gap", "--alpha", "96", "--a-min", "0.1", "--a-max", "0.1",
+            "--steps", "1")
+    code, out, err = run_cli(capsys, *argv, "--resolution", "0.5")
+    assert code == 1
+    assert not out
+    assert "alpha=96.0, a=0.1: the routes' P spread 3.9" in err
+    assert "past 1e-07" in err
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    _, header, rows = parse_csv(out)
+    ps = [p for name, p in zip(header, rows[0]) if name.startswith("P_")]
+    assert len(ps) == 3 and max(ps) - min(ps) <= fredholm._P_SLACK
+
+
 def test_runtime_errors_exit_1(capsys):
     # negative alpha breaks contour geometry; reported, not raised
     code, _, err = run_cli(capsys, "kernel", "--alpha", "-1", "--x", "1",

@@ -12,6 +12,7 @@ import contextlib
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -39,21 +40,25 @@ def qa_dense(a, alpha, refine=1.0):
         fredholm._contour_q_operator(a, alpha, refine).factors.dense())
 
 
-def whole_operator(a, alpha, refine=1.0):
-    """contour-Q's operator at (a, alpha) held as the whole a = 0 factors
-    of its pair (kernels.cross_blocks) with the e^{-az} and e^{at}
-    scalings: the operator that contour-Q holds compressed."""
+def whole_factors(a, alpha, refine=1.0):
+    """contour-Q's K W at (a, alpha) as the whole a = 0 factors of its pair
+    (kernels.cross_blocks) with the e^{-az} and e^{at} scalings: the
+    factors that contour-Q holds compressed."""
     pair = kernels.qa_pair(alpha, a_max=a, refine=refine)
     left, right = kernels.cross_blocks(pair, 0.0)
     z, t = pair.line.nodes, pair.loop.nodes
-    return DiscreteOperator(None, RealFactors(
-        left, right, np.exp(-a * z[z.size // 2:]),
-        np.exp(a * t[t.size // 2:])))
+    return RealFactors(left, right, np.exp(-a * z[z.size // 2:]),
+                       np.exp(a * t[t.size // 2:]))
+
+
+def whole_operator(a, alpha, refine=1.0):
+    """whole_factors' operator, sketched."""
+    return DiscreteOperator(None, whole_factors(a, alpha, refine))
 
 
 def qa_whole(a, alpha, refine=1.0):
-    """whole_operator's K W, formed densely."""
-    return DiscreteOperator(whole_operator(a, alpha, refine).factors.dense())
+    """whole_factors' K W, formed densely."""
+    return DiscreteOperator(whole_factors(a, alpha, refine).dense())
 
 
 def contour_q_route(a, alpha):
@@ -178,7 +183,7 @@ def test_determinant_and_dense_solve_match_numpy():
     rhs = rng.normal(size=(n, 2))
     np.testing.assert_allclose(solve_resolvent(op, rhs),
                                np.linalg.solve(a, rhs), rtol=1e-12, atol=1e-13)
-    assert op.solve_path == "dense" and op.sketch_rank == 0
+    assert op.solve_path == "dense" and math.isnan(op.sketch_tail)
     assert np.array_equal(op.matrix(), kept)
     assert op.matrix() is kw
 
@@ -192,8 +197,7 @@ def test_dense_operator_is_never_sketched(factored):
     assert n == 128
     det_one_minus(op)
     solve_resolvent(op, np.exp(-np.linspace(0.0, 3.0, n)))
-    assert op.solve_path == "dense" and op.sketch_rank == 0
-    assert math.isnan(op.sketch_tail)
+    assert op.solve_path == "dense" and math.isnan(op.sketch_tail)
     assert [(seam, shape) for seam, shape, _ in factored] == [
         ("lu_factor", (n, n)), ("lu_solve", (n, n))]
 
@@ -361,20 +365,37 @@ def test_a_nan_operator_fails_at_the_first_sketch_rank(call, monkeypatch):
     assert peak <= n * n
 
 
-def test_dense_fallback_is_refused_past_its_row_limit(monkeypatch):
-    # a factored operator with no low-rank sketch falls back to forming
-    # K W only up to _DENSE_ROWS rows; past them it raises rather than
-    # allocate n x n doubles.  The limit is lowered so that the full-rank
-    # operator of test_full_rank_operator_falls_back_to_the_dense_lu is
-    # past it
-    rng = np.random.default_rng(23)
-    n = 128
-    op = DiscreteOperator(None, RealFactors(rng.normal(size=(n, n)) * 0.05,
-                                            np.eye(n)))
-    monkeypatch.setattr(fredholm, "_DENSE_ROWS", n - 1)
-    with pytest.raises(ArithmeticError, match="dense fallback"):
-        det_one_minus(op)
-    assert op.solve_path == "dense" and op.kw is None
+def test_a_failed_sketch_forms_no_square_array(monkeypatch):
+    # with a zero tail tolerance no sketch passes, and contour-Q and the
+    # workspace raise without forming K W in its place: neither
+    # RealFactors.dense() nor the square LU buffer is reached, and a warm
+    # call allocates less than one n x n array of bytes
+    def no_operator(factors):
+        raise AssertionError(f"formed a {factors.n}-row K W")
+
+    def no_square(n):
+        raise AssertionError(f"wrote a {n} x {n} buffer")
+
+    monkeypatch.setattr(fredholm, "_TAIL_TOL", 0.0)
+    monkeypatch.setattr(RealFactors, "dense", no_operator)
+    monkeypatch.setattr(fredholm, "_square_buffer", no_square)
+    ws = RhWorkspace(1.0, 16.0)
+    calls = {
+        "contour-Q": lambda: gap_probability(8.0, 1.0, "contour-Q",
+                                             estimate_error=False),
+        "workspace": lambda: ws.y1(8.0)}
+    n = len(ws.line)
+    for name, run in calls.items():
+        with pytest.raises(ArithmeticError, match="rank-8 sketch"):
+            run()  # compresses the pair, grows this thread's buffers
+        tracemalloc.start()
+        try:
+            with pytest.raises(ArithmeticError, match="rank-8 sketch"):
+                run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= n * n, name
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -396,12 +417,12 @@ def _low_rank_operator(n, rank, seed):
 
 def test_low_rank_operator_solves_through_the_sketch(factored):
     op, rng = _low_rank_operator(200, 4, 21)
-    a = np.eye(200) - op.matrix()
+    a = np.eye(200) - op.factors.dense()
     rhs = rng.normal(size=(200, 2))
     x = solve_resolvent(op, rhs)
-    assert op.solve_path == "sketch"
+    assert op.solve_path == "sketch" and op.matrix() is None
     k = fredholm._SKETCH_RANK
-    assert op.sketch_rank == k and op.sketch_tail <= 1e-13
+    assert op.sketch_tail <= 1e-13
     want = np.linalg.solve(a, rhs)
     assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
     # the only matrix factored is S, once for its sign and once per solve
@@ -440,20 +461,27 @@ def test_singular_low_rank_operator_raises_through_the_sketch(factored):
     assert [shape for _, shape, _ in factored] == [(k, k)]  # no n x n LU
 
 
-def test_full_rank_operator_falls_back_to_the_dense_lu():
-    # a random K, held as the factors (K, I), has no small tail at any
-    # rank: 8, 16 and 32 are tried, and 64 > n/4 sends the solve to the
-    # dense LU of K formed from its factors
+def test_full_rank_operator_raises_naming_rank_and_tail(factored):
+    # a random K, held as the factors (K, I), has no small tail at rank 8:
+    # the determinant, the solve and the rounding guard raise
+    # ArithmeticError naming the rank and the tail (the guard after its
+    # context), and K W is neither formed nor factored
     rng = np.random.default_rng(23)
     n = 128
     k = rng.normal(size=(n, n)) * 0.05
     op = DiscreteOperator(None, RealFactors(k, np.eye(n)))
-    rhs = rng.normal(size=n)
-    x = solve_resolvent(op, rhs)
-    assert op.solve_path == "dense" and op.sketch_rank == 32
-    assert op.sketch_tail > 0.1
-    np.testing.assert_allclose(x, np.linalg.solve(np.eye(n) - k, rhs),
-                               rtol=1e-12, atol=1e-13)
+    assert op.solve_path == "sketch" and op.sketch_tail > 0.1
+    message = re.escape(
+        f"the rank-8 sketch of K W leaves a relative tail of "
+        f"{op.sketch_tail:.1e} (limit 1e-13)")
+    with pytest.raises(ArithmeticError, match="^" + message):
+        det_one_minus(op)
+    with pytest.raises(ArithmeticError, match="^" + message):
+        solve_resolvent(op, rng.normal(size=n))
+    with pytest.raises(ArithmeticError, match="^full rank: " + message):
+        fredholm.check_rounding_scale(op, "full rank")
+    assert op.matrix() is None and op.rounding_scale is None
+    assert factored == []
 
 
 def test_probes_are_fixed_read_only_gaussians():
@@ -499,15 +527,26 @@ def test_contour_q_factors_only_the_sketch(factored, monkeypatch):
 
 
 @pytest.mark.parametrize("a, alpha", [(1.7, 0.5), (0.5, 2.0)])
-def test_contour_q_falls_back_to_the_dense_lu(a, alpha, factored,
-                                              monkeypatch):
-    # no rank passes a zero tail tolerance, so the route forms K W and
-    # factors it as RealFactors.dense() and det_one_minus do, bit for bit
+def test_contour_q_raises_past_the_tail_tolerance(a, alpha, factored,
+                                                  monkeypatch):
+    # no sketch passes a zero tail tolerance: the route raises
+    # ArithmeticError naming its context, the rank and the tail, and so do
+    # det_one_minus and solve_resolvent on its operator; nothing is
+    # factored
     monkeypatch.setattr(fredholm, "_TAIL_TOL", 0.0)
-    p = gap_probability(a, alpha, "contour-Q", estimate_error=False).p
-    n = qa_dense(a, alpha).matrix().shape[0]
-    assert factored == [("lu_factor", (n, n), np.float64)]
-    assert p == det_one_minus(qa_dense(a, alpha))[0]
+    op = fredholm._contour_q_operator(a, alpha, 1.0)
+    assert op.solve_path == "sketch" and op.sketch_tail > 0.0
+    message = re.escape(
+        f"the rank-8 sketch of K W leaves a relative tail of "
+        f"{op.sketch_tail:.1e} (limit 0e+00)")
+    with pytest.raises(ArithmeticError, match=re.escape(
+            f"contour-Q at alpha={alpha}, a={a}: ") + message):
+        gap_probability(a, alpha, "contour-Q", estimate_error=False)
+    with pytest.raises(ArithmeticError, match="^" + message):
+        det_one_minus(op)
+    with pytest.raises(ArithmeticError, match="^" + message):
+        solve_resolvent(op, np.ones(op.factors.n))
+    assert op.matrix() is None and factored == []
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0, 8.0])
@@ -688,8 +727,8 @@ def test_compressed_factors_keep_p_log_p_and_u(alpha, monkeypatch):
 
 
 def test_uncompressed_fallback_is_the_whole_factors_sketch(monkeypatch):
-    # a factor that no rank up to min(line, loop)/2 captures stays whole;
-    # with the tolerance at 0 neither factor is compressed, and contour-Q's
+    # a factor that rank 48 does not capture stays whole; with the
+    # tolerance at 0 neither factor is compressed, and contour-Q's
     # P and log P are the sketch of the whole factors, bit for bit
     monkeypatch.setattr(fredholm, "_BASIS_TOL", 0.0)
     for a, alpha in ((1.7, 0.5), (0.5, 2.0)):
@@ -704,9 +743,9 @@ def test_uncompressed_fallback_is_the_whole_factors_sketch(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_factor_with_a_nan_probe_product_stays_whole(monkeypatch):
-    # at alpha 1/256 the right factor holds NaN: its range finder stops at
-    # the first rank and keeps it whole, so the sketch meets the NaN at
-    # once; the finite left factor compresses at rank 48
+    # at alpha 1/256 the right factor holds NaN: its range finder keeps it
+    # whole, so the sketch meets the NaN at once; the finite left factor
+    # compresses at rank 48
     drawn = []
     probes = fredholm._factor_probes
 
@@ -724,34 +763,37 @@ def test_a_factor_with_a_nan_probe_product_stays_whole(monkeypatch):
         fredholm.check_rounding_scale(factors.operator(1.0), "nan")
 
 
-@pytest.mark.parametrize("alpha", [0.2, 0.5, 1.0, 2.0, 8.0, 64.0, 96.0])
-def test_first_sketch_rank_covers_the_resolved_domain(alpha, monkeypatch):
+# the workspace ranges of the benchmark's rh-closure job
+CLOSURE_RANGES = {1.0: 9.6, 2.0: 13.6}
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.15, 0.2, 0.5, 1.0, 2.0, 8.0, 64.0,
+                                   96.0, 128.0])
+def test_first_sketch_rank_covers_the_resolved_domain(alpha):
     # K W has only a few singular values above 1e-15 of its largest (at
-    # most 7 on alpha {0.1, ..., 64} x a {0.1, ..., 8}), so the first rank
-    # meets the tail test on every contour-Q operator and every workspace
-    # point, and the rank never doubles.  A regime that needs more rank
-    # fails here instead of slowing down unseen
-    k = fredholm._SKETCH_RANK
+    # most 7 on alpha {0.1, ..., 64} x a {0.1, ..., 8}), so the rank-8
+    # sketch meets the tail test on every contour-Q operator and every
+    # workspace point, the guard's alphas 0.1, 0.15 and 128 included, and
+    # rank 48 captures both factors of every pair.  A regime that needs
+    # more rank raises there, and fails here
+    def check(op, where):
+        assert op.solve_path == "sketch", where
+        assert op.sketch_tail <= fredholm._TAIL_TOL, where
+        assert np.isfinite(det_one_minus(op)[1]), where
+
     for a in (0.1, 1.0, 4.0, 16.0):
         for refine in (1.0, 0.5):
             op = fredholm._contour_q_operator(a, alpha, refine)
-            det_one_minus(op)
-            assert op.solve_path == "sketch", (a, refine)
-            assert op.sketch_rank == k, (a, refine)
-            assert op.sketch_tail <= fredholm._TAIL_TOL, (a, refine)
-    seen = []
-
-    def spy(op, rhs):
-        seen.append(op)
-        return fredholm.solve_resolvent(op, rhs)
-
-    monkeypatch.setattr(observables, "solve_resolvent", spy)
-    ws = RhWorkspace(alpha, 16.0)
-    for a in (0.1, 0.5, 2.0, 8.0, 16.0):
-        ws.y1(a)
-        op = seen[-1]
-        assert op.solve_path == "sketch" and op.sketch_rank == k, a
-        assert op.sketch_tail <= fredholm._TAIL_TOL, a
+            assert (op.factors.left.shape[0],
+                    op.factors.right.shape[0]) == (48, 48), (a, refine)
+            check(op, (a, refine))
+    for x_max in (16.0, CLOSURE_RANGES.get(alpha)):
+        if x_max is None:
+            continue
+        ws = RhWorkspace(alpha, x_max)
+        assert ws.factors.ranks == (48, 48), x_max
+        for a in (0.1, 0.5, 1.0, 2.0, 4.0, 8.0, x_max):
+            check(ws.factors.operator(a), (x_max, a))
 
 
 def test_route_agreement_spot():

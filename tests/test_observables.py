@@ -312,7 +312,7 @@ def test_workspace_solves_through_the_sketch(monkeypatch):
             ws.y1(a)
             op = seen[-1]
             assert op.solve_path == "sketch", (alpha, a)
-            assert op.sketch_rank == k and op.sketch_tail <= 1e-14
+            assert op.sketch_tail <= 1e-14
     assert factored == [(k, k)] * 6
 
 
@@ -459,17 +459,22 @@ def test_workspace_of_another_alpha_on_the_same_grids_is_not_shared():
     assert shared.p != fredholm.gap_probability(a, 8.0, "contour-Q").p
 
 
-def test_workspace_keeps_no_operator_on_the_dense_path(monkeypatch):
-    # only a sketched operator is kept as the last a's: one that takes the
-    # dense fallback forms its n x n K W, which must not outlive the call
+def test_workspace_raises_past_the_tail_tolerance(monkeypatch):
+    # with a zero tail tolerance the sketch at a = 1.5 fails: y1 raises
+    # ArithmeticError with its context, the rank and the tail, and no dense
+    # K W takes the sketch's place.  The operator is kept as the last a's
+    # all the same, so y1 at that a raises again without a new sketch
     ws = RhWorkspace(1.0, 3.0)
-    ws.y1(2.0)
-    assert ws.factors._last[0] == 2.0
-    monkeypatch.setattr(fredholm, "_range_sketch",
-                        lambda factors: (None, 0, math.nan))
-    res = ws.y1(1.5)
-    assert np.isfinite(res.u)
-    assert ws.factors._last[0] == 2.0
+    monkeypatch.setattr(fredholm, "_TAIL_TOL", 0.0)
+    want = (r"^RhWorkspace\.y1 at alpha=1\.0, a=1\.5: the rank-8 sketch of "
+            r"K W leaves a relative tail of ")
+    with pytest.raises(ArithmeticError, match=want):
+        ws.y1(1.5)
+    a, op = ws.factors._last
+    assert a == 1.5 and op.solve_path == "sketch" and op.matrix() is None
+    with pytest.raises(ArithmeticError, match=want):
+        ws.y1(1.5)
+    assert ws.factors._last[1] is op
 
 
 def test_workspace_refuses_rounding_dominated_entries():
