@@ -181,9 +181,10 @@ def cmd_gap(args: argparse.Namespace) -> int:
         "alpha": args.alpha, "a_min": args.a_min, "a_max": args.a_max,
         "steps": args.steps, "routes": routes, "resolution": args.resolution,
     }, started)
+    # poles: the pole rule's count at a_min, the most that any row's y1 sums
     manifest["workspace"] = None if workspace is None else {
-        "line": len(workspace.line), "loop": len(workspace.loop),
-        "ranks": list(workspace.factors.ranks)}
+        "line": len(workspace.line),
+        "poles": kernels._poles(args.alpha, args.a_min)[0].size}
     manifest["u_error"] = None
     if u_error is not None:
         manifest["u_error"] = f"{type(u_error).__name__}: {u_error}"

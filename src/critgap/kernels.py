@@ -7,11 +7,16 @@ dense products so Nystrom assembly stays cheap.  The finite-N kernel is one
 contraction u @ C @ v with the Cauchy matrix C = 1/(s - t) between its
 closed loop and its line; as every line node has the same real part, C is
 carried by two real arrays, built and contracted block by block of loop rows.
-contour-Q's line operator is one product of two real factors, which one
-loop writes (cross_blocks): into fresh arrays for validate, into this
-thread's buffers (_real_factors) as the input that fredholm.PairFactors
-compresses once per pair for contour-Q and the RH workspace.  contour-H's
-(ha_matrix) is a divided difference of one loop sum.
+
+Inside the two-contour operator's hairpin loop the only singular factor is
+Gamma(t), so every loop sum of contour-Q's Schur complement and of the RH
+workspace's resolvent formula is a residue series over the poles t = -k
+(the identity validate's loop-residue check measures).  The pole rule
+(_poles) keeps the K <= 21 poles whose terms lie above e^-45; on it the
+Schur complement has exact rank K, and one writer (cross_blocks) gives its
+two real (2m, K) factors on the line's upper half.  contour-H's line
+operator (ha_matrix) keeps a loop quadrature of its own, a divided
+difference of one loop sum, so that route stays independent.
 
 The grids come from the contours builders, shared and read-only, and each
 keeps its own node values (QuadratureGrid.memo): Gamma and 1/Gamma of its
@@ -69,10 +74,13 @@ _TAIL_LOG = 40.0
 # contraction: small enough for the elementwise passes to stay in cache
 _BLOCK_BYTES = 1 << 19
 
-# per-thread, grow-only buffers (_buffer): _real_factors' two factors,
-# cross_blocks' block of Cauchy rows, and fredholm's square buffer (I - K W
-# of a dense LU), which ha_matrix's work arrays reuse; held until the thread
-# ends
+# the pole rule keeps Gamma's poles -k whose terms e^{-alpha k^2/2 - a k} / k!
+# lie above e^{-_POLE_LOG}, the first term being 1
+_POLE_LOG = 45.0
+
+# per-thread, grow-only buffers (_buffer): ha_matrix's two Cauchy arrays and
+# fredholm's square buffer (I - K W of a dense LU), which ha_matrix's K W
+# reuses; held until the thread ends
 _FACTORS = threading.local()
 
 
@@ -137,13 +145,21 @@ def qa_pair(alpha: float, a_max: float, order: int = 16, refine: float = 1.0,
         return ContourPair(loop, line, alpha)
     T_loop = truncation_radius(alpha / 4.0, growth=0.0, target=_TAIL_LOG,
                                gamma_decay=True)
-    T_line = truncation_radius(alpha / 4.0, growth=math.pi / 2.0,
-                               target=_TAIL_LOG)
     loop = build_hairpin(T=T_loop, order=order, refine=refine,
                          max_frequency=a_max)
-    line = build_vertical(T=T_line, order=order, refine=refine,
+    return ContourPair(loop, _qa_line(alpha, a_max, order, refine), alpha)
+
+
+def _qa_line(alpha: float, a_max: float, order: int = 16,
+             refine: float = 1.0) -> QuadratureGrid:
+    """qa_pair's vertical line, the only grid of the pair that the pole
+    rule reads (cross_blocks, rh_vectors)."""
+    if alpha <= 0.0:
+        raise GeometryError("alpha must be positive")
+    T_line = truncation_radius(alpha / 4.0, growth=math.pi / 2.0,
+                               target=_TAIL_LOG)
+    return build_vertical(T=T_line, order=order, refine=refine,
                           max_frequency=a_max)
-    return ContourPair(loop, line, alpha)
 
 
 def _upper_half(grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -191,25 +207,16 @@ def real_form(upper: np.ndarray) -> np.ndarray:
     return out
 
 
-def _write_real_form(upper: np.ndarray, top: np.ndarray, bottom: np.ndarray,
-                     conj: bool = False) -> None:
-    """Write real_form(upper), or with conj=True real_form(conj(upper)),
-    as its top and bottom (m, p) halves.  The conjugate's entries are
-    formed as the sums and differences of the negated imaginary parts
-    would be: (-h) - l = (-h) + (-l) and h - l = (-l) - (-h) exactly, so
-    they equal real_form(np.conjugate(upper)) bit for bit."""
+def _write_real_form(upper: np.ndarray, top: np.ndarray,
+                     bottom: np.ndarray) -> None:
+    """Write real_form(upper) as its top and bottom (m, p) halves."""
     k = upper.shape[1] // 2
     hi = upper[:, k:]
     lo = upper[:, k - 1::-1]  # at the mirror of each upper-half node
     np.add(hi.real, lo.real, out=top[:, :k])
     np.subtract(hi.real, lo.real, out=bottom[:, k:])
-    if conj:
-        np.negative(hi.imag, out=bottom[:, :k])
-        bottom[:, :k] -= lo.imag
-        np.subtract(hi.imag, lo.imag, out=top[:, k:])
-    else:
-        np.add(hi.imag, lo.imag, out=bottom[:, :k])
-        np.subtract(lo.imag, hi.imag, out=top[:, k:])
+    np.add(hi.imag, lo.imag, out=bottom[:, :k])
+    np.subtract(lo.imag, hi.imag, out=top[:, k:])
 
 
 def kernel_matrix(x: np.ndarray, y: np.ndarray, pair: ContourPair,
@@ -494,21 +501,48 @@ def factored_kernel(x: float, y: float, alpha: float) -> float:
 
 # -- two-contour operator ---------------------------------------------------
 
-def rh_vectors(pair: ContourPair, a: float) -> tuple[np.ndarray, ...]:
+def _poles(alpha: float, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pole rule of the two-contour loop at (alpha, a): the poles -k of
+    Gamma it keeps, as k = 0, ..., K - 1, and Gamma's residues (-1)^k / k!
+    there.  The one place that decides the pole set, so that contour-Q and
+    the RH workspace at one (alpha, a) sum the same terms.
+
+    Every loop sum of the two-contour operator is sum_t w_t Gamma(t) F(t)
+    e^{-alpha t^2/2 + a t} with F analytic inside the hairpin, which
+    encircles every pole counterclockwise, so it equals 2 pi i sum_k
+    (-1)^k / k! e^{-alpha k^2/2 - a k} F(-k).  For a >= 0 the size
+    e^{-alpha k^2/2 - a k} / k! of the terms falls with k, and so do the
+    Cauchy factors 1/(z + k) in F; the rule keeps the terms of size at
+    least e^-45: K = 1 to 21."""
+    count = 1
+    while (alpha * count * count / 2.0 + a * count
+           + math.lgamma(count + 1.0) <= _POLE_LOG):
+        count += 1
+    k = np.arange(count, dtype=float)
+    residues = np.cumprod(np.concatenate([[1.0], -1.0 / k[1:]]))
+    return k, residues
+
+
+def rh_vectors(line: QuadratureGrid, alpha: float,
+               a: float) -> tuple[np.ndarray, ...]:
     """The two-vectors (f, h) whose products build the two-contour operator
-    and its jump I - 2 pi i f h^T, by their nonzero components on each grid:
-    f = (f_line, 0), h = (0, h_line) on the line and f = (0, f_loop),
-    h = (h_loop, 0) on the loop, so f.h = 0 on both.  f carries the
-    1/(2 pi i) normalization.  Returns (f_line, h_line, f_loop, h_loop)."""
-    alpha = pair.alpha
-    z, t = pair.line.nodes, pair.loop.nodes
+    and its jump I - 2 pi i f h^T, by their nonzero components: f =
+    (f_line, 0), h = (0, h_line) on the line and f = (0, f_loop), h =
+    (h_loop, 0) on the loop, so f.h = 0 on both.  f carries the 1/(2 pi i)
+    normalization.  The loop is read on the pole rule at (alpha, a)
+    (_poles): f_loop at the poles -k, and in place of W h_loop there 2 pi i
+    times the residue of h_loop = Gamma(t) e^{-alpha t^2/4 + a t}.
+    Returns (f_line, h_line, f_poles, wh_poles), the line's on all its
+    nodes."""
+    z = line.nodes
+    k, residues = _poles(alpha, a)
     quarter_z = alpha * z * z / 4.0
-    quarter_t = alpha * t * t / 4.0
+    quarter_k = np.exp(-alpha * k * k / 4.0)
     f_line = np.exp(quarter_z - a * z) / _TWO_PI_I
-    h_line = -_recip_gamma_on(pair.line) * np.exp(quarter_z)
-    f_loop = np.exp(-quarter_t) / _TWO_PI_I
-    h_loop = _gamma_on(pair.loop) * np.exp(-quarter_t + a * t)
-    return f_line, h_line, f_loop, h_loop
+    h_line = -_recip_gamma_on(line) * np.exp(quarter_z)
+    f_poles = quarter_k / _TWO_PI_I
+    wh_poles = _TWO_PI_I * residues * quarter_k * np.exp(-a * k)
+    return f_line, h_line, f_poles, wh_poles
 
 
 def ha_matrix(pair: ContourPair, a: float, loop: QuadratureGrid) -> np.ndarray:
@@ -537,9 +571,9 @@ def ha_matrix(pair: ContourPair, a: float, loop: QuadratureGrid) -> np.ndarray:
     t, wt = loop.nodes, loop.weights
     g = wt * _gamma_on(loop) * np.exp(a * t - alpha * t * t / 2.0) / _TWO_PI_I
     m, p, y = z.size, t.size, z.imag
-    r = _buffer("left", 2 * m * p, float).view(complex).reshape(m, p)
+    r = _buffer("cauchy", 2 * m * p, float).view(complex).reshape(m, p)
     np.reciprocal(np.subtract.outer(z, t, out=r), out=r)
-    rg = _buffer("right", 2 * m * p, float).view(complex).reshape(m, p)
+    rg = _buffer("cauchy_g", 2 * m * p, float).view(complex).reshape(m, p)
     np.multiply(r, g, out=rg)
     f = rg.sum(axis=1)
     # sum_t g r_i r_j for node i and each node j = i + d up to _NEAR above
@@ -580,60 +614,29 @@ def _buffer(name: str, size: int, dtype: type) -> np.ndarray:
     return buf[:size]
 
 
-def _real_factors(pair: ContourPair, a: float
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """cross_blocks(pair, a), the same bits, in views of this thread's
-    grow-only buffers, valid until its next call: the input of
-    fredholm.PairFactors, which compresses them, so repeated builds reuse
-    that memory instead of asking the allocator for megabytes that it may
-    trim and fault in again each time.  A thread holds its largest factors
-    so far until it ends, 1.3 to 11.8 MB after one contour-Q call on alpha
-    [0.2, 64] x a [1, 16] x refine [1, 2]."""
-    m, p = pair.line.nodes.size // 2, pair.loop.nodes.size
-    return cross_blocks(pair, a, (
-        _buffer("left", 2 * m * p, float).reshape(2 * m, p),
-        _buffer("right", 2 * m * p, float).reshape(2 * m, p)))
+def cross_blocks(line: QuadratureGrid, alpha: float,
+                 a: float) -> tuple[np.ndarray, np.ndarray]:
+    """The real factors (left, right) of contour-Q's line operator at a on
+    the pole rule (_poles): fresh (2m, K) arrays on the line's m upper-half
+    nodes z, whose product left @ right.T is the real form (real_form) of
+    the Schur complement K W = A W_poles B W_line.
 
-
-def cross_blocks(pair: ContourPair, a: float,
-                 out: tuple[np.ndarray, np.ndarray] | None = None
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Real forms (left, right) of the two coupling blocks at a, as (2m,
-    loop) arrays, fresh or the pair `out` written in place:
-    left = real_form(A W_loop) of line<-loop and
-    right = real_form(conj((B W_line)^T)) of loop<-line, on the upper-half
-    line rows.  Both blocks commute with conjugation, so left @ right.T is
-    the real form of the Schur complement A W_loop B W_line.
-
-    Both blocks are the Cauchy matrix R = 1/(z - t) scaled by rows and
-    columns, each entry rounded as (R * cols) * rows.  R is built a block
-    of rows at a time in this thread's buffer "cauchy", which holds it and
-    its scaled copy in _BLOCK_BYTES (0.5 MB), and both real forms are
-    written from the block straight into the factors: no line x loop
-    complex array exists.  Raises GeometryError if either grid is not
-    mirror-symmetric."""
-    alpha = pair.alpha
-    z, wz = _upper_half(pair.line)
-    _upper_half(pair.loop)  # the symmetry check; the blocks span the loop
-    t, wt = pair.loop.nodes, pair.loop.weights
-    m, p = z.size, t.size
-    left, right = out or (np.empty((2 * m, p)), np.empty((2 * m, p)))
-    col_a = wt * _gamma_on(pair.loop) * np.exp(-alpha * t * t / 4.0 + a * t)
-    row_a = np.exp(alpha * z * z / 4.0 - a * z) / _TWO_PI_I
-    col_b = np.exp(-alpha * t * t / 4.0)
-    row_b = (wz * _recip_gamma_on(pair.line)[z.size:]
-             * np.exp(alpha * z * z / 4.0) / _TWO_PI_I)
-    rows = min(m, max(1, _BLOCK_BYTES // (32 * p)))
-    block = _buffer("cauchy", 2 * rows * p, complex).reshape(2, rows, p)
-    for i in range(0, m, rows):
-        j = min(i + rows, m)
-        r, scaled = block[0, :j - i], block[1, :j - i]
-        np.subtract.outer(z[i:j], t, out=r)
-        np.reciprocal(r, out=r)
-        np.multiply(r, col_a, out=scaled)
-        scaled *= row_a[i:j, None]
-        _write_real_form(scaled, left[i:j], left[m + i:m + j])
-        r *= col_b  # in place: R is not needed again
-        r *= row_b[i:j, None]
-        _write_real_form(r, right[i:j], right[m + i:m + j], conj=True)
-    return left, right
+    left holds (Re, Im) of A W_poles[z, k] = f_line(z) wh_k / (z + k) and
+    right those of 2 conj((B W_line)^T[z, k]), with (B W_line)^T[z, k] =
+    f_k h_line(z) w_z / (-k - z) (rh_vectors' components; the 2 pi i
+    factors cancel in left).  The poles are real, so the real coordinates
+    of a pole vector are its K values: left maps them to the line's
+    (Re, Im) coordinates of the upper half, and right.T maps those back,
+    the 2 summing each line node with its mirror.  Raises GeometryError if
+    the line is not mirror-symmetric."""
+    z, wz = _upper_half(line)
+    k, residues = _poles(alpha, a)
+    quarter_k = np.exp(-alpha * k * k / 4.0)
+    quarter_z = np.exp(alpha * z * z / 4.0)
+    cauchy = 1.0 / np.add.outer(z, k)
+    a_w = ((quarter_z * np.exp(-a * z))[:, None] * cauchy
+           * (residues * quarter_k * np.exp(-a * k)))
+    bt_w = ((2.0 * wz * _recip_gamma_on(line)[z.size:] * quarter_z
+             / _TWO_PI_I)[:, None] * cauchy * quarter_k).conj()
+    return (np.concatenate([a_w.real, a_w.imag]),
+            np.concatenate([bt_w.real, bt_w.imag]))

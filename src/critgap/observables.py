@@ -13,9 +13,9 @@ the gap probability:
 critgap.validate checks each of them.  Y1 is computed from the resolvent
 formula: solve (I - Q_a)F = f on the contour union, then Y1 = sum of
 w_i F(s_i) h(s_i)^T, on the line grid through the two real factors from
-which contour-Q reads its determinant, compressed once per contour pair
-to rank 48 (see RhWorkspace).  Everything here reuses the Nystrom
-machinery; no boundary-value problem is solved.
+which contour-Q reads its determinant, with every loop sum taken on
+Gamma's pole rule (kernels.cross_blocks; see RhWorkspace).  Everything
+here reuses the Nystrom machinery; no boundary-value problem is solved.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fredholm, kernels, special
+from . import kernels, special
 from .contours import (GeometryError, _gl_panels, deformed_contours,
                        gamma_contour_integral, truncation_radius)
-from .fredholm import (HalfLineGrid, _decay_end, check_rounding_scale,
-                       det_one_minus, solve_resolvent)
+from .fredholm import (DiscreteOperator, HalfLineGrid, _decay_end,
+                       check_rounding_scale, det_one_minus, solve_resolvent)
 
 __all__ = [
     "UnderflowWarning",
@@ -64,8 +64,8 @@ class Y1Matrix:
     e11 is real (the log-derivative of the gap probability) and the product
     e12*e21 is real; the individual off-diagonal phases are convention-bound
     and not asserted.  log_p is log P(a) = log|det(I - K W)| of the same
-    line operator: log|det S| of the solve's 8 x 8 Woodbury matrix (nan
-    when not computed)."""
+    line operator: log|det| of the solve's K x K Woodbury matrix (nan when
+    not computed)."""
 
     e11: complex
     e12: complex
@@ -102,58 +102,38 @@ class RhWorkspace:
     loop enters Y1 only through g and a constant:
     sum_loop F_loop h_loop^T W = f_loop^T W h_loop + sum_line W F_line g.
 
-    The grids are mirror images under conjugation, and both coupling blocks
-    commute with it, so the workspace keeps only their real forms at a = 0,
-    contour-Q's two factors (kernels.cross_blocks): left = real_form(A
-    W_loop) and right = real_form(conj((B W_line)^T)), so that the real
-    form of K W is left @ right.T.  Each is held compressed, as an
-    orthonormal rank-48 basis of its line rows and its coefficients
-    (fredholm.PairFactors), and every product with it goes through both,
-    at (n + p) 48 flops per column in place of n p.  At a point a the line
-    operator is
-    fredholm.RealFactors(left, right, e^{-az}, e^{at}): the two scalings
-    are complex multiplications on the (Re, Im) halves of the real
-    coordinates, and K W is applied through the factors without forming
-    any n x n or line x loop array.  The right side and F_line are odd
-    under the mirror (v[::-1] = -conj v), so i F_line lies in the real
-    subspace: both columns are real solves, and the lower half of F_line
-    is the mirror of the upper.  So are f_loop and W h_loop on the loop,
-    so e and W g come from the same two thin factors: left maps
-    i e^{at} f_loop to i e^{az} e, and right maps i conj(e^{at} W h_loop)
-    to i conj(W g).  The Y1 sums then have exactly mirrored terms,
-    and their imaginary-residue checks see only rounding.  Valid for
-    evaluation points 0 < a <= x_max (x_max sets the oscillation budget of
-    the line grid).
+    Every loop sum here is taken on Gamma's pole rule, the K poles t = -k
+    that contour-Q's determinant reads at the same a (kernels.rh_vectors
+    and kernels.cross_blocks): W_loop h_loop becomes 2 pi i times Gamma's
+    residues, and the constant is sum_k (-1)^k / k! e^{-alpha k^2/2 - ak},
+    residue_sum's series.  The grids are mirror images under conjugation,
+    and both coupling blocks commute with it, so y1 builds only their real
+    forms at a, contour-Q's two (2m, K) factors: left, that of A W_poles,
+    and right, that of 2 conj((B W_line)^T), with left @ right.T the real
+    form of K W.  The right side and F_line are odd under the mirror
+    (v[::-1] = -conj v), so i F_line lies in the real subspace: both
+    columns are real solves, and the lower half of F_line is the mirror
+    of the upper.  The poles are real and i f_loop and i conj(W h_loop) are
+    real on them, so e and W g come from the same two factors: left maps
+    i f_poles to i e, and right maps i conj(W h_poles) to 2 i conj(W g).
+    The Y1 sums then have exactly mirrored terms, and their
+    imaginary-residue checks see only rounding.  Valid for evaluation
+    points 0 < a <= x_max (x_max sets the oscillation budget of the line
+    grid).
 
-    The solve is fredholm.solve_resolvent's sketch, the one contour-Q's
-    determinant is read from: the real form has only a few singular values
-    above rounding (its eigenvalues are those of the limiting kernel on
-    (a, inf)), so a rank-8 range sketch Q of it and an 8 x 8 Woodbury
-    system S replace an n x n LU, with the full factored operator still
-    checking the residual.  A sketch whose tail is above tolerance raises
-    ArithmeticError through the rounding guard, with the workspace's
-    context; K W is never formed.  The rounding guard
-    (fredholm.check_rounding_scale) reads max|Q B| of the sketch, without
-    forming Q B, and shows an unresolved discretization
-    (alpha 128, alpha <= 0.15), which the real solves' imaginary residues
-    cannot.  log|det S| is log P(a), returned as Y1Matrix.log_p.
+    The solve is fredholm.solve_resolvent's Woodbury solve through the
+    K x K matrix I_K - right.T @ left, with the full factored operator
+    checking the residual, and log|det| of that matrix is log P(a), the
+    bits of contour-Q's log P on the same line, returned as Y1Matrix.log_p.
+    The rounding guard (fredholm.check_rounding_scale) reads
+    max|left @ right.T| without forming it, and shows an unresolved
+    discretization (alpha 128, alpha <= 0.15), which the real solves'
+    imaginary residues cannot.
 
-    The PairFactors give the operator at each a and keep the last a's
-    sketched operator.  While the workspace lives they are listed in
-    fredholm's weak table under the pair's alpha and grids; contour-Q on
-    the same pair takes its operator from them, and a workspace built
-    while contour-Q's own PairFactors of the pair are alive takes those:
-    so a pair is compressed once, a P and a u at one a share one sketch,
-    and contour-Q's P is the same, bit for bit, with or without a
-    workspace.
-
-    The workspace holds its PairFactors, read-only: per factor an (n, 48)
-    basis and (48, p) coefficients, 0.50-0.61 MB at alpha 0.5-2 where the
-    two whole factors took 1.4-2.2 MB; line- and loop-length vectors; and
-    the last sketched operator with its n x 8 sketch.  A solve writes
-    nothing into the factors, and the rest is line- or loop-length blocks
-    of 12 columns or fewer.  So threads may share one workspace, and call
-    contour-Q on its pair, in parallel."""
+    The workspace holds its line grid and nothing it writes: a y1 builds
+    its factors and pole vectors afresh, line- or pole-length arrays and
+    (2m, K) blocks, and no n x n array.  So threads may share one
+    workspace, and call contour-Q on its line, in parallel."""
 
     def __init__(self, alpha: float, x_max: float, order: int = 16,
                  refine: float = 1.0):
@@ -162,52 +142,40 @@ class RhWorkspace:
             raise ValueError("x_max must be positive")
         self.alpha = float(alpha)
         self.x_max = float(x_max)
-        pair = kernels.qa_pair(alpha, a_max=x_max, order=order, refine=refine)
-        self.line, self.loop = pair.line, pair.loop
+        self.line = kernels._qa_line(alpha, a_max=x_max, order=order,
+                                     refine=refine)
         if self.line.spec.kind != "line":
             # f_line = e^{alpha z^2/4 - az} decays only up a vertical line
             raise GeometryError(
                 f"workspace needs a vertical line, got a {self.line.spec.kind}")
-        self.factors = fredholm._pair_factors(pair)
-        m = self.line.nodes.size // 2
-        f_line, h_line, f_loop, h_loop = kernels.rh_vectors(pair, 0.0)
-        self.f_line = f_line[m:]                    # f(z).(1, 0), upper
-        self.hw_line = self.line.weights * h_line   # W h(s).(0, 1)
-        self.f_loop = f_loop                        # f(t).(0, 1)
-        self.hw_loop = self.loop.weights * h_loop   # W h(t).(1, 0)
 
     def y1(self, a: float) -> Y1Matrix:
         if not 0.0 < a <= self.x_max + 1e-9:
             raise ValueError(f"a={a} outside workspace range (0, {self.x_max}]")
-        op = self.factors.operator(a)
+        left, right = kernels.cross_blocks(self.line, self.alpha, a)
+        op = DiscreteOperator(None, (left, right))
         check_rounding_scale(op, f"RhWorkspace.y1 at alpha={self.alpha}, a={a}")
-        m, k = self.f_line.size, self.f_loop.size // 2
-        factors = op.factors
-        line_scale = factors.rows
-        loop_scale = np.exp(a * self.loop.nodes)
+        f_line, h_line, f_poles, wh_poles = kernels.rh_vectors(
+            self.line, self.alpha, a)
+        m = f_line.size // 2
         # coordinates (Re, Im) of the upper halves of i f_line(a) and of
-        # i e = A W_loop (i f_loop(a)), in which the solution is i F_line
-        fl = self.f_line * line_scale
-        fv = (self.f_loop * loop_scale)[k:]
+        # i e = A W_poles (i f_poles), in which the solution is i F_line
+        fl = f_line[m:]
         rhs = np.empty((2 * m, 2))
         rhs[:m, 0], rhs[m:, 0] = -fl.imag, fl.real
-        rhs[:, 1] = fredholm._turn(
-            factors.left_times(np.concatenate([-fv.imag, fv.real])),
-            line_scale)
+        rhs[:, 1] = left @ (1j * f_poles).real
         x = solve_resolvent(op, rhs)
         log_p = float(det_one_minus(op)[1])
         upper = x[m:] - 1j * x[:m]                        # F_line, upper half
         big_f_line = np.concatenate([-upper[::-1].conj(), upper])
-        # W g = (B W_line)^T v with v = W h_loop(a): right, the real form of
-        # conj((B W_line)^T), maps i conj(v) to i conj(W g).  W g is odd
-        # under the mirror, like the right side
-        hv = (self.hw_loop * loop_scale)[k:]
-        r = factors.right_times(np.concatenate([hv.imag, hv.real]))
+        # W g = (B W_line)^T v with v = W h_poles: right maps i conj(v) to
+        # 2 i conj(W g).  W g is odd under the mirror, like the right side
+        r = right @ (0.5j * wh_poles.conj()).real
         gw_up = r[m:] + 1j * r[:m]
         gw = np.concatenate([-gw_up[::-1].conj(), gw_up])
-        gh = np.stack([gw, self.hw_line])                 # W (g, h) rows
+        gh = np.stack([gw, self.line.weights * h_line])   # W (g, h) rows
         y1 = big_f_line.T @ gh.T
-        y1[1, 0] += np.sum(self.f_loop * loop_scale * self.hw_loop)
+        y1[1, 0] += np.sum(f_poles * wh_poles)
         e11, e12, e21, e22 = y1[0, 0], y1[0, 1], y1[1, 0], y1[1, 1]
         if abs(e11.imag) > _IM_TOL * (1.0 + abs(e11)):
             raise ArithmeticError(f"(Y1)_11 has imaginary residue {e11.imag:.3e}")

@@ -8,9 +8,10 @@ wrong, not that a tolerance is tight.  The CLI exposes the suite as the
 
 An identity checked at several points has one residual function of the
 point: check_* takes the worst over its points, the tests over theirs.
-The two-contour checks read the whole real factors that contour-Q and
-the RH workspace compress and solve with (kernels.cross_blocks), so they
-test the one loop that writes them.
+The two-contour checks read the real factors that contour-Q and the RH
+workspace take their determinant and solves from (kernels.cross_blocks,
+on Gamma's pole rule), so they test the one writer of them: against the
+jump vectors, and against contour-H's loop quadrature.
 """
 
 from __future__ import annotations
@@ -106,22 +107,22 @@ def check_jump_unipotent() -> CheckResult:
     on complementary components (f = (f_line, 0), h = (0, h_line) on the
     line, f = (0, f_loop), h = (h_loop, 0) on the loop), so f.h = 0 by
     construction.  What that rests on is that these components build the
-    two-contour operator: f_line(z) h_loop(t) w_t / (z - t) must be
-    A W_loop and f_loop(t) h_line(z) w_z / (t - z) must be (B W_line)^T,
-    whose real forms, of A W_loop and of conj((B W_line)^T), cross_blocks
-    writes on the upper-half line rows."""
-    a = 2.0
-    pair = kernels.qa_pair(1.0, a_max=a)
-    f_line, h_line, f_loop, h_loop = kernels.rh_vectors(pair, a)
-    factors = kernels.cross_blocks(pair, a)
+    two-contour operator: on the pole rule, f_line(z) (W h)_k / (z + k)
+    must be A W_poles and f_k h_line(z) w_z / (-k - z) must be
+    (B W_line)^T, whose real coordinates, of A W_poles and of
+    2 conj((B W_line)^T), cross_blocks writes on the upper-half line
+    rows."""
+    a, alpha = 2.0, 1.0
+    line = kernels.qa_pair(alpha, a_max=a).line
+    f_line, h_line, f_poles, wh_poles = kernels.rh_vectors(line, alpha, a)
+    factors = kernels.cross_blocks(line, alpha, a)
     m = factors[0].shape[0] // 2
-    z, wz = pair.line.nodes[m:], pair.line.weights[m:]
-    t, wt = pair.loop.nodes, pair.loop.weights
-    z_minus_t = np.subtract.outer(z, t)
-    rebuilt_a = np.outer(f_line[m:], h_loop * wt) / z_minus_t
-    rebuilt_bt = np.outer(h_line[m:] * wz, f_loop) / -z_minus_t
-    rebuilt = (kernels.real_form(rebuilt_a),
-               kernels.real_form(rebuilt_bt.conj()))
+    z, wz = line.nodes[m:], line.weights[m:]
+    z_plus_k = np.add.outer(z, np.arange(f_poles.size))
+    rebuilt_a = np.outer(f_line[m:], wh_poles) / z_plus_k
+    rebuilt_bt = 2.0 * (np.outer(h_line[m:] * wz, f_poles) / -z_plus_k).conj()
+    rebuilt = [np.concatenate([x.real, x.imag])
+               for x in (rebuilt_a, rebuilt_bt)]
     worst = max(float(np.max(np.abs(r - f)) / np.max(np.abs(f)))
                 for r, f in zip(rebuilt, factors))
     return _result("jump-unipotent",
@@ -131,12 +132,12 @@ def check_jump_unipotent() -> CheckResult:
 
 
 def check_line_reduction() -> CheckResult:
-    """Line-reduced kernel, a divided difference of one loop sum, equals
-    the loop-contracted product left @ right.T of the two coupling blocks'
-    real forms on the same loop grid (weights included)."""
+    """Line-reduced kernel, a divided difference of one loop sum over the
+    pair's loop quadrature, equals the product left @ right.T of the two
+    coupling blocks' real factors on the pole rule (weights included)."""
     a, alpha = 2.0, 1.0
     pair = kernels.qa_pair(alpha, a_max=a)
-    left, right = kernels.cross_blocks(pair, a)
+    left, right = kernels.cross_blocks(pair.line, alpha, a)
     direct = left @ right.T
     reduced = kernels.ha_matrix(pair, a, pair.loop)
     worst = float(np.max(np.abs(direct - reduced))

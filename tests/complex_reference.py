@@ -2,12 +2,13 @@
 reference the conjugation fold and the Schur-complement reduction are
 tested against.
 
-Each function sums over every node of both grids in complex arithmetic and
+Each function sums over every node of its grids in complex arithmetic and
 assumes no symmetry of the grids: the line operators are full n x n complex
-matrices K W, whose determinants the package now takes from their real
-forms, and union_matrix is the dense Nystrom matrix of
-Q = [[0, A], [B, 0]] on the line-plus-loop union that the line-grid routes
-reduce.
+matrices K W, whose determinants the package takes from their real forms,
+and union_matrix is the dense Nystrom matrix of Q = [[0, A], [B, 0]] on the
+line-plus-loop union that the line-grid routes reduce.  The jump vectors
+and the pole rule's weights are written out here, apart from the package's
+kernels.rh_vectors; only the pole count is the package's (kernels._poles).
 """
 
 from __future__ import annotations
@@ -22,11 +23,22 @@ from critgap.special import gamma, recip_gamma
 TWO_PI_I = 2j * math.pi
 
 
+def line_vectors(line, alpha, a):
+    """f_line and h_line, the jump vectors' nonzero line components."""
+    z = line.nodes
+    f_line = np.exp(alpha * z * z / 4.0 - a * z) / TWO_PI_I
+    h_line = -recip_gamma(z) * np.exp(alpha * z * z / 4.0)
+    return f_line, h_line
+
+
 def union_rows(pair, a):
     """The two-vectors (f, h) as rows over the union grid, line nodes first:
     f = (f_line, 0), h = (0, h_line) on the line and f = (0, f_loop),
     h = (h_loop, 0) on the loop."""
-    f_line, h_line, f_loop, h_loop = kernels.rh_vectors(pair, a)
+    alpha, t = pair.alpha, pair.loop.nodes
+    f_line, h_line = line_vectors(pair.line, alpha, a)
+    f_loop = np.exp(-alpha * t * t / 4.0) / TWO_PI_I
+    h_loop = gamma(t) * np.exp(-alpha * t * t / 4.0 + a * t)
     m = f_line.size
     f = np.zeros((m + f_loop.size, 2), dtype=complex)
     h = np.zeros_like(f)
@@ -59,6 +71,23 @@ def cross_blocks(pair, a):
     return block_a, block_b
 
 
+def pole_blocks(line, alpha, a):
+    """The coupling blocks on the pole rule over the whole line: A W_poles
+    (line <- poles), whose loop weights are 2 pi i times Gamma's residues
+    (-1)^k / k! at t = -k, and B (poles <- line) without line weights, with
+    f_k = f_loop(-k) and W h_k, the pole rule's W h_loop."""
+    z = line.nodes
+    k = np.arange(kernels._poles(alpha, a)[0].size)
+    f_line, h_line = line_vectors(line, alpha, a)
+    f_poles = np.exp(-alpha * k * k / 4.0) / TWO_PI_I
+    wh_poles = np.array([TWO_PI_I * (-1) ** j / math.factorial(j)
+                         * math.exp(-alpha * j * j / 4.0 - a * j)
+                         for j in k])
+    block_a = np.outer(f_line, wh_poles) / (z[:, None] + k[None, :])
+    block_b = np.outer(f_poles, h_line) / (-k[:, None] - z[None, :])
+    return block_a, block_b, f_poles, wh_poles
+
+
 def ha_matrix(pair, a, loop):
     """The full line-reduced kernel K on the pair's line grid, its loop
     variable integrated on `loop`, without the line weights."""
@@ -72,11 +101,12 @@ def ha_matrix(pair, a, loop):
 
 def line_matrix(a, alpha, route, refine=1.0, order=16):
     """The complex K W of route "contour-Q", the product of the two
-    coupling blocks, or of `ha_operator` ("contour-H") on the same grids."""
+    coupling blocks on the pole rule, or of `ha_operator` ("contour-H") on
+    the same grids."""
     pair = kernels.qa_pair(alpha, a_max=a, refine=refine, order=order, a=a)
     if route == "contour-Q":
-        block_a, block_b = cross_blocks(pair, a)
-        kv = (block_a * pair.loop.weights[None, :]) @ block_b
+        block_a, block_b, _, _ = pole_blocks(pair.line, alpha, a)
+        kv = block_a @ block_b
     else:
         inner = kernels.qa_pair(alpha, a_max=a, refine=1.4 * refine,
                                 order=max(8, order - 4), a=a)
@@ -86,21 +116,18 @@ def line_matrix(a, alpha, route, refine=1.0, order=16):
 
 def workspace_matrix(workspace, a):
     """The complex K W a RhWorkspace solves with at `a`, assembled in its
-    integrable form (f(z).g(s) + e(z).h(s)) / (z - s) over the whole line."""
-    line, loop = workspace.line, workspace.loop
-    pair = kernels.ContourPair(loop, line, workspace.alpha)
-    block_a, block_b = cross_blocks(pair, 0.0)
-    f, h = union_rows(pair, 0.0)
-    n = line.nodes.size
-    f_line, h_line, f_loop, h_loop = f[:n], h[:n], f[n:], h[n:]
-    line_scale = np.exp(-a * line.nodes)
-    loop_w = np.exp(a * loop.nodes) * loop.weights
-    e = line_scale[:, None] * (block_a @ (loop_w[:, None] * f_loop))
-    g = (loop_w[:, None] * h_loop).T @ block_b
+    integrable form (f(z).g(s) + e(z).h(s)) / (z - s) over the whole line,
+    e = A W_poles f_poles and g = (W h_poles)^T B."""
+    line = workspace.line
+    block_a, block_b, f_poles, wh_poles = pole_blocks(line, workspace.alpha,
+                                                      a)
+    f_line, h_line = line_vectors(line, workspace.alpha, a)
+    e = block_a @ f_poles
+    g = wh_poles @ block_b
     diff = line.nodes[:, None] - line.nodes[None, :]
     np.fill_diagonal(diff, 1.0)
-    kv = ((line_scale[:, None] * f_line) @ g + e @ h_line.T) / diff
-    np.fill_diagonal(kv, line_scale * ((block_a * block_b.T) @ loop_w))
+    kv = (np.outer(f_line, g) + np.outer(e, h_line)) / diff
+    np.fill_diagonal(kv, np.einsum("ik,ki->i", block_a, block_b))
     return kv * line.weights[None, :]
 
 

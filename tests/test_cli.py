@@ -195,14 +195,16 @@ def test_gap_csv_values_round_trip(capsys):
 
 
 def test_gap_manifest_reports_the_workspace_factors(capsys):
-    # the u column's workspace: its line and loop node counts and the ranks
-    # of its two compressed factors
+    # the u column's workspace: its line node count and the pole rule's
+    # count at a_min, the most poles that any row's y1 sums (8 at alpha 1,
+    # a = 1; 7 at a = 3)
     code, out, _ = run_cli(capsys, "gap", "--alpha", "1", "--a-min", "1",
                            "--a-max", "3", "--steps", "2", "--format", "json")
     assert code == 0
     ws = observables.RhWorkspace(1.0, 3.0)
     assert json.loads(out)["manifest"]["workspace"] == {
-        "line": len(ws.line), "loop": len(ws.loop), "ranks": [48, 48]}
+        "line": len(ws.line), "poles": kernels._poles(1.0, 1.0)[0].size}
+    assert [kernels._poles(1.0, a)[0].size for a in (1.0, 3.0)] == [8, 7]
 
 
 def test_gap_keeps_p_when_the_workspace_fails(capsys):
@@ -248,18 +250,18 @@ def test_validate_json_and_exit_code(capsys):
 def test_validate_catches_injected_fault(capsys, monkeypatch):
     # a 1% miscalibration of contour-Q's two factors must fail route
     # equivalence (a global sign flip would not: the determinant sees only
-    # the product of the two factors, and the flips cancel).  contour-Q
-    # alone writes its factors through kernels._real_factors
+    # the product of the two factors, and the flips cancel).  Among the
+    # routes contour-Q alone writes its factors through kernels.cross_blocks
     fast = tuple(c for c in validate.CHECKS
                  if c.__name__ == "check_route_equivalence")
     monkeypatch.setattr(validate, "CHECKS", fast)
-    true_factors = kernels._real_factors
+    true_factors = kernels.cross_blocks
 
     def broken(*args, **kwargs):
         left, right = true_factors(*args, **kwargs)
         return 1.01 * left, 1.01 * right
 
-    monkeypatch.setattr(kernels, "_real_factors", broken)
+    monkeypatch.setattr(kernels, "cross_blocks", broken)
     code, out, _ = run_cli(capsys, "validate")
     assert code == 1
     doc = json.loads(out)

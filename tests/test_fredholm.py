@@ -12,7 +12,6 @@ import contextlib
 import dataclasses
 import math
 import os
-import re
 import subprocess
 import sys
 import threading
@@ -24,8 +23,8 @@ import pytest
 import complex_reference
 from critgap import contours, fredholm, kernels, observables, validate
 from critgap.contours import GeometryError
-from critgap.fredholm import (DiscreteOperator, HalfLineGrid, RealFactors,
-                              SingularError, det_one_minus, gap_probability,
+from critgap.fredholm import (DiscreteOperator, HalfLineGrid, SingularError,
+                              det_one_minus, gap_probability,
                               halfline_operator, ha_operator,
                               solve_resolvent)
 from critgap.observables import RhWorkspace
@@ -36,29 +35,8 @@ TRACE_5_INF_ALPHA2 = 3.688412361201974893414e-5
 
 def qa_dense(a, alpha, refine=1.0):
     """contour-Q's K W at (a, alpha), formed densely from its factors."""
-    return DiscreteOperator(
-        fredholm._contour_q_operator(a, alpha, refine).factors.dense())
-
-
-def whole_factors(a, alpha, refine=1.0):
-    """contour-Q's K W at (a, alpha) as the whole a = 0 factors of its pair
-    (kernels.cross_blocks) with the e^{-az} and e^{at} scalings: the
-    factors that contour-Q holds compressed."""
-    pair = kernels.qa_pair(alpha, a_max=a, refine=refine)
-    left, right = kernels.cross_blocks(pair, 0.0)
-    z, t = pair.line.nodes, pair.loop.nodes
-    return RealFactors(left, right, np.exp(-a * z[z.size // 2:]),
-                       np.exp(a * t[t.size // 2:]))
-
-
-def whole_operator(a, alpha, refine=1.0):
-    """whole_factors' operator, sketched."""
-    return DiscreteOperator(None, whole_factors(a, alpha, refine))
-
-
-def qa_whole(a, alpha, refine=1.0):
-    """whole_factors' K W, formed densely."""
-    return DiscreteOperator(whole_factors(a, alpha, refine).dense())
+    left, right = fredholm._contour_q_operator(a, alpha, refine).factors
+    return DiscreteOperator(left @ right.T)
 
 
 def contour_q_route(a, alpha):
@@ -183,21 +161,20 @@ def test_determinant_and_dense_solve_match_numpy():
     rhs = rng.normal(size=(n, 2))
     np.testing.assert_allclose(solve_resolvent(op, rhs),
                                np.linalg.solve(a, rhs), rtol=1e-12, atol=1e-13)
-    assert op.solve_path == "dense" and math.isnan(op.sketch_tail)
+    assert op.factors is None
     assert np.array_equal(op.matrix(), kept)
     assert op.matrix() is kw
 
 
 def test_dense_operator_is_never_sketched(factored):
-    # halfline's n = 128 leaves room for a sketch, but only a factored
-    # operator is sketched: the determinant and the solve both take the
-    # n x n LU, and no sketch's k x k LU is made
+    # a dense operator is never reduced to a small matrix: the determinant
+    # and the solve both take the n x n LU, and no K x K LU is made
     op = halfline_operator(1.5, 1.0)
     n = op.matrix().shape[0]
     assert n == 128
     det_one_minus(op)
     solve_resolvent(op, np.exp(-np.linspace(0.0, 3.0, n)))
-    assert op.solve_path == "dense" and math.isnan(op.sketch_tail)
+    assert op.factors is None
     assert [(seam, shape) for seam, shape, _ in factored] == [
         ("lu_factor", (n, n)), ("lu_solve", (n, n))]
 
@@ -284,7 +261,7 @@ def test_halfline_operator_is_real(factored):
     det, _ = det_one_minus(op)
     assert type(det) is float
     # the two-contour operators are factored in their real form
-    op_q = qa_whole(2.0, 1.0)
+    op_q = qa_dense(2.0, 1.0)
     det_one_minus(op_q)
     m = op_q.matrix().shape[0]
     assert factored == [("lu_factor", (n, n), np.float64),
@@ -299,7 +276,6 @@ def test_singular_operator_detected():
     assert log_mag == -math.inf
     with pytest.raises(SingularError):
         solve_resolvent(op, np.ones(6))
-    assert op.solve_path == "dense"
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -329,29 +305,21 @@ def test_unresolved_alpha_raises_in_the_workspace():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("call", ["workspace", "contour-Q"])
-def test_a_nan_operator_fails_at_the_first_sketch_rank(call, monkeypatch):
-    # at alpha 1/256 the probe product is NaN: the sketch stops at rank 8,
-    # the guard reads a NaN scale and raises, and neither a larger rank
-    # nor the dense n x n fallback is tried (n = 5504 for the workspace,
-    # 3072 for contour-Q's pair).  The rank-8 probes are the only ones
-    # drawn, and a warmed call allocates at most an eighth of one n x n
-    # array (1.6 and 0.9 MB measured, against 242 and 75 MB)
-    drawn = []
-    probes = fredholm._probes
-
-    def spy(n, k):
-        drawn.append((n, k))
-        return probes(n, k)
-
-    monkeypatch.setattr(fredholm, "_probes", spy)
+def test_a_nan_operator_raises_without_a_square_array(call):
+    # at alpha 1/256 the right factor holds NaN: the guard reads a NaN scale
+    # and raises before any LU, and a warmed call allocates at most an
+    # eighth of one n x n array (3.6 and 2.0 MB measured, n = 5504 for the
+    # workspace's line and 3072 for contour-Q's)
     if call == "workspace":
         ws = RhWorkspace(1 / 256, 2.0)
+        n = len(ws.line)
         run = lambda: ws.y1(1.0)  # noqa: E731
     else:
+        n = len(kernels._qa_line(1 / 256, a_max=1.0))
         run = lambda: gap_probability(  # noqa: E731
             1.0, 1 / 256, "contour-Q", estimate_error=False)
-        with pytest.raises(ArithmeticError):
-            run()  # grows this thread's factor buffers
+    with pytest.raises(ArithmeticError):
+        run()  # builds the grids and their gamma values
     tracemalloc.start()
     try:
         with pytest.raises(ArithmeticError, match="rounding scale nan"):
@@ -359,43 +327,8 @@ def test_a_nan_operator_fails_at_the_first_sketch_rank(call, monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    [n] = {n for n, _ in drawn}
-    assert {k for _, k in drawn} == {fredholm._SKETCH_RANK}
     assert n == (5504 if call == "workspace" else 3072)
     assert peak <= n * n
-
-
-def test_a_failed_sketch_forms_no_square_array(monkeypatch):
-    # with a zero tail tolerance no sketch passes, and contour-Q and the
-    # workspace raise without forming K W in its place: neither
-    # RealFactors.dense() nor the square LU buffer is reached, and a warm
-    # call allocates less than one n x n array of bytes
-    def no_operator(factors):
-        raise AssertionError(f"formed a {factors.n}-row K W")
-
-    def no_square(n):
-        raise AssertionError(f"wrote a {n} x {n} buffer")
-
-    monkeypatch.setattr(fredholm, "_TAIL_TOL", 0.0)
-    monkeypatch.setattr(RealFactors, "dense", no_operator)
-    monkeypatch.setattr(fredholm, "_square_buffer", no_square)
-    ws = RhWorkspace(1.0, 16.0)
-    calls = {
-        "contour-Q": lambda: gap_probability(8.0, 1.0, "contour-Q",
-                                             estimate_error=False),
-        "workspace": lambda: ws.y1(8.0)}
-    n = len(ws.line)
-    for name, run in calls.items():
-        with pytest.raises(ArithmeticError, match="rank-8 sketch"):
-            run()  # compresses the pair, grows this thread's buffers
-        tracemalloc.start()
-        try:
-            with pytest.raises(ArithmeticError, match="rank-8 sketch"):
-                run()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= n * n, name
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -412,95 +345,54 @@ def _low_rank_operator(n, rank, seed):
     u = rng.normal(size=(n, rank)) / np.sqrt(n)
     v = rng.normal(size=(n, rank)) / np.sqrt(n)
     w = rng.uniform(0.5, 1.5, n)
-    return DiscreteOperator(None, RealFactors(u, w[:, None] * v)), rng
+    return DiscreteOperator(None, (u, w[:, None] * v)), rng
 
 
-def test_low_rank_operator_solves_through_the_sketch(factored):
+def test_low_rank_operator_solves_by_woodbury(factored):
     op, rng = _low_rank_operator(200, 4, 21)
-    a = np.eye(200) - op.factors.dense()
+    left, right = op.factors
+    a = np.eye(200) - left @ right.T
     rhs = rng.normal(size=(200, 2))
     x = solve_resolvent(op, rhs)
-    assert op.solve_path == "sketch" and op.matrix() is None
-    k = fredholm._SKETCH_RANK
-    assert op.sketch_tail <= 1e-13
+    assert op.matrix() is None
     want = np.linalg.solve(a, rhs)
     assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
-    # the only matrix factored is S, once for its sign and once per solve
+    det, _ = det_one_minus(op)
+    assert det == pytest.approx(np.linalg.det(a), rel=1e-12)
+    # the only matrix factored is I_K - right^T left, once per solve and
+    # once for the determinant
     assert [(seam, shape) for seam, shape, _ in factored] == [
-        ("lu_factor", (k, k)), ("lu_solve", (k, k))]
+        ("lu_solve", (4, 4)), ("lu_factor", (4, 4))]
 
 
-def test_sketched_solves_are_bit_identical():
-    # the probes are drawn from a fixed seed per (n, k), so two operators
-    # with the same factors, and two solves of one, give the same bits, also
-    # when the probes are drawn afresh in between
+def test_factored_solves_are_bit_identical():
+    # two solves of one operator, and of an operator on copies of its
+    # factors, give the same bits
     op, rng = _low_rank_operator(200, 4, 22)
     rhs = rng.normal(size=200)
     first = solve_resolvent(op, rhs)
     again = solve_resolvent(op, rhs)
-    fredholm._probes.cache_clear()
-    twin = DiscreteOperator(None, RealFactors(op.factors.left.copy(),
-                                              op.factors.right.copy()))
+    twin = DiscreteOperator(None, tuple(f.copy() for f in op.factors))
     other = solve_resolvent(twin, rhs)
-    assert twin.solve_path == op.solve_path == "sketch"
     assert np.array_equal(first, again) and np.array_equal(first, other)
-    assert twin.sketch_tail == op.sketch_tail
 
 
-def test_singular_low_rank_operator_raises_through_the_sketch(factored):
-    # K = e_0 e_0^T has rank 1 and I - K is exactly singular; the sketch
-    # captures K exactly, so the zero pivot appears in the k x k system
+def test_singular_low_rank_operator_raises_through_the_k_by_k_matrix(
+        factored):
+    # K = e_0 e_0^T has rank 1 and I - K is exactly singular: the zero
+    # pivot appears in the 1 x 1 matrix I_K - right^T left
     n = 200
     e0 = np.zeros((n, 1))
     e0[0] = 1.0
-    op = DiscreteOperator(None, RealFactors(e0, e0))
+    op = DiscreteOperator(None, (e0, e0))
     with pytest.raises(SingularError, match="numerically singular"):
         solve_resolvent(op, np.ones(n))
-    assert op.solve_path == "sketch" and op.sketch_tail == 0.0
-    k = fredholm._SKETCH_RANK
-    assert [shape for _, shape, _ in factored] == [(k, k)]  # no n x n LU
+    assert [shape for _, shape, _ in factored] == [(1, 1)]  # no n x n LU
 
 
-def test_full_rank_operator_raises_naming_rank_and_tail(factored):
-    # a random K, held as the factors (K, I), has no small tail at rank 8:
-    # the determinant, the solve and the rounding guard raise
-    # ArithmeticError naming the rank and the tail (the guard after its
-    # context), and K W is neither formed nor factored
-    rng = np.random.default_rng(23)
-    n = 128
-    k = rng.normal(size=(n, n)) * 0.05
-    op = DiscreteOperator(None, RealFactors(k, np.eye(n)))
-    assert op.solve_path == "sketch" and op.sketch_tail > 0.1
-    message = re.escape(
-        f"the rank-8 sketch of K W leaves a relative tail of "
-        f"{op.sketch_tail:.1e} (limit 1e-13)")
-    with pytest.raises(ArithmeticError, match="^" + message):
-        det_one_minus(op)
-    with pytest.raises(ArithmeticError, match="^" + message):
-        solve_resolvent(op, rng.normal(size=n))
-    with pytest.raises(ArithmeticError, match="^full rank: " + message):
-        fredholm.check_rounding_scale(op, "full rank")
-    assert op.matrix() is None and op.rounding_scale is None
-    assert factored == []
-
-
-def test_probes_are_fixed_read_only_gaussians():
-    # drawn from a splitmix64 stream seeded by (n, k), not numpy.random:
-    # the same bits on every draw, and standard normal to sampling error
-    first = fredholm._probes(670, 16)
-    fredholm._probes.cache_clear()
-    again = fredholm._probes(670, 16)
-    assert first is not again and np.array_equal(first, again)
-    assert first.shape == (670, 16 + fredholm._TAIL_PROBES)
-    assert not first.flags.writeable
-    assert abs(first.mean()) <= 0.05 and abs(first.std() - 1.0) <= 0.05
-    assert not np.array_equal(fredholm._probes(670, 32)[:, :20], first)
-
-
-def test_sketches_load_no_numpy_random():
+def test_contour_q_and_u_load_no_numpy_random():
     # numpy.random costs megabytes of RSS on import; a fresh interpreter
-    # that computes a contour-Q P (a sketched determinant) and a u (a
-    # sketched solve) must never load it
+    # that computes a contour-Q P and a u must never load it
     src = os.path.dirname(os.path.dirname(os.path.abspath(fredholm.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys\n"
@@ -513,60 +405,53 @@ def test_sketches_load_no_numpy_random():
     assert out.strip() == "False"
 
 
-def test_contour_q_factors_only_the_sketch(factored, monkeypatch):
-    # contour-Q's P is det(I_k - B Q) of the rank-k sketch of its factors:
-    # neither run of the err pair forms the n x n operator or factors it
-    def no_operator(factors):
-        raise AssertionError(f"formed a {factors.left.shape[0]}-row operator")
+def test_contour_q_factors_only_the_k_by_k_matrix(factored, monkeypatch):
+    # contour-Q's P is det(I_K - right^T left) on the pole rule: neither run
+    # of the err pair forms or factors the n x n operator, and both factor
+    # a K x K matrix, K the pole count, which depends on (alpha, a) alone
+    def no_square(n):
+        raise AssertionError(f"wrote a {n} x {n} buffer")
 
-    monkeypatch.setattr(RealFactors, "dense", no_operator)
+    monkeypatch.setattr(fredholm, "_square_buffer", no_square)
     res = gap_probability(1.7, 0.5, "contour-Q")
     assert 0.0 < res.p < 1.0 and res.err <= 1e-9
-    k = fredholm._SKETCH_RANK
+    k = kernels._poles(0.5, 1.7)[0].size
+    assert 1 <= k <= 21
     assert factored == [("lu_factor", (k, k), np.float64)] * 2
 
 
-@pytest.mark.parametrize("a, alpha", [(1.7, 0.5), (0.5, 2.0)])
-def test_contour_q_raises_past_the_tail_tolerance(a, alpha, factored,
-                                                  monkeypatch):
-    # no sketch passes a zero tail tolerance: the route raises
-    # ArithmeticError naming its context, the rank and the tail, and so do
-    # det_one_minus and solve_resolvent on its operator; nothing is
-    # factored
-    monkeypatch.setattr(fredholm, "_TAIL_TOL", 0.0)
-    op = fredholm._contour_q_operator(a, alpha, 1.0)
-    assert op.solve_path == "sketch" and op.sketch_tail > 0.0
-    message = re.escape(
-        f"the rank-8 sketch of K W leaves a relative tail of "
-        f"{op.sketch_tail:.1e} (limit 0e+00)")
-    with pytest.raises(ArithmeticError, match=re.escape(
-            f"contour-Q at alpha={alpha}, a={a}: ") + message):
-        gap_probability(a, alpha, "contour-Q", estimate_error=False)
-    with pytest.raises(ArithmeticError, match="^" + message):
-        det_one_minus(op)
-    with pytest.raises(ArithmeticError, match="^" + message):
-        solve_resolvent(op, np.ones(op.factors.n))
-    assert op.matrix() is None and factored == []
-
-
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0, 8.0])
-def test_sketched_contour_q_matches_the_dense_lu(alpha):
-    # the sketch's tail is below 1e-13 of K W, and its determinant lies
-    # within 5e-14 of the dense LU's (3.5e-14 at most at rank 8, 1.1e-14 at
-    # rank 16)
+def test_contour_q_matches_the_dense_lu(alpha):
+    # det(I_K - right^T left) equals det(I - left right^T), the dense LU of
+    # the formed 2m x 2m K W, within 5e-14
     for a in (0.5, 1.0, 2.0, 4.0):
         for refine in (1.0, 0.5):
-            sketched = gap_probability(a, alpha, "contour-Q", refine=refine,
-                                       estimate_error=False).p
+            small = gap_probability(a, alpha, "contour-Q", refine=refine,
+                                    estimate_error=False).p
             dense, _ = det_one_minus(qa_dense(a, alpha, refine=refine))
-            assert abs(sketched - dense) <= 5e-14, (a, refine)
+            assert abs(small - dense) <= 5e-14, (a, refine)
+
+
+def test_contour_q_matches_the_refined_halfline():
+    # on the pole rule contour-Q's loop sum is exact to e^-45, and its P
+    # lies within 2e-11 of halfline at refine 2 (6.9e-12 at most, at alpha
+    # 0.2); the loop quadrature it replaced was 2.6e-11 off at alpha 0.25
+    # and 3.6e-10 at alpha 0.5, a = 0.1, where qa_pair sizes the loop for
+    # a frequency of a alone
+    for alpha in (0.2, 0.25, 0.5, 1.0, 2.0, 8.0, 64.0):
+        for a in (0.1, 0.5, 1.0, 2.0, 4.0):
+            want = gap_probability(a, alpha, "halfline", refine=2.0,
+                                   estimate_error=False).p
+            got = gap_probability(a, alpha, "contour-Q",
+                                  estimate_error=False).p
+            assert abs(got - want) <= 2e-11, (alpha, a)
 
 
 @pytest.mark.parametrize("alpha, raises", [
     (0.12, True), (128.0, True), (0.2, False), (96.0, False)])
-def test_sketched_contour_q_keeps_the_rounding_guard(alpha, raises):
-    # the guard reads max|Q B| of the sketch in place of max|K W|; it must
-    # fire exactly where the dense operator's scale did (a <= 4)
+def test_contour_q_keeps_the_rounding_guard(alpha, raises):
+    # the guard reads max|K W| through the two factors; it must fire
+    # exactly where the dense operator's scale did (a <= 4)
     for a in (0.5, 1.0, 2.0, 4.0):
         if raises:
             with pytest.raises(ArithmeticError, match="rounding scale"):
@@ -627,8 +512,9 @@ def test_contour_h_rounding_guard_raise_set_is_pinned():
 
 def test_guard_max_is_the_max_of_q_b_without_forming_it(monkeypatch):
     # on every operator the pinned raise set's grid measures, the guard's
-    # max|Q B| equals abs(Q @ B).max() bit for bit, and its scale is kept
-    # on the operator as rounding_scale.  No square buffer is written
+    # max|K W| through the factors equals abs(left @ right.T).max() bit for
+    # bit, and its scale is kept on the operator as rounding_scale.  No
+    # square buffer is written
     seen = []
     max_abs = fredholm._max_abs_product
 
@@ -650,7 +536,7 @@ def test_guard_max_is_the_max_of_q_b_without_forming_it(monkeypatch):
             peak, want = seen[-1]
             assert peak == want, (alpha, a)
             assert op.rounding_scale == (
-                op.factors.n * fredholm._EPS * want)
+                op.factors[0].shape[0] * fredholm._EPS * want)
     assert len(seen) == len(GUARD_ALPHAS) * len(GUARD_AS)
 
 
@@ -665,9 +551,9 @@ def test_guard_max_is_nan_on_a_nan_operator():
 
 
 def test_a_shared_operator_is_measured_once(monkeypatch):
-    # contour-Q on the pair of a live workspace takes the workspace's
-    # operator at that a; the guard measures it once, and contour-Q and
-    # y1 each raise with their own context (alpha 128 trips the guard)
+    # the guard measures an operator once and keeps the scale on it, so
+    # callers that share one each raise with their own context (alpha 128
+    # trips the guard)
     calls = []
     max_abs = fredholm._max_abs_product
 
@@ -676,124 +562,38 @@ def test_a_shared_operator_is_measured_once(monkeypatch):
         return max_abs(q, b)
 
     monkeypatch.setattr(fredholm, "_max_abs_product", spy)
-    ws = RhWorkspace(128.0, 1.0)
+    op = fredholm._contour_q_operator(1.0, 128.0, 1.0)
     scale = r"alpha=128.0, a=1.0: entries reach rounding scale"
-    with pytest.raises(ArithmeticError, match=rf"^contour-Q at {scale}"):
-        gap_probability(1.0, 128.0, "contour-Q", estimate_error=False)
-    with pytest.raises(ArithmeticError, match=rf"^RhWorkspace.y1 at {scale}"):
-        ws.y1(1.0)
+    for context in ("contour-Q", "RhWorkspace.y1"):
+        with pytest.raises(ArithmeticError, match=rf"^{context} at {scale}"):
+            fredholm.check_rounding_scale(op, f"{context} at alpha=128.0, "
+                                              "a=1.0")
     assert len(calls) == 1
-
-
-COMPRESSED_AS = (0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
-
-
-def _workspace_u(alpha, a):
-    """u(a) on a workspace of contour-Q's pair at a, refine 1."""
-    return RhWorkspace(alpha, a).y1(a).u
-
-
-@pytest.mark.parametrize("alpha", [0.2, 0.25, 0.5, 1.0, 2.0, 8.0, 64.0, 96.0])
-def test_compressed_factors_keep_p_log_p_and_u(alpha, monkeypatch):
-    # contour-Q and the workspace hold each a = 0 factor as a rank-48 basis
-    # and coefficients.  Against the same sketch on the whole factors,
-    # contour-Q's P and log P and the workspace's u move by at most 4
-    # rounding scales (the guard's n eps max|Q B|); measured at most 1.4,
-    # 2.9 and 1.0 scales.  u is taken at refine 1 only: the refine-0.5
-    # pair does not resolve alpha 96 (contour-Q's err there is 0.04-0.4),
-    # and its solve moves u by up to 71 scales for any rounding-level change
-    # of the factors
-    with monkeypatch.context() as patch:
-        patch.setattr(fredholm, "_BASIS_TOL", 0.0)  # nothing compresses
-        fredholm._RECENT.clear()
-        whole_u = {a: _workspace_u(alpha, a) for a in COMPRESSED_AS}
-    fredholm._RECENT.clear()
-    for refine in (1.0, 0.5):
-        for a in COMPRESSED_AS:
-            op = fredholm._contour_q_operator(a, alpha, refine)
-            fredholm.check_rounding_scale(op, "compressed")
-            pair = kernels.qa_pair(alpha, a_max=a, refine=refine)
-            assert fredholm._SHARED[fredholm._pair_key(pair)].ranks == (
-                48, 48)
-            want = det_one_minus(whole_operator(a, alpha, refine))
-            got = det_one_minus(op)
-            bound = 4.0 * op.rounding_scale
-            assert abs(got[0] - want[0]) <= bound, ("P", refine, a)
-            assert abs(got[1] - want[1]) <= bound, ("log P", refine, a)
-            if refine == 1.0:
-                # the workspace shares contour-Q's operator at a
-                u = _workspace_u(alpha, a)
-                assert abs(u - whole_u[a]) <= bound, ("u", a)
-
-
-def test_uncompressed_fallback_is_the_whole_factors_sketch(monkeypatch):
-    # a factor that rank 48 does not capture stays whole; with the
-    # tolerance at 0 neither factor is compressed, and contour-Q's
-    # P and log P are the sketch of the whole factors, bit for bit
-    monkeypatch.setattr(fredholm, "_BASIS_TOL", 0.0)
-    for a, alpha in ((1.7, 0.5), (0.5, 2.0)):
-        res = gap_probability(a, alpha, "contour-Q", estimate_error=False)
-        pair = kernels.qa_pair(alpha, a_max=a)
-        factors = fredholm._SHARED[fredholm._pair_key(pair)]
-        assert factors.ranks == (len(pair.line),) * 2
-        zero = factors.at_zero
-        assert zero.left_basis is None and zero.right_basis is None
-        assert (res.p, res.log_p) == det_one_minus(whole_operator(a, alpha))
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_a_factor_with_a_nan_probe_product_stays_whole(monkeypatch):
-    # at alpha 1/256 the right factor holds NaN: its range finder keeps it
-    # whole, so the sketch meets the NaN at once; the finite left factor
-    # compresses at rank 48
-    drawn = []
-    probes = fredholm._factor_probes
-
-    def spy(p, r):
-        drawn.append((p, r))
-        return probes(p, r)
-
-    monkeypatch.setattr(fredholm, "_factor_probes", spy)
-    pair = kernels.qa_pair(1 / 256, a_max=1.0)
-    factors = fredholm.PairFactors(pair)
-    p = len(pair.loop)
-    assert drawn == [(p, fredholm._BASIS_RANK)] * 2
-    assert factors.ranks == (fredholm._BASIS_RANK, len(pair.line))
-    with pytest.raises(ArithmeticError, match="rounding scale nan"):
-        fredholm.check_rounding_scale(factors.operator(1.0), "nan")
-
-
-# the workspace ranges of the benchmark's rh-closure job
-CLOSURE_RANGES = {1.0: 9.6, 2.0: 13.6}
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.15, 0.2, 0.5, 1.0, 2.0, 8.0, 64.0,
                                    96.0, 128.0])
-def test_first_sketch_rank_covers_the_resolved_domain(alpha):
-    # K W has only a few singular values above 1e-15 of its largest (at
-    # most 7 on alpha {0.1, ..., 64} x a {0.1, ..., 8}), so the rank-8
-    # sketch meets the tail test on every contour-Q operator and every
-    # workspace point, the guard's alphas 0.1, 0.15 and 128 included, and
-    # rank 48 captures both factors of every pair.  A regime that needs
-    # more rank raises there, and fails here
+def test_pole_rule_covers_the_resolved_domain(alpha):
+    # the pole rule keeps K <= 21 poles, the first dropped term below e^-45
+    # of the first, and every contour-Q operator and every workspace point
+    # of the guard's alphas, 0.1, 0.15 and 128 included, has a finite
+    # determinant of that size.  A regime that left the rule's bounds
+    # would fail here
     def check(op, where):
-        assert op.solve_path == "sketch", where
-        assert op.sketch_tail <= fredholm._TAIL_TOL, where
+        k = op.factors[0].shape[1]
+        assert 1 <= k <= 21, where
         assert np.isfinite(det_one_minus(op)[1]), where
 
     for a in (0.1, 1.0, 4.0, 16.0):
+        k = kernels._poles(alpha, a)[0].size
+        assert (alpha * k * k / 2.0 + a * k + math.lgamma(k + 1.0)
+                > kernels._POLE_LOG), a
         for refine in (1.0, 0.5):
-            op = fredholm._contour_q_operator(a, alpha, refine)
-            assert (op.factors.left.shape[0],
-                    op.factors.right.shape[0]) == (48, 48), (a, refine)
-            check(op, (a, refine))
-    for x_max in (16.0, CLOSURE_RANGES.get(alpha)):
-        if x_max is None:
-            continue
-        ws = RhWorkspace(alpha, x_max)
-        assert ws.factors.ranks == (48, 48), x_max
-        for a in (0.1, 0.5, 1.0, 2.0, 4.0, 8.0, x_max):
-            check(ws.factors.operator(a), (x_max, a))
+            check(fredholm._contour_q_operator(a, alpha, refine), (a, refine))
+    ws = RhWorkspace(alpha, 16.0)
+    for a in (0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0):
+        check(DiscreteOperator(None, kernels.cross_blocks(ws.line, alpha, a)),
+              a)
 
 
 def test_route_agreement_spot():
@@ -872,8 +672,7 @@ def test_every_route_operator_is_float64(monkeypatch):
     halfline, contour_q, contour_h = seen
     assert halfline.factors is None and contour_h.factors is None
     assert contour_q.kw is None
-    arrays = [halfline.kw, contour_h.kw, contour_q.factors.left,
-              contour_q.factors.right]
+    arrays = [halfline.kw, contour_h.kw, *contour_q.factors]
     assert all(array.dtype == np.float64 for array in arrays)
 
 
@@ -916,7 +715,7 @@ def test_two_contour_similarity_is_real():
 def test_folded_determinants_match_complex_reference(alpha):
     for a in ROUTE_AS:
         for refine in (1.0, 0.5):
-            for route, build in (("contour-Q", qa_whole),
+            for route, build in (("contour-Q", qa_dense),
                                  ("contour-H", ha_operator)):
                 kw = complex_reference.line_matrix(a, alpha, route, refine)
                 want = np.linalg.det(np.eye(kw.shape[0]) - kw)

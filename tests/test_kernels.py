@@ -334,38 +334,37 @@ def test_qa_matrix_block_structure():
 
 
 def _assert_factors_match(got, want_a, want_bt):
-    """cross_blocks' two real factors against real_form of the complex
-    blocks A W_loop and conj((B W_line)^T) on the upper-half line rows,
-    within 1e-15 of max|entry|.  The real-form entries are sums and
-    differences of mirror columns that cancel, so an elementwise rtol
-    would not hold (gaps reach 2e-10 of an entry)."""
+    """cross_blocks' two real factors against the real coordinates of the
+    complex blocks A W_poles and 2 conj((B W_line)^T) on the upper-half line
+    rows, within 1e-15 of max|entry|."""
     left, right = got
-    for factor, want in ((left, kernels.real_form(want_a)),
-                         (right, kernels.real_form(want_bt.conj()))):
+    for factor, want in ((left, want_a), (right, 2.0 * want_bt.conj())):
+        want = np.concatenate([want.real, want.imag])
         assert factor.flags.c_contiguous and factor.dtype == np.float64
+        assert factor.shape == want.shape
         assert np.abs(factor - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_cross_blocks_match_qa_matrix():
-    # the union matrix's blocks A W_loop and (B W_line)^T on the upper-half
-    # line rows, in real form
+    # the pole rule's blocks A W_poles and (B W_line)^T, formed in complex
+    # arithmetic over the whole line, on the upper-half line rows
     a, alpha = 1.5, 2.0
-    pair = kernels.qa_pair(alpha, a_max=a)
-    q = complex_reference.union_matrix(pair, a)
-    n_line, m = len(pair.line), len(pair.line) // 2
-    _assert_factors_match(kernels.cross_blocks(pair, a),
-                          q[m:n_line, n_line:] * pair.loop.weights[None, :],
-                          q[n_line:, m:n_line].T * pair.line.weights[m:, None])
+    line = kernels.qa_pair(alpha, a_max=a).line
+    block_a, block_b, _, _ = complex_reference.pole_blocks(line, alpha, a)
+    m = len(line) // 2
+    _assert_factors_match(kernels.cross_blocks(line, alpha, a), block_a[m:],
+                          (block_b * line.weights)[:, m:].T)
 
 
 @pytest.mark.parametrize("alpha, a", [(0.5, 0.5), (1.0, 2.0), (2.0, 4.0)])
 def test_shared_cauchy_factor_matches_inline_formulas(alpha, a):
+    # both blocks share the Cauchy factor 1/(z + k) of the line nodes and
+    # the poles; ha_matrix's 1/(z - t) runs over a loop of its own
     pair = kernels.qa_pair(alpha, a_max=a)
     m = len(pair.line) // 2
-    want_a, want_b = complex_reference.cross_blocks(pair, a)
-    _assert_factors_match(kernels.cross_blocks(pair, a),
-                          want_a[m:] * pair.loop.weights,
-                          (want_b * pair.line.weights)[:, m:].T)
+    block_a, block_b, _, _ = complex_reference.pole_blocks(pair.line, alpha, a)
+    _assert_factors_match(kernels.cross_blocks(pair.line, alpha, a),
+                          block_a[m:], (block_b * pair.line.weights)[:, m:].T)
     inner = kernels.qa_pair(alpha, a_max=a, refine=1.4, order=12).loop
     got = kernels.ha_matrix(pair, a, inner)
     want = kernels.real_form(
@@ -400,47 +399,34 @@ def _parent_ha_factors(pair, a, loop):
 
 def qa_dense(a, alpha, refine=1.0):
     """contour-Q's K W at (a, alpha), formed densely from its factors."""
-    return fredholm.DiscreteOperator(
-        fredholm._contour_q_operator(a, alpha, refine).factors.dense())
+    left, right = fredholm._contour_q_operator(a, alpha, refine).factors
+    return fredholm.DiscreteOperator(left @ right.T)
 
 
 @pytest.mark.parametrize("refine", [1.0, 0.5])
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 def test_direct_real_factors_match_real_forms_of_the_blocks(alpha, refine):
-    # contour-Q's factors are cross_blocks' bits, written into reused
-    # buffers and compressed once per pair (fredholm.PairFactors): basis
-    # times coefficients must give each a = 0 factor within 1e-14 of its
-    # largest entry (3.7e-15 at most here), and contour-Q's K W the
-    # product of the whole factors at a = 0 with e^{-az} on the upper-half
-    # line rows and e^{at} on the upper-half loop columns within 1e-14 of
-    # max|K W| (3.2e-15 at most).  ha_matrix, a divided difference of one
-    # loop sum, must lie within 5e-15 of max|K W| of the product of its
-    # two factors (2.2e-15 here), and ha_operator must hold it bit for
-    # bit.  The sizes vary across the parameters, so the buffers are also
-    # reused at other shapes than the ones they were grown for
+    # contour-Q's factors are cross_blocks' bits on its pair's line at a,
+    # and their product lies within 1e-14 of max|K W| of the real form of
+    # the complex pole-rule K W = A W_poles B W_line.  ha_matrix, a divided
+    # difference of one loop sum, must lie within 5e-15 of max|K W| of the
+    # product of its two factors (2.2e-15 here), and ha_operator must hold
+    # it bit for bit.  The sizes vary across the parameters, so contour-H's
+    # buffers are also reused at other shapes than the ones they were grown
+    # for
     for a in (0.5, 1.7, 4.0):
         pair = kernels.qa_pair(alpha, a_max=a, refine=refine)
-        for at in (0.0, a):
-            for got, want in zip(kernels._real_factors(pair, at),
-                                 kernels.cross_blocks(pair, at)):
-                np.testing.assert_array_equal(got, want)
-        op = qa_dense(a, alpha, refine=refine)
-        left, right = kernels.cross_blocks(pair, 0.0)
-        zero = fredholm._SHARED[fredholm._pair_key(pair)].at_zero
-        for basis, coef, whole in ((zero.left_basis, zero.left, left),
-                                   (zero.right_basis, zero.right, right)):
-            assert (np.abs(basis @ coef - whole).max()
-                    <= 1e-14 * np.abs(whole).max())
-        z, t = pair.line.nodes, pair.loop.nodes
-        want = fredholm.RealFactors(
-            left, right, np.exp(-a * z[z.size // 2:]),
-            np.exp(a * t[t.size // 2:])).dense()
-        assert np.abs(op.matrix() - want).max() <= 1e-14 * np.abs(want).max()
-        # the scalings against the factors written at a itself, an
-        # independent assembly: within 6.8e-16 of max|K W| here
-        left, right = kernels.cross_blocks(pair, a)
-        at_a = left @ right.T
-        assert np.abs(op.matrix() - at_a).max() <= 1e-14 * np.abs(at_a).max()
+        m = len(pair.line) // 2
+        got = fredholm._contour_q_operator(a, alpha, refine).factors
+        for factor, want in zip(got, kernels.cross_blocks(pair.line, alpha,
+                                                          a)):
+            np.testing.assert_array_equal(factor, want)
+        block_a, block_b, _, _ = complex_reference.pole_blocks(pair.line,
+                                                               alpha, a)
+        want = kernels.real_form(
+            (block_a @ block_b * pair.line.weights)[m:])
+        have = got[0] @ got[1].T
+        assert np.abs(have - want).max() <= 1e-14 * np.abs(want).max()
 
         inner = kernels.qa_pair(alpha, a_max=a, refine=1.4 * refine,
                                 order=12).loop
@@ -491,9 +477,9 @@ def test_contour_h_determinant_matches_product_form(alpha, refine):
 
 
 def test_real_factors_are_per_thread():
-    # each thread writes contour-Q's factors and contour-H's work arrays
-    # into buffers of its own, so concurrent assemblies return what serial
-    # ones do
+    # each thread writes contour-H's work arrays into buffers of its own,
+    # and contour-Q's factors into fresh arrays, so concurrent assemblies
+    # return what serial ones do
     cases = [(0.5, 1.7), (2.0, 4.0), (1.0, 0.5), (0.5, 4.0)]
 
     def both(alpha, a):
@@ -554,11 +540,13 @@ def test_real_form_is_a_similarity():
 def test_cross_blocks_and_ha_matrix_refuse_odd_grids():
     # an asymmetric line is refused through both operators (test_fredholm)
     pair = kernels.qa_pair(1.0, a_max=2.0)
-    loop = pair.loop
+    line, loop = pair.line, pair.loop
+    odd_line = dataclasses.replace(line, nodes=line.nodes[1:],
+                                   weights=line.weights[1:])
+    with pytest.raises(GeometryError, match="odd"):
+        kernels.cross_blocks(odd_line, 1.0, 2.0)
     odd = dataclasses.replace(pair, loop=dataclasses.replace(
         loop, nodes=loop.nodes[1:], weights=loop.weights[1:]))
-    with pytest.raises(GeometryError, match="odd"):
-        kernels.cross_blocks(odd, 2.0)
     with pytest.raises(GeometryError, match="odd"):
         kernels.ha_matrix(odd, 2.0, odd.loop)
     # the divided difference needs z' - z = i (Im z' - Im z): a vertical line
@@ -568,7 +556,7 @@ def test_cross_blocks_and_ha_matrix_refuse_odd_grids():
 
 
 # the faults each rh_vectors component is given below: a rescaled and
-# shifted f_line, a rotated h_line, a constant f_loop, a shifted h_loop
+# shifted f_line, a rotated h_line, a constant f_poles, a shifted wh_poles
 RH_VECTOR_FAULTS = (lambda v: 3.7 * v + 1.0, lambda v: -2.0 * v + 5j,
                     lambda v: np.full_like(v, v[0]), lambda v: v + 1000.0)
 
@@ -576,14 +564,14 @@ RH_VECTOR_FAULTS = (lambda v: 3.7 * v + 1.0, lambda v: -2.0 * v + 5j,
 @pytest.mark.parametrize("part", range(4))
 def test_jump_check_fails_on_wrong_rh_vectors(part, monkeypatch):
     # f.h = 0 holds by the block structure of (f, h) whatever rh_vectors
-    # returns, so validate compares the real forms of the blocks they build
-    # with cross_blocks (4.7e-16 relative on the true vectors); one wrong
-    # component fails it
+    # returns, so validate compares the real coordinates of the blocks they
+    # build with cross_blocks (4.3e-16 relative on the true vectors); one
+    # wrong component fails it
     assert validate.check_jump_unipotent().measured <= 1e-14
     true_vectors = kernels.rh_vectors
 
-    def broken(pair, a):
-        parts = list(true_vectors(pair, a))
+    def broken(line, alpha, a):
+        parts = list(true_vectors(line, alpha, a))
         parts[part] = RH_VECTOR_FAULTS[part](parts[part])
         return tuple(parts)
 
@@ -593,13 +581,13 @@ def test_jump_check_fails_on_wrong_rh_vectors(part, monkeypatch):
 
 def test_line_reduction_check_fails_on_a_wrong_factor(monkeypatch):
     # validate compares ha_matrix's divided difference with the product of
-    # cross_blocks' two real factors (8.0e-17 apart); a right factor 1% too
+    # cross_blocks' two real factors (2.1e-16 apart); a right factor 1% too
     # large fails it
     assert validate.check_line_reduction().passed
     true_blocks = kernels.cross_blocks
 
-    def broken(pair, a):
-        left, right = true_blocks(pair, a)
+    def broken(line, alpha, a):
+        left, right = true_blocks(line, alpha, a)
         return left, 1.01 * right
 
     monkeypatch.setattr(kernels, "cross_blocks", broken)
@@ -607,12 +595,19 @@ def test_line_reduction_check_fails_on_a_wrong_factor(monkeypatch):
 
 
 def test_rh_vectors_orthogonality():
+    # the line components on every line node, the pole components on the
+    # pole rule's K poles; f and h have disjoint supports, so f.h = 0
     a, alpha = 2.0, 1.0
-    pair = kernels.qa_pair(alpha, a_max=a)
-    parts = kernels.rh_vectors(pair, a)
-    for part, grid in zip(parts, (pair.line, pair.line, pair.loop, pair.loop)):
-        assert part.shape == grid.nodes.shape
+    line = kernels.qa_pair(alpha, a_max=a).line
+    parts = kernels.rh_vectors(line, alpha, a)
+    k = kernels._poles(alpha, a)[0].size
+    for part, size in zip(parts, (len(line), len(line), k, k)):
+        assert part.shape == (size,)
         assert np.all(np.isfinite(part)) and np.all(part != 0.0)
-    f, h = complex_reference.union_rows(pair, a)
+    f_line, h_line, f_poles, wh_poles = parts
+    f = np.zeros((len(line) + k, 2), dtype=complex)
+    h = np.zeros_like(f)
+    f[:len(line), 0], h[:len(line), 1] = f_line, h_line
+    f[len(line):, 1], h[len(line):, 0] = f_poles, wh_poles
     dots = np.einsum("ij,ij->i", f, h)
     assert np.max(np.abs(dots)) == 0.0  # disjoint supports: exactly zero

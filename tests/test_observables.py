@@ -8,7 +8,6 @@ digits and frozen.
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import math
 import sys
@@ -122,11 +121,15 @@ def test_workspace_matches_fresh_build():
 
 def test_workspace_matches_dense_union_solve():
     # reference: (I - Q W) F = f solved densely on the full line/loop union,
-    # then Y1 = sum_i w_i F_i h_i^T
+    # then Y1 = sum_i w_i F_i h_i^T, on the workspace's line and a loop
+    # quadrature of its own, refined 3 times at order 24: at alpha 0.5 the
+    # pair's own refine-1 loop is 2.2e-9 off the pole rule, the refined one
+    # 6.3e-14 in u at a = 0.5
     x_max = 4.0
     for alpha in (0.5, 1.0, 2.0):
         ws = RhWorkspace(alpha, x_max)
-        pair = kernels.qa_pair(alpha, a_max=x_max)
+        loop = kernels.qa_pair(alpha, a_max=x_max, refine=3.0, order=24).loop
+        pair = kernels.ContourPair(loop, ws.line, alpha)
         w = np.concatenate([pair.line.weights, pair.loop.weights])
         for a in (0.5, 1.0):
             q = complex_reference.union_matrix(pair, a)
@@ -142,16 +145,13 @@ def test_workspace_matches_dense_union_solve():
 def test_workspace_solves_are_real(monkeypatch):
     # i F_line lies in the real subspace of the mirror-symmetric line grid,
     # so both right-hand columns are one real solve, on an operator held as
-    # the workspace's two real factors, each a real basis and real
-    # coefficients: K W is never formed
+    # its two real (n, K) factors: K W is never formed
     seen = []
 
     def spy(op, rhs):
         x = fredholm.solve_resolvent(op, rhs)
-        factors = op.factors
-        seen.append((op, factors.left.dtype, factors.right.dtype,
-                     factors.left_basis.dtype, factors.right_basis.dtype,
-                     rhs.dtype, rhs.shape, x.dtype))
+        seen.append((op, *(f.dtype for f in op.factors), rhs.dtype,
+                     rhs.shape, x.dtype))
         return x
 
     monkeypatch.setattr(observables, "solve_resolvent", spy)
@@ -159,10 +159,9 @@ def test_workspace_solves_are_real(monkeypatch):
     ws.y1(2.0)
     [(op, *dtypes)] = seen
     n = len(ws.line)
-    assert dtypes == [np.float64] * 5 + [(n, 2), np.float64]
-    zero = ws.factors.at_zero
-    for name in ("left", "right", "left_basis", "right_basis"):
-        assert getattr(op.factors, name) is getattr(zero, name), name
+    assert dtypes == [np.float64] * 3 + [(n, 2), np.float64]
+    k = kernels._poles(1.0, 2.0)[0].size
+    assert [f.shape for f in op.factors] == [(n, k)] * 2
     assert op.kw is None
 
 
@@ -175,20 +174,15 @@ def _gap_entries(res):
 
 
 def test_workspace_buffers_carry_no_state_between_solves(monkeypatch):
-    # a solve writes nothing into the workspace, whose compressed factors
-    # (bases and coefficients) are read-only, nor into this thread's
-    # buffers, which every other
-    # two-contour call writes.  So interleaved points, points after
-    # contour-Q and contour-H calls that rewrite those buffers at other
-    # sizes, and a point after a solve that raised once the guard had
+    # a solve writes nothing into the workspace, which holds its line grid
+    # alone, nor into this thread's buffers, which contour-H's calls
+    # write.  So interleaved points, points after contour-Q and contour-H
+    # calls, and a point after a solve that raised once the guard had
     # passed, match solves on fresh workspaces bit for bit
     alpha, x_max, a1, a2 = 1.0, 4.0, 1.3, 3.1
     fresh = {a: _entries(RhWorkspace(alpha, x_max).y1(a)) for a in (a1, a2)}
     ws = RhWorkspace(alpha, x_max)
-    zero = ws.factors.at_zero
-    arrays = [zero.left, zero.right, zero.left_basis, zero.right_basis]
-    copies = [array.copy() for array in arrays]
-    assert not any(array.flags.writeable for array in arrays)
+    held = dict(vars(ws))
     assert _entries(ws.y1(a1)) == fresh[a1]
     assert _entries(ws.y1(a2)) == fresh[a2]
     assert _entries(ws.y1(a1)) == fresh[a1]
@@ -207,18 +201,18 @@ def test_workspace_buffers_carry_no_state_between_solves(monkeypatch):
         ws.y1(x_max + 1.0)
     assert _entries(ws.y1(a2)) == fresh[a2]
     assert _entries(ws.y1(a1)) == fresh[a1]
-    assert all(map(np.array_equal, arrays, copies))
+    assert vars(ws) == held
 
 
 def test_workspace_solve_allocation_budget():
-    # K W is applied through the factors and the solve goes through a
-    # low-rank sketch, so no n x n or line x loop array is allocated: a
-    # warmed solve peaks at 0.18 n^2 * 8 bytes here (n = 288 line and
-    # p = 384 loop nodes), 22 (n + p) doubles, which are line- and
-    # loop-length blocks of at most 12 columns.  Both bounds leave a third
-    # or more of margin, and one n x n real copy would exceed either
+    # K W is applied through its (n, K) factors and the solve goes through
+    # the K x K Woodbury matrix, so no n x n or line x loop array is
+    # allocated.  The bounds are those of the rank-48 factors of the pair's
+    # 384-node loop, which the pole rule replaces: 0.5 n^2 * 8 bytes and
+    # 50 (n + p) doubles, p = 384 (n = 288 line nodes); one n x n real copy
+    # would exceed either
     ws = RhWorkspace(1.0, 4.0)
-    n, p = len(ws.line), len(ws.loop)
+    n, p = len(ws.line), len(kernels.qa_pair(1.0, a_max=4.0).loop)
     ws.y1(2.0)
     tracemalloc.start()
     try:
@@ -230,31 +224,33 @@ def test_workspace_solve_allocation_budget():
     assert peak <= 50 * (n + p) * 8
 
 
-def test_workspace_factors_are_contour_q_factors_at_zero():
-    # one assembly of the Schur complement: the workspace's compressed a = 0
-    # factors are the ones contour-Q takes for the same pair (listed in
-    # fredholm._SHARED), and they are the bits of a fresh compression of
-    # the pair, so P does not depend on which caller compressed it
-    for alpha, x_max in ((0.5, 4.0), (2.0, 9.0)):
-        ws = RhWorkspace(alpha, x_max)
-        pair = kernels.qa_pair(alpha, a_max=x_max)
-        assert fredholm._SHARED[fredholm._pair_key(pair)] is ws.factors
-        zero = ws.factors.at_zero
-        fresh = fredholm.PairFactors(pair).at_zero
-        del ws
-        for name in ("left", "right", "left_basis", "right_basis"):
-            assert np.array_equal(getattr(zero, name), getattr(fresh, name))
+def test_workspace_factors_are_contour_q_factors(monkeypatch):
+    # one writer of the Schur complement's factors: contour-Q and y1 both
+    # call kernels.cross_blocks through the module attribute, the seam the
+    # benchmark's tracer counts as kernels.matrices, and on the same line
+    # and a they get the same bits
+    calls = []
+    cross_blocks = kernels.cross_blocks
+
+    def spy(line, alpha, a):
+        factors = cross_blocks(line, alpha, a)
+        calls.append((line, alpha, a, factors))
+        return factors
+
+    monkeypatch.setattr(kernels, "cross_blocks", spy)
+    ws = RhWorkspace(1.0, 4.0)
+    ws.y1(4.0)
+    fredholm.gap_probability(4.0, 1.0, "contour-Q", estimate_error=False)
+    (line_w, *_, from_y1), (line_q, *_, from_q) = calls
+    assert line_w is ws.line and line_q is ws.line
+    assert [c[1:3] for c in calls] == [(1.0, 4.0)] * 2
+    assert all(map(np.array_equal, from_y1, from_q))
 
 
 def test_workspace_build_transient_is_small():
-    # the two real factors are written a block of Cauchy rows at a time
-    # straight into this thread's factor buffers and compressed from
-    # there, so building one allocates little beyond what it holds:
-    # 0.16-0.32 MB here, the range finder's line x 52 products and QR.
-    # The two complex line x loop blocks alone, formed whole and then
-    # folded, would take 2.15 and 1.31 MB.  A warm-up build keeps the
-    # grids, their gamma values, this thread's buffers and the cached
-    # probes out of the measurement
+    # a workspace builds its line grid and nothing else, so building one
+    # allocates little beyond what it holds.  A warm-up build keeps the
+    # grid out of the measurement
     for alpha, x_max in ((0.25, 6.0), (1.0, 9.0)):
         RhWorkspace(alpha, x_max)
         gc.collect()
@@ -268,52 +264,45 @@ def test_workspace_build_transient_is_small():
         del ws
 
 
-def test_workspace_footprint_is_its_two_factors():
-    # the workspace keeps its two real (line, loop) factors compressed to
-    # rank 48, each an (n, 48) basis and (48, p) coefficients, and line-
-    # and loop-length vectors: 0.50-0.61 MB here, against 1.4-2.2 MB for
-    # the two whole factors, and no n x n or line x loop array
+def test_workspace_footprint_is_its_line_vectors():
+    # the workspace holds its line grid and no array of its own, and a y1
+    # adds line-length vectors and (n, K) factors: a warm call's peak is at
+    # most 12 (n + n K) doubles (5.1-6.9 measured)
     for alpha in (0.5, 1.0, 2.0):
         ws = RhWorkspace(alpha, 4.0)
-        n, p = len(ws.line), len(ws.loop)
-        zero = ws.factors.at_zero
-        assert ws.factors.ranks == (48, 48)
-        factors = [zero.left_basis, zero.left, zero.right_basis, zero.right]
-        assert [v.shape for v in factors] == [(n, 48), (48, p)] * 2
-        vectors = [v for obj in (ws, ws.line, ws.loop)
-                   for v in vars(obj).values() if isinstance(v, np.ndarray)]
-        assert all(v.size <= 2 * max(n, p) for v in vectors)
-        assert (sum(v.nbytes for v in factors + vectors)
-                <= 2 * 48 * (n + p) * 8 + 128 * (n + p))
+        assert not [v for v in vars(ws).values() if isinstance(v, np.ndarray)]
+        n, k = len(ws.line), kernels._poles(alpha, 0.5)[0].size
+        ws.y1(0.5)
+        tracemalloc.start()
+        try:
+            ws.y1(0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * (n + n * k) * 8, (alpha, peak)
 
 
-def test_workspace_solves_through_the_sketch(monkeypatch):
-    # the real form of K W has only a few singular values above rounding,
-    # so the first sketch rank meets its tail tolerance and the only
-    # matrix factored is the k x k S of the Woodbury system, once per
-    # point for the solve, its guard and its log P together
-    seen, factored = [], []
+def test_workspace_solves_through_the_k_by_k_matrix(monkeypatch):
+    # the only matrix factored is the K x K I_K - right^T left of the
+    # Woodbury solve, once per point for the solve and once for its log P
+    factored = []
 
-    def spy(op, rhs):
-        seen.append(op)
-        return fredholm.solve_resolvent(op, rhs)
+    def spy(name, seam):
+        def traced(a, *args):
+            factored.append((name, a.shape))
+            return seam(a, *args)
+        return traced
 
-    def lu_spy(a):
-        factored.append(a.shape)
-        return lu_factor(a)
-
-    lu_factor = fredholm.lu_factor
-    monkeypatch.setattr(observables, "solve_resolvent", spy)
-    monkeypatch.setattr(fredholm, "lu_factor", lu_spy)
-    k = fredholm._SKETCH_RANK
+    for name in ("lu_factor", "lu_solve"):
+        monkeypatch.setattr(fredholm, name, spy(name, getattr(fredholm, name)))
+    want = []
     for alpha in (0.5, 1.0, 2.0):
         ws = RhWorkspace(alpha, 4.0)
         for a in (1.0, 3.0):
             ws.y1(a)
-            op = seen[-1]
-            assert op.solve_path == "sketch", (alpha, a)
-            assert op.sketch_tail <= 1e-14
-    assert factored == [(k, k)] * 6
+            k = kernels._poles(alpha, a)[0].size
+            want += [("lu_solve", (k, k)), ("lu_factor", (k, k))]
+    assert factored == want
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 8.0])
@@ -339,34 +328,27 @@ def test_workspace_u_converges_at_alpha_96(a):
 
 def test_workspace_refuses_a_line_off_one_abscissa(monkeypatch):
     # f_line = e^{alpha z^2/4 - az} decays only up a vertical line
-    # (contours.build_vertical); a pair whose line grid is anything else,
-    # here the mirror-symmetric hairpin, is refused
-    qa_pair = kernels.qa_pair
-
-    def hairpin_line(*args, **kwargs):
-        pair = qa_pair(*args, **kwargs)
-        return dataclasses.replace(pair, line=pair.loop)
-
-    monkeypatch.setattr(kernels, "qa_pair", hairpin_line)
+    # (contours.build_vertical); a line grid that is anything else, here
+    # the mirror-symmetric hairpin, is refused
+    hairpin = kernels.qa_pair(1.0, a_max=3.0).loop
+    monkeypatch.setattr(kernels, "_qa_line", lambda *args, **kwargs: hairpin)
     with pytest.raises(GeometryError, match="vertical line"):
         RhWorkspace(1.0, 3.0)
 
 
 def test_workspace_shared_between_threads_gives_identical_solves():
-    # a solve writes only this thread's own buffers, so threads share one
-    # workspace without a lock, and call contour-Q on its pair, which takes
-    # the workspace's operator at the last a and so keeps replacing it:
-    # more threads than cores, switching every 10 us, each get contour-Q's
-    # (p, log_p, err) and Y1 at their own points bit for bit as computed
-    # with no workspace alive and on fresh workspaces
+    # a solve writes only fresh arrays, so threads share one workspace
+    # without a lock, and call contour-Q on its line, which builds its own
+    # factors: more threads than cores, switching every 10 us, each get
+    # contour-Q's (p, log_p, err) and Y1 at their own points bit for bit
+    # as computed with no workspace alive and on fresh workspaces
     alpha, x_max, points = 1.0, 4.0, (1.3, 3.1, 0.7, 2.2)
     fresh = {a: (_gap_entries(fredholm.gap_probability(a, alpha,
                                                        "contour-Q")),
                  _entries(RhWorkspace(alpha, x_max).y1(a))) for a in points}
     ws = RhWorkspace(alpha, x_max)
-    for a in points:
-        pair = kernels.qa_pair(alpha, a_max=a)
-        assert fredholm._SHARED[fredholm._pair_key(pair)] is ws.factors
+    assert all(kernels.qa_pair(alpha, a_max=a).line is ws.line
+               for a in points)
     start = threading.Barrier(len(points))
     seen = {a: [] for a in points}
 
@@ -393,88 +375,49 @@ def test_workspace_shared_between_threads_gives_identical_solves():
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 8.0])
 def test_contour_q_is_the_same_with_or_without_a_workspace(alpha):
-    # contour-Q reads its determinant from the a = 0 factors with the
-    # e^{-az} and e^{at} scalings, written into this thread's buffers or
-    # taken from a live workspace of its pair; (p, log_p, err) are the
-    # same bits either way, and log_p is the workspace's y1(a).log_p
+    # contour-Q writes its factors at a afresh, whatever workspace is
+    # alive; (p, log_p, err) are the same bits either way, and log_p is the
+    # y1(a).log_p of a workspace on its line
     for a in (0.5, 1.7, 4.0):
         alone = fredholm.gap_probability(a, alpha, "contour-Q")
         ws = RhWorkspace(alpha, a)
-        pair = kernels.qa_pair(alpha, a_max=a)
-        assert fredholm._SHARED[fredholm._pair_key(pair)] is ws.factors
-        shared = fredholm.gap_probability(a, alpha, "contour-Q")
-        # contour-Q took the workspace's operator
-        assert ws.factors._last[0] == a
-        assert _gap_entries(shared) == _gap_entries(alone), a
-        assert ws.y1(a).log_p == shared.log_p, a
+        assert kernels.qa_pair(alpha, a_max=a).line is ws.line
+        beside = fredholm.gap_probability(a, alpha, "contour-Q")
+        assert _gap_entries(beside) == _gap_entries(alone), a
+        assert ws.y1(a).log_p == beside.log_p, a
         del ws
 
 
 def test_contour_q_log_p_is_the_workspace_log_p_where_the_pairs_match():
-    # a sweep's workspace is sized to its a_max; contour-Q's pair at a
-    # smaller a is often the same grids (18 of these 24 points, all 8 at
-    # alpha 1 and 2), and there both read one sketch
+    # a sweep's workspace is sized to its a_max; contour-Q's line at a
+    # smaller a is often the same grid (18 of these 24 points, all 8 at
+    # alpha 1 and 2), and there both read one K x K determinant
     matched = 0
     for alpha in (0.5, 1.0, 2.0):
         ws = RhWorkspace(alpha, 4.0)
         for a in np.linspace(0.5, 4.0, 8):
-            pair = kernels.qa_pair(alpha, a_max=float(a))
+            line = kernels.qa_pair(alpha, a_max=float(a)).line
             res = fredholm.gap_probability(float(a), alpha, "contour-Q",
                                            estimate_error=False)
-            if pair.line is ws.line and pair.loop is ws.loop:
+            if line is ws.line:
                 matched += 1
                 assert ws.y1(float(a)).log_p == res.log_p, (alpha, a)
     assert matched == 18
 
 
-def test_the_workspace_table_forgets_a_dead_workspace():
-    # a workspace's factors leave the table with it; contour-Q's stay
-    # while they are among the last two it built
-    fredholm._RECENT.clear()
-    ws = RhWorkspace(1.0, 3.0)
-    ws.y1(2.0)
-    assert list(fredholm._SHARED.values()) == [ws.factors]
-    del ws
-    gc.collect()
-    assert len(fredholm._SHARED) == 0
-    for alpha in (0.5, 1.0, 2.0):
-        fredholm.gap_probability(2.0, alpha, "contour-Q",
-                                 estimate_error=False)
-    gc.collect()
-    assert sorted(key[0] for key in fredholm._SHARED) == [1.0, 2.0]
-
-
 def test_workspace_of_another_alpha_on_the_same_grids_is_not_shared():
     # from alpha about 7.7 on, the truncation radii sit at their floor, so
     # alpha 8 and 64 share their grids at one a_max; the factors differ,
-    # and contour-Q at alpha 64 must not take alpha 8's operator
+    # and contour-Q at alpha 64 must not move while an alpha 8 workspace
+    # on the same line lives
     a = 4.0
     alone = fredholm.gap_probability(a, 64.0, "contour-Q")
     ws = RhWorkspace(8.0, a)
-    pair = kernels.qa_pair(64.0, a_max=a)
-    assert pair.line is ws.line and pair.loop is ws.loop
-    shared = fredholm.gap_probability(a, 64.0, "contour-Q")
-    assert ws.factors._last is None
-    assert _gap_entries(shared) == _gap_entries(alone)
-    assert shared.p != fredholm.gap_probability(a, 8.0, "contour-Q").p
-
-
-def test_workspace_raises_past_the_tail_tolerance(monkeypatch):
-    # with a zero tail tolerance the sketch at a = 1.5 fails: y1 raises
-    # ArithmeticError with its context, the rank and the tail, and no dense
-    # K W takes the sketch's place.  The operator is kept as the last a's
-    # all the same, so y1 at that a raises again without a new sketch
-    ws = RhWorkspace(1.0, 3.0)
-    monkeypatch.setattr(fredholm, "_TAIL_TOL", 0.0)
-    want = (r"^RhWorkspace\.y1 at alpha=1\.0, a=1\.5: the rank-8 sketch of "
-            r"K W leaves a relative tail of ")
-    with pytest.raises(ArithmeticError, match=want):
-        ws.y1(1.5)
-    a, op = ws.factors._last
-    assert a == 1.5 and op.solve_path == "sketch" and op.matrix() is None
-    with pytest.raises(ArithmeticError, match=want):
-        ws.y1(1.5)
-    assert ws.factors._last[1] is op
+    assert kernels.qa_pair(64.0, a_max=a).line is ws.line
+    ws.y1(a)
+    beside = fredholm.gap_probability(a, 64.0, "contour-Q")
+    assert _gap_entries(beside) == _gap_entries(alone)
+    assert beside.p != fredholm.gap_probability(a, 8.0, "contour-Q").p
 
 
 def test_workspace_refuses_rounding_dominated_entries():
