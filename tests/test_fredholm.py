@@ -596,6 +596,37 @@ def test_pole_rule_covers_the_resolved_domain(alpha):
               a)
 
 
+@pytest.mark.parametrize("alpha", [0.2, 0.25, 0.5, 1.0, 2.0, 8.0, 64.0, 96.0])
+def test_compressed_factors_keep_p_log_p_and_u(alpha):
+    # the pole rule compresses each loop sum, and so the (2m, p) factors of
+    # a loop quadrature, to K columns by the residue theorem.  On the same
+    # line, contour-Q's P and log P and the workspace's u must be those of
+    # a dense union solve whose loop is a quadrature refined 3 times at
+    # order 24, to 4 rounding scales (the guard's n eps max|K W|) plus
+    # 1e-13 for the rounding of the identity in either LU, which that scale
+    # does not count.  Measured: at most 0.03 scales (alpha 0.2, a = 0.5);
+    # past the scales, 5.3e-13 (alpha 96, a = 2)
+    for a in (0.5, 2.0):
+        res = gap_probability(a, alpha, "contour-Q", estimate_error=False)
+        op = fredholm._contour_q_operator(a, alpha, 1.0)
+        fredholm.check_rounding_scale(op, "compressed")
+        ws = RhWorkspace(alpha, a)
+        assert kernels.qa_pair(alpha, a_max=a).line is ws.line
+        loop = kernels.qa_pair(alpha, a_max=a, refine=3.0, order=24).loop
+        pair = kernels.ContourPair(loop, ws.line, alpha)
+        w = np.concatenate([pair.line.weights, pair.loop.weights])
+        one_minus = (np.eye(w.size)
+                     - complex_reference.union_matrix(pair, a) * w[None, :])
+        f, h = complex_reference.union_rows(pair, a)
+        ref = (w[:, None] * np.linalg.solve(one_minus, f)).T @ h
+        sign, log_p = np.linalg.slogdet(one_minus)
+        bound = 4.0 * op.rounding_scale + 1e-13
+        assert abs(res.p - (sign * np.exp(log_p)).real) <= bound, ("P", a)
+        assert abs(res.log_p - log_p) <= bound, ("log P", a)
+        u = -(ref[0, 1] * ref[1, 0])
+        assert abs(ws.y1(a).u - u) <= bound, ("u", a)
+
+
 def test_route_agreement_spot():
     for a, alpha in [(1.5, 1.0), (2.5, 2.0)]:
         assert validate.route_spread(a, alpha) <= 1e-9

@@ -13,6 +13,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -418,6 +419,33 @@ def test_workspace_of_another_alpha_on_the_same_grids_is_not_shared():
     beside = fredholm.gap_probability(a, 64.0, "contour-Q")
     assert _gap_entries(beside) == _gap_entries(alone)
     assert beside.p != fredholm.gap_probability(a, 8.0, "contour-Q").p
+
+
+def test_the_workspace_table_forgets_a_dead_workspace():
+    # no table keeps a workspace or what it wrote: once it dies, neither
+    # it nor the factors its y1 and contour-Q on its line took from
+    # kernels.cross_blocks stay alive.  Only its line grid outlives it, in
+    # kernels' grid cache, which contour-Q shares
+    written = []
+    cross_blocks = kernels.cross_blocks
+
+    def spy(line, alpha, a):
+        factors = cross_blocks(line, alpha, a)
+        written.extend(weakref.ref(f) for f in factors)
+        return factors
+
+    ws = RhWorkspace(1.0, 3.0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "cross_blocks", spy)
+        ws.y1(2.0)
+        fredholm.gap_probability(3.0, 1.0, "contour-Q", estimate_error=False)
+    line, dead = ws.line, weakref.ref(ws)
+    assert kernels.qa_pair(1.0, a_max=3.0).line is line
+    assert len(written) == 4
+    del ws
+    gc.collect()
+    assert dead() is None
+    assert [ref() for ref in written] == [None] * 4
 
 
 def test_workspace_refuses_rounding_dominated_entries():
