@@ -22,6 +22,7 @@ import math
 import re
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -335,10 +336,19 @@ def main(argv: list[str] | None = None) -> int:
         if args.steps < 1:
             parser.error("--steps must be >= 1")
     try:
-        return args.func(args)
+        with warnings.catch_warnings(record=True) as held:
+            warnings.simplefilter("always")
+            code = args.func(args)
     except (ValueError, ArithmeticError, RuntimeError) as exc:
+        # a command that fails reports its error alone, not the warnings of
+        # the computation that failed
         print(f"critgap: {exc}", file=sys.stderr)
         return 1
+    shown: dict = {}  # each warning once, as the default filter shows it
+    for w in held:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
+                               registry=shown)
+    return code
 
 
 if __name__ == "__main__":

@@ -14,27 +14,29 @@ Every route hands the determinant one real K W with the weights folded in
 (DiscreteOperator): halfline and contour-H as a dense n x n array, contour-Q
 as its two real factors, never formed.
 
-contour-Q sums its loop on Gamma's pole rule (kernels.cross_blocks): the
-only singular factor inside the loop is Gamma(t), so the loop sum is exactly
-a residue series over t = -k, of which K = 1 to 21 terms lie above e^-45.
-K W = left @ right.T then has exact rank K, and by Sylvester's identity
-det(I - K W) = det(I_K - right.T @ left), a K x K determinant, as for the
-separable kernels of Bornemann (arXiv:0804.2543).  The factors are written
-per a, at m x K entries: nothing is cached or shared between calls.  The RH
-workspace (observables.RhWorkspace) solves on the same operator, by
-Woodbury's identity through the same K x K matrix, so at one a and line its
-log P is contour-Q's, bit for bit.  Dense operators take a dense LU of
-I - K W.  Every determinant and solve goes through numpy.linalg, by the two
-functions lu_factor and lu_solve below.  The three routes share no kernel
-code beyond the gamma functions, and halfline and contour-H keep loop
-quadratures of their own, so their agreement is the primary internal
-consistency check of the package.
+halfline and contour-Q sum their loops on Gamma's pole rule (kernels._poles),
+building none: the only singular factor inside the loop is Gamma(t), so the
+loop sum is a residue series over t = -k, K = 1 to 21 terms above e^-45.
+halfline's kernel is a rank-K product on its own line (kernels.kernel_matrix),
+whose dense LU, at n = 48 to 128, costs no more than a K x K one.  contour-Q's
+K W = left @ right.T (kernels.cross_blocks) has exact rank K, and by
+Sylvester's identity det(I - K W) = det(I_K - right.T @ left), a K x K
+determinant, as for the separable kernels of Bornemann (arXiv:0804.2543).
+The factors are written per a, at m x K entries: nothing is cached or shared
+between calls.  The RH workspace (observables.RhWorkspace) solves on the same
+operator, by Woodbury's identity through the same K x K matrix, so at one a
+and line its log P is contour-Q's, bit for bit.  Dense operators take a dense
+LU of I - K W.  Every determinant and solve goes through numpy.linalg, by the
+two functions lu_factor and lu_solve below.  halfline and contour-Q share
+only the pole count and the gamma functions, each with its own line, and
+contour-H keeps a loop quadrature, so the routes' agreement is the primary
+internal consistency check of the package.
 
 The halfline grid is sized from the kernel's decay: on (a, inf) it falls
 like u(x) ~ exp(-x^2 / 2 alpha), so the grid ends where that drops below
 e^{-46}, or at a floor for small alpha (Bornemann, arXiv:0804.2543,
 truncates the infinite intervals of Fredholm determinants by the kernel's
-decay in the same way).
+decay in the same way), and its panel count follows that length.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ _ROUNDING_TOL = 3e-10  # largest n eps max|K W| a two-contour matrix may reach
 _P_SLACK = 1e-7       # how far a returned P may stray outside [0, 1]
 _FIXED_LENGTH = 40.0  # cap of the halfline length floor 2 / alpha
 _DECAY_LOG = 46.0   # the halfline grid ends where exp(-x^2 / 2 alpha) < e^-46
-_DEFAULT_PANELS = 8
+_MAX_PANELS = 8  # halfline's panels: one per 5 of its length, 3 to this
 _DEFAULT_ORDER = 16
 _GRID_GROWTH = 1.6
 _GUARD_ROWS = 32     # rows of left per block of the guard's max|K W|
@@ -110,7 +112,7 @@ class HalfLineGrid:
 
     a: float
     length: float
-    panels: int = _DEFAULT_PANELS
+    panels: int = _MAX_PANELS
     order: int = _DEFAULT_ORDER
     nodes: np.ndarray = field(init=False)
     weights: np.ndarray = field(init=False)
@@ -324,31 +326,29 @@ def _decay_end(alpha: float) -> float:
 
 def halfline_operator(a: float, alpha: float,
                       refine: float = 1.0) -> DiscreteOperator:
-    """Conjugated kernel discretized on (a, a + length): the Nystrom matrix
-    with its columns scaled by the grid's weights, K W, a real operator
-    whose determinant is a real LU.  The grid has round(8 refine) panels
-    (at least one) of order 16.
+    """Conjugated kernel discretized on (a, a + L): the Nystrom matrix with
+    its columns scaled by the grid's weights, K W, a real operator whose
+    determinant is a real LU.  The kernel is kernels.kernel_matrix, on
+    Gamma's pole rule and the kernel's own line; no loop is built.
 
-    The grid follows the kernel's decay: its length is
-    max(5, x_end - a, min(40, 2 / alpha)), with x_end = _decay_end(alpha)
-    where exp(-x^2 / 2 alpha) < e^-46, and its contour pair resolves
-    frequencies up to max(11, a + length).  Below alpha 0.4 the Gaussian
-    cut alone is too short (at alpha 0.05 P would move 3e-5 from a refined
-    reference), and the floor 2 / alpha takes over.  It is capped at the
-    fixed length 40 that every alpha used before, so from alpha 0.05 down
-    grid and pair are that fixed budget's.  With the frequency floor 11, P
-    at refine 1 stays within 1.1e-14 of the length-40 grid on alpha
-    [0.2, 8] x a [0.1, 6]; 10 leaves 2.6e-13 at a = 2, alpha 0.25.  Raises
-    ValueError for an a or alpha that is not finite, GeometryError for
-    alpha <= 0."""
+    The grid follows the kernel's decay: L = max(5, x_end - a,
+    min(40, 2 / alpha)), with x_end = _decay_end(alpha) where
+    exp(-x^2 / 2 alpha) < e^-46; below alpha 0.4 the Gaussian cut alone is
+    too short (at alpha 0.05 P would move 3e-5 from a refined reference).
+    It has min(8, max(3, ceil(L / 5))) panels of order 16, times refine
+    (at least one), and its line resolves frequencies up to max(11, a + L).
+    On alpha [0.2, 64] x a [0.1, 8] P stays within 2e-14 of a 16-panel
+    grid on a line refined twice.  Raises ValueError for an a or alpha that
+    is not finite, GeometryError for alpha <= 0."""
     _require_finite(a=a, alpha=alpha)
     if alpha <= 0.0:
         raise GeometryError("alpha must be positive")
     length = max(5.0, _decay_end(alpha) - a, min(_FIXED_LENGTH, 2.0 / alpha))
-    grid = HalfLineGrid(a, length, max(1, round(_DEFAULT_PANELS * refine)))
-    pair = kernels.kernel_pair(alpha, x_max=max(11.0, a + length),
-                               refine=refine)
-    kw = kernels.kernel_matrix(grid.nodes, grid.nodes, pair, shift=0.5)
+    panels = min(_MAX_PANELS, max(3, math.ceil(length / 5.0)))
+    grid = HalfLineGrid(a, length, max(1, round(panels * refine)))
+    line = kernels._kernel_line(alpha, x_max=max(11.0, a + length),
+                                refine=refine)
+    kw = kernels.kernel_matrix(grid.nodes, grid.nodes, line, alpha)
     kw *= grid.weights
     return DiscreteOperator(kw)
 
@@ -416,9 +416,10 @@ def gap_probability(a: float, alpha: float, route: str = "halfline",
     for a determinant that is not finite (from alpha 1/64 down), a tripped
     rounding guard, or a P outside [-1e-7, 1 + 1e-7], the routes' agreement
     gate: from alpha 0.05 down halfline's P can be finite but not a
-    probability (2.52 at alpha 1/32, a = 1), while at alpha 1/16 it stays
-    within 3.5e-9 of [0, 1].  The halved run is not held to that bound, so err still
-    reports how far it moved."""
+    probability (2.54 at alpha 1/32, a = 1), while at alpha 1/16 it stays
+    within 3.5e-9 of [0, 1].  The halved run is not held to that bound, so
+    err still reports how far it moved, but an err above 1 + 2e-7, more
+    than two such P can differ, raises (7.5 at alpha 1/32, a = 2)."""
     _require_finite(a=a, alpha=alpha)
     if a <= 0.0:
         raise ValueError(f"gap probability evaluated for a > 0 only, got {a}")
@@ -431,5 +432,8 @@ def gap_probability(a: float, alpha: float, route: str = "halfline",
     if estimate_error:
         p_half, _ = _route_det(a, alpha, route, refine * 0.5)
         err = abs(p - p_half)
+        if err > 1.0 + 2.0 * _P_SLACK:
+            raise ArithmeticError(f"{route} at alpha={alpha}, a={a}: err = "
+                                  f"{err:.3g}, more than any two P can differ")
     log_p = log_mag if p > 0 else math.nan
     return GapResult(a, alpha, route, p, log_p, err)

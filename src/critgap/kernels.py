@@ -2,21 +2,20 @@
 and the real factors of the two-contour operator with its line reduction.
 
 Everything is a double (or single) contour integral over a hairpin-loop /
-vertical-line pair.  Matrix-valued evaluators batch the node sums as three
-dense products so Nystrom assembly stays cheap.  The finite-N kernel is one
+vertical-line pair.  Matrix-valued evaluators batch the node sums as dense
+products so Nystrom assembly stays cheap.  The finite-N kernel is one
 contraction u @ C @ v with the Cauchy matrix C = 1/(s - t) between its
 closed loop and its line; as every line node has the same real part, C is
 carried by two real arrays, built and contracted block by block of loop rows.
 
-Inside the two-contour operator's hairpin loop the only singular factor is
-Gamma(t), so every loop sum of contour-Q's Schur complement and of the RH
+Inside the hairpin loop the only singular factor is Gamma(t), so every
+loop sum of halfline's kernel, contour-Q's Schur complement and the RH
 workspace's resolvent formula is a residue series over the poles t = -k
-(the identity validate's loop-residue check measures).  The pole rule
-(_poles) keeps the K <= 21 poles whose terms lie above e^-45; on it the
-Schur complement has exact rank K, and one writer (cross_blocks) gives its
-two real (2m, K) factors on the line's upper half.  contour-H's line
-operator (ha_matrix) keeps a loop quadrature of its own, a divided
-difference of one loop sum, so that route stays independent.
+(validate's loop-residue check).  The pole rule (_poles) keeps the K <= 21
+poles whose terms lie above e^-45: halfline's kernel (kernel_matrix) is
+then a rank-K product on its own line, and one writer (cross_blocks) gives
+the Schur complement's two real (2m, K) factors.  contour-H (ha_matrix)
+and the point evaluators (_kernel_sum) keep loop quadratures of their own.
 
 The grids come from the contours builders, shared and read-only, and each
 keeps its own node values (QuadratureGrid.memo): Gamma and 1/Gamma of its
@@ -125,11 +124,16 @@ def kernel_pair(alpha: float, x_max: float = 30.0, x_min: float = 0.0,
     growth_loop = max(0.0, -x_min)  # exp(x t) grows along the arms iff x < 0
     T_loop = truncation_radius(alpha / 2.0, growth=growth_loop,
                                target=_TAIL_LOG, gamma_decay=True)
+    loop = build_hairpin(T=T_loop, refine=refine, max_frequency=abs(x_max))
+    return ContourPair(loop, _kernel_line(alpha, x_max, refine), alpha)
+
+
+def _kernel_line(alpha: float, x_max: float,
+                 refine: float = 1.0) -> QuadratureGrid:
+    """kernel_pair's line, the only grid that kernel_matrix reads."""
     T_line = truncation_radius(alpha / 2.0, growth=math.pi / 2.0,
                                target=_TAIL_LOG)
-    loop = build_hairpin(T=T_loop, refine=refine, max_frequency=abs(x_max))
-    line = build_vertical(T=T_line, refine=refine, max_frequency=abs(x_max))
-    return ContourPair(loop, line, alpha)
+    return build_vertical(T=T_line, refine=refine, max_frequency=abs(x_max))
 
 
 def qa_pair(alpha: float, a_max: float, order: int = 16, refine: float = 1.0,
@@ -219,57 +223,36 @@ def _write_real_form(upper: np.ndarray, top: np.ndarray,
     np.subtract(lo.imag, hi.imag, out=top[:, k:])
 
 
-def kernel_matrix(x: np.ndarray, y: np.ndarray, pair: ContourPair,
-                  shift: float = 0.5) -> np.ndarray:
-    """Real matrix K[i, j] of the double-contour kernel at (x_i, y_j).
-
+def kernel_matrix(x: np.ndarray, y: np.ndarray, line: QuadratureGrid,
+                  alpha: float, shift: float = 0.5) -> np.ndarray:
+    """Real matrix K[i, j] of the double-contour kernel at (x_i, y_j): its
+    loop on the pole rule at (alpha, min x) (_poles), its line on `line`.
     shift=0.5 gives the conjugated kernel exp(-(x-y)/2) K_crit(x, y); shift=0
-    gives K_crit itself.  Both grids of the pair are mirror images under
-    conjugation and the integrand is real on the real axis, so the lower-half
-    nodes contribute the complex conjugate of the upper-half ones and the
-    sum folds onto the upper halves t (loop) and s (line):
+    gives K_crit itself.  The loop integral is the residue series over
+    Gamma's poles t = -k, so K = U Psi^T has rank K:
 
-        K = (2 / (2 pi i)^2) Re[Vu (C+ Wu^T - C- conj(Wu)^T)],
+        U[x, k] = (-1)^k / k! e^{-alpha k^2/2} e^{-x(k + shift)},
+        Psi[y, k] = (1/pi) Im sum_s w_s e^{alpha s^2/2 - y(s - shift)}
+                    / (Gamma(s) (s + k)),
 
-    Vu[x, t] = w_t Gamma(t) e^{-alpha t^2/2 + x(t - shift)},
-    Wu[y, s] = e^{alpha s^2/2 - y(s - shift)} / Gamma(s),
-    C+[t, s] = w_s / (s - t),  C-[t, s] = conj(w_s) / (conj(s) - t).
-
-    The line side is contracted in real arithmetic.  With E[y, s] =
-    e^{-y(s - shift)}, h = conj(w_s e^{alpha s^2/2} / Gamma(s)),
-    p = 1/(conj(s) - conj(t)) and q = 1/(conj(s) - t), the rows
-
-        Z0 = h (p - q),  Z1 = i h (p + q)
-
-    satisfy: the interleaved (re, im) views of Z0 and E multiply to Re M,
-    and those of Z1 and E to Im M, where M = C+ Wu^T - C- conj(Wu)^T.  So M
-    is one real matrix product with half the multiply-adds of the complex
-    one.  Raises GeometryError if either grid is not mirror-symmetric.
-    """
-    alpha = pair.alpha
-    t, wt = _upper_half(pair.loop)
-    s, ws = _upper_half(pair.line)
+    over the line's upper half, as the line is its own mirror image and the
+    integrand is real on the real axis.  Im(E H), E[y, s] = e^{-y(s - shift)}
+    and H the rest, is one real product of E's (re, im) view with H's
+    (Im, Re) rows.  Raises DomainError for an x < 0, where the terms
+    e^{-x k} grow with k, GeometryError if the line is not mirror-symmetric."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-
-    m, k = t.size, s.size
-    h = (ws * _recip_gamma_on(pair.line)[k:]
-         * np.exp(alpha * s * s / 2.0)).conj()
-    sb = s.conj()
-    Z = np.empty((2, m, k), dtype=complex)
-    np.subtract.outer(-t.conj(), -sb, out=Z[0])  # conj(s) - conj(t), exactly
-    np.subtract.outer(-t, -sb, out=Z[1])         # conj(s) - t
-    np.reciprocal(Z, out=Z)                      # p, q
-    Z[0] -= Z[1]                                 # p - q
-    Z[1] *= 2.0
-    Z[1] += Z[0]                                 # p + q
-    Z[0] *= h
-    Z[1] *= 1j * h
-    E = np.exp(np.outer(-y, s - shift))
-    M = Z.reshape(2 * m, k).view(float) @ E.view(float).T  # [Re M; Im M]
-    V = np.exp(np.outer(x, t - shift)) * (wt * _gamma_on(pair.loop)[m:]
-                                          * np.exp(-alpha * t * t / 2.0))
-    return (V.real @ M[:m] - V.imag @ M[m:]) * (2.0 / _TWO_PI_I ** 2).real
+    if x.min() < 0.0:
+        raise DomainError(f"the pole rule needs x >= 0, got {x.min()}")
+    k, residues = _poles(alpha, float(x.min()))
+    s, ws = _upper_half(line)
+    u = np.exp(np.outer(-x, k + shift)) * (residues
+                                           * np.exp(-alpha * k * k / 2.0))
+    h = (ws * _recip_gamma_on(line)[s.size:] * np.exp(alpha * s * s / 2.0)
+         )[:, None] / np.add.outer(s, k)
+    hr = np.stack([h.imag, h.real], axis=1).reshape(2 * s.size, k.size)
+    psi = np.exp(np.outer(-y, s - shift)).view(float) @ hr
+    return u @ psi.T / math.pi
 
 
 def _kernel_sum(x: np.ndarray, y: np.ndarray, pair: ContourPair,
@@ -502,14 +485,15 @@ def factored_kernel(x: float, y: float, alpha: float) -> float:
 # -- two-contour operator ---------------------------------------------------
 
 def _poles(alpha: float, a: float) -> tuple[np.ndarray, np.ndarray]:
-    """The pole rule of the two-contour loop at (alpha, a): the poles -k of
+    """The pole rule of the hairpin loop at (alpha, a): the poles -k of
     Gamma it keeps, as k = 0, ..., K - 1, and Gamma's residues (-1)^k / k!
-    there.  The one place that decides the pole set, so that contour-Q and
-    the RH workspace at one (alpha, a) sum the same terms.
+    there.  The one place that decides the pole set: contour-Q and the RH
+    workspace at one (alpha, a) sum the same terms, and kernel_matrix
+    reads it at (alpha, min x).
 
-    Every loop sum of the two-contour operator is sum_t w_t Gamma(t) F(t)
-    e^{-alpha t^2/2 + a t} with F analytic inside the hairpin, which
-    encircles every pole counterclockwise, so it equals 2 pi i sum_k
+    Every loop sum it replaces is sum_t w_t Gamma(t) F(t) e^{-alpha t^2/2
+    + a t} with F analytic inside the hairpin, which encircles every pole
+    counterclockwise, so it equals 2 pi i sum_k
     (-1)^k / k! e^{-alpha k^2/2 - a k} F(-k).  For a >= 0 the size
     e^{-alpha k^2/2 - a k} / k! of the terms falls with k, and so do the
     Cauchy factors 1/(z + k) in F; the rule keeps the terms of size at

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -343,7 +344,7 @@ def test_mc_compare_table(capsys):
 
 
 def test_mc_compare_refuses_an_unresolved_theory(capsys):
-    # at alpha = M/N = 1/32 halfline's P = 2.52 at a = 1 is not a
+    # at alpha = M/N = 1/32 halfline's P = 2.54 at a = 1 is not a
     # probability and raises; at a = 2 it has err 7.5: no row may be
     # compared, and the command fails
     code, out, err = run_cli(capsys, "mc", "--N", "64", "--M", "2",
@@ -376,18 +377,37 @@ def test_mc_compare_refuses_a_theory_that_raises(capsys):
         assert f"a={row['a']:g}: ArithmeticError" in doc["compare_error"]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_gap_fails_loudly_where_p_is_nan(capsys):
-    # every route's determinant is NaN at alpha 1/256: exit 1, no row
+    # every route's determinant is NaN at alpha 1/256: exit 1, no row, and
+    # the error line alone: the numpy warnings of the row that raised are
+    # dropped (the suite turns a RuntimeWarning that escapes into a failure)
     code, out, err = run_cli(capsys, "gap", "--alpha", "0.00390625",
                              "--a-min", "1", "--a-max", "1", "--steps", "1")
     assert code == 1
     assert not out
-    assert "determinant is nan" in err
+    assert err == ("critgap: halfline at alpha=0.00390625, a=1.0: "
+                   "determinant is nan\n")
+
+
+def test_gap_rows_that_return_keep_their_warnings(capsys, monkeypatch):
+    # a row that is printed still issues the warnings it raised
+    gap_probability = fredholm.gap_probability
+
+    def noisy(*args, **kwargs):
+        warnings.warn("noisy route", UserWarning)
+        return gap_probability(*args, **kwargs)
+
+    monkeypatch.setattr(fredholm, "gap_probability", noisy)
+    with pytest.warns(UserWarning, match="noisy route"):
+        code, out, _ = run_cli(capsys, "gap", "--alpha", "1", "--a-min", "2",
+                               "--a-max", "2", "--steps", "1", "--routes",
+                               "halfline")
+    assert code == 0
+    assert len(parse_csv(out)[2]) == 1
 
 
 def test_gap_fails_loudly_where_p_is_not_a_probability(capsys):
-    # at alpha 1/32 halfline's determinant is finite but P = 2.52 at a = 1:
+    # at alpha 1/32 halfline's determinant is finite but P = 2.54 at a = 1:
     # exit 1, no row
     code, out, err = run_cli(capsys, "gap", "--alpha", "0.03125",
                              "--a-min", "1", "--a-max", "1", "--steps", "1",
@@ -395,6 +415,18 @@ def test_gap_fails_loudly_where_p_is_not_a_probability(capsys):
     assert code == 1
     assert not out
     assert "not a probability" in err
+
+
+def test_gap_fails_loudly_where_err_exceeds_any_probability_gap(capsys):
+    # at alpha 1/32, a = 2 halfline's P = 0.0876 lies in [0, 1], but its
+    # refine-0.5 run is 7.5 away: no two probabilities differ by more than
+    # 1 + 2e-7, so exit 1, no row, and the error names err
+    code, out, err = run_cli(capsys, "gap", "--alpha", "0.03125",
+                             "--a-min", "2", "--a-max", "2", "--steps", "1",
+                             "--routes", "halfline")
+    assert code == 1
+    assert not out
+    assert "halfline at alpha=0.03125, a=2.0: err = 7.5" in err
 
 
 def test_gap_fails_loudly_where_the_routes_spread(capsys):

@@ -171,7 +171,7 @@ def test_dense_operator_is_never_sketched(factored):
     # and the solve both take the n x n LU, and no K x K LU is made
     op = halfline_operator(1.5, 1.0)
     n = op.matrix().shape[0]
-    assert n == 128
+    assert n == 48  # 3 panels of 16 on the length-8.1 grid
     det_one_minus(op)
     solve_resolvent(op, np.exp(-np.linspace(0.0, 3.0, n)))
     assert op.factors is None
@@ -334,7 +334,10 @@ def test_a_nan_operator_raises_without_a_square_array(call):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("alpha", [1 / 128, 1 / 64])
 def test_halfline_raises_on_an_infinite_determinant(alpha):
-    with pytest.raises(ArithmeticError, match="determinant is inf"):
+    # at 1/64 the pole rule's determinant is finite, -3.3e206, and is
+    # refused as no probability
+    with pytest.raises(ArithmeticError,
+                       match="determinant is inf|is not a probability"):
         gap_probability(1.0, alpha, "halfline", estimate_error=False)
 
 
@@ -812,7 +815,7 @@ def test_halfline_has_no_rounding_guard():
 
 
 def test_a_p_that_is_not_a_probability_raises():
-    # at alpha 1/32 halfline's determinant is finite but P = 2.52 at a = 1;
+    # at alpha 1/32 halfline's determinant is finite but P = 2.54 at a = 1;
     # at alpha 1/16 P stays within 3.5e-9 of [0, 1] and is returned
     with pytest.raises(ArithmeticError, match="is not a probability"):
         gap_probability(1.0, 1 / 32, "halfline")
@@ -834,6 +837,39 @@ def test_the_halved_run_is_not_held_to_the_probability_bound(monkeypatch):
     assert 0.0 < res.p < 1.0 and res.err == pytest.approx(0.5)
 
 
+# mpmath (ROADMAP item 12): the loop's residue series, the trapezoid rule
+# on the line and a Gauss-Legendre Nystrom determinant, all in mpmath;
+# shares only the residue identity with the package's double-precision
+# halfline
+P_MPMATH_A2_ALPHA1 = 0.99583929270890362976
+
+
+def test_halfline_matches_the_mpmath_anchor():
+    res = gap_probability(2.0, 1.0, "halfline", estimate_error=False)
+    assert abs(res.p - P_MPMATH_A2_ALPHA1) <= 1e-14
+
+
+def _halfline_p(a, alpha, panels, line_refine):
+    """halfline's P on its own length, with the given panel count and a
+    line refined line_refine times."""
+    length = max(5.0, fredholm._decay_end(alpha) - a, min(40.0, 2.0 / alpha))
+    grid = HalfLineGrid(a, length, panels)
+    line = kernels._kernel_line(alpha, x_max=max(11.0, a + length),
+                                refine=line_refine)
+    kw = kernels.kernel_matrix(grid.nodes, grid.nodes, line, alpha)
+    return det_one_minus(DiscreteOperator(kw * grid.weights))[0]
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0,
+                                   32.0, 64.0])
+def test_halfline_is_converged_in_its_grid_and_line(alpha):
+    # 3 to 8 panels and the default line against 16 panels on a line
+    # refined twice.  Measured: at most 1.1e-14 (alpha 32, a = 0.25)
+    for a in (0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0):
+        p = gap_probability(a, alpha, "halfline", estimate_error=False).p
+        assert abs(p - _halfline_p(a, alpha, 16, 2.0)) <= 2e-14, a
+
+
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 4.0])
 def test_routes_agree_at_alpha_64(a):
     # the decay-sized halfline grid reaches x = 77 here; the fixed length
@@ -846,36 +882,40 @@ def test_routes_agree_at_alpha_64(a):
 
 @pytest.mark.parametrize("alpha", [1 / 256, 0.05, 0.25, 0.5, 1.0, 8.0, 64.0])
 def test_halfline_grid_follows_the_decay(alpha):
-    # length max(5, x_end - a, min(40, 2 / alpha)), x_end where
-    # exp(-x^2 / 2 alpha) reaches e^-46, and a pair of frequency
-    # max(11, a + length): the operator's K W is the kernel matrix on that
-    # grid with its columns scaled by the weights, bit for bit.  From alpha
-    # 0.05 down (mc --compare reaches alpha = M/N = 1/256) the capped floor
-    # gives the fixed length 40.  At 1/256 the entries are NaN on both (the
-    # default contours do not resolve the kernel there: 1/Gamma on the
-    # grids' nodes divides by zero and overflows as they are built, and
-    # numpy warns of the invalid value), hence assert_array_equal.  The grid
-    # cache is cleared, so the grids are built here whatever ran before
+    # length L = max(5, x_end - a, min(40, 2 / alpha)), x_end where
+    # exp(-x^2 / 2 alpha) reaches e^-46, min(8, max(3, ceil(L / 5)))
+    # panels of 16, and a line of frequency max(11, a + L): the operator's
+    # K W is the kernel matrix on that grid with its columns scaled by the
+    # weights, bit for bit.  From alpha 0.05 down (mc --compare reaches
+    # alpha = M/N = 1/256) the capped floor gives the fixed length 40.  At
+    # 1/256 the entries are NaN on both (the default line does not resolve
+    # the kernel there: 1/Gamma on its nodes divides by zero and overflows
+    # as it is built, and numpy warns of the invalid value), hence
+    # assert_array_equal.  The grid cache is cleared, so the line is built
+    # here whatever ran before
     a = 1.0
+    panels = {1 / 256: 8, 0.05: 8, 0.25: 3, 0.5: 3, 1.0: 3, 8.0: 6,
+              64.0: 8}[alpha]
     x_end = math.sqrt(92.0 * alpha)
     length = max(5.0, x_end - a, min(40.0, 2.0 / alpha))
     if alpha <= 0.05:
         assert length == 40.0
-    grid = HalfLineGrid(a, length, 8, 16)
+    assert panels == min(8, max(3, math.ceil(length / 5.0)))
+    grid = HalfLineGrid(a, length, panels, 16)
     assert grid.weights.sum() == pytest.approx(length, rel=1e-13)
     unresolved = alpha < 0.01
     contours._shared_grid.cache_clear()
     with (pytest.warns(RuntimeWarning) if unresolved
           else contextlib.nullcontext()) as seen:
         op = halfline_operator(a, alpha)
-        pair = kernels.kernel_pair(alpha, x_max=max(11.0, a + length))
-        want = kernels.kernel_matrix(grid.nodes, grid.nodes, pair, shift=0.5)
+        line = kernels._kernel_line(alpha, x_max=max(11.0, a + length))
+        want = kernels.kernel_matrix(grid.nodes, grid.nodes, line, alpha)
     if unresolved:
         messages = [str(w.message) for w in seen]
         assert any(m.startswith("invalid value") for m in messages)
         build = ("divide by zero", "overflow", "invalid value")
         assert all(m.startswith(build) for m in messages), messages
-    assert op.matrix().shape == (128, 128)
+    assert op.matrix().shape == (16 * panels, 16 * panels)
     assert np.isnan(op.matrix()).all() == unresolved
     np.testing.assert_array_equal(op.matrix(), want * grid.weights)
 

@@ -137,17 +137,19 @@ def test_a_cached_grid_equals_a_fresh_construction(build, monkeypatch):
 
 
 def test_writable_grids_keep_no_memo():
+    # _kernel_sum, the loop reference of the point evaluators, reads Gamma
+    # on the loop and 1/Gamma on the line from the grids' memos
     pair = kernels.qa_pair(1.0, a_max=2.0)
     x = np.linspace(0.5, 2.0, 4)
-    kernels.kernel_matrix(x, x, pair)
+    kernels._kernel_sum(x, x, pair, 0.5)
     assert "gamma" in pair.loop._memo and "recip_gamma" in pair.line._memo
     # a copy starts with an empty memo; one with writable nodes keeps none,
     # since its caller may still move them
     loop = dataclasses.replace(pair.loop, nodes=pair.loop.nodes.copy())
     line = dataclasses.replace(pair.line, nodes=pair.line.nodes.copy())
     own = dataclasses.replace(pair, loop=loop, line=line)
-    assert np.array_equal(kernels.kernel_matrix(x, x, own),
-                          kernels.kernel_matrix(x, x, pair))
+    assert np.array_equal(kernels._kernel_sum(x, x, own, 0.5),
+                          kernels._kernel_sum(x, x, pair, 0.5))
     assert loop._memo == {} and line._memo == {}
     loop.nodes[:] += 0.01
     assert not np.array_equal(kernels._gamma_on(loop),

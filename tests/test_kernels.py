@@ -70,45 +70,62 @@ FOLD_ALPHAS = (0.25, 0.5, 1.0, 2.0, 8.0)
 FOLD_AS = (0.5, 2.0, 4.0)
 
 
+def _refined_pair(line, alpha, x_max, refine, order):
+    # the line with a refined hairpin loop: the loop quadrature that
+    # kernel_matrix's pole rule replaces
+    T = truncation_radius(alpha / 2.0, target=40.0, gamma_decay=True)
+    loop = build_hairpin(T=T, order=order, refine=refine,
+                         max_frequency=x_max)
+    return kernels.ContourPair(loop, line, alpha)
+
+
 @pytest.mark.parametrize("alpha", FOLD_ALPHAS)
 def test_kernel_matrix_fold_matches_full_sum(alpha):
-    # the conjugation fold against the complex sum over both full grids:
-    # shift 0.5 on length-40 halfline grids, shift 0 at points in
-    # [0, a] (further right the critical kernel grows like e^{(x-y)/2})
+    # the pole rule against the complex double sum over the full line and a
+    # refined loop.  shift 0.5 on length-40 halfline grids, against a loop
+    # refined 3 times at order 24: measured at most 3.6e-15 (alpha 0.5,
+    # a = 0.5).  shift 0 at points in [0, a] (further right the critical
+    # kernel grows like e^{(x-y)/2}): at x = 0 no e^{x t} damps the loop,
+    # and that loop is itself 4.4e-13 off at alpha 0.25, so these take one
+    # refined 6 times at order 32: measured at most 1.9e-15
     for a in FOLD_AS:
         for refine in (1.0, 0.5):
             x = HalfLineGrid(a, 40.0, max(1, round(8 * refine))).nodes
-            pair = kernels.kernel_pair(alpha, x_max=a + 40.0, refine=refine)
-            got = kernels.kernel_matrix(x, x, pair, shift=0.5)
+            line = kernels._kernel_line(alpha, x_max=a + 40.0, refine=refine)
+            got = kernels.kernel_matrix(x, x, line, alpha, shift=0.5)
             assert got.dtype == np.float64
-            want = _kernel_sum(x, x, pair, 0.5).real
+            ref = _refined_pair(line, alpha, a + 40.0, 3.0, 24)
+            want = _kernel_sum(x, x, ref, 0.5).real
             assert np.abs(got - want).max() <= 1e-14, (alpha, a, refine)
 
             x0 = np.linspace(0.0, a, 9)
-            pair0 = kernels.kernel_pair(alpha, x_max=a, refine=refine)
-            got0 = kernels.kernel_matrix(x0, x0[::-1], pair0, shift=0.0)
-            want0 = _kernel_sum(x0, x0[::-1], pair0, 0.0).real
+            line0 = kernels._kernel_line(alpha, x_max=a, refine=refine)
+            got0 = kernels.kernel_matrix(x0, x0[::-1], line0, alpha, shift=0.0)
+            ref0 = _refined_pair(line0, alpha, a, 6.0, 32)
+            want0 = _kernel_sum(x0, x0[::-1], ref0, 0.0).real
             assert np.abs(got0 - want0).max() <= 1e-14, (alpha, a, refine)
 
 
 def test_kernel_matrix_refuses_asymmetric_pairs():
-    pair = kernels.kernel_pair(1.0, x_max=10.0)
+    line = kernels._kernel_line(1.0, x_max=10.0)
     x = np.array([0.5, 1.0])
-    nodes = pair.line.nodes.copy()
+    nodes = line.nodes.copy()
     nodes[7] += 1e-6j
-    bent = dataclasses.replace(pair.line, nodes=nodes)
+    bent = dataclasses.replace(line, nodes=nodes)
     with pytest.raises(GeometryError, match="not symmetric"):
-        kernels.kernel_matrix(x, x, dataclasses.replace(pair, line=bent))
-    line = pair.line
+        kernels.kernel_matrix(x, x, bent, 1.0)
     odd = dataclasses.replace(line, nodes=line.nodes[1:],
                               weights=line.weights[1:])
     with pytest.raises(GeometryError, match="odd"):
-        kernels.kernel_matrix(x, x, dataclasses.replace(pair, line=odd))
-    loop = pair.loop
-    odd = dataclasses.replace(loop, nodes=loop.nodes[:-1],
-                              weights=loop.weights[:-1])
-    with pytest.raises(GeometryError, match="odd"):
-        kernels.kernel_matrix(x, x, dataclasses.replace(pair, loop=odd))
+        kernels.kernel_matrix(x, x, odd, 1.0)
+
+
+def test_kernel_matrix_refuses_negative_x():
+    # left of 0 the pole terms e^{-x k} grow with k, and the rule's cut,
+    # made for falling terms, would drop the largest of them
+    line = kernels._kernel_line(1.0, x_max=10.0)
+    with pytest.raises(DomainError, match="x >= 0"):
+        kernels.kernel_matrix(np.array([-0.5, 1.0]), np.ones(2), line, 1.0)
 
 
 def test_factored_kernel_matches_conjugated():
