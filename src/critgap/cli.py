@@ -185,7 +185,7 @@ def cmd_gap(args: argparse.Namespace) -> int:
     # poles: the pole rule's count at a_min, the most that any row's y1 sums
     manifest["workspace"] = None if workspace is None else {
         "line": len(workspace.line),
-        "poles": kernels._poles(args.alpha, args.a_min)[0].size}
+        "poles": kernels._pole_count(args.alpha, args.a_min)}
     manifest["u_error"] = None
     if u_error is not None:
         manifest["u_error"] = f"{type(u_error).__name__}: {u_error}"
@@ -344,6 +344,10 @@ def main(argv: list[str] | None = None) -> int:
         # the computation that failed
         print(f"critgap: {exc}", file=sys.stderr)
         return 1
+    if code != 0:
+        # so does one that returns nonzero, having reported its failure
+        # (mc --compare's refused theory rows, validate's failed checks)
+        return code
     shown: dict = {}  # each warning once, as the default filter shows it
     for w in held:
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,

@@ -19,11 +19,17 @@ one grid built for that geometry in this process:
 These grids are shared, so their nodes and weights are read-only.  The
 cache (_shared_grid) keeps the _GRID_CACHE_SIZE = 128 grids used last.  A
 grid of n nodes holds 16 n bytes for its nodes, as much for its weights,
-and at most as much for each of the _MEMO_SIZE = 4 node arrays it
-memoises (QuadratureGrid.memo): at most 96 n bytes, so the cache holds at
-most 12 kB per node of its largest grid.  That is 17 MB at 1376 nodes,
-the largest grid `critgap gap` builds at alpha 0.2 for a up to 16; a
-16-step sweep at alpha 1 keeps 14 grids of 0.17 MB in all.
+and what it memoises (QuadratureGrid.memo), at most _MEMO_SIZE = 6 values:
+node arrays of at most 16 n bytes each (Gamma or 1/Gamma, finite_kernel's
+parts), and on a line ha_matrix's near pairs, under 8 n bytes, and the
+pole rule's a-free line factors for each alpha it serves, about
+16 n K0 + 40 n bytes (kernels: K0 = K(alpha, 0) poles, 9 at alpha 1 and 15
+at alpha 0.2).  A line serves one alpha unless its truncation sits at its
+floor (alpha 8 and 64 share one), so a grid holds about 96 n + 16 n K0
+bytes at most: 0.34 kB per node at alpha 0.2.  A 16-step
+`critgap gap` sweep at alpha 1, a in [0.5, 4], keeps 12 grids of 0.26 MB
+in all; one at alpha 0.2, a in [0.1, 16], keeps 91 grids of 12.7 MB, the
+largest of 1376 nodes.
 """
 
 from __future__ import annotations
@@ -68,9 +74,11 @@ _ARC_PANELS = 4
 # grids _shared_grid keeps, the ones used last: a `critgap gap --steps 16`
 # sweep needs 14 at alpha 1 and 93 at alpha 0.2 for a in [0.1, 16]
 _GRID_CACHE_SIZE = 128
-# node arrays one read-only grid memoises (QuadratureGrid.memo), the oldest
-# dropped first: Gamma, 1/Gamma and finite_kernel's parts at two (n, m)
-_MEMO_SIZE = 4
+# values one read-only grid memoises (QuadratureGrid.memo), the oldest
+# dropped first: a line that serves contour-Q, contour-H and the RH
+# workspace keeps 1/Gamma, ha_matrix's near pairs and two sets of pole-rule
+# factors per alpha, for two alphas where lines of alpha 8 and 64 coincide
+_MEMO_SIZE = 6
 _MEMO_LOCK = threading.Lock()
 
 
@@ -118,16 +126,22 @@ class QuadratureGrid:
         return complex(np.sum(self.weights * np.asarray(values)))
 
     def memo(self, key, compute):
-        """compute(), an array that depends only on the nodes and on the
-        integers in `key`, kept read-only on this grid under `key` if the
-        grid is read-only, and computed afresh on every call if it is not.
-        At most _MEMO_SIZE arrays are kept, the oldest dropped first."""
+        """compute(), an array or a tuple of arrays that depends only on
+        this grid and on the numbers in `key` (integers, or a kernel's
+        alpha), kept read-only on this grid under `key` if the grid is
+        read-only, and computed afresh on every call if it is not.  A value
+        holding a NaN or an infinity is returned but not kept.  At most
+        _MEMO_SIZE values are kept, the oldest dropped first."""
         if self.nodes.flags.writeable or self.weights.flags.writeable:
             return compute()
         value = self._memo.get(key)
         if value is None:
             value = compute()
-            value.setflags(write=False)
+            arrays = value if isinstance(value, tuple) else (value,)
+            if not all(np.isfinite(array).all() for array in arrays):
+                return value
+            for array in arrays:
+                array.setflags(write=False)
             with _MEMO_LOCK:
                 if len(self._memo) >= _MEMO_SIZE:
                     del self._memo[next(iter(self._memo))]

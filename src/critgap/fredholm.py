@@ -22,10 +22,11 @@ whose dense LU, at n = 48 to 128, costs no more than a K x K one.  contour-Q's
 K W = left @ right.T (kernels.cross_blocks) has exact rank K, and by
 Sylvester's identity det(I - K W) = det(I_K - right.T @ left), a K x K
 determinant, as for the separable kernels of Bornemann (arXiv:0804.2543).
-The factors are written per a, at m x K entries: nothing is cached or shared
-between calls.  The RH workspace (observables.RhWorkspace) solves on the same
-operator, by Woodbury's identity through the same K x K matrix, so at one a
-and line its log P is contour-Q's, bit for bit.  Dense operators take a dense
+Only e^{-az} and e^{-ak} in the left factor are written per a, at m x K
+entries; the rest is kept on the line per alpha (kernels._cross_table), and
+each call gets fresh factors.  The RH workspace (observables.RhWorkspace)
+solves on the same operator, by Woodbury's identity through the same K x K
+matrix, so at one a and line its log P is contour-Q's, bit for bit.  Dense operators take a dense
 LU of I - K W.  Every determinant and solve goes through numpy.linalg, by the
 two functions lu_factor and lu_solve below.  halfline and contour-Q share
 only the pole count and the gamma functions, each with its own line, and

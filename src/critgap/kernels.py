@@ -19,9 +19,16 @@ and the point evaluators (_kernel_sum) keep loop quadratures of their own.
 
 The grids come from the contours builders, shared and read-only, and each
 keeps its own node values (QuadratureGrid.memo): Gamma and 1/Gamma of its
-nodes (_gamma_on, _recip_gamma_on), and finite_kernel's x- and y-free
-log-gamma parts at each (n, m).  So these are evaluated once per grid,
-not once per call.
+nodes (_gamma_on, _recip_gamma_on), finite_kernel's x- and y-free
+log-gamma parts at each (n, m), and on a line ha_matrix's near pairs.  A
+line also keeps the pole rule's factors that do not depend on a, per
+alpha, at the K0 = K(alpha, 0) poles, the most any a >= 0 keeps: the
+Cauchy block 1/(z + k), e^{alpha z^2/4}, cross_blocks' whole right factor,
+h_line and halfline's H block (_cross_table, _rh_table, _kernel_table).
+A call at a slices their first K(alpha, a) columns and multiplies in only
+e^{-az} and e^{-ak}, in the order of a fresh computation, so the bits do
+not depend on what is kept; what it returns is its own.  So these are
+evaluated once per grid, or per grid and alpha, not once per call.
 """
 
 from __future__ import annotations
@@ -238,21 +245,38 @@ def kernel_matrix(x: np.ndarray, y: np.ndarray, line: QuadratureGrid,
     over the line's upper half, as the line is its own mirror image and the
     integrand is real on the real axis.  Im(E H), E[y, s] = e^{-y(s - shift)}
     and H the rest, is one real product of E's (re, im) view with H's
-    (Im, Re) rows.  Raises DomainError for an x < 0, where the terms
-    e^{-x k} grow with k, GeometryError if the line is not mirror-symmetric."""
+    (Im, Re) rows.  H and U's x-free factor are _kernel_table's, kept on
+    the line for alpha; a call writes only E and U.  Raises DomainError for
+    an x < 0, where the terms e^{-x k} grow with k, GeometryError if the
+    line is not mirror-symmetric."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if x.min() < 0.0:
         raise DomainError(f"the pole rule needs x >= 0, got {x.min()}")
-    k, residues = _poles(alpha, float(x.min()))
-    s, ws = _upper_half(line)
-    u = np.exp(np.outer(-x, k + shift)) * (residues
-                                           * np.exp(-alpha * k * k / 2.0))
-    h = (ws * _recip_gamma_on(line)[s.size:] * np.exp(alpha * s * s / 2.0)
-         )[:, None] / np.add.outer(s, k)
-    hr = np.stack([h.imag, h.real], axis=1).reshape(2 * s.size, k.size)
-    psi = np.exp(np.outer(-y, s - shift)).view(float) @ hr
+    k = _kept_poles(alpha, float(x.min()))
+    scale, hr = _kernel_table(line, alpha)
+    s = line.nodes[line.nodes.size // 2:]
+    u = np.exp(np.outer(-x, k + shift)) * scale[:k.size]
+    e = np.outer(-y, s - shift)
+    psi = np.exp(e, out=e).view(float) @ hr[:, :k.size]
     return u @ psi.T / math.pi
+
+
+def _kernel_table(line: QuadratureGrid,
+                  alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """kernel_matrix's a-free factors on `line` at the K0 = K(alpha, 0)
+    poles, the most any x >= 0 keeps: (-1)^k / k! e^{-alpha k^2/2} and
+    H's (Im, Re) rows, (2m, K0).  Kept on the line (QuadratureGrid.memo);
+    a call at min x slices their first K(alpha, min x) columns."""
+    def compute():
+        k, residues = _poles(alpha, 0.0)
+        s, ws = _upper_half(line)
+        h = (ws * _recip_gamma_on(line)[s.size:]
+             * np.exp(alpha * s * s / 2.0))[:, None] / np.add.outer(s, k)
+        hr = np.stack([h.imag, h.real], axis=1).reshape(2 * s.size, k.size)
+        return residues * np.exp(-alpha * k * k / 2.0), hr
+
+    return line.memo(("kernel_matrix", alpha), compute)
 
 
 def _kernel_sum(x: np.ndarray, y: np.ndarray, pair: ContourPair,
@@ -497,14 +521,29 @@ def _poles(alpha: float, a: float) -> tuple[np.ndarray, np.ndarray]:
     (-1)^k / k! e^{-alpha k^2/2 - a k} F(-k).  For a >= 0 the size
     e^{-alpha k^2/2 - a k} / k! of the terms falls with k, and so do the
     Cauchy factors 1/(z + k) in F; the rule keeps the terms of size at
-    least e^-45: K = 1 to 21."""
+    least e^-45: K = 1 to 21 (_pole_count)."""
+    k = np.arange(_pole_count(alpha, a), dtype=float)
+    residues = np.cumprod(np.concatenate([[1.0], -1.0 / k[1:]]))
+    return k, residues
+
+
+def _pole_count(alpha: float, a: float) -> int:
+    """K, the number of poles the pole rule keeps at (alpha, a): the terms
+    e^{-alpha k^2/2 - a k} / k! of size at least e^-45 (see _poles)."""
     count = 1
     while (alpha * count * count / 2.0 + a * count
            + math.lgamma(count + 1.0) <= _POLE_LOG):
         count += 1
-    k = np.arange(count, dtype=float)
-    residues = np.cumprod(np.concatenate([[1.0], -1.0 / k[1:]]))
-    return k, residues
+    return count
+
+
+def _kept_poles(alpha: float, a: float) -> np.ndarray:
+    """k = 0, ..., K(alpha, a) - 1, the columns a call at a takes from line
+    factors kept at the K(alpha, 0) poles, the most any a >= 0 keeps.
+    Raises DomainError for an a < 0, where the rule keeps more."""
+    if a < 0.0:
+        raise DomainError(f"the pole rule's line factors need a >= 0, got {a}")
+    return np.arange(_pole_count(alpha, a), dtype=float)
 
 
 def rh_vectors(line: QuadratureGrid, alpha: float,
@@ -517,16 +556,31 @@ def rh_vectors(line: QuadratureGrid, alpha: float,
     (_poles): f_loop at the poles -k, and in place of W h_loop there 2 pi i
     times the residue of h_loop = Gamma(t) e^{-alpha t^2/4 + a t}.
     Returns (f_line, h_line, f_poles, wh_poles), the line's on all its
-    nodes."""
-    z = line.nodes
-    k, residues = _poles(alpha, a)
-    quarter_z = alpha * z * z / 4.0
-    quarter_k = np.exp(-alpha * k * k / 4.0)
-    f_line = np.exp(quarter_z - a * z) / _TWO_PI_I
-    h_line = -_recip_gamma_on(line) * np.exp(quarter_z)
-    f_poles = quarter_k / _TWO_PI_I
-    wh_poles = _TWO_PI_I * residues * quarter_k * np.exp(-a * k)
-    return f_line, h_line, f_poles, wh_poles
+    nodes, as fresh arrays.  Only e^{-az} and e^{-ak} are written per a:
+    the rest is _rh_table's, kept on the line for alpha.  Raises
+    DomainError for an a < 0, where the pole rule keeps more poles."""
+    k = _kept_poles(alpha, a)
+    quarter_z, h_line, f_poles, wh_scale = _rh_table(line, alpha)
+    f_line = np.exp(quarter_z - a * line.nodes) / _TWO_PI_I
+    wh_poles = wh_scale[:k.size] * np.exp(-a * k)
+    return f_line, h_line.copy(), f_poles[:k.size].copy(), wh_poles
+
+
+def _rh_table(line: QuadratureGrid, alpha: float) -> tuple[np.ndarray, ...]:
+    """rh_vectors' a-free parts on `line` at the K0 = K(alpha, 0) poles:
+    alpha z^2/4 and h_line on all the line's nodes, f_poles and
+    2 pi i (-1)^k / k! e^{-alpha k^2/4}.  Kept on the line
+    (QuadratureGrid.memo)."""
+    def compute():
+        z = line.nodes
+        k, residues = _poles(alpha, 0.0)
+        quarter_z = alpha * z * z / 4.0
+        quarter_k = np.exp(-alpha * k * k / 4.0)
+        h_line = -_recip_gamma_on(line) * np.exp(quarter_z)
+        return (quarter_z, h_line, quarter_k / _TWO_PI_I,
+                _TWO_PI_I * residues * quarter_k)
+
+    return line.memo(("rh_vectors", alpha), compute)
 
 
 def ha_matrix(pair: ContourPair, a: float, loop: QuadratureGrid) -> np.ndarray:
@@ -560,14 +614,12 @@ def ha_matrix(pair: ContourPair, a: float, loop: QuadratureGrid) -> np.ndarray:
     rg = _buffer("cauchy_g", 2 * m * p, float).view(complex).reshape(m, p)
     np.multiply(r, g, out=rg)
     f = rg.sum(axis=1)
-    # sum_t g r_i r_j for node i and each node j = i + d up to _NEAR above
-    # it, and for the k nodes within _NEAR of the real axis and their mirrors
-    near = [(np.arange(m), 0, np.einsum("ij,ij->i", rg, r))]
-    for d in range(1, m):
-        i = np.flatnonzero(y[d:] - y[:m - d] < _NEAR)
-        if not i.size:
-            break
-        near.append((i, d, np.einsum("ij,ij->i", rg[i], r[i + d])))
+    # sum_t g r_i r_j for each node i, for each pair of nodes i < j less
+    # than _NEAR apart, and for the k nodes within _NEAR of the real axis
+    # and their mirrors
+    diag = np.einsum("ij,ij->i", rg, r)
+    rows, cols = _near_pairs(line)
+    near = np.einsum("ij,ij->i", rg[rows], r[cols])
     k = int(np.searchsorted(y, _NEAR))
     mirror = rg[:k] @ r[:k][::-1, ::-1].conj().T
     lead = np.exp(-a * z + alpha * z * z / 4.0)
@@ -580,12 +632,32 @@ def ha_matrix(pair: ContourPair, a: float, loop: QuadratureGrid) -> np.ndarray:
     gap = np.subtract.outer(-y, -line.nodes.imag, out=out[:m])
     np.fill_diagonal(gap[:, m:], np.inf)  # z' = z: summed directly
     kw *= np.reciprocal(gap, out=gap)
-    for i, d, s in near:
-        kw[i, m + i + d] = lead[i] * s * b[m + i + d]
-        kw[i + d, m + i] = lead[i + d] * s * b[m + i]
+    every = np.arange(m)
+    kw[every, m + every] = lead * diag * b[m:]
+    kw[rows, m + cols] = lead[rows] * near * b[m + cols]
+    kw[cols, m + rows] = lead[cols] * near * b[m + rows]
     kw[:k, m - k:m] = lead[:k, None] * mirror * b[m - k:m]
     _write_real_form(kw, out[:m], out[m:])
     return out
+
+
+def _near_pairs(line: QuadratureGrid) -> np.ndarray:
+    """Index pairs (i, j), i < j, of the upper-half nodes of a line whose Im
+    differ by less than _NEAR, as the rows of a (2, pairs) array in order
+    of j - i: the entries off the diagonal that ha_matrix sums over its
+    loop.  Kept on the line (QuadratureGrid.memo)."""
+    def compute():
+        y = _upper_half(line)[0].imag
+        m = y.size
+        pairs = [np.empty((2, 0), dtype=np.intp)]
+        for d in range(1, m):
+            i = np.flatnonzero(y[d:] - y[:m - d] < _NEAR)
+            if not i.size:
+                break
+            pairs.append(np.stack([i, i + d]))
+        return np.concatenate(pairs, axis=1)
+
+    return line.memo("near_pairs", compute)
 
 
 def _buffer(name: str, size: int, dtype: type) -> np.ndarray:
@@ -611,16 +683,35 @@ def cross_blocks(line: QuadratureGrid, alpha: float,
     factors cancel in left).  The poles are real, so the real coordinates
     of a pole vector are its K values: left maps them to the line's
     (Re, Im) coordinates of the upper half, and right.T maps those back,
-    the 2 summing each line node with its mirror.  Raises GeometryError if
-    the line is not mirror-symmetric."""
-    z, wz = _upper_half(line)
-    k, residues = _poles(alpha, a)
-    quarter_k = np.exp(-alpha * k * k / 4.0)
-    quarter_z = np.exp(alpha * z * z / 4.0)
-    cauchy = 1.0 / np.add.outer(z, k)
-    a_w = ((quarter_z * np.exp(-a * z))[:, None] * cauchy
-           * (residues * quarter_k * np.exp(-a * k)))
-    bt_w = ((2.0 * wz * _recip_gamma_on(line)[z.size:] * quarter_z
-             / _TWO_PI_I)[:, None] * cauchy * quarter_k).conj()
-    return (np.concatenate([a_w.real, a_w.imag]),
-            np.concatenate([bt_w.real, bt_w.imag]))
+    the 2 summing each line node with its mirror.
+
+    right does not depend on a, and left only through e^{-az} and e^{-ak}:
+    the rest is _cross_table's, kept on the line for alpha at K0 poles, and
+    a call slices its first K(alpha, a) columns.  Raises GeometryError if
+    the line is not mirror-symmetric, DomainError for an a < 0."""
+    k = _kept_poles(alpha, a)
+    quarter_z, cauchy, pole_scale, right = _cross_table(line, alpha)
+    z = line.nodes[line.nodes.size // 2:]
+    a_w = ((quarter_z * np.exp(-a * z))[:, None] * cauchy[:, :k.size]
+           * (pole_scale[:k.size] * np.exp(-a * k)))
+    return np.concatenate([a_w.real, a_w.imag]), right[:, :k.size].copy()
+
+
+def _cross_table(line: QuadratureGrid, alpha: float) -> tuple[np.ndarray, ...]:
+    """cross_blocks' a-free parts on `line` at the K0 = K(alpha, 0) poles:
+    e^{alpha z^2/4} on the upper half, the Cauchy block 1/(z + k),
+    (-1)^k / k! e^{-alpha k^2/4} and the whole right factor, (2m, K0).
+    Kept on the line (QuadratureGrid.memo), so the mirror check runs when
+    they are computed."""
+    def compute():
+        z, wz = _upper_half(line)
+        k, residues = _poles(alpha, 0.0)
+        quarter_k = np.exp(-alpha * k * k / 4.0)
+        quarter_z = np.exp(alpha * z * z / 4.0)
+        cauchy = 1.0 / np.add.outer(z, k)
+        bt_w = ((2.0 * wz * _recip_gamma_on(line)[z.size:] * quarter_z
+                 / _TWO_PI_I)[:, None] * cauchy * quarter_k).conj()
+        return (quarter_z, cauchy, residues * quarter_k,
+                np.concatenate([bt_w.real, bt_w.imag]))
+
+    return line.memo(("cross_blocks", alpha), compute)

@@ -130,10 +130,15 @@ class RhWorkspace:
     discretization (alpha 128, alpha <= 0.15), which the real solves'
     imaginary residues cannot.
 
-    The workspace holds its line grid and nothing it writes: a y1 builds
-    its factors and pole vectors afresh, line- or pole-length arrays and
-    (2m, K) blocks, and no n x n array.  So threads may share one
-    workspace, and call contour-Q on its line, in parallel."""
+    The workspace holds its line grid and nothing it writes.  What does
+    not depend on a, the Cauchy block 1/(z + k), e^{alpha z^2/4}, h_line
+    and the whole right factor, is kept on the read-only line per alpha
+    (kernels.cross_blocks and rh_vectors, QuadratureGrid.memo), written by
+    the first y1 or contour-Q call at that alpha.  A y1 then multiplies in
+    e^{-az} and e^{-ak} and gets fresh factors and pole vectors, line- or
+    pole-length arrays and (2m, K) blocks, and no n x n array.  So threads
+    may share one workspace, and call contour-Q on its line, in
+    parallel."""
 
     def __init__(self, alpha: float, x_max: float, order: int = 16,
                  refine: float = 1.0):

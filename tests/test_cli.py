@@ -360,7 +360,6 @@ def test_mc_compare_refuses_an_unresolved_theory(capsys):
         assert f"a={row['a']:g}:" in doc["compare_error"]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_mc_compare_refuses_a_theory_that_raises(capsys):
     # at alpha = M/N = 1/256 every halfline determinant is NaN and raises:
     # each row is refused with its error, the JSON is still written, and
@@ -375,6 +374,16 @@ def test_mc_compare_refuses_a_theory_that_raises(capsys):
         assert row["p_theory"] is None and row["p_theory_err"] is None
         assert row["abs_diff"] is None and row["within_allowance"] is None
         assert f"a={row['a']:g}: ArithmeticError" in doc["compare_error"]
+
+
+def test_mc_compare_refused_rows_print_their_error_line_alone(capsys):
+    # the refused rows' NaN determinants raise numpy RuntimeWarnings (five
+    # kinds); the command reports them in its one mc: line and exits 1, so
+    # the warnings are dropped, as for a command that raises
+    code, out, err = run_cli(capsys, "mc", "--N", "256", "--M", "1",
+                             "--trials", "16", "--compare")
+    assert code == 1
+    assert err == f"mc: {json.loads(out)['compare_error']}\n"
 
 
 def test_gap_fails_loudly_where_p_is_nan(capsys):

@@ -16,6 +16,7 @@ import pytest
 
 from critgap import contours, fredholm, kernels, observables
 from critgap.contours import build_closed_loop, build_hairpin, build_vertical
+from critgap.special import DomainError
 
 
 def _hex(value: float) -> str:
@@ -154,3 +155,98 @@ def test_writable_grids_keep_no_memo():
     loop.nodes[:] += 0.01
     assert not np.array_equal(kernels._gamma_on(loop),
                               kernels._gamma_on(pair.loop))
+
+
+def test_memo_keeps_no_value_that_is_not_finite():
+    # a factor that overflowed (1/Gamma far up a line at alpha 1/256) is
+    # returned, not kept: the grid would hold a useless array
+    grid = build_closed_loop(-8.5)
+    for value in (np.array([1.0, np.nan]), (np.ones(2), np.array([np.inf]))):
+        got = grid.memo(("test", "bad"), lambda: value)
+        assert got is value and ("test", "bad") not in grid._memo
+    kept = grid.memo(("test", "pair"), lambda: (np.ones(2), np.zeros(3)))
+    assert grid._memo[("test", "pair")] is kept
+    assert not any(array.flags.writeable for array in kept)
+
+
+def _writable(grid):
+    """A copy of a grid with writable nodes and weights: it keeps no memo,
+    so every call on it computes its factors afresh."""
+    return dataclasses.replace(grid, nodes=grid.nodes.copy(),
+                               weights=grid.weights.copy())
+
+
+def _bits(arrays):
+    return [(array.shape, array.tobytes()) for array in arrays]
+
+
+@pytest.mark.parametrize("alpha", [0.2, 1.0, 8.0])
+def test_line_factors_kept_per_alpha_equal_fresh_ones(alpha):
+    # the pole rule's a-free line factors are kept on a read-only line for
+    # its alpha at K(alpha, 0) poles, and a call slices the K(alpha, a) it
+    # needs; a writable copy of the line computes them at each call.  A
+    # sweep of a upward and downward must give the same bits either way
+    line = kernels._qa_line(alpha, a_max=4.0)
+    kline = kernels._kernel_line(alpha, x_max=20.0)
+    pair = kernels.qa_pair(alpha, a_max=4.0)
+    loop = kernels.qa_pair(alpha, a_max=4.0, refine=1.4, order=12).loop
+    own, kown = _writable(line), _writable(kline)
+    own_pair = dataclasses.replace(pair, line=_writable(pair.line))
+    sweep = [0.0, 0.1, 0.5, 1.0, 2.0, 4.0]
+    for a in sweep + sweep[::-1]:
+        x = np.linspace(a, a + 8.0, 12)
+        assert (_bits(kernels.cross_blocks(line, alpha, a))
+                == _bits(kernels.cross_blocks(own, alpha, a)))
+        assert (_bits(kernels.rh_vectors(line, alpha, a))
+                == _bits(kernels.rh_vectors(own, alpha, a)))
+        assert (_bits([kernels.kernel_matrix(x, x[::-1], kline, alpha)])
+                == _bits([kernels.kernel_matrix(x, x[::-1], kown, alpha)]))
+        if a > 0.0:
+            assert (_bits([kernels.ha_matrix(pair, a, loop)])
+                    == _bits([kernels.ha_matrix(own_pair, a, loop)]))
+    assert {("cross_blocks", alpha), ("rh_vectors", alpha)} <= set(line._memo)
+    assert ("kernel_matrix", alpha) in kline._memo
+    assert own._memo == {} and kown._memo == {}
+
+
+def test_line_factors_are_returned_fresh():
+    # what a call returns is its own: writing into it must not reach the
+    # factors kept on the line, so the next call is unchanged
+    line = kernels._qa_line(1.0, a_max=4.0)
+    kline = kernels._kernel_line(1.0, x_max=20.0)
+    x = np.linspace(1.0, 9.0, 12)
+    want = (_bits(kernels.cross_blocks(line, 1.0, 2.0))
+            + _bits(kernels.rh_vectors(line, 1.0, 2.0))
+            + _bits([kernels.kernel_matrix(x, x, kline, 1.0)]))
+    returned = (kernels.cross_blocks(line, 1.0, 2.0)
+                + kernels.rh_vectors(line, 1.0, 2.0)
+                + (kernels.kernel_matrix(x, x, kline, 1.0),))
+    for array in returned:
+        array[...] = 7.0
+    assert (_bits(kernels.cross_blocks(line, 1.0, 2.0))
+            + _bits(kernels.rh_vectors(line, 1.0, 2.0))
+            + _bits([kernels.kernel_matrix(x, x, kline, 1.0)])) == want
+
+
+def test_kept_line_factors_keep_their_checks():
+    # the mirror check runs where the factors are computed, so a writable
+    # line that is not its own mirror image still raises; an x < 0 or
+    # a < 0 would need more poles than are kept and raises too
+    line = kernels._qa_line(1.0, a_max=4.0)
+    kline = kernels._kernel_line(1.0, x_max=20.0)
+    x = np.linspace(1.0, 9.0, 12)
+    kernels.cross_blocks(line, 1.0, 2.0)
+    kernels.kernel_matrix(x, x, kline, 1.0)
+    for grid in (line, kline):
+        bent = _writable(grid)
+        bent.nodes[-1] += 1e-6j
+        with pytest.raises(contours.GeometryError):
+            kernels.cross_blocks(bent, 1.0, 2.0)
+        with pytest.raises(contours.GeometryError):
+            kernels.kernel_matrix(x, x, bent, 1.0)
+    with pytest.raises(DomainError):
+        kernels.kernel_matrix(np.array([-0.5, 1.0]), x, kline, 1.0)
+    with pytest.raises(DomainError):
+        kernels.cross_blocks(line, 1.0, -0.5)
+    with pytest.raises(DomainError):
+        kernels.rh_vectors(line, 1.0, -0.5)
