@@ -22,7 +22,7 @@ from .mc import (ConvergenceError, McConfig, McResult, center_aN,
                  empirical_gap, sample_rightmost)
 from .observables import (RhWorkspace, UnderflowWarning, Y1Matrix,
                           asym_u1_12, asym_u1_21, log_gap_from_u, residue_sum,
-                          u_asym_composed, u_asymptotic, u_of_x, y1_matrix)
+                          u_asymptotic, u_of_x, y1_matrix)
 from .special import DomainError, PoleError, gamma, log_gamma, recip_gamma
 
 __version__ = "0.1.0"
@@ -45,7 +45,7 @@ __all__ = [
     # observables
     "Y1Matrix", "RhWorkspace", "y1_matrix", "u_of_x",
     "u_asymptotic", "log_gap_from_u", "residue_sum", "asym_u1_21",
-    "asym_u1_12", "u_asym_composed", "UnderflowWarning",
+    "asym_u1_12", "UnderflowWarning",
     # Monte-Carlo
     "McConfig", "McResult", "center_aN", "sample_rightmost", "empirical_gap",
     "ConvergenceError",

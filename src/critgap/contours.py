@@ -19,16 +19,16 @@ one grid built for that geometry in this process:
 These grids are shared, so their nodes and weights are read-only.  The
 cache (_shared_grid) keeps the _GRID_CACHE_SIZE = 128 grids used last.  A
 grid of n nodes holds 16 n bytes for its nodes, as much for its weights,
-and what it memoises (QuadratureGrid.memo), at most _MEMO_SIZE = 6 values:
+and what it memoises (QuadratureGrid.memo), at most _MEMO_SIZE = 4 values:
 node arrays of at most 16 n bytes each (Gamma or 1/Gamma, finite_kernel's
-parts), and on a line ha_matrix's near pairs, under 8 n bytes, and the
-pole rule's a-free line factors for each alpha it serves, about
-16 n K0 + 40 n bytes (kernels: K0 = K(alpha, 0) poles, 9 at alpha 1 and 15
-at alpha 0.2).  A line serves one alpha unless its truncation sits at its
-floor (alpha 8 and 64 share one), so a grid holds about 96 n + 16 n K0
-bytes at most: 0.34 kB per node at alpha 0.2.  A 16-step
-`critgap gap` sweep at alpha 1, a in [0.5, 4], keeps 12 grids of 0.26 MB
-in all; one at alpha 0.2, a in [0.1, 16], keeps 91 grids of 12.7 MB, the
+parts), and on a line ha_matrix's near pairs, under 8 n bytes, and one
+table of the pole rule's a-free line factors for each alpha it serves,
+about 16 n K0 + 40 n bytes (kernels: K0 = K(alpha, 0) poles, 9 at alpha 1
+and 15 at alpha 0.2).  A line serves one alpha unless its truncation sits
+at its floor (alpha 8 and 64 share one), so a grid holds about
+96 n + 16 n K0 bytes at most: 0.34 kB per node at alpha 0.2.  A 16-step
+`critgap gap` sweep at alpha 1, a in [0.5, 4], keeps 12 grids of 0.27 MB
+in all; one at alpha 0.2, a in [0.1, 16], keeps 91 grids of 13.5 MB, the
 largest of 1376 nodes.
 """
 
@@ -76,9 +76,9 @@ _ARC_PANELS = 4
 _GRID_CACHE_SIZE = 128
 # values one read-only grid memoises (QuadratureGrid.memo), the oldest
 # dropped first: a line that serves contour-Q, contour-H and the RH
-# workspace keeps 1/Gamma, ha_matrix's near pairs and two sets of pole-rule
-# factors per alpha, for two alphas where lines of alpha 8 and 64 coincide
-_MEMO_SIZE = 6
+# workspace keeps 1/Gamma, ha_matrix's near pairs and one pole-rule table
+# per alpha, for two alphas where lines of alpha 8 and 64 coincide
+_MEMO_SIZE = 4
 _MEMO_LOCK = threading.Lock()
 
 

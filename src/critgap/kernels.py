@@ -21,14 +21,15 @@ The grids come from the contours builders, shared and read-only, and each
 keeps its own node values (QuadratureGrid.memo): Gamma and 1/Gamma of its
 nodes (_gamma_on, _recip_gamma_on), finite_kernel's x- and y-free
 log-gamma parts at each (n, m), and on a line ha_matrix's near pairs.  A
-line also keeps the pole rule's factors that do not depend on a, per
-alpha, at the K0 = K(alpha, 0) poles, the most any a >= 0 keeps: the
-Cauchy block 1/(z + k), e^{alpha z^2/4}, cross_blocks' whole right factor,
-h_line and halfline's H block (_cross_table, _rh_table, _kernel_table).
-A call at a slices their first K(alpha, a) columns and multiplies in only
-e^{-az} and e^{-ak}, in the order of a fresh computation, so the bits do
-not depend on what is kept; what it returns is its own.  So these are
-evaluated once per grid, or per grid and alpha, not once per call.
+line also keeps the pole rule's factors that do not depend on a, one table
+per alpha, at the K0 = K(alpha, 0) poles, the most any a >= 0 keeps: on
+contour-Q's line the Cauchy block 1/(z + k), e^{alpha z^2/4},
+cross_blocks' whole right factor and rh_vectors' h_line (_cross_table),
+on halfline's line its H block (_kernel_table).  A call at a slices their
+first K(alpha, a) columns and multiplies in only e^{-az} and e^{-ak}, in
+the order of a fresh computation, so the bits do not depend on what is
+kept; what it returns is its own.  So these are evaluated once per grid,
+or per grid and alpha, not once per call.
 """
 
 from __future__ import annotations
@@ -557,30 +558,13 @@ def rh_vectors(line: QuadratureGrid, alpha: float,
     times the residue of h_loop = Gamma(t) e^{-alpha t^2/4 + a t}.
     Returns (f_line, h_line, f_poles, wh_poles), the line's on all its
     nodes, as fresh arrays.  Only e^{-az} and e^{-ak} are written per a:
-    the rest is _rh_table's, kept on the line for alpha.  Raises
+    the rest is _cross_table's, kept on the line for alpha.  Raises
     DomainError for an a < 0, where the pole rule keeps more poles."""
     k = _kept_poles(alpha, a)
-    quarter_z, h_line, f_poles, wh_scale = _rh_table(line, alpha)
-    f_line = np.exp(quarter_z - a * line.nodes) / _TWO_PI_I
+    exponent, h_line, f_poles, wh_scale = _cross_table(line, alpha)[:4]
+    f_line = np.exp(exponent - a * line.nodes) / _TWO_PI_I
     wh_poles = wh_scale[:k.size] * np.exp(-a * k)
     return f_line, h_line.copy(), f_poles[:k.size].copy(), wh_poles
-
-
-def _rh_table(line: QuadratureGrid, alpha: float) -> tuple[np.ndarray, ...]:
-    """rh_vectors' a-free parts on `line` at the K0 = K(alpha, 0) poles:
-    alpha z^2/4 and h_line on all the line's nodes, f_poles and
-    2 pi i (-1)^k / k! e^{-alpha k^2/4}.  Kept on the line
-    (QuadratureGrid.memo)."""
-    def compute():
-        z = line.nodes
-        k, residues = _poles(alpha, 0.0)
-        quarter_z = alpha * z * z / 4.0
-        quarter_k = np.exp(-alpha * k * k / 4.0)
-        h_line = -_recip_gamma_on(line) * np.exp(quarter_z)
-        return (quarter_z, h_line, quarter_k / _TWO_PI_I,
-                _TWO_PI_I * residues * quarter_k)
-
-    return line.memo(("rh_vectors", alpha), compute)
 
 
 def ha_matrix(pair: ContourPair, a: float, loop: QuadratureGrid) -> np.ndarray:
@@ -690,7 +674,7 @@ def cross_blocks(line: QuadratureGrid, alpha: float,
     a call slices its first K(alpha, a) columns.  Raises GeometryError if
     the line is not mirror-symmetric, DomainError for an a < 0."""
     k = _kept_poles(alpha, a)
-    quarter_z, cauchy, pole_scale, right = _cross_table(line, alpha)
+    quarter_z, cauchy, pole_scale, right = _cross_table(line, alpha)[4:]
     z = line.nodes[line.nodes.size // 2:]
     a_w = ((quarter_z * np.exp(-a * z))[:, None] * cauchy[:, :k.size]
            * (pole_scale[:k.size] * np.exp(-a * k)))
@@ -698,20 +682,27 @@ def cross_blocks(line: QuadratureGrid, alpha: float,
 
 
 def _cross_table(line: QuadratureGrid, alpha: float) -> tuple[np.ndarray, ...]:
-    """cross_blocks' a-free parts on `line` at the K0 = K(alpha, 0) poles:
-    e^{alpha z^2/4} on the upper half, the Cauchy block 1/(z + k),
-    (-1)^k / k! e^{-alpha k^2/4} and the whole right factor, (2m, K0).
-    Kept on the line (QuadratureGrid.memo), so the mirror check runs when
-    they are computed."""
+    """The pole rule's a-free parts on `line` at the K0 = K(alpha, 0) poles,
+    one table for both readers.  rh_vectors takes the first four: alpha
+    z^2/4 and h_line on all the line's nodes, f_poles and 2 pi i (-1)^k / k!
+    e^{-alpha k^2/4}.  cross_blocks takes the last four: e^{alpha z^2/4} on
+    the upper half, the Cauchy block 1/(z + k), (-1)^k / k! e^{-alpha k^2/4}
+    and the whole right factor, (2m, K0).  Kept on the line
+    (QuadratureGrid.memo), so the mirror check runs when they are
+    computed."""
     def compute():
         z, wz = _upper_half(line)
         k, residues = _poles(alpha, 0.0)
         quarter_k = np.exp(-alpha * k * k / 4.0)
+        recip = _recip_gamma_on(line)
+        exponent = alpha * line.nodes * line.nodes / 4.0
         quarter_z = np.exp(alpha * z * z / 4.0)
         cauchy = 1.0 / np.add.outer(z, k)
-        bt_w = ((2.0 * wz * _recip_gamma_on(line)[z.size:] * quarter_z
+        bt_w = ((2.0 * wz * recip[z.size:] * quarter_z
                  / _TWO_PI_I)[:, None] * cauchy * quarter_k).conj()
-        return (quarter_z, cauchy, residues * quarter_k,
+        return (exponent, -recip * np.exp(exponent), quarter_k / _TWO_PI_I,
+                _TWO_PI_I * residues * quarter_k,
+                quarter_z, cauchy, residues * quarter_k,
                 np.concatenate([bt_w.real, bt_w.imag]))
 
     return line.memo(("cross_blocks", alpha), compute)

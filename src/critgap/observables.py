@@ -45,12 +45,10 @@ __all__ = [
     "asym_u1_21",
     "asym_u1_12",
     "asym_u1_12_closed",
-    "u_asym_composed",
 ]
 
 _IM_TOL = 1e-8
 _LOG_FLOOR = -700.0
-_RESIDUE_TERMS = 400  # residue_sum's cap on the number of terms
 
 
 class UnderflowWarning(RuntimeWarning):
@@ -132,13 +130,13 @@ class RhWorkspace:
 
     The workspace holds its line grid and nothing it writes.  What does
     not depend on a, the Cauchy block 1/(z + k), e^{alpha z^2/4}, h_line
-    and the whole right factor, is kept on the read-only line per alpha
-    (kernels.cross_blocks and rh_vectors, QuadratureGrid.memo), written by
-    the first y1 or contour-Q call at that alpha.  A y1 then multiplies in
-    e^{-az} and e^{-ak} and gets fresh factors and pole vectors, line- or
-    pole-length arrays and (2m, K) blocks, and no n x n array.  So threads
-    may share one workspace, and call contour-Q on its line, in
-    parallel."""
+    and the whole right factor, is kept on the read-only line in one table
+    per alpha that kernels.cross_blocks and rh_vectors both read
+    (QuadratureGrid.memo), written by the first y1 or contour-Q call at
+    that alpha.  A y1 then multiplies in e^{-az} and e^{-ak} and gets
+    fresh factors and pole vectors, line- or pole-length arrays and
+    (2m, K) blocks, and no n x n array.  So threads may share one
+    workspace, and call contour-Q on its line, in parallel."""
 
     def __init__(self, alpha: float, x_max: float, order: int = 16,
                  refine: float = 1.0):
@@ -254,27 +252,16 @@ def log_gap_from_u(a: float, alpha: float,
 
 def residue_sum(alpha: float, a: float) -> float:
     """S(a) = sum_k (-1)^k / k! * exp(-alpha k^2/2 - a k); the pole expansion
-    of the loop integral in the right-tail moment.  Converges for a > 0.
-    Stops once a term falls below 1e-18 of the sum, or, with a
-    RuntimeWarning, after 400 terms.  Raises ValueError for an alpha or a
-    that is not finite."""
+    of the loop integral in the right-tail moment, summed over the poles of
+    Gamma's pole rule (kernels._poles), the terms of size at least e^-45.
+    For a > 0 the terms fall and alternate, and S >= e^-1, so the tail the
+    rule drops is under 1e-19 of S.  Raises ValueError for an alpha or a
+    that is not finite, DomainError for one that is not positive."""
     special._require_finite(alpha=alpha, a=a)
     if alpha <= 0.0 or a <= 0.0:
         raise special.DomainError("alpha and a must be positive")
-    total, k, log_fact = 0.0, 0, 0.0
-    while True:
-        loge = -alpha * k * k / 2.0 - a * k - log_fact
-        term = math.exp(loge) if loge > _LOG_FLOOR else 0.0
-        total += term if k % 2 == 0 else -term
-        if k > 0 and term < 1e-18 * abs(total):
-            return total
-        k += 1
-        log_fact += math.log(k)
-        if k > _RESIDUE_TERMS:
-            warnings.warn(f"residue_sum stopped at its {_RESIDUE_TERMS}-term "
-                          "cap before a term fell below 1e-18 of the sum",
-                          RuntimeWarning)
-            return total
+    k, residues = kernels._poles(alpha, a)
+    return float(np.sum(residues * np.exp(-alpha * k * k / 2.0 - a * k)))
 
 
 def asym_u1_21(a: float, alpha: float) -> complex:
@@ -357,15 +344,3 @@ def asym_u1_12_closed(a: float, alpha: float) -> complex:
                       UnderflowWarning)
         return 0.0j
     return -1j * math.exp(log_mag)
-
-
-def u_asym_composed(a: float, alpha: float) -> float:
-    """u(a) rebuilt from the two tail moments:
-    u = (a^2/alpha^2) * asym_u1_12 * asym_u1_21.  Positive real for a > 1;
-    agrees with u_asymptotic up to the O((log a)^2 / a) factor."""
-    m12 = asym_u1_12(a, alpha)
-    m21 = asym_u1_21(a, alpha)
-    value = (a * a) / (alpha * alpha) * m12 * m21
-    if abs(value.imag) > _IM_TOL * (1.0 + abs(value)):
-        raise ArithmeticError(f"composed u has imaginary residue {value.imag:.3e}")
-    return value.real

@@ -103,13 +103,13 @@ def line_matrix(a, alpha, route, refine=1.0, order=16):
     """The complex K W of route "contour-Q", the product of the two
     coupling blocks on the pole rule, or of `ha_operator` ("contour-H") on
     the same grids."""
-    pair = kernels.qa_pair(alpha, a_max=a, refine=refine, order=order, a=a)
+    pair = kernels.qa_pair(alpha, a_max=a, refine=refine, order=order)
     if route == "contour-Q":
         block_a, block_b, _, _ = pole_blocks(pair.line, alpha, a)
         kv = block_a @ block_b
     else:
         inner = kernels.qa_pair(alpha, a_max=a, refine=1.4 * refine,
-                                order=max(8, order - 4), a=a)
+                                order=max(8, order - 4))
         kv = ha_matrix(pair, a, inner.loop)
     return kv * pair.line.weights[None, :]
 

@@ -204,9 +204,32 @@ def test_line_factors_kept_per_alpha_equal_fresh_ones(alpha):
         if a > 0.0:
             assert (_bits([kernels.ha_matrix(pair, a, loop)])
                     == _bits([kernels.ha_matrix(own_pair, a, loop)]))
-    assert {("cross_blocks", alpha), ("rh_vectors", alpha)} <= set(line._memo)
+    assert ("cross_blocks", alpha) in line._memo
     assert ("kernel_matrix", alpha) in kline._memo
     assert own._memo == {} and kown._memo == {}
+
+
+def test_a_line_shared_by_two_alphas_keeps_one_table_per_alpha():
+    # alpha 8 and 64 share their line at a_max 4; contour-Q, contour-H and
+    # the RH workspace on it keep 1/Gamma, the near pairs and one pole-rule
+    # table per alpha, which fit the memo, so a second pass computes none
+    line = kernels._qa_line(8.0, a_max=4.0)
+    assert kernels._qa_line(64.0, a_max=4.0) is line
+    line._memo.clear()
+
+    def run():
+        for alpha in (8.0, 64.0):
+            for route in ("contour-Q", "contour-H"):
+                fredholm.gap_probability(4.0, alpha, route)
+            observables.RhWorkspace(alpha, 4.0).y1(4.0)
+        return dict(line._memo)
+
+    first = run()
+    assert set(first) == {"recip_gamma", "near_pairs", ("cross_blocks", 8.0),
+                          ("cross_blocks", 64.0)}
+    second = run()
+    assert list(second) == list(first)
+    assert all(second[key] is first[key] for key in first)
 
 
 def test_line_factors_are_returned_fresh():

@@ -24,7 +24,7 @@ from critgap.contours import GeometryError
 from critgap.observables import (RhWorkspace, UnderflowWarning, asym_u1_12,
                                  asym_u1_12_closed, asym_u1_21,
                                  log_gap_from_u, log_u_asymptotic,
-                                 residue_sum, u_asym_composed, u_asymptotic,
+                                 residue_sum, u_asymptotic,
                                  u_of_x, y1_matrix)
 
 U_ASYM_ANCHORS = [
@@ -60,14 +60,24 @@ def test_residue_sum_anchors():
         assert residue_sum(alpha, a) == pytest.approx(ref, rel=1e-14)
 
 
-def test_residue_sum_warns_at_its_term_cap(monkeypatch):
-    # the term at k = 5 is still above 1e-18 of the sum, so a 5-term cap
-    # stops the sum early; the value is already the converged one, but the
-    # stop is reported
-    monkeypatch.setattr(observables, "_RESIDUE_TERMS", 5)
-    with pytest.warns(RuntimeWarning, match="5-term cap"):
-        capped = residue_sum(2.0, 1.0)
-    assert capped == pytest.approx(RESIDUE_SUM_ANCHORS[0][2], rel=1e-14)
+def test_tail_moment_loop_check_fails_under_a_broken_pole_rule(monkeypatch):
+    # residue_sum sums the package's own pole rule, so tail-moment-loop
+    # compares that rule with asym_u1_21's loop quadrature: a rule cut at
+    # two poles, or residues that lost their (-1)^k sign, must fail it
+    assert validate.check_tail_moment_loop().passed
+    count, poles = kernels._pole_count, kernels._poles
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "_pole_count",
+                      lambda alpha, a: min(2, count(alpha, a)))
+        assert not validate.check_tail_moment_loop().passed
+
+    def unsigned(alpha, a):
+        k, residues = poles(alpha, a)
+        return k, np.abs(residues)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "_poles", unsigned)
+        assert not validate.check_tail_moment_loop().passed
 
 
 def test_residue_sum_monotone_to_one():
@@ -524,13 +534,6 @@ def test_tail_moment_line_closed_form_window():
     # window tightens as a grows
     r6 = validate.line_moment_ratio(6.0, 2.0)
     assert abs(ratio.real - 1.0) < abs(r6.real - 1.0)
-
-
-def test_u_asym_composed_windows():
-    comp = u_asym_composed(6.0, 2.0)
-    assert comp > 0.0
-    assert 0.7 <= comp / u_asymptotic(6.0, 2.0) <= 1.3
-    assert 0.7 <= comp / u_of_x(6.0, 2.0) <= 1.3
 
 
 def test_asymptotic_ratio_improves():
